@@ -118,22 +118,20 @@ def cmd_diff(args) -> int:
     return 0
 
 
-def _sens_columns(d: Diagram, thetas, config, route: str):
-    """Output columns plus one sensitivity column per (output, theta)."""
-    base = flatten(d)
-    tr0 = integrate(base, config)
+def _sens_columns(d: Diagram, base, tr0, thetas, config, route: str):
+    """Output columns of the base run ``tr0`` plus one sensitivity column
+    per (output, theta)."""
     cols: dict[str, np.ndarray] = {nm: tr0.output(nm) for nm in base.output_names}
     for th in thetas:
         if route == "agdm":
             m = flatten(agdm_diff(d, th))
-            tr = integrate(m, config)
         else:
             m = sensitivity_extend(base, th)
-            tr = integrate(m, config)
+        tr = integrate(m, config)
         for nm in base.output_names:
             dn = d_output_name(nm, th)
             cols[dn] = tr.output(dn)
-    return tr0.times, cols
+    return cols
 
 
 def cmd_sens(args) -> int:
@@ -143,12 +141,14 @@ def cmd_sens(args) -> int:
     for th in thetas:
         if th not in d.params:
             raise UnknownParameter(th, d.params.keys())
+    base = flatten(d)
+    tr0 = integrate(base, config)
     if args.route in ("agdm", "sensode"):
-        times, cols = _sens_columns(d, thetas, config, args.route)
-        _write(args.out, _csv(times, cols))
+        cols = _sens_columns(d, base, tr0, thetas, config, args.route)
+        _write(args.out, _csv(tr0.times, cols))
         return 0
-    times, cols_a = _sens_columns(d, thetas, config, "agdm")
-    _, cols_s = _sens_columns(d, thetas, config, "sensode")
+    cols_a = _sens_columns(d, base, tr0, thetas, config, "agdm")
+    cols_s = _sens_columns(d, base, tr0, thetas, config, "sensode")
     worst = 0.0
     worst_col = ""
     for nm in cols_a:
@@ -157,7 +157,7 @@ def cmd_sens(args) -> int:
             worst, worst_col = err, nm
     print(f"route discrepancy: max |agdm - sensode| = {worst:.3e}"
           + (f" on column {worst_col}" if worst_col else ""), file=sys.stderr)
-    _write(args.out, _csv(times, cols_a))
+    _write(args.out, _csv(tr0.times, cols_a))
     return 0
 
 

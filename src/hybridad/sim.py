@@ -240,6 +240,7 @@ class _History:
     def __init__(self, slot: DelaySlot, env, t_start: float):
         self.slot = slot
         self.t_start = t_start
+        self.tol = 1e-9 * max(1.0, abs(t_start))
         self.env = env
         self.times: list[float] = []
         self.values: list[float] = []
@@ -273,8 +274,7 @@ class _History:
         on either side of an aligned breakpoint both see a consistent
         one-sided right-hand side.
         """
-        tol = 1e-9 * max(1.0, abs(self.t_start))
-        if tau < self.t_start - tol or (prefer_pre and tau <= self.t_start + tol):
+        if tau < self.t_start - self.tol or (prefer_pre and tau <= self.t_start + self.tol):
             return self._pre_value(tau)
         if not self.times:
             return self._pre_value(tau)
@@ -308,23 +308,39 @@ class _History:
 # integration
 # ---------------------------------------------------------------------------
 
-class _Runner:
-    """Owns the per-call mutable state of one integration."""
+def _evaluator(tape: Tape):
+    """Compiled evaluation of ``tape``; a call that raises is re-run
+    interpreted, which computes only taken branch arms (same numbers) and
+    names the node of a real domain error."""
+    compiled = compile_tape(tape)
 
-    def __init__(self, m: OdeModel, c: SimConfig, env):
+    def evaluate(vals):
+        try:
+            return compiled(vals)
+        except (ZeroDivisionError, ValueError, OverflowError):
+            return tape_eval(tape, vals)
+    return evaluate
+
+
+class _Runner:
+    """Owns the per-call mutable state of one integration.  States are
+    lists of floats, stepped with the same IEEE operations in the same
+    order as array arithmetic, without numpy's cost on tiny vectors."""
+
+    def __init__(self, m: OdeModel, c: SimConfig, env, t_start: float):
         self.m = m
         self.c = c
-        self.env = env
         self.theta = [env[p] for p in m.param_names]
-        self.J = len(m.delays)
-        self.compiled = compile_tape(m.tape)
-        self.interpreted = False
+        self.n, self.q, self.J = m.n, len(m.output_names), len(m.delays)
+        self.tape_fn = _evaluator(m.tape)
         self.h_delays = [slot.delay.evaluate(env) for slot in m.delays]
         for h in self.h_delays:
             if h < c.step:
                 raise ValueError(f"delay {h} smaller than the step {c.step}")
-        self.histories: list[_History] | None = None
-        self.step_anchor = -math.inf     # start time of the step in progress
+        self.histories = [_History(slot, env, t_start) for slot in m.delays]
+        self.step_anchor = t_start       # start time of the step in progress
+        # (t, step_anchor) -> delayed values and slopes, since the last push
+        self.lookups: dict[tuple[float, float], tuple[list, list]] = {}
         # slope tape: time-derivative of the slot expressions
         self.slope_eval = self._build_slope_eval() if self.J else None
 
@@ -344,48 +360,28 @@ class _Runner:
         seeds += [b.input(base + n + j) for j in range(J)]     # dval -> its slope
         seeds += [zero] * J                                    # dslope: curvature dropped
         tg = append_tangent(b, m.tape, node_map, seeds)
-        n_rhs_out = n + len(m.output_names)
-        slot_outs = [m.tape.outputs[n_rhs_out + j] for j in range(J)]
-        t = b.build([tg[o] for o in slot_outs])
-        return compile_tape(t)
-
-    def _tape_inputs(self, x, t, delayed_vals, delayed_slopes):
-        vals = list(x) + [t] + self.theta
-        if self.J:
-            vals += delayed_vals + delayed_slopes
-        return vals
+        slot_outs = m.tape.outputs[n + len(m.output_names):]
+        return _evaluator(b.build([tg[o] for o in slot_outs]))
 
     def eval_tape(self, x, t):
         """Returns (rhs, outputs, slot values) at one point in time."""
-        m = self.m
-        dv, ds = self._delayed(t)
-        vals = self._tape_inputs(x, t, dv, ds)
-        if not self.interpreted:
-            try:
-                out = self.compiled(vals)
-            except (ZeroDivisionError, ValueError, OverflowError):
-                # re-run interpreted: either a dead branch arm misfired
-                # (fine, keep going) or a real domain error gets a node id
-                self.interpreted = True
-                out = tape_eval(m.tape, vals)
-        else:
-            out = tape_eval(m.tape, vals)
-        n, q = m.n, len(m.output_names)
+        vals = x + [t] + self.theta
+        if self.J:
+            dv, ds = self._delayed(t)
+            vals += dv + ds
+        out = self.tape_fn(vals)
+        n, q = self.n, self.q
         return out[:n], out[n:n + q], out[n + q:]
 
     def _delayed(self, t):
-        if not self.J:
-            return [], []
-        dv, ds = [], []
-        for j, hist in enumerate(self.histories):
+        key = (t, self.step_anchor)
+        if key not in self.lookups:
             # a step that starts left of the prehistory boundary reads the
             # left limit at the boundary; one starting on it reads the right
-            prefer_pre = self.step_anchor - self.h_delays[j] \
-                < hist.t_start - 1e-9 * max(1.0, abs(hist.t_start))
-            v, s = hist.lookup(t - self.h_delays[j], prefer_pre)
-            dv.append(v)
-            ds.append(s)
-        return dv, ds
+            found = [hist.lookup(t - h, self.step_anchor - h < hist.t_start - hist.tol)
+                     for h, hist in zip(self.h_delays, self.histories)]
+            self.lookups[key] = [v for v, _ in found], [s for _, s in found]
+        return self.lookups[key]
 
     def record(self, t, x, rhs, slots):
         if not self.J:
@@ -393,37 +389,38 @@ class _Runner:
         # the node being recorded opens the next segment: right-sided lookups
         self.step_anchor = t
         dv, ds = self._delayed(t)
-        slope_in = list(x) + [t] + self.theta + dv + ds + list(rhs) + ds
-        slopes = self.slope_eval(slope_in)
+        slopes = self.slope_eval(x + [t] + self.theta + dv + ds + rhs + ds)
         for j, hist in enumerate(self.histories):
             hist.push(t, slots[j], slopes[j])
+        self.lookups.clear()     # lookups near the new node may now interpolate
 
-    def rhs(self, x, t):
-        return np.asarray(self.eval_tape(x, t)[0])
-
-    def step_from(self, x, t, h):
+    def step_from(self, x, t, h, k1):
+        """State after a step of size h from (x, t); k1 is the rhs there."""
         self.step_anchor = t
-        f = self.rhs
+        f = self.eval_tape
+        hh = 0.5 * h
+        k2 = f([a + hh * b for a, b in zip(x, k1)], t + hh)[0]
         if self.c.method == "midpoint":
-            k1 = f(x, t)
-            x_new = x + h * f(x + 0.5 * h * k1, t + 0.5 * h)
+            x_new = [a + h * b for a, b in zip(x, k2)]
         else:
-            k1 = f(x, t)
-            k2 = f(x + 0.5 * h * k1, t + 0.5 * h)
-            k3 = f(x + 0.5 * h * k2, t + 0.5 * h)
-            k4 = f(x + h * k3, t + h)
-            x_new = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k3 = f([a + hh * b for a, b in zip(x, k2)], t + hh)[0]
+            k4 = f([a + h * b for a, b in zip(x, k3)], t + h)[0]
+            h6 = h / 6.0
+            x_new = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                     for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
         for i, lo, hi in self.m.state_clamps:
             x_new[i] = min(hi, max(lo, x_new[i]))
         return x_new
 
 
-def _guard_value(compiled, x, t) -> float:
-    return compiled(list(x) + [t])[0]
+def _guard_value(guard, x, t) -> float:
+    return guard(x + [t])[0]
 
 
 def integrate(m: OdeModel, c: SimConfig, theta=None) -> Trajectory:
-    """Fixed-step march with event localization and delay buffers."""
+    """Fixed-step march with event localization and delay buffers.  The
+    rhs at an accepted node is the next step's k1, and the guard values
+    checked at a step's end are the next step's old signs."""
     env = m.theta_env(theta)
     if m.has_sensitivity:
         bad = [i for i, ev in enumerate(m.events)
@@ -435,25 +432,20 @@ def integrate(m: OdeModel, c: SimConfig, theta=None) -> Trajectory:
     if m.discrete:
         return _integrate_discrete(m, c, env)
 
-    r = _Runner(m, c, env)
     t = m.start_time(env, c.t0)
-    x = m.initial_state(env)
+    r = _Runner(m, c, env, t)
+    x = m.initial_state(env).tolist()
     for i, lo, hi in m.state_clamps:
         x[i] = min(hi, max(lo, x[i]))
-    if m.delays:
-        r.histories = [_History(slot, env, t) for slot in m.delays]
-    r.step_anchor = t
 
-    guards = [compile_tape(ev.guard) for ev in m.events]
+    guards = [_evaluator(ev.guard) for ev in m.events]
     deadtimes = [ev.deadtime if ev.deadtime is not None else 2.0 * c.step
                  for ev in m.events]
     last_fire = [-math.inf] * len(m.events)
 
-    times = [t]
-    rhs0, y0, slots0 = r.eval_tape(x, t)
-    r.record(t, x, rhs0, slots0)
-    states = [x.copy()]
-    outputs = [list(y0)]
+    f0, y0, slots0 = r.eval_tape(x, t)      # f0: rhs at (x, t), the next k1
+    r.record(t, x, f0, slots0)
+    times, states, outputs = [t], [x], [y0]
     events: list[EventRecord] = []
 
     g_prev = [_guard_value(g, x, t) for g in guards]
@@ -469,13 +461,15 @@ def integrate(m: OdeModel, c: SimConfig, theta=None) -> Trajectory:
         h = t_next - t
         events_this_step = 0
         while True:
-            x_new = r.step_from(x, t, h)
+            x_new = r.step_from(x, t, h, f0)
             fired = None
+            g_new = []      # None: whole step inside the guard's deadtime window
             for i, g in enumerate(guards):
                 if t_next <= last_fire[i] + deadtimes[i]:
-                    continue        # whole step inside the deadtime window
-                g_new = _guard_value(g, x_new, t_next)
-                if (g_prev[i] >= 0.0) != (g_new >= 0.0):
+                    g_new.append(None)
+                    continue
+                g_new.append(_guard_value(g, x_new, t_next))
+                if (g_prev[i] >= 0.0) != (g_new[i] >= 0.0):
                     fired = i
                     break
             if fired is None:
@@ -483,23 +477,23 @@ def integrate(m: OdeModel, c: SimConfig, theta=None) -> Trajectory:
             events_this_step += 1
             if events_this_step > c.max_events_per_step:
                 raise EventStorm(f"more than {c.max_events_per_step} events near t={t}")
-            t_star, x_pre = _locate_event(r, guards[fired], x, t, h, tol)
+            t_star, x_pre = _locate_event(r, guards[fired], x, t, h, f0,
+                                          g_prev[fired], x_new, tol)
+            rhs_pre, y_pre, slots_pre = r.eval_tape(x_pre, t_star)
+            r.record(t_star, x_pre, rhs_pre, slots_pre)
             if t_star < last_fire[fired] + deadtimes[fired]:
-                # crossing still inside the deadtime: pass through silently
-                rhs_p, y_p, slots_p = r.eval_tape(x_pre, t_star)
-                r.record(t_star, x_pre, rhs_p, slots_p)
+                # crossing still inside the deadtime: pass through silently;
+                # rhs_pre read the delays anchored at the old step's start
                 x = x_pre
+                f0 = r.eval_tape(x, t_star)[0]
             else:
-                x_post = _apply_action(m.events[fired], x_pre, t_star, m.n)
                 # record both sides so interpolation never crosses the jump
-                rhs_pre, y_pre, slots_pre = r.eval_tape(x_pre, t_star)
-                r.record(t_star, x_pre, rhs_pre, slots_pre)
-                rhs_post, y_post, slots_post = r.eval_tape(x_post, t_star)
-                r.record(t_star, x_post, rhs_post, slots_post)
-                events.append(EventRecord(t_star, fired, x_pre.copy(), x_post.copy(),
+                x = _apply_action(m.events[fired], x_pre, t_star)
+                f0, y_post, slots_post = r.eval_tape(x, t_star)
+                r.record(t_star, x, f0, slots_post)
+                events.append(EventRecord(t_star, fired, np.array(x_pre), np.array(x),
                                           np.asarray(y_pre), np.asarray(y_post)))
                 last_fire[fired] = t_star
-                x = x_post
             t = t_star
             anchor_t, k = t, 0
             g_prev = [_guard_value(g, x, t) for g in guards]
@@ -513,48 +507,48 @@ def integrate(m: OdeModel, c: SimConfig, theta=None) -> Trajectory:
         k += 1
         x = x_new
         r.step_anchor = t        # node values are right-continuous at jumps
-        rhs_n, y_n, slots_n = r.eval_tape(x, t)
-        r.record(t, x, rhs_n, slots_n)
-        g_prev = [_guard_value(g, x, t) for g in guards]
+        f0, y_n, slots_n = r.eval_tape(x, t)
+        r.record(t, x, f0, slots_n)
+        g_prev = [_guard_value(g, x, t) if v is None else v
+                  for g, v in zip(guards, g_new)]
         times.append(t)
-        states.append(x.copy())
-        outputs.append(list(y_n))
+        states.append(x)
+        outputs.append(y_n)
 
     return Trajectory(np.array(times), np.array(states), np.array(outputs),
                       events, m.state_names, m.output_names)
 
 
-def _locate_event(r: _Runner, guard, x, t, h, tol):
-    """Bisection from (t, x) over sub-steps of [t, t+h]."""
-    g0 = _guard_value(guard, x, t)
+def _locate_event(r: _Runner, guard, x, t, h, k1, g0, x_hi, tol):
+    """Bisection from (t, x) over sub-steps of [t, t+h]; ``k1`` and ``g0``
+    are the rhs and guard at (x, t), ``x_hi`` the full step's state."""
     lo, hi = 0.0, h
-    x_hi = r.step_from(x, t, h)
+    g_hi = None         # guard at (x_hi, t + hi), evaluated when first needed
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        x_mid = r.step_from(x, t, mid) if mid > 0 else x
+        x_mid = r.step_from(x, t, mid, k1) if mid > 0 else x
         g_mid = _guard_value(guard, x_mid, t + mid)
         if (g0 >= 0.0) != (g_mid >= 0.0):
-            hi, x_hi = mid, x_mid
+            hi, x_hi, g_hi = mid, x_mid, g_mid
         else:
             lo = mid
-        g_hi = _guard_value(guard, x_hi, t + hi)
-        if hi - lo <= tol and abs(g_hi) <= 1e-8 * max(1.0, abs(g0)):
-            break
+        if hi - lo <= tol:
+            if g_hi is None:
+                g_hi = _guard_value(guard, x_hi, t + hi)
+            if abs(g_hi) <= 1e-8 * max(1.0, abs(g0)):
+                break
         if hi - lo <= 1e-15 * max(1.0, abs(t)):
             break
     return t + hi, x_hi
 
 
-def _apply_action(ev: EventSpec, x, t, n):
+def _apply_action(ev: EventSpec, x, t) -> list[float]:
+    x = np.array(x)
     if isinstance(ev.action, ImpactSurface):
-        s = ev.action
-        d = s.dim
-        q, v = x[:d], x[d:2 * d]
-        v_post = impact_update(s, q, v, t)
-        out = x.copy()
-        out[d:2 * d] = v_post
-        return out
-    return np.asarray(ev.action(x.copy(), t), dtype=float)
+        d = ev.action.dim
+        x[d:2 * d] = impact_update(ev.action, x[:d], x[d:2 * d], t)
+        return x.tolist()
+    return np.asarray(ev.action(x, t), dtype=float).tolist()
 
 
 def _integrate_discrete(m: OdeModel, c: SimConfig, env) -> Trajectory:
@@ -562,18 +556,18 @@ def _integrate_discrete(m: OdeModel, c: SimConfig, env) -> Trajectory:
         raise NotImplementedError("discrete models with events/delays")
     ts = m.sample_time
     theta = [env[p] for p in m.param_names]
-    f = compile_tape(m.tape)
+    f = _evaluator(m.tape)
     t = m.start_time(env, c.t0)
-    x = m.initial_state(env)
+    x = m.initial_state(env).tolist()
     n, q = m.n, len(m.output_names)
     times, states, outputs = [], [], []
     steps = int(math.floor((c.tf - t) / ts + 1e-9))
     for _ in range(steps + 1):
-        out = f(list(x) + [t] + theta)
+        out = f(x + [t] + theta)
         times.append(t)
-        states.append(x.copy())
+        states.append(x)
         outputs.append(out[n:n + q])
-        x = np.asarray(out[:n])
+        x = out[:n]
         t += ts
     return Trajectory(np.array(times), np.array(states), np.array(outputs),
                       [], m.state_names, m.output_names)

@@ -639,8 +639,9 @@ def compile_tape(t: Tape):
     """Build a fast eager evaluator ``f(x) -> list[float]``.
 
     Unlike the interpreted path the compiled function evaluates both
-    branch arms, so a tape whose dead arm divides by zero must go through
-    ``tape_eval`` instead; the simulator falls back automatically.
+    branch arms, so it raises where a dead arm divides by zero.  The
+    simulator re-runs just that evaluation through ``tape_eval``, which
+    gives the same numbers or the typed error naming the node.
     """
     src = ["def _f(x, _m=math):"]
     for i, n in enumerate(t.nodes):

@@ -22,6 +22,7 @@ from hybridad import (
     sensitivity_extend,
     smooth_heaviside,
 )
+from hybridad import sim
 from hybridad.sim import make_ode_model
 
 
@@ -459,6 +460,24 @@ def test_sensitivity_independent_of_rhs_and_delay_is_zero():
     assert np.all(tr.output("dy/dspare") == 0.0)
 
 
+@pytest.mark.parametrize("method", ["rk4", "midpoint"])
+@pytest.mark.parametrize("h", [0.25, 1.0 / 3.0])
+def test_delay_equal_to_step(h, method):
+    # every lookup from a node lands on the newest history node
+    m = _dde_model(h)
+    c = SimConfig(step=h, tf=2.0, method=method)
+    tr = integrate(m, c)
+    t = tr.times
+    on = t <= 2 * h + 1e-12
+    want = np.where(t <= h, 1.0 - t, 1.0 - t + (t - h) ** 2 / 2)
+    assert np.max(np.abs(tr.output("y")[on] - want[on])) <= 1e-12
+    # the sensitivity run repeats the plain run in its primal columns
+    trd = integrate(dde_extend(m, "h"), c)
+    assert np.array_equal(trd.times, t)
+    assert np.array_equal(trd.states[:, :1], tr.states)
+    assert np.array_equal(trd.output("y"), tr.output("y"))
+
+
 def test_delay_smaller_than_step_rejected():
     m = _dde_model(h=0.5)
     with pytest.raises(ValueError):
@@ -500,3 +519,70 @@ def test_csv_determinism():
     a = integrate(m, SimConfig(step=0.01, tf=1.0)).to_csv()
     b = integrate(m, SimConfig(step=0.01, tf=1.0)).to_csv()
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# evaluation counts
+# ---------------------------------------------------------------------------
+
+def _count_evaluations(monkeypatch):
+    """Counts calls of every compiled tape the simulator builds, by tape id."""
+    counts = {}
+    compile_tape = sim.compile_tape
+
+    def counting_compile(tape):
+        f = compile_tape(tape)
+        counts[id(tape)] = 0
+
+        def counted(vals):
+            counts[id(tape)] += 1
+            return f(vals)
+        return counted
+
+    monkeypatch.setattr(sim, "compile_tape", counting_compile)
+    return counts
+
+
+@pytest.mark.parametrize("method, per_step", [("rk4", 4), ("midpoint", 2)])
+def test_rhs_evaluations_per_step(monkeypatch, method, per_step):
+    counts = _count_evaluations(monkeypatch)
+    m = _decay_model()
+    tr = integrate(m, SimConfig(step=0.01, tf=1.0, method=method))
+    steps = len(tr.times) - 1
+    assert steps == 100
+    # the rhs at each accepted node is the next step's first stage
+    assert counts[id(m.tape)] == 1 + per_step * steps
+
+
+def test_guard_evaluated_once_per_accepted_node(monkeypatch):
+    counts = _count_evaluations(monkeypatch)
+    m = _decay_model()
+    gb = TapeBuilder(2)
+    guard = gb.build([gb.sub(gb.input(0), gb.const(10.0))])     # never crosses
+    m = make_ode_model(1, m.tape, (), {}, m.state_names, m.output_names,
+                       init_exprs=m.init_exprs,
+                       events=(EventSpec(guard, lambda x, t: x),))
+    tr = integrate(m, SimConfig(step=0.01, tf=1.0))
+    assert not tr.events
+    assert counts[id(guard)] == len(tr.times)
+
+
+def test_dead_arm_falls_back_for_that_evaluation_only(monkeypatch):
+    # x' = 1 if t >= 0.5 else 1/(t - 0.5): the compiled code evaluates the
+    # dead arm and divides by zero at t = 0.5, where the interpreter takes
+    # the live one
+    b = TapeBuilder(2)
+    tn = b.input(1)
+    one = b.const(1.0)
+    rhs = b.branch(tn, 0.5, one, b.div(one, b.sub(tn, b.const(0.5))))
+    m = make_ode_model(1, b.build([rhs, b.input(0)]), (), {}, ("x",), ("y",),
+                       init_exprs=(parse_expr(0.0),))
+    interpreted = []
+    tape_eval = sim.tape_eval
+    monkeypatch.setattr(sim, "tape_eval",
+                        lambda t, vals: interpreted.append(vals[1]) or tape_eval(t, vals))
+    tr = integrate(m, SimConfig(step=0.25, tf=2.0))
+    # the last stage of the step into t = 0.5 and the node there
+    assert interpreted == [0.5, 0.5]
+    y = tr.output("y")
+    assert np.allclose(np.diff(y[tr.times >= 0.5]), 0.25, rtol=0.0, atol=1e-12)
