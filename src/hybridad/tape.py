@@ -8,15 +8,24 @@ evaluation is demand-driven so only the taken arm of a branch is ever
 computed.  Derivatives follow the taken arm and never differentiate the
 threshold.
 
+One evaluator, ``_run``, interprets a tape in every mode; the number type
+is its parameter (floats, duals, Taylor jets, or the valuation-aware
+series of ``taylor_patch``) and supplies constants, the four arithmetic
+operations, elementary functions and the primal that branch conditions
+compare.  Reverse mode adds one adjoint sweep over the evaluated nodes.
+
 Modes provided here:
 
-* ``tape_eval``          -- plain evaluation
-* ``forward_gradient``   -- full Jacobian by tangent-vector propagation
+* ``tape_eval``          -- plain evaluation (floats)
+* ``forward_gradient``   -- full Jacobian (duals carrying tangent vectors)
 * ``reverse_gradient``   -- one forward sweep + one adjoint sweep
 * ``hessian``            -- forward duals pushed through the reverse sweep
 * ``tape_jet_eval``      -- order-r Taylor propagation (jet module)
+* ``compile_tape``       -- Python code generation for the simulator's hot loops
 * ``op_count``           -- arithmetic-operation count of a derivative pass
-* ``tangent_tape``       -- source transformation emitting derivative nodes
+* ``jvp_tape``           -- source transformation emitting derivative nodes
+* ``audit_branches`` / ``taylor_patch`` -- branch-boundary checks and
+  polynomial patches of removable singularities
 
 Tapes are immutable after construction; every evaluation allocates its
 own workspace, so concurrent evaluations of a shared tape are safe.
@@ -25,12 +34,14 @@ own workspace, so concurrent evaluations of a shared tape are safe.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import EvalDomainError, NonDifferentiablePoint
-from .jet import Jet, jet_arith, jet_const
+from .errors import DomainError, EvalDomainError, NonDifferentiablePoint
+from .jet import _ARITH as _JET_ARITH, Jet, jet_const
 from . import jet as jetmod
 from .ops import (
     ABS,
@@ -44,9 +55,6 @@ from .ops import (
     fn_value,
     parse_fn,
 )
-
-_ARITH_OPS = ("add", "sub", "mul", "div")
-
 
 @dataclass(frozen=True)
 class Node:
@@ -143,39 +151,8 @@ class TapeBuilder:
 
 
 # ---------------------------------------------------------------------------
-# demand-driven evaluation engine, parameterized by value semantics
+# one demand-driven evaluator, parameterized by the number type
 # ---------------------------------------------------------------------------
-
-class _FloatSem:
-    FLOAT_PRIMAL = True
-
-    @staticmethod
-    def const(v):
-        return v
-
-    @staticmethod
-    def primal(v):
-        return v
-
-    @staticmethod
-    def arith(op, x, y, nid):
-        if op == "add":
-            return x + y
-        if op == "sub":
-            return x - y
-        if op == "mul":
-            return x * y
-        if y == 0.0:
-            raise EvalDomainError(nid, "division by zero")
-        return x / y
-
-    @staticmethod
-    def apply(fn, x, nid):
-        try:
-            return fn_value(fn, x)
-        except Exception as exc:
-            raise EvalDomainError(nid, str(exc)) from exc
-
 
 def _use(tangent):
     """Deferred-kink guard: a tangent may carry a NonDifferentiablePoint,
@@ -186,82 +163,36 @@ def _use(tangent):
     return tangent
 
 
-class _ForwardSem:
-    """(value, tangent-vector) pairs."""
+class _Num(NamedTuple):
+    """A number type for ``_run`` and ``_adjoint_pass``."""
 
-    def __init__(self, width: int):
-        self.width = width
-
-    def const(self, v):
-        return (v, np.zeros(self.width))
-
-    @staticmethod
-    def primal(v):
-        return v[0]
-
-    @staticmethod
-    def arith(op, x, y, nid):
-        (xv, xd), (yv, yd) = x, y
-        xd, yd = _use(xd), _use(yd)
-        if op == "add":
-            return (xv + yv, xd + yd)
-        if op == "sub":
-            return (xv - yv, xd - yd)
-        if op == "mul":
-            return (xv * yv, xd * yv + xv * yd)
-        if yv == 0.0:
-            raise EvalDomainError(nid, "division by zero")
-        q = xv / yv
-        return (q, (xd - q * yd) / yv)
-
-    @staticmethod
-    def apply(fn, x, nid):
-        xv, xd = x
-        try:
-            v = fn_value(fn, xv)
-        except Exception as exc:
-            raise EvalDomainError(nid, str(exc)) from exc
-        try:
-            d = fn_derivative(fn, xv, nid)
-        except NonDifferentiablePoint as exc:
-            return (v, exc)
-        except Exception as exc:
-            raise EvalDomainError(nid, str(exc)) from exc
-        return (v, d * _use(xd))
+    const: Callable              # float -> value
+    arith: dict                  # op name -> binary operation on values
+    apply: Callable              # (fn, x, node id) -> fn(x)
+    primal: Callable             # value -> float, for branch conditions
+    float_conds: bool            # read conditions from a float side memo
+    fn_prime: Callable | None = None  # (fn, x, node id) -> fn'(x), adjoint sweep
 
 
-class _JetSem:
-    def __init__(self, order: int):
-        self.order = order
+def _same(v):
+    return v
 
-    def const(self, v):
-        return jet_const(v, self.order)
 
-    @staticmethod
-    def primal(v: Jet):
-        return v.coeffs[0]
+_ARITH = {"add": operator.add, "sub": operator.sub,
+          "mul": operator.mul, "div": operator.truediv}
 
-    @staticmethod
-    def arith(op, x, y, nid):
-        try:
-            return jet_arith(op, x, y)
-        except Exception as exc:
-            raise EvalDomainError(nid, str(exc)) from exc
-
-    @staticmethod
-    def apply(fn, x, nid):
-        try:
-            return jetmod.jet_apply(fn, x)
-        except Exception as exc:
-            raise EvalDomainError(nid, str(exc)) from exc
+_FLOATS = _Num(_same, _ARITH, lambda fn, x, nid: fn_value(fn, x), _same, False,
+               fn_derivative)
 
 
 class _D:
-    """First-order dual scalar used to push forward mode through reverse."""
+    """Dual number.  ``d`` is a scalar (one direction, pushed through the
+    reverse sweep for Hessians) or a vector (all input directions at once,
+    forward mode)."""
 
     __slots__ = ("v", "d")
 
-    def __init__(self, v: float, d: float = 0.0):
+    def __init__(self, v: float, d):
         self.v = v
         self.d = d
 
@@ -275,181 +206,154 @@ class _D:
         return _D(self.v * o.v, _use(self.d) * o.v + self.v * _use(o.d))
 
     def __truediv__(self, o):
+        d, od = _use(self.d), _use(o.d)
         q = self.v / o.v
-        return _D(q, (_use(self.d) - q * _use(o.d)) / o.v)
+        return _D(q, (d - q * od) / o.v)
 
     def __neg__(self):
         return _D(-self.v, -_use(self.d))
 
-
-class _DualSem:
-    @staticmethod
-    def const(v):
-        return _D(v, 0.0)
-
-    @staticmethod
-    def primal(v: _D):
-        return v.v
-
-    @staticmethod
-    def arith(op, x, y, nid):
-        _use(x.d), _use(y.d)
-        if op == "add":
-            return x + y
-        if op == "sub":
-            return x - y
-        if op == "mul":
-            return x * y
-        if y.v == 0.0:
-            raise EvalDomainError(nid, "division by zero")
-        return x / y
-
     @staticmethod
     def apply(fn, x, nid):
-        try:
-            v = fn_value(fn, x.v)
-        except Exception as exc:
-            raise EvalDomainError(nid, str(exc)) from exc
+        v = fn_value(fn, x.v)
         try:
             d = fn_derivative(fn, x.v, nid)
         except NonDifferentiablePoint as exc:
             return _D(v, exc)
-        except Exception as exc:
-            raise EvalDomainError(nid, str(exc)) from exc
         return _D(v, d * _use(x.d))
 
     @staticmethod
-    def fn_prime(fn, x: _D, nid) -> _D:
+    def fn_prime(fn, x, nid):
         # derivative of the elementary function, itself dual-valued
         d1 = fn_derivative(fn, x.v, nid)
         d2 = fn_second_derivative(fn, x.v, nid)
         return _D(d1, d2 * _use(x.d))
 
 
-def _run_into(tape: Tape, inputs, want, sem, memo, cond_value):
-    """Demand-driven evaluation of ``want`` node ids into ``memo``.
+def _duals(zero) -> _Num:
+    """Duals whose constants carry the tangent ``zero``."""
+    return _Num(lambda v: _D(v, zero), _ARITH, _D.apply, lambda x: x.v, True,
+                _D.fn_prime)
 
-    Branch conditions are resolved through ``cond_value`` so that richer
-    semantics (tangents, jets, duals) never propagate derivative or
-    series information through a test that only reads the primal.
+
+def _domain_error(nid: int, exc: Exception) -> EvalDomainError:
+    msg = "division by zero" if isinstance(exc, ZeroDivisionError) else str(exc)
+    return EvalDomainError(nid, msg)
+
+
+def _run(tape: Tape, inputs, want, num: _Num, memo=None):
+    """Demand-driven evaluation of the ``want`` node ids in number type ``num``.
+
+    Only the taken arm of a branch is computed.  Floats and series read a
+    condition from their own memo; tangents, duals and jets read it from a
+    float side memo, so that derivative or series information never flows
+    through a test that only reads the primal (a kink or ``sqrt(0)`` in a
+    condition stays harmless).  Domain failures become ``EvalDomainError``
+    naming the node; a ``NonDifferentiablePoint`` passes unchanged.
+    Returns the memo (node id -> value, filled into ``memo`` when given)
+    and the arm each evaluated branch took.
     """
+    if len(inputs) != tape.num_inputs:
+        raise ValueError(f"expected {tape.num_inputs} inputs, got {len(inputs)}")
     nodes = tape.nodes
-    stack = [w for w in want]
-    while stack:
-        nid = stack[-1]
-        if nid in memo:
-            stack.pop()
-            continue
-        node = nodes[nid]
-        op = node.op
-        if op == "input":
-            memo[nid] = inputs[node.a]
-            stack.pop()
-        elif op == "const":
-            memo[nid] = sem.const(node.value)
-            stack.pop()
-        elif op == "branch":
-            taken = node.a if cond_value(node.cond) >= node.threshold else node.b
-            if taken not in memo:
-                stack.append(taken)
+    const, arith, apply = num.const, num.arith, num.apply
+    memo = {} if memo is None else memo
+    taken: dict[int, int] = {}
+    finputs = fmemo = None
+    stack = list(want)
+    try:
+        while stack:
+            nid = stack[-1]
+            if nid in memo:
+                stack.pop()
                 continue
-            memo[nid] = memo[taken]
+            node = nodes[nid]
+            op = node.op
+            if op == "input":
+                memo[nid] = inputs[node.a]
+            elif op == "const":
+                memo[nid] = const(node.value)
+            elif op == "apply":
+                if node.a not in memo:
+                    stack.append(node.a)
+                    continue
+                memo[nid] = apply(node.fn, memo[node.a], nid)
+            elif op == "branch":
+                c = node.cond
+                if num.float_conds:
+                    if fmemo is None:
+                        finputs, fmemo = [num.primal(v) for v in inputs], {}
+                    if c not in fmemo:
+                        _run(tape, finputs, (c,), _FLOATS, fmemo)
+                    cval = fmemo[c]
+                elif c in memo:
+                    cval = num.primal(memo[c])
+                else:
+                    stack.append(c)
+                    continue
+                arm = node.a if cval >= node.threshold else node.b
+                if arm not in memo:
+                    stack.append(arm)
+                    continue
+                taken[nid] = arm
+                memo[nid] = memo[arm]
+            else:
+                missing = [c for c in (node.a, node.b) if c not in memo]
+                if missing:
+                    stack.extend(missing)
+                    continue
+                memo[nid] = arith[op](memo[node.a], memo[node.b])
             stack.pop()
-        elif op == "apply":
-            if node.a not in memo:
-                stack.append(node.a)
-                continue
-            memo[nid] = sem.apply(node.fn, memo[node.a], nid)
-            stack.pop()
-        else:
-            missing = [c for c in (node.a, node.b) if c not in memo]
-            if missing:
-                stack.extend(missing)
-                continue
-            memo[nid] = sem.arith(op, memo[node.a], memo[node.b], nid)
-            stack.pop()
-    return memo
-
-
-class _Eval:
-    """One evaluation context: semantic memo plus a primal-float side memo
-    used for branch conditions."""
-
-    def __init__(self, tape: Tape, inputs, sem):
-        self.tape = tape
-        self.inputs = inputs
-        self.sem = sem
-        self.memo: dict[int, object] = {}
-        if getattr(sem, "FLOAT_PRIMAL", False):
-            self.fmemo = self.memo
-            self.finputs = inputs
-        else:
-            self.fmemo: dict[int, float] = {}
-            self.finputs = [sem.primal(v) for v in inputs]
-
-    def cond_value(self, cid: int) -> float:
-        if cid not in self.fmemo:
-            _run_into(self.tape, self.finputs, (cid,), _FloatSem,
-                      self.fmemo, self.cond_value)
-        return self.fmemo[cid]
-
-    def run(self, want):
-        return _run_into(self.tape, self.inputs, want, self.sem,
-                         self.memo, self.cond_value)
-
-
-def _run(tape: Tape, inputs, want, sem):
-    ev = _Eval(tape, inputs, sem)
-    return ev.run(want), ev.cond_value
+    except (EvalDomainError, NonDifferentiablePoint):
+        raise
+    except Exception as exc:
+        raise _domain_error(nid, exc) from exc
+    return memo, taken
 
 
 def tape_eval(t: Tape, x) -> list[float]:
     """Evaluate all outputs.  Only the taken arm of a branch is computed."""
-    if len(x) != t.num_inputs:
-        raise ValueError(f"expected {t.num_inputs} inputs, got {len(x)}")
-    memo, _ = _run(t, [float(v) for v in x], t.outputs, _FloatSem)
+    memo, _ = _run(t, [float(v) for v in x], t.outputs, _FLOATS)
     return [memo[o] for o in t.outputs]
 
 
 def forward_gradient(t: Tape, x) -> np.ndarray:
     """Full Jacobian (outputs x inputs) by tangent-vector propagation."""
-    if len(x) != t.num_inputs:
-        raise ValueError(f"expected {t.num_inputs} inputs, got {len(x)}")
-    sem = _ForwardSem(t.num_inputs)
-    seeds = []
-    for j, v in enumerate(x):
-        e = np.zeros(t.num_inputs)
-        e[j] = 1.0
-        seeds.append((float(v), e))
-    memo, _ = _run(t, seeds, t.outputs, sem)
-    return np.array([_use(memo[o][1]) for o in t.outputs])
+    seeds = [_D(float(v), e) for v, e in zip(x, np.eye(len(x), t.num_inputs))]
+    memo, _ = _run(t, seeds, t.outputs, _duals(np.zeros(t.num_inputs)))
+    return np.array([_use(memo[o].d) for o in t.outputs])
 
 
-def _adjoint_pass(t: Tape, memo, out_node: int, sem, one, cond_value):
+def _adjoint_pass(t: Tape, memo, taken, out_node: int, num: _Num, one):
     """Reverse sweep over the demanded sub-graph; returns id->adjoint."""
     nodes = t.nodes
     adj: dict[int, object] = {out_node: one}
+
+    def acc(child, contrib):
+        if child in adj:
+            adj[child] = adj[child] + contrib
+        else:
+            adj[child] = contrib
+
     for nid in sorted(memo.keys(), reverse=True):
         a_bar = adj.get(nid)
         if a_bar is None:
             continue
         node = nodes[nid]
         op = node.op
-
-        def acc(child, contrib):
-            if child in adj:
-                adj[child] = adj[child] + contrib
-            else:
-                adj[child] = contrib
-
         if op in ("input", "const"):
             continue
         if op == "branch":
-            taken = node.a if cond_value(node.cond) >= node.threshold else node.b
-            acc(taken, a_bar)
+            acc(taken[nid], a_bar)
             continue
         if op == "apply":
-            acc(node.a, a_bar * sem.fn_prime(node.fn, memo[node.a], nid))
+            try:
+                fp = num.fn_prime(node.fn, memo[node.a], nid)
+            except NonDifferentiablePoint:
+                raise
+            except Exception as exc:
+                raise _domain_error(nid, exc) from exc
+            acc(node.a, a_bar * fp)
             continue
         if op == "add":
             acc(node.a, a_bar)
@@ -467,17 +371,6 @@ def _adjoint_pass(t: Tape, memo, out_node: int, sem, one, cond_value):
     return adj
 
 
-class _FloatRevSem(_FloatSem):
-    @staticmethod
-    def fn_prime(fn, x, nid):
-        try:
-            return fn_derivative(fn, x, nid)
-        except NonDifferentiablePoint:
-            raise
-        except Exception as exc:
-            raise EvalDomainError(nid, str(exc)) from exc
-
-
 def reverse_gradient(t: Tape, x, out: int) -> np.ndarray:
     """Gradient of one output (by position in ``t.outputs``) w.r.t. all inputs.
 
@@ -486,8 +379,8 @@ def reverse_gradient(t: Tape, x, out: int) -> np.ndarray:
     if not (0 <= out < len(t.outputs)):
         raise ValueError(f"output index {out} out of range")
     out_node = t.outputs[out]
-    memo, cond = _run(t, [float(v) for v in x], (out_node,), _FloatRevSem)
-    adj = _adjoint_pass(t, memo, out_node, _FloatRevSem, 1.0, cond)
+    memo, taken = _run(t, [float(v) for v in x], (out_node,), _FLOATS)
+    adj = _adjoint_pass(t, memo, taken, out_node, _FLOATS, 1.0)
     grad = np.zeros(t.num_inputs)
     for nid, node in enumerate(t.nodes):
         if node.op == "input" and nid in adj:
@@ -505,11 +398,12 @@ def hessian(t: Tape, x, out: int) -> np.ndarray:
         raise ValueError(f"output index {out} out of range")
     out_node = t.outputs[out]
     n = t.num_inputs
+    duals = _duals(0.0)
     H = np.zeros((n, n))
     for i in range(n):
         seeds = [_D(float(v), 1.0 if j == i else 0.0) for j, v in enumerate(x)]
-        memo, cond = _run(t, seeds, (out_node,), _DualSem)
-        adj = _adjoint_pass(t, memo, out_node, _DualSem, _D(1.0, 0.0), cond)
+        memo, taken = _run(t, seeds, (out_node,), duals)
+        adj = _adjoint_pass(t, memo, taken, out_node, duals, _D(1.0, 0.0))
         row = np.zeros(n)
         for nid, node in enumerate(t.nodes):
             if node.op == "input" and nid in adj:
@@ -527,8 +421,10 @@ def tape_jet_eval(t: Tape, xs: list[Jet]) -> list[Jet]:
     orders = {j.order for j in xs}
     if len(orders) > 1:
         raise ValueError(f"input jets must share one order, got {sorted(orders)}")
-    sem = _JetSem(orders.pop() if orders else 0)
-    memo, _ = _run(t, list(xs), t.outputs, sem)
+    order = orders.pop() if orders else 0
+    jets = _Num(lambda v: jet_const(v, order), _JET_ARITH,
+                lambda fn, x, nid: jetmod.jet_apply(fn, x), lambda x: x.coeffs[0], True)
+    memo, _ = _run(t, list(xs), t.outputs, jets)
     return [memo[o] for o in t.outputs]
 
 
@@ -683,17 +579,20 @@ def copy_into(b: TapeBuilder, t: Tape, input_nodes: list[int]) -> list[int]:
         raise ValueError("need one replacement node per tape input")
     m: list[int] = []
     for n in t.nodes:
-        if n.op == "input":
-            m.append(input_nodes[n.a])
-        elif n.op == "const":
-            m.append(b.const(n.value))
-        elif n.op == "apply":
-            m.append(b.apply(n.fn, m[n.a]))
-        elif n.op == "branch":
-            m.append(b.branch(m[n.cond], n.threshold, m[n.a], m[n.b]))
-        else:
-            m.append(b._push(Node(n.op, a=m[n.a], b=m[n.b])))
+        m.append(input_nodes[n.a] if n.op == "input" else _replay(b, n, m))
     return m
+
+
+def _replay(b: TapeBuilder, n: Node, m: list[int]) -> int:
+    """Push the non-input node ``n`` into ``b`` with its children renamed
+    through ``m``; returns the new id."""
+    if n.op == "const":
+        return b.const(n.value)
+    if n.op == "apply":
+        return b.apply(n.fn, m[n.a])
+    if n.op == "branch":
+        return b.branch(m[n.cond], n.threshold, m[n.a], m[n.b])
+    return b._push(Node(n.op, a=m[n.a], b=m[n.b]))
 
 
 def append_tangent(b: TapeBuilder, t: Tape, node_map: list[int],
@@ -792,7 +691,7 @@ def audit_branches(t: Tape, x, cond_tol: float = 1e-9,
     a finding when the gradients disagree.  This surfaces conditionals
     whose pieces do not join smoothly; no rewriting is attempted.
     """
-    memo, _ = _run(t, [float(v) for v in x], t.outputs, _FloatSem)
+    memo, _ = _run(t, [float(v) for v in x], t.outputs, _FLOATS)
     findings = []
     for nid, n in enumerate(t.nodes):
         if n.op != "branch" or nid not in memo:
@@ -817,92 +716,57 @@ def audit_branches(t: Tape, x, cond_tol: float = 1e-9,
 
 
 class _Ser:
-    """Coefficient list with a valid length; supports 0/0 cancellation."""
+    """Taylor coefficients of fixed length of which the first ``valid`` are
+    trustworthy; division cancels a common zero valuation of numerator and
+    denominator, which is exactly the removable-singularity (0/0) case, and
+    a true pole raises."""
 
     __slots__ = ("c", "valid")
 
     def __init__(self, c, valid):
-        self.c = list(c)
-        self.valid = valid  # coefficients 0..valid-1 are trustworthy
+        self.c = c
+        self.valid = valid
 
+    @staticmethod
+    def of(coeffs, length: int, valid=None) -> "_Ser":
+        c = list(coeffs)[:length]
+        c += [0.0] * (length - len(c))
+        return _Ser(c, length if valid is None else valid)
 
-def _series_eval_arm(t: Tape, arm: int, center: float, length: int) -> list[float]:
-    """Taylor coefficients of a single-input sub-tape around ``center``.
+    def __add__(self, o):
+        return _Ser([a + b for a, b in zip(self.c, o.c)], min(self.valid, o.valid))
 
-    Division tolerates a common zero valuation of numerator and
-    denominator, which is exactly the removable-singularity case; a true
-    pole raises EvalDomainError.
-    """
-    R = length + 16
+    def __sub__(self, o):
+        return _Ser([a - b for a, b in zip(self.c, o.c)], min(self.valid, o.valid))
 
-    def mk(coeffs, valid=None):
-        c = list(coeffs)[:R]
-        c += [0.0] * (R - len(c))
-        return _Ser(c, R if valid is None else valid)
-
-    def conv(x: _Ser, y: _Ser) -> _Ser:
-        v = min(x.valid, y.valid)
-        out = [0.0] * R
+    def __mul__(self, o):
+        v = min(self.valid, o.valid)
+        out = [0.0] * len(self.c)
         for k in range(v):
-            out[k] = sum(x.c[j] * y.c[k - j] for j in range(k + 1))
+            out[k] = sum(self.c[j] * o.c[k - j] for j in range(k + 1))
         return _Ser(out, v)
 
-    def run(nid: int, memo):
-        if nid in memo:
-            return memo[nid]
-        n = t.nodes[nid]
-        if n.op == "input":
-            r = mk([center, 1.0])
-        elif n.op == "const":
-            r = mk([n.value])
-        elif n.op == "add":
-            x, y = run(n.a, memo), run(n.b, memo)
-            v = min(x.valid, y.valid)
-            r = _Ser([a + b for a, b in zip(x.c, y.c)], v)
-        elif n.op == "sub":
-            x, y = run(n.a, memo), run(n.b, memo)
-            v = min(x.valid, y.valid)
-            r = _Ser([a - b for a, b in zip(x.c, y.c)], v)
-        elif n.op == "mul":
-            r = conv(run(n.a, memo), run(n.b, memo))
-        elif n.op == "div":
-            x, y = run(n.a, memo), run(n.b, memo)
-            v = min(x.valid, y.valid)
-            val = 0
-            while val < v and y.c[val] == 0.0:
-                val += 1
-            if val == v:
-                raise EvalDomainError(nid, "division by identically-zero series")
-            if any(x.c[k] != 0.0 for k in range(min(val, v))):
-                raise EvalDomainError(nid, "true pole: numerator valuation too low")
-            xv = x.c[val:v]
-            yv = y.c[val:v]
-            q = [0.0] * (v - val)
-            for k in range(v - val):
-                s = xv[k] - sum(q[j] * yv[k - j] for j in range(k))
-                q[k] = s / yv[0]
-            r = _Ser(q + [0.0] * (R - len(q)), v - val)
-        elif n.op == "apply":
-            x = run(n.a, memo)
-            j = Jet(tuple(x.c[:min(x.valid, jetmod.MAX_ORDER + 1)]))
-            try:
-                y = jetmod.jet_apply(n.fn, j)
-            except Exception as exc:
-                raise EvalDomainError(nid, str(exc)) from exc
-            r = mk(y.coeffs, valid=min(x.valid, y.order + 1))
-        elif n.op == "branch":
-            c = run(n.cond, memo)
-            taken = n.a if c.c[0] >= n.threshold else n.b
-            r = run(taken, memo)
-        else:
-            raise AssertionError(n.op)
-        memo[nid] = r
-        return r
+    def __truediv__(self, o):
+        v = min(self.valid, o.valid)
+        val = 0
+        while val < v and o.c[val] == 0.0:
+            val += 1
+        if val == v:
+            raise DomainError("division by identically-zero series")
+        if any(self.c[k] != 0.0 for k in range(val)):
+            raise DomainError("true pole: numerator valuation too low")
+        xv = self.c[val:v]
+        yv = o.c[val:v]
+        q = [0.0] * (v - val)
+        for k in range(v - val):
+            s = xv[k] - sum(q[j] * yv[k - j] for j in range(k))
+            q[k] = s / yv[0]
+        return _Ser.of(q, len(self.c), v - val)
 
-    res = run(arm, {})
-    if res.valid < length:
-        raise EvalDomainError(arm, "series cancellation consumed too many orders")
-    return res.c[:length]
+    @staticmethod
+    def apply(fn, x, nid):
+        y = jetmod.jet_apply(fn, Jet(tuple(x.c[:min(x.valid, jetmod.MAX_ORDER + 1)])))
+        return _Ser.of(y.coeffs, len(x.c), min(x.valid, y.order + 1))
 
 
 def taylor_patch(t: Tape, branch_id: int, center: float = 0.0,
@@ -924,7 +788,12 @@ def taylor_patch(t: Tape, branch_id: int, center: float = 0.0,
     if arm not in ("then", "else"):
         raise ValueError("arm must be 'then' or 'else'")
     formula_arm = node.a if arm == "then" else node.b
-    coeffs = _series_eval_arm(t, formula_arm, center, order + 1)
+    R = order + 17  # 16 spare orders for the valuations 0/0 cancels
+    series = _Num(lambda v: _Ser.of([v], R), _ARITH, _Ser.apply, lambda s: s.c[0], False)
+    memo, _ = _run(t, [_Ser.of([center, 1.0], R)], (formula_arm,), series)
+    coeffs = memo[formula_arm]
+    if coeffs.valid <= order:
+        raise EvalDomainError(formula_arm, "series cancellation consumed too many orders")
 
     b = TapeBuilder(1)
     m: list[int] = []
@@ -932,18 +801,12 @@ def taylor_patch(t: Tape, branch_id: int, center: float = 0.0,
         if nid == branch_id:
             e = b.sub(b.input(0), b.const(center))
             c = b.apply(ABS, e)
-            p = b.const(coeffs[order])
+            p = b.const(coeffs.c[order])
             for k in range(order - 1, -1, -1):
-                p = b.add(b.const(coeffs[k]), b.mul(e, p))
+                p = b.add(b.const(coeffs.c[k]), b.mul(e, p))
             m.append(b.branch(c, half_width, m[formula_arm], p))
         elif n.op == "input":
             m.append(b.input(n.a))
-        elif n.op == "const":
-            m.append(b.const(n.value))
-        elif n.op == "apply":
-            m.append(b.apply(n.fn, m[n.a]))
-        elif n.op == "branch":
-            m.append(b.branch(m[n.cond], n.threshold, m[n.a], m[n.b]))
         else:
-            m.append(b._push(Node(n.op, a=m[n.a], b=m[n.b])))
+            m.append(_replay(b, n, m))
     return b.build([m[o] for o in t.outputs])

@@ -57,8 +57,10 @@ def random_tape(rng: np.random.Generator, max_nodes=300, num_inputs=None,
 
     Node values are tracked during construction and candidate operations
     that would be ill-conditioned there (near-zero divisors, huge
-    magnitudes, function arguments near domain edges) are rejected, so
-    central differences at the returned point are trustworthy.
+    magnitudes, function arguments near domain edges, branch conditions
+    near their threshold) are rejected, so central differences at the
+    returned point are trustworthy.  ``branch`` nodes are built only when
+    ``"branch"`` is in ``ops``.
     """
     from hybridad.ops import ElementaryFn, fn_value
 
@@ -106,6 +108,15 @@ def random_tape(rng: np.random.Generator, max_nodes=300, num_inputs=None,
                 continue
             v = vi / vj
             nid = b.div(i, j)
+        elif op == "branch":
+            # condition i against a threshold at least 0.05 away, then-arm
+            # j, else-arm k; either arm may be taken at x0
+            k = ids[int(rng.integers(0, len(ids)))]
+            thr = vi + float(rng.uniform(-0.5, 0.5))
+            if abs(vi - thr) < 0.05:
+                continue
+            v = vj if vi >= thr else vals[k]
+            nid = b.branch(i, thr, j, k)
         else:
             name = _SAFE_FNS[int(rng.integers(0, len(_SAFE_FNS)))]
             if name == "exp" and abs(vi) > 4.0:

@@ -323,3 +323,69 @@ def test_compiled_falls_back_to_lazy_semantics_in_simulator():
     with pytest.raises(ZeroDivisionError):
         f([0.0])
     assert tape_eval(t, [0.0]) == [0.0]
+
+
+# -- one evaluator: input counts, conditions, branchy tapes -------------------
+
+@pytest.mark.parametrize("x", [[1.0], [1.0, 2.0, 3.0]])
+def test_input_count_is_checked(x):
+    t = worked_example_tape()
+    with pytest.raises(ValueError, match="expected 2 inputs, got"):
+        reverse_gradient(t, x, 0)
+    with pytest.raises(ValueError, match="expected 2 inputs, got"):
+        hessian(t, x, 0)
+
+
+@pytest.mark.parametrize("fn", ["sqrt", "abs"])
+def test_branch_conditions_are_read_in_floats(fn):
+    # at 0, sqrt has no derivative or series and abs has a kink: read in
+    # tangents, duals or jets, the condition itself would fail
+    from hybridad import ElementaryFn
+    b = TapeBuilder(1)
+    x = b.input(0)
+    t = b.build([b.branch(b.apply(ElementaryFn(fn), x), 1.0, b.mul(x, x), x)])
+    assert forward_gradient(t, [0.0]).tolist() == [[1.0]]
+    assert reverse_gradient(t, [0.0], 0).tolist() == [1.0]
+    assert hessian(t, [0.0], 0).tolist() == [[0.0]]
+    assert tape_jet_eval(t, [jet_var(0.0, 3)])[0].coeffs == (0.0, 1.0, 0.0, 0.0)
+
+
+def test_second_derivative_failure_names_the_node():
+    from hybridad import SQRT, Pow
+    for fn, x in ((SQRT, 1e-300), (Pow(1.5), 0.0)):
+        b = TapeBuilder(1)
+        node = b.apply(fn, b.input(0))
+        t = b.build([node])
+        with pytest.raises(EvalDomainError) as exc:
+            hessian(t, [x], 0)
+        assert exc.value.node_id == node
+
+
+def test_modes_agree_on_random_tapes_with_branches():
+    rng = np.random.default_rng(43)
+    ops = ("add", "sub", "mul", "div", "apply", "branch")
+    branches = compiled_checks = 0
+    for _ in range(40):
+        t, x0 = random_tape(rng, max_nodes=80, ops=ops)
+        branches += sum(n.op == "branch" for n in t.nodes)
+        J = forward_gradient(t, x0)
+        for i in range(len(t.outputs)):
+            r = reverse_gradient(t, x0, i)
+            scale = np.maximum(1.0, np.maximum(np.abs(J[i]), np.abs(r)))
+            assert np.max(np.abs(J[i] - r) / scale) <= 1e-12
+        for j in range(t.num_inputs):
+            jets = [jet_var(v, 1) if k == j else jet_const(v, 1)
+                    for k, v in enumerate(x0)]
+            col = np.array([jet_derivative(o, 1) for o in tape_jet_eval(t, jets)])
+            assert np.allclose(col, J[:, j], rtol=1e-13, atol=1e-13)
+        # the compiled tape computes both arms, so it may raise where the
+        # lazy evaluation does not
+        f = compile_tape(t)
+        for x in ([float(v) for v in x0], [-float(v) for v in x0]):
+            try:
+                got = f(x)
+            except (ZeroDivisionError, ValueError, OverflowError):
+                continue
+            compiled_checks += 1
+            assert [repr(v) for v in got] == [repr(v) for v in tape_eval(t, x)]
+    assert branches >= 40 and compiled_checks >= 40
