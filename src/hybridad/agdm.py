@@ -33,12 +33,11 @@ from __future__ import annotations
 
 import re
 
-from .diagram import Block, Diagram, Link, Output, PortRef, make_block
+from .diagram import (Block, Diagram, Link, Output, PortRef, _e2j, _ss_json,
+                      _subsystem_ports, _tf_json, make_block)
 from .errors import UnknownParameter
 from .ops import Pow
-from .paramexpr import ParamExpr, ZERO
-
-Expr = ParamExpr
+from .paramexpr import ZERO
 
 
 def tf_param_derivative(num, den, theta: str):
@@ -240,11 +239,11 @@ def _emit_block(bld: _Builder, b: Block, dmap):
     if k in ("Constant", "Step", "Inport"):
         if k == "Constant":
             dv = f["value"].diff(theta)
-            origin_add(make_block(main, "Constant", value=_j(dv)))
+            origin_add(make_block(main, "Constant", value=_e2j(dv)))
         elif k == "Step":
             origin_add(make_block(main, "Constant", value=0.0))
-        else:
-            n_in = _inport_count(bld.d)
+        else:   # derivative inputs follow the diagram's own inputs
+            n_in = len(_subsystem_ports({"diagram": bld.d})[0])
             origin_add(make_block(main, "Inport", index=f["index"] + n_in))
         return
 
@@ -252,14 +251,14 @@ def _emit_block(bld: _Builder, b: Block, dmap):
         g = f["gain"]
         dg = g.diff(theta)
         if dg.is_zero():
-            origin_add(make_block(main, "Gain", gain=_j(g)))
+            origin_add(make_block(main, "Gain", gain=_e2j(g)))
             bld.link(bld.du(dmap, b.id, "in"), PortRef(main, "in"))
         else:
             origin_add(make_block(main, "Sum", signs="++"))
             copy = namer.next()
-            origin_add(make_block(copy, "Gain", gain=_j(g)))
+            origin_add(make_block(copy, "Gain", gain=_e2j(g)))
             src = namer.next()
-            origin_add(make_block(src, "Gain", gain=_j(dg)))
+            origin_add(make_block(src, "Gain", gain=_e2j(dg)))
             bld.link(bld.du(dmap, b.id, "in"), PortRef(copy, "in"))
             bld.link(bld.u(b.id, "in"), PortRef(src, "in"))
             bld.link(PortRef(copy, "out"), PortRef(main, "in1"))
@@ -289,7 +288,7 @@ def _emit_block(bld: _Builder, b: Block, dmap):
 
     if k == "Integrator":
         dinit = f["initial"].diff(theta)
-        origin_add(make_block(main, "Integrator", initial=_j(dinit)))
+        origin_add(make_block(main, "Integrator", initial=_e2j(dinit)))
         du = bld.du(dmap, b.id, "in")
         if f["saturation"] is None:
             bld.link(du, PortRef(main, "in"))
@@ -315,20 +314,16 @@ def _emit_block(bld: _Builder, b: Block, dmap):
     if k in ("TransferFnS", "TransferFnZ"):
         num, den = f["num"], f["den"]
         dep = any(e.depends_on(theta) for e in num + den)
-        extra = {"sample_time": f["sample_time"]} if k == "TransferFnZ" else {}
         if not dep:
-            origin_add(make_block(main, k, num=[_j(e) for e in num],
-                                  den=[_j(e) for e in den], **extra))
+            origin_add(make_block(main, k, **_tf_json(f)))
             bld.link(bld.du(dmap, b.id, "in"), PortRef(main, "in"))
         else:
             origin_add(make_block(main, "Sum", signs="++"))
             copy = namer.next()
-            origin_add(make_block(copy, k, num=[_j(e) for e in num],
-                                  den=[_j(e) for e in den], **extra))
+            origin_add(make_block(copy, k, **_tf_json(f)))
             nd, dd = tf_param_derivative(num, den, theta)
             src = namer.next()
-            origin_add(make_block(src, k, num=[_j(e) for e in nd],
-                                  den=[_j(e) for e in dd], **extra))
+            origin_add(make_block(src, k, **_tf_json({**f, "num": nd, "den": dd})))
             bld.link(bld.du(dmap, b.id, "in"), PortRef(copy, "in"))
             bld.link(bld.u(b.id, "in"), PortRef(src, "in"))
             bld.link(PortRef(copy, "out"), PortRef(main, "in1"))
@@ -338,10 +333,9 @@ def _emit_block(bld: _Builder, b: Block, dmap):
     if k in ("StateSpaceC", "StateSpaceD"):
         A, B, C, D = f["A"], f["B"], f["C"], f["D"]
         dep = any(e.depends_on(theta) for M in (A, B, C, D) for row in M for e in row)
-        extra = {"sample_time": f["sample_time"]} if k == "StateSpaceD" else {}
         ins, outs = b.port_names()
         if not dep:
-            origin_add(make_block(main, k, A=_mj(A), B=_mj(B), C=_mj(C), D=_mj(D), **extra))
+            origin_add(make_block(main, k, **_ss_json(f)))
             for p in ins:
                 bld.link(bld.du(dmap, b.id, p), PortRef(main, p))
             return
@@ -351,8 +345,8 @@ def _emit_block(bld: _Builder, b: Block, dmap):
         # private stacked copy: inputs (u, du), outputs the derivative rows
         Cd = tuple(C2[p_out + i] for i in range(p_out))
         Dd = tuple(D2[p_out + i] for i in range(p_out))
-        mb = origin_add(make_block(main, k, A=_mj(A2), B=_mj(B2), C=_mj(Cd), D=_mj(Dd),
-                                   **extra))
+        mb = origin_add(make_block(main, k, **_ss_json({**f, "A": A2, "B": B2,
+                                                        "C": Cd, "D": Dd})))
         dins, _ = mb.port_names()
         m_in = len(ins)
         for j, p in enumerate(ins):
@@ -514,19 +508,19 @@ def _emit_block(bld: _Builder, b: Block, dmap):
         dh = h.diff(theta)
         pre = f["prehistory"]
         if dh.is_zero():
-            origin_add(make_block(main, "TransportDelay", delay=_j(h),
-                                  prehistory=_j(pre.diff(theta))))
+            origin_add(make_block(main, "TransportDelay", delay=_e2j(h),
+                                  prehistory=_e2j(pre.diff(theta))))
             bld.link(bld.du(dmap, b.id, "in"), PortRef(main, "in"))
         else:
-            origin_add(make_block(main, "DelaySensitivity", delay=_j(h), ddelay=_j(dh),
-                                  prehistory=_j(pre), dprehistory=_j(pre.diff(theta))))
+            origin_add(make_block(main, "DelaySensitivity", delay=_e2j(h), ddelay=_e2j(dh),
+                                  prehistory=_e2j(pre), dprehistory=_e2j(pre.diff(theta))))
             bld.link(bld.u(b.id, "in"), PortRef(main, "in"))
             bld.link(bld.du(dmap, b.id, "in"), PortRef(main, "din"))
             bld.dde.append(main)
         return
 
     if k == "UnitDelay":
-        origin_add(make_block(main, "UnitDelay", initial=_j(f["initial"].diff(theta)),
+        origin_add(make_block(main, "UnitDelay", initial=_e2j(f["initial"].diff(theta)),
                               sample_time=f["sample_time"]))
         bld.link(bld.du(dmap, b.id, "in"), PortRef(main, "in"))
         return
@@ -553,18 +547,6 @@ def _emit_block(bld: _Builder, b: Block, dmap):
         return
 
     raise NotImplementedError(f"no differentiation rule for block kind {k!r}")
-
-
-def _inport_count(d: Diagram) -> int:
-    return sum(1 for b in d.blocks if b.kind == "Inport")
-
-
-def _j(e: Expr):
-    return e.value if e.is_const() else e.to_str()
-
-
-def _mj(M):
-    return [[_j(e) for e in row] for row in M]
 
 
 # ---------------------------------------------------------------------------
@@ -694,11 +676,11 @@ def prune_zero(d: Diagram, protect: set[str] | frozenset[str] = frozenset()) -> 
     needed |= set(frontier)
     while frontier:
         bid = frontier.pop()
-        for ln in d.links:
-            if ln.dst.block == bid and ln.src.block not in doomed:
-                if ln.src.block not in needed:
-                    needed.add(ln.src.block)
-                    frontier.append(ln.src.block)
+        for p in d.block(bid).port_names()[0]:
+            drv = d.driver(PortRef(bid, p))
+            if drv is not None and drv.block not in doomed and drv.block not in needed:
+                needed.add(drv.block)
+                frontier.append(drv.block)
 
     zero_id = None
 
@@ -706,7 +688,7 @@ def prune_zero(d: Diagram, protect: set[str] | frozenset[str] = frozenset()) -> 
         nonlocal zero_id
         if zero_id is None:
             zero_id = "#zero"
-            taken = {b.id for b in d.blocks}
+            taken = d.block_ids()
             n = 0
             while zero_id in taken:
                 n += 1

@@ -45,7 +45,7 @@ def _read_diagram(path: str) -> Diagram:
 
 def _sim_config(args) -> SimConfig:
     return SimConfig(step=args.step, tf=args.tf, t0=args.t0, method=args.method,
-                     event_tol=args.event_tol, heaviside_a=args.heaviside_a)
+                     event_tol=args.event_tol)
 
 
 def _add_sim_flags(p: argparse.ArgumentParser):
@@ -54,7 +54,6 @@ def _add_sim_flags(p: argparse.ArgumentParser):
     p.add_argument("--tf", type=float, default=5.0)
     p.add_argument("--method", choices=("midpoint", "rk4"), default="rk4")
     p.add_argument("--event-tol", type=float, default=None, dest="event_tol")
-    p.add_argument("--heaviside-a", type=float, default=1e3, dest="heaviside_a")
 
 
 def _write(path: str | None, text: str):

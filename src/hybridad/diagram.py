@@ -4,7 +4,8 @@ A diagram is a set of independent, self-standing blocks wired by
 directed links; signals are scalar except for Mux/Demux bundles.  The
 representation is closed under graphic differentiation: transformed
 diagrams serialize to the same versioned JSON schema they were parsed
-from.
+from.  Diagrams are values: every transform builds a new one, and each
+indexes its blocks and input-port drivers once, when it is built.
 
 Schema (version 1)::
 
@@ -65,30 +66,37 @@ class Block:
 
 @dataclass
 class Diagram:
+    """A block diagram.  Diagrams are values: no transform edits one in
+    place, so the block and driver indexes built here stay valid.  Where
+    ids or input ports repeat (an invalid diagram), the first block or
+    link wins."""
+
     name: str
     params: dict[str, float]
     blocks: list[Block]
     links: list[Link]
     outputs: list[Output]
     annotations: dict = field(default_factory=dict)
+    _by_id: dict[str, Block] = field(init=False, repr=False, compare=False)
+    _drivers: dict[PortRef, PortRef] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._by_id = {}
+        for b in self.blocks:
+            self._by_id.setdefault(b.id, b)
+        self._drivers = {}
+        for ln in self.links:
+            self._drivers.setdefault(ln.dst, ln.src)
 
     def block(self, bid: str) -> Block:
-        for b in self.blocks:
-            if b.id == bid:
-                return b
-        raise KeyError(bid)
+        return self._by_id[bid]
 
     def block_ids(self) -> set[str]:
-        return {b.id for b in self.blocks}
+        """A fresh set of the block ids; callers may extend it."""
+        return set(self._by_id)
 
     def driver(self, dst: PortRef) -> PortRef | None:
-        for ln in self.links:
-            if ln.dst == dst:
-                return ln.src
-        return None
-
-    def consumers(self, src: PortRef) -> list[PortRef]:
-        return [ln.dst for ln in self.links if ln.src == src]
+        return self._drivers.get(dst)
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +149,7 @@ def _outs(n: int) -> list[str]:
 class _Kind:
     """One row of the block registry."""
 
-    def __init__(self, name, parse, ports, to_json, feedthrough=True):
-        self.name = name
+    def __init__(self, parse, ports, to_json, feedthrough=True):
         self.parse = parse
         self.ports = ports
         self.to_json = to_json
@@ -160,7 +167,7 @@ _KINDS: dict[str, _Kind] = {}
 
 
 def _register(name, parse, ports, to_json, feedthrough=True):
-    _KINDS[name] = _Kind(name, parse, ports, to_json, feedthrough)
+    _KINDS[name] = _Kind(parse, ports, to_json, feedthrough)
 
 
 _register(
@@ -597,19 +604,18 @@ def validate(d: Diagram, top_level: bool = True) -> Report:
     if not d.outputs:
         v.append(Violation("no-outputs", "diagram declares no outputs"))
 
-    bmap = {b.id: b for b in d.blocks}
     for o in d.outputs:
-        ins, outs = bmap[o.src.block].port_names()
+        ins, outs = d.block(o.src.block).port_names()
         if o.src.port not in outs:
             v.append(Violation("bad-output", f"output {o.name!r} reads input port {o.src}"))
 
     # every input port has exactly one driver; links go output -> input
     drivers: dict[PortRef, int] = {}
     for ln in d.links:
-        ins, outs = bmap[ln.src.block].port_names()
+        ins, outs = d.block(ln.src.block).port_names()
         if ln.src.port not in outs:
             v.append(Violation("bad-link", f"link source {ln.src} is not an output port"))
-        ins, outs = bmap[ln.dst.block].port_names()
+        ins, outs = d.block(ln.dst.block).port_names()
         if ln.dst.port not in ins:
             v.append(Violation("bad-link", f"link target {ln.dst} is not an input port"))
         drivers[ln.dst] = drivers.get(ln.dst, 0) + 1
@@ -639,12 +645,13 @@ def validate(d: Diagram, top_level: bool = True) -> Report:
                                    f"{b.id}: breakpoints must be strictly increasing"))
         elif b.kind == "Demux":
             drv = d.driver(PortRef(b.id, "in"))
-            if drv is not None and bmap[drv.block].kind != "Mux":
+            src = None if drv is None else d.block(drv.block)
+            if src is not None and src.kind != "Mux":
                 v.append(Violation("demux-source", f"{b.id}: Demux must be fed by a Mux"))
-            elif drv is not None and bmap[drv.block].fields["n"] != b.fields["n"]:
+            elif src is not None and src.fields["n"] != b.fields["n"]:
                 v.append(Violation("mux-width",
                                    f"{b.id}: width {b.fields['n']} does not match Mux "
-                                   f"{drv.block} width {bmap[drv.block].fields['n']}"))
+                                   f"{drv.block} width {src.fields['n']}"))
         elif b.kind == "Inport" and top_level:
             v.append(Violation("inport-toplevel", f"{b.id}: Inport outside a Subsystem"))
         elif b.kind == "Subsystem":
@@ -663,7 +670,7 @@ def validate(d: Diagram, top_level: bool = True) -> Report:
     # Mux outputs may only feed Demux inputs (bundles are not simulated through
     # other blocks; route scalars around them instead)
     for ln in d.links:
-        if bmap[ln.src.block].kind == "Mux" and bmap[ln.dst.block].kind != "Demux":
+        if d.block(ln.src.block).kind == "Mux" and d.block(ln.dst.block).kind != "Demux":
             v.append(Violation("mux-consumer",
                                f"Mux {ln.src.block} feeds non-Demux block {ln.dst.block}"))
 

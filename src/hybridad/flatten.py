@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import Block, Diagram, Link, Output, PortRef, validate
+from .diagram import Block, Diagram, Link, Output, PortRef, _tf_degree, validate
 from .errors import FlattenError, ValidationError
 from .paramexpr import ParamExpr
 from .sim import DelaySlot, OdeModel
@@ -40,11 +40,8 @@ def inline_subsystems(d: Diagram) -> Diagram:
             continue
         child: Diagram = inline_subsystems(b.fields["diagram"])
         prefix = f"{b.id}/"
-        inport_src: dict[int, PortRef] = {}
         ins, _ = b.port_names()
-        for j, p in enumerate(ins):
-            drv = d.driver(PortRef(b.id, p))
-            inport_src[j] = drv
+        inport_src = {j: d.driver(PortRef(b.id, p)) for j, p in enumerate(ins)}
         for cb in child.blocks:
             if cb.kind == "Inport":
                 continue
@@ -60,16 +57,8 @@ def inline_subsystems(d: Diagram) -> Diagram:
         for o in child.outputs:
             remap[PortRef(b.id, o.name)] = PortRef(prefix + o.src.block, o.src.port)
 
-    def fix(p: PortRef) -> PortRef:
-        while p in remap:
-            p = remap[p]
-        return p
-
     sub_ids = {b.id for b in d.blocks if b.kind == "Subsystem"}
-    links = [Link(fix(ln.src), ln.dst) for ln in links
-             if ln.dst.block not in sub_ids]
-    outputs = [Output(o.name, fix(o.src)) for o in d.outputs]
-    return Diagram(d.name, dict(d.params), blocks, links, outputs, dict(d.annotations))
+    return _rewired(d, blocks, links, remap, sub_ids)
 
 
 def resolve_mux(d: Diagram) -> Diagram:
@@ -87,14 +76,21 @@ def resolve_mux(d: Diagram) -> Diagram:
         for k, o in enumerate(outs):
             remap[PortRef(b.id, o)] = d.driver(PortRef(mux.id, mins[k]))
 
+    dead = {b.id for b in d.blocks if b.kind in ("Mux", "Demux")}
+    return _rewired(d, [b for b in d.blocks if b.id not in dead], d.links, remap, dead)
+
+
+def _rewired(d: Diagram, blocks: list[Block], links: list[Link],
+             remap: dict[PortRef, PortRef], dead: set[str]) -> Diagram:
+    """``d`` with ``blocks`` and ``links``, less the links touching a
+    ``dead`` block, and each link source and output read through
+    ``remap`` to the end of its chain."""
     def fix(p: PortRef) -> PortRef:
         while p in remap:
             p = remap[p]
         return p
 
-    dead = {b.id for b in d.blocks if b.kind in ("Mux", "Demux")}
-    blocks = [b for b in d.blocks if b.id not in dead]
-    links = [Link(fix(ln.src), ln.dst) for ln in d.links if ln.dst.block not in dead]
+    links = [Link(fix(ln.src), ln.dst) for ln in links if ln.dst.block not in dead]
     links = [ln for ln in links if ln.src.block not in dead]
     outputs = [Output(o.name, fix(o.src)) for o in d.outputs]
     return Diagram(d.name, dict(d.params), blocks, links, outputs, dict(d.annotations))
@@ -136,7 +132,7 @@ def flatten(d: Diagram) -> OdeModel:
     init_exprs: list[ParamExpr] = []
     n = 0
     delay_slot_of: dict[tuple[str, str], int] = {}   # (block, role) -> slot index
-    slot_specs: list[tuple[PortRef, ParamExpr, ParamExpr | None, bool]] = []
+    slot_specs: list[tuple[PortRef, ParamExpr, ParamExpr | None]] = []
 
     for b in d.blocks:
         k = b.kind
@@ -146,7 +142,7 @@ def flatten(d: Diagram) -> OdeModel:
             init_exprs.append(b.fields["initial"])
             n += 1
         elif k in ("TransferFnS", "TransferFnZ"):
-            deg = _den_degree(b.fields["den"])
+            deg = _tf_degree(b.fields["den"])
             if deg == 0:
                 raise FlattenError(f"{b.id}: zero-order transfer function; use a Gain")
             states[b.id] = _StateInfo(b, n, deg)
@@ -162,14 +158,14 @@ def flatten(d: Diagram) -> OdeModel:
         elif k == "TransportDelay":
             delay_slot_of[(b.id, "in")] = len(slot_specs)
             slot_specs.append((PortRef(b.id, "in"), b.fields["delay"],
-                               b.fields["prehistory"], True))
+                               b.fields["prehistory"]))
         elif k == "DelaySensitivity":
             delay_slot_of[(b.id, "din")] = len(slot_specs)
             slot_specs.append((PortRef(b.id, "din"), b.fields["delay"],
-                               b.fields["dprehistory"], False))
+                               b.fields["dprehistory"]))
             delay_slot_of[(b.id, "in")] = len(slot_specs)
             slot_specs.append((PortRef(b.id, "in"), b.fields["delay"],
-                               b.fields["prehistory"], True))
+                               b.fields["prehistory"]))
 
     J = len(slot_specs)
     s = len(d.params)
@@ -336,8 +332,7 @@ def flatten(d: Diagram) -> OdeModel:
     slot_nodes = [port_node(d.driver(spec[0])) for spec in slot_specs]
     tape = bld.build(rhs_nodes + out_nodes + slot_nodes)
 
-    delays = tuple(DelaySlot(delay=h, prehistory=pre, analytic_slope=analytic)
-                   for (_, h, pre, analytic) in slot_specs)
+    delays = tuple(DelaySlot(delay=h, prehistory=pre) for (_, h, pre) in slot_specs)
     clamps = tuple((states[b.id].index, b.fields["saturation"][0],
                     b.fields["saturation"][1])
                    for b in d.blocks
@@ -349,13 +344,6 @@ def flatten(d: Diagram) -> OdeModel:
         discrete=discrete, sample_time=sample_time,
         has_sensitivity=bool(d.annotations.get("derivative_flow")),
         state_clamps=clamps)
-
-
-def _den_degree(den) -> int:
-    deg = len(den) - 1
-    while deg > 0 and den[deg].is_zero():
-        deg -= 1
-    return deg
 
 
 def _tf_output(bld, env, b: Block, info: _StateInfo, u_thunk, x_nodes) -> int:

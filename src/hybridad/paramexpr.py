@@ -252,7 +252,6 @@ class ParamExpr:
 
 
 ZERO = ParamExpr.const(0.0)
-ONE = ParamExpr.const(1.0)
 
 
 def parse_expr(text) -> ParamExpr:

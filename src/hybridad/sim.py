@@ -57,8 +57,8 @@ def smooth_heaviside(a: float, x: float) -> float:
     """Smooth step 1/2 + atan(a*x)/pi; limits 0 and 1 at -/+ infinity.
 
     The slope ``a`` trades approximation sharpness against stiffness of
-    the resulting dynamics; there is no universally good value, which is
-    why SimConfig exposes it.
+    the resulting dynamics; there is no universally good value, so the
+    caller chooses it.
     """
     if a <= 0.0:
         raise ValueError("slope a must be positive")
@@ -73,7 +73,6 @@ def smooth_heaviside(a: float, x: float) -> float:
 class DelaySlot:
     delay: ParamExpr                 # h(theta), must stay >= step
     prehistory: ParamExpr | None     # expression of t and theta; None = undefined
-    analytic_slope: bool = True      # slope queries allowed on this slot
 
 
 @dataclass(frozen=True)
@@ -164,7 +163,6 @@ class SimConfig:
     t0: float = 0.0
     method: str = "rk4"               # rk4 | midpoint
     event_tol: float | None = None    # None: step * 1e-6
-    heaviside_a: float = 1e3
     max_events_per_step: int = 8
 
     def __post_init__(self):
@@ -174,8 +172,6 @@ class SimConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.event_tol is not None and not (0.0 < self.event_tol < self.step):
             raise ValueError("event_tol must lie in (0, step)")
-        if not self.heaviside_a > 0.0:
-            raise ValueError("heaviside_a must be positive")
 
     @property
     def resolved_event_tol(self) -> float:
@@ -238,7 +234,6 @@ class _History:
     """Per-slot record of (time, value, slope) with cubic interpolation."""
 
     def __init__(self, slot: DelaySlot, env, t_start: float):
-        self.slot = slot
         self.t_start = t_start
         self.tol = 1e-9 * max(1.0, abs(t_start))
         self.env = env
@@ -736,8 +731,7 @@ def sensitivity_extend(m: OdeModel, theta: str) -> OdeModel:
 
     new_delays = tuple(m.delays) + tuple(
         DelaySlot(slot.delay,
-                  None if slot.prehistory is None else slot.prehistory.diff(theta),
-                  analytic_slope=False)
+                  None if slot.prehistory is None else slot.prehistory.diff(theta))
         for slot in m.delays)
 
     events = tuple(_widen_event(ev, m.n, 2 * m.n) for ev in m.events)

@@ -558,7 +558,7 @@ def compile_tape(t: Tape):
         else:
             k = n.fn.kind
             if k == "pow":
-                src.append(f"    _v{i} = _v{n.a} ** {n.fn.exponent!r}")
+                src.append(f"    _v{i} = _m.pow(_v{n.a}, {n.fn.exponent!r})")
             elif k == "abs":
                 src.append(f"    _v{i} = abs(_v{n.a})")
             else:

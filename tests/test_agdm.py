@@ -14,6 +14,7 @@ from hybridad import (
     parse_diagram,
     parse_expr,
     prune_zero,
+    sensitivity_extend,
     ss_augment,
     tf_param_derivative,
 )
@@ -494,3 +495,98 @@ def test_transformed_diagram_reparses(first_order):
     text = diagram_to_json(d2)
     d3 = parse_diagram(text)
     assert {b.id for b in d3.blocks} == {b.id for b in d2.blocks}
+
+
+# -- every differentiation rule against the sensitivity-ODE route -------------
+#
+# Each continuous case feeds one block kind from u = 1 + th*t (an Integrator
+# driven by the constant th) and integrates its output once more, so the
+# derivative flows through algebraic and state paths alike.  The graphic route
+# flatten(agdm_diff(d)) must agree with the variational equations of
+# sensitivity_extend(flatten(d)).
+
+_HI = 1.1537          # u crosses this at t ~ 0.51, between grid points
+
+
+def _rule_doc(blocks, links, out="B.out"):
+    return {
+        "schema": 1, "name": "rule", "params": {"th": 0.3},
+        "blocks": [{"id": "C", "kind": "Constant", "value": "th"},
+                   {"id": "I", "kind": "Integrator", "initial": 1.0},
+                   *blocks,
+                   {"id": "J", "kind": "Integrator", "initial": 0.0}],
+        "links": [{"from": "C.out", "to": "I.in"}, *links,
+                  {"from": out, "to": "J.in"}],
+        "outputs": [{"name": "y", "from": out}, {"name": "z", "from": "J.out"}],
+    }
+
+
+def _fn_case(fn, src="I.out", blocks=(), links=()):
+    return _rule_doc([*blocks, {"id": "B", "kind": "Fn", "fn": fn}],
+                     [*links, {"from": src, "to": "B.in"}])
+
+
+def _rule_cases():
+    cases = {f"Fn-{fn}": _fn_case(fn) for fn in
+             ("exp", "log", "sin", "cos", "tan", "atan", "sqrt", "pow[3.0]", "pow[0.5]")}
+    # abs of a signal that changes sign
+    cases["Fn-abs"] = _fn_case(
+        "abs", "S.out",
+        [{"id": "K", "kind": "Constant", "value": -_HI},
+         {"id": "S", "kind": "Sum", "signs": "++"}],
+        [{"from": "I.out", "to": "S.in1"}, {"from": "K.out", "to": "S.in2"}])
+    cases["Saturation"] = _rule_doc(
+        [{"id": "B", "kind": "Saturation", "lo": -1.0, "hi": _HI}],
+        [{"from": "I.out", "to": "B.in"}])
+    cases["SaturationDynamic"] = _rule_doc(
+        [{"id": "Up", "kind": "Constant", "value": f"{_HI - 0.03} + th/10"},
+         {"id": "Lo", "kind": "Constant", "value": -1.0},
+         {"id": "B", "kind": "SaturationDynamic"}],
+        [{"from": "Up.out", "to": "B.up"}, {"from": "I.out", "to": "B.in"},
+         {"from": "Lo.out", "to": "B.lo"}])
+    cases["StateSpaceC-constant"] = _rule_doc(
+        [{"id": "B", "kind": "StateSpaceC", "A": [[-2.0]], "B": [[1.0]],
+          "C": [[3.0]], "D": [[0.5]]}],
+        [{"from": "I.out", "to": "B.in"}])
+    child = {
+        "schema": 1, "name": "child", "params": {"th": 0.3},
+        "blocks": [{"id": "in0", "kind": "Inport", "index": 0},
+                   {"id": "G", "kind": "Gain", "gain": "th*th"},
+                   {"id": "F", "kind": "Fn", "fn": "sin"}],
+        "links": [{"from": "in0.out", "to": "G.in"}, {"from": "G.out", "to": "F.in"}],
+        "outputs": [{"name": "yi", "from": "F.out"}],
+    }
+    cases["Subsystem"] = _rule_doc(
+        [{"id": "B", "kind": "Subsystem", "diagram": child}],
+        [{"from": "I.out", "to": "B.in"}], out="B.yi")
+    # discrete: x[k+1] = th + x[k]/2, x[0] = th
+    cases["UnitDelay"] = {
+        "schema": 1, "name": "rule", "params": {"th": 0.3},
+        "blocks": [{"id": "C", "kind": "Constant", "value": "th"},
+                   {"id": "S", "kind": "Sum", "signs": "++"},
+                   {"id": "B", "kind": "UnitDelay", "initial": "th", "sample_time": 0.1},
+                   {"id": "G", "kind": "Gain", "gain": 0.5}],
+        "links": [{"from": "C.out", "to": "S.in1"}, {"from": "G.out", "to": "S.in2"},
+                  {"from": "S.out", "to": "B.in"}, {"from": "B.out", "to": "G.in"}],
+        "outputs": [{"name": "y", "from": "B.out"}],
+    }
+    return cases
+
+
+_RULE_CASES = _rule_cases()
+
+
+@pytest.mark.parametrize("case", sorted(_RULE_CASES))
+def test_every_rule_agrees_with_sensitivity_ode_route(case):
+    d = _diag(_RULE_CASES[case])
+    c = SimConfig(step=1e-2, tf=1.0)
+    graphic = integrate(flatten(agdm_diff(d, "th")), c)
+    ode = integrate(sensitivity_extend(flatten(d), "th"), c)
+    assert np.array_equal(graphic.times, ode.times)
+    for name in d.outputs:
+        col = f"d{name.name}/dth"
+        assert np.max(np.abs(graphic.output(col))) > 0.0
+        assert np.max(np.abs(graphic.output(col) - ode.output(col))) <= 1e-12
+    if case == "Saturation":
+        y = graphic.output("y")
+        assert np.any(y == _HI) and np.any(y < _HI)

@@ -59,6 +59,23 @@ def test_diff_order_two(tmp_path):
     assert any(o.name == "d2y/dtau2" for o in d2.outputs)
 
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+@pytest.mark.parametrize("model,theta,order", [
+    ("first_order", "tau", 2),
+    ("discrete_loop", "a", 2),
+    ("second_order_cost", "zeta", 1),
+])
+def test_diff_matches_golden_file(tmp_path, model, theta, order):
+    out = tmp_path / "aug.json"
+    rc = main(["diff", model_path(f"{model}.json"), "--theta", theta,
+               "--order", str(order), "--out", str(out)])
+    assert rc == 0
+    with open(os.path.join(GOLDEN, f"{model}.{theta}.order{order}.json"), "rb") as fh:
+        assert out.read_bytes() == fh.read()
+
+
 def test_diff_unknown_parameter_exit_2(capsys):
     rc = main(["diff", model_path("first_order.json"), "--theta", "zeta"])
     assert rc == 2

@@ -5,6 +5,7 @@ import pytest
 
 from hybridad import (
     DelaySlot,
+    EvalDomainError,
     EventSpec,
     EventStorm,
     ImpactSurface,
@@ -23,6 +24,7 @@ from hybridad import (
     smooth_heaviside,
 )
 from hybridad import sim
+from hybridad.ops import Pow
 from hybridad.sim import make_ode_model
 
 
@@ -586,3 +588,18 @@ def test_dead_arm_falls_back_for_that_evaluation_only(monkeypatch):
     assert interpreted == [0.5, 0.5]
     y = tr.output("y")
     assert np.allclose(np.diff(y[tr.times >= 0.5]), 0.25, rtol=0.0, atol=1e-12)
+
+
+def test_fractional_power_of_negative_state_is_a_domain_error():
+    # x' = -1, x(0) = 1, y = x ** 0.5: the state crosses zero at t = 1
+    b = TapeBuilder(2)
+    x = b.input(0)
+    root = b.apply(Pow(0.5), x)
+    tape = b.build([b.const(-1.0), root])
+    with pytest.raises(ValueError):
+        sim.compile_tape(tape)([-4.0, 0.0])
+    m = make_ode_model(1, tape, (), {}, ("x",), ("y",),
+                       init_exprs=(parse_expr(1.0),))
+    with pytest.raises(EvalDomainError) as exc:
+        integrate(m, SimConfig(step=0.25, tf=2.0))
+    assert exc.value.node_id == root
