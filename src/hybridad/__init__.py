@@ -16,6 +16,7 @@ from .errors import (
     EventStorm,
     FlattenError,
     HybridAdError,
+    ImpactSensitivityWarning,
     MaxIterExceeded,
     NonDifferentiablePoint,
     NonTransversal,

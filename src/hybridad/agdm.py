@@ -556,97 +556,76 @@ def _emit_block(bld: _Builder, b: Block, dmap):
 _ZERO_PRESERVING_FNS = {"sin", "tan", "atan", "sqrt", "abs"}
 
 
+def _zero_rule(b: Block) -> tuple[bool, bool, tuple[str, ...]]:
+    """What one block kind knows about structural zeros, as
+    ``(source, need_all, ports)``: the block's outputs are nonzero if
+    ``source`` holds, or if any of the input ``ports`` is nonzero (all of
+    them when ``need_all`` is set)."""
+    k, f = b.kind, b.fields
+    source, ports = False, tuple(b.port_names()[0])
+    if k in ("Inport", "Subsystem"):
+        source = True       # conservative: never claim a subsystem output is zero
+    elif k == "Switch":     # in2 only steers the choice
+        ports = ("in1", "in3")
+    elif k == "DelaySensitivity":
+        source = not f["dprehistory"].is_zero()
+        ports = ("din",) if f["ddelay"].is_zero() else ("din", "in")
+    elif k == "Gain" and f["gain"].is_zero() or \
+            k in ("TransferFnS", "TransferFnZ") and all(e.is_zero() for e in f["num"]):
+        ports = ()          # a zero gain or numerator passes no input on
+    elif k == "Constant":
+        source = not f["value"].is_zero()
+    elif k == "Step":
+        source = f["level"] != 0.0
+    elif k == "Integrator":
+        sat = f["saturation"]
+        source = not f["initial"].is_zero() or (sat is not None and not sat[0] <= 0.0 <= sat[1])
+    elif k == "Fn":
+        fn = f["fn"]
+        source = not (fn.kind in _ZERO_PRESERVING_FNS or (fn.kind == "pow" and fn.exponent > 0))
+    elif k == "Saturation":
+        source = not f["lo"] <= 0.0 <= f["hi"]
+    elif k == "LookupTable1D":
+        source = any(v != 0.0 for v in f["values"])
+    elif k == "TransportDelay":
+        source = not f["prehistory"].is_zero()
+    elif k == "UnitDelay":
+        source = not f["initial"].is_zero()
+    elif k not in ("Gain", "TransferFnS", "TransferFnZ", "Sum", "Mux", "Demux", "Product",
+                   "StateSpaceC", "StateSpaceD", "SaturationDynamic"):
+        raise AssertionError(k)
+    return source, k == "Product", ports      # a product is zero if one factor is
+
+
 def _nonzero_ports(d: Diagram) -> set[PortRef]:
-    """Greatest-fixpoint zero analysis: start from definitely-nonzero
-    sources and propagate forward until stable; everything unmarked is
-    structurally zero."""
+    """Output ports that are not structurally zero: the least fixpoint of
+    the blocks' zero rules (:func:`_zero_rule`), reached by a worklist.
+    Each block's outputs are marked once; marking a port counts down the
+    inputs each of its consumers still waits for."""
+    waiting: list[int] = []                   # per block, in d.blocks order
+    consumers: dict[PortRef, list[int]] = {}
+    work: list[int] = []
+    for i, b in enumerate(d.blocks):
+        source, need_all, ports = _zero_rule(b)
+        for p in ports:
+            drv = d.driver(PortRef(b.id, p))
+            if drv is not None:
+                consumers.setdefault(drv, []).append(i)
+        waiting.append(len(ports) if need_all else 1)
+        if source or waiting[i] == 0:
+            work.append(i)
     nz: set[PortRef] = set()
-
-    def mark(p: PortRef) -> bool:
-        if p in nz:
-            return False
-        nz.add(p)
-        return True
-
-    def in_nz(b: Block, port: str) -> bool:
-        drv = d.driver(PortRef(b.id, port))
-        return drv is not None and drv in nz
-
-    changed = True
-    while changed:
-        changed = False
-        for b in d.blocks:
-            k = b.kind
-            f = b.fields
-            ins, outs = b.port_names()
-            out = PortRef(b.id, outs[0]) if outs else None
-            if k == "Constant":
-                if not f["value"].is_zero():
-                    changed |= mark(out)
-            elif k == "Step":
-                if f["level"] != 0.0:
-                    changed |= mark(out)
-            elif k == "Inport":
-                changed |= mark(out)
-            elif k == "Gain":
-                if not f["gain"].is_zero() and in_nz(b, "in"):
-                    changed |= mark(out)
-            elif k in ("Sum", "Mux"):
-                if any(in_nz(b, p) for p in ins):
-                    changed |= mark(out)
-            elif k == "Demux":
-                if in_nz(b, "in"):
-                    for o in outs:
-                        changed |= mark(PortRef(b.id, o))
-            elif k == "Product":
-                if all(in_nz(b, p) for p in ins):
-                    changed |= mark(out)
-            elif k == "Integrator":
-                sat = f["saturation"]
-                pinned_away = sat is not None and not (sat[0] <= 0.0 <= sat[1])
-                if not f["initial"].is_zero() or in_nz(b, "in") or pinned_away:
-                    changed |= mark(out)
-            elif k in ("TransferFnS", "TransferFnZ"):
-                if in_nz(b, "in") and not all(e.is_zero() for e in f["num"]):
-                    changed |= mark(out)
-            elif k in ("StateSpaceC", "StateSpaceD"):
-                if any(in_nz(b, p) for p in ins):
-                    for o in outs:
-                        changed |= mark(PortRef(b.id, o))
-            elif k == "Fn":
-                kind = f["fn"].kind
-                zero_preserving = kind in _ZERO_PRESERVING_FNS or (
-                    kind == "pow" and f["fn"].exponent > 0)
-                if in_nz(b, "in") or not zero_preserving:
-                    changed |= mark(out)
-            elif k == "Switch":
-                if in_nz(b, "in1") or in_nz(b, "in3"):
-                    changed |= mark(out)
-            elif k == "Saturation":
-                if in_nz(b, "in") or not (f["lo"] <= 0.0 <= f["hi"]):
-                    changed |= mark(out)
-            elif k == "SaturationDynamic":
-                if in_nz(b, "in") or in_nz(b, "up") or in_nz(b, "lo"):
-                    changed |= mark(out)
-            elif k == "LookupTable1D":
-                if in_nz(b, "in") or any(v != 0.0 for v in f["values"]):
-                    changed |= mark(out)
-            elif k == "TransportDelay":
-                if in_nz(b, "in") or not f["prehistory"].is_zero():
-                    changed |= mark(out)
-            elif k == "DelaySensitivity":
-                if in_nz(b, "din") or not f["dprehistory"].is_zero() \
-                        or (in_nz(b, "in") and not f["ddelay"].is_zero()):
-                    changed |= mark(out)
-            elif k == "UnitDelay":
-                if in_nz(b, "in") or not f["initial"].is_zero():
-                    changed |= mark(out)
-            elif k == "Subsystem":
-                # conservative: never claim a subsystem output is zero
-                for o in outs:
-                    changed |= mark(PortRef(b.id, o))
-            else:
-                raise AssertionError(k)
+    while work:
+        b = d.blocks[work.pop()]
+        for o in b.port_names()[1]:
+            p = PortRef(b.id, o)
+            if p in nz:
+                continue
+            nz.add(p)
+            for j in consumers.get(p, ()):
+                waiting[j] -= 1
+                if waiting[j] == 0:
+                    work.append(j)
     return nz
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import SchemaError, ValidationError
 from .ops import parse_fn
@@ -56,12 +57,26 @@ class Output:
 
 @dataclass(frozen=True)
 class Block:
+    """One block.  Blocks are values: no caller edits ``fields`` or the
+    port lists, so the port names and feedthrough are derived from the
+    fields once, on first use."""
+
     id: str
     kind: str
     fields: dict
 
     def port_names(self) -> tuple[list[str], list[str]]:
+        return self._ports
+
+    @cached_property
+    def _ports(self) -> tuple[list[str], list[str]]:
         return _KINDS[self.kind].ports(self.fields)
+
+    @cached_property
+    def feedthrough(self) -> bool:
+        """Whether an input reaches an output with no state in between."""
+        ft = _KINDS[self.kind].feedthrough
+        return ft(self.fields) if callable(ft) else ft
 
 
 @dataclass
@@ -403,9 +418,17 @@ def _subsystem_ports(f):
 
 
 def _subsystem_feedthrough(f):
+    """Whether an output of the child is reachable from an Inport through
+    direct-feedthrough blocks."""
     child: Diagram = f["diagram"]
-    inports = {b.id for b in child.blocks if b.kind == "Inport"}
-    reach = _feedthrough_reachable(child, inports)
+    succ = _feedthrough_succ(child)
+    reach = {b.id for b in child.blocks if b.kind == "Inport"}
+    work = list(reach)
+    while work:
+        for v in succ[work.pop()]:
+            if v not in reach:
+                reach.add(v)
+                work.append(v)
     return any(o.src.block in reach for o in child.outputs)
 
 
@@ -414,24 +437,14 @@ _register("Subsystem", _parse_subsystem, _subsystem_ports,
           feedthrough=_subsystem_feedthrough)
 
 
-def block_feedthrough(b: Block) -> bool:
-    ft = _KINDS[b.kind].feedthrough
-    return ft(b.fields) if callable(ft) else ft
-
-
-def _feedthrough_reachable(d: Diagram, seeds: set[str]) -> set[str]:
-    """Blocks reachable from seeds through direct-feedthrough blocks."""
-    reach = set(seeds)
-    changed = True
-    while changed:
-        changed = False
-        for ln in d.links:
-            if ln.src.block in reach and ln.dst.block not in reach:
-                blk = d.block(ln.dst.block)
-                if block_feedthrough(blk):
-                    reach.add(blk.id)
-                    changed = True
-    return reach
+def _feedthrough_succ(d: Diagram) -> dict[str, list[str]]:
+    """Each block's successors along links into direct-feedthrough blocks,
+    in link order."""
+    succ: dict[str, list[str]] = {b.id: [] for b in d.blocks}
+    for ln in d.links:
+        if d.block(ln.dst.block).feedthrough:
+            succ[ln.src.block].append(ln.dst.block)
+    return succ
 
 
 def make_block(bid: str, kind: str, path: str = "block", **raw) -> Block:
@@ -568,33 +581,29 @@ class Report:
 
 
 def _find_cycle(d: Diagram) -> list[str] | None:
-    """A cycle through direct-feedthrough blocks, if any (DFS, 3-color)."""
-    adj: dict[str, list[str]] = {b.id: [] for b in d.blocks}
-    for ln in d.links:
-        if block_feedthrough(d.block(ln.dst.block)):
-            adj[ln.src.block].append(ln.dst.block)
-    color: dict[str, int] = {}
-    stack_path: list[str] = []
-
-    def dfs(u: str):
-        color[u] = 1
-        stack_path.append(u)
-        for v in adj[u]:
-            if color.get(v, 0) == 1:
-                return stack_path[stack_path.index(v):] + [v]
-            if color.get(v, 0) == 0:
-                found = dfs(v)
-                if found:
-                    return found
-        stack_path.pop()
-        color[u] = 2
-        return None
-
+    """A cycle through direct-feedthrough blocks, if any (DFS, 3-color).
+    The search keeps its own stack of successor iterators, so long chains
+    cannot exhaust the interpreter's recursion limit."""
+    succ = _feedthrough_succ(d)
+    color: dict[str, int] = {}       # 1: on the path, 2: done
     for b in d.blocks:
-        if color.get(b.id, 0) == 0:
-            found = dfs(b.id)
-            if found:
-                return found
+        if b.id in color:
+            continue
+        color[b.id] = 1
+        path, todo = [b.id], [iter(succ[b.id])]
+        while todo:
+            for v in todo[-1]:
+                c = color.get(v, 0)
+                if c == 1:
+                    return path[path.index(v):] + [v]
+                if c == 0:
+                    color[v] = 1
+                    path.append(v)
+                    todo.append(iter(succ[v]))
+                    break
+            else:
+                color[path.pop()] = 2
+                todo.pop()
     return None
 
 

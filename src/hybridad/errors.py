@@ -101,6 +101,11 @@ class SensitivityAcrossEvent(HybridAdError):
     not implemented; only impact events are allowed to pass through."""
 
 
+class ImpactSensitivityWarning(UserWarning):
+    """Sensitivities passed through an impact without the saltation jump,
+    so they are wrong after it."""
+
+
 # -- solvers -----------------------------------------------------------------
 
 class SingularJacobian(HybridAdError):

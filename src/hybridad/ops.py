@@ -29,10 +29,6 @@ class ElementaryFn:
             return f"pow[{self.exponent!r}]"
         return self.kind
 
-    @property
-    def differentiable_everywhere(self) -> bool:
-        return self.kind != "abs"
-
 
 _KINDS = frozenset({"exp", "log", "sin", "cos", "tan", "atan", "sqrt", "pow", "abs"})
 

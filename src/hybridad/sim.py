@@ -14,8 +14,12 @@ Event handling is sign-change detection on guard tapes between accepted
 steps, bisection localization to the configured tolerance, a two-phase
 state update, and a deadtime that suppresses re-triggering right after a
 discontinuity.  Impact events apply the energy-balance velocity update of
-:func:`impact_update`; sensitivity propagation across any other event
-kind is intentionally refused (SensitivityAcrossEvent).
+:func:`impact_update` to the primal states only.  Sensitivity states pass
+through an impact unchanged, with no saltation jump, so sensitivities
+after an impact are wrong: ``integrate`` warns
+(:class:`ImpactSensitivityWarning`) at the first impact of a sensitivity
+run.  Sensitivity propagation across any other event kind is refused
+(SensitivityAcrossEvent).
 
 Integrators are deliberately fixed-step (midpoint and classic RK4) so
 finite-difference oracles stay deterministic.  Models are immutable and
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,6 +41,7 @@ from .agdm import d_output_name
 from .errors import (
     DelayUnderflow,
     EventStorm,
+    ImpactSensitivityWarning,
     NonTransversal,
     SensitivityAcrossEvent,
     SingularMetric,
@@ -199,11 +205,6 @@ class Trajectory:
 
     def output(self, name: str) -> np.ndarray:
         return self.outputs[:, self.output_names.index(name)]
-
-    def at_time(self, t: float, column: str) -> float:
-        i = int(np.argmin(np.abs(self.times - t)))
-        return float(self.output(column)[i]) if column in self.output_names \
-            else float(self.states[i, self.state_names.index(column)])
 
     def to_csv(self) -> str:
         """One row per accepted step plus one per event (pre and post);
@@ -483,6 +484,10 @@ def integrate(m: OdeModel, c: SimConfig, theta=None) -> Trajectory:
                 f0 = r.eval_tape(x, t_star)[0]
             else:
                 # record both sides so interpolation never crosses the jump
+                if m.has_sensitivity and not events:
+                    warnings.warn(f"impact event {fired} at t={t_star!r}: sensitivities "
+                                  "are wrong from here on (no saltation jump is applied)",
+                                  ImpactSensitivityWarning, stacklevel=2)
                 x = _apply_action(m.events[fired], x_pre, t_star)
                 f0, y_post, slots_post = r.eval_tape(x, t_star)
                 r.record(t_star, x, f0, slots_post)

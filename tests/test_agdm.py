@@ -441,6 +441,63 @@ def test_prune_keeps_outputs_alive():
     assert np.all(tr.output("y") == 0.0)
 
 
+_Z, _U = "Z.out", "U.out"     # a zero constant and a unit step
+
+
+def _zero_rule_case(blocks, links):
+    """Block X (and helpers) feeding y = X + U, with Z = 0 available."""
+    return {
+        "schema": 1, "name": "zr", "params": {},
+        "blocks": [{"id": "Z", "kind": "Constant", "value": 0.0},
+                   {"id": "U", "kind": "Step"}, *blocks,
+                   {"id": "S", "kind": "Sum", "signs": "++"}],
+        "links": [{"from": src, "to": dst} for src, dst in links]
+        + [{"from": "X.out", "to": "S.in1"}, {"from": _U, "to": "S.in2"}],
+        "outputs": [{"name": "y", "from": "S.out"}],
+    }
+
+
+_ZERO_RULE_CASES = {
+    # name: (blocks, links into them, X kept by prune_zero)
+    "Product-one-zero-input": (
+        [{"id": "X", "kind": "Product", "n": 2}],
+        [(_U, "X.in1"), (_Z, "X.in2")], False),
+    "Switch-only-in2-nonzero": (
+        [{"id": "X", "kind": "Switch", "threshold": 0.5}],
+        [(_Z, "X.in1"), (_U, "X.in2"), (_Z, "X.in3")], False),
+    "Integrator-loop-zero-initial": (
+        [{"id": "X", "kind": "Integrator", "initial": 0.0},
+         {"id": "K", "kind": "Gain", "gain": -1.0}],
+        [("X.out", "K.in"), ("K.out", "X.in")], False),
+    "Integrator-loop-nonzero-initial": (
+        [{"id": "X", "kind": "Integrator", "initial": 1.0},
+         {"id": "K", "kind": "Gain", "gain": -1.0}],
+        [("X.out", "K.in"), ("K.out", "X.in")], True),
+    "Saturation-pinned-away-from-zero": (
+        [{"id": "X", "kind": "Saturation", "lo": 0.5, "hi": 2.0}],
+        [(_Z, "X.in")], True),
+    "TransferFnS-zero-numerator": (
+        [{"id": "X", "kind": "TransferFnS", "num": [0.0], "den": [1.0, 1.0]}],
+        [(_U, "X.in")], False),
+    "DelaySensitivity-zero-ddelay-ignores-in": (
+        [{"id": "X", "kind": "DelaySensitivity", "delay": 0.5, "ddelay": 0.0}],
+        [(_U, "X.in"), (_Z, "X.din")], False),
+    "DelaySensitivity-nonzero-ddelay-reads-in": (
+        [{"id": "X", "kind": "DelaySensitivity", "delay": 0.5, "ddelay": 1.0}],
+        [(_U, "X.in"), (_Z, "X.din")], True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ZERO_RULE_CASES))
+def test_zero_rule_prunes_or_keeps_block(case):
+    blocks, links, kept = _ZERO_RULE_CASES[case]
+    p = prune_zero(_diag(_zero_rule_case(blocks, links)))
+    ids = {b.id for b in p.blocks}
+    case_ids = {b["id"] for b in blocks}
+    assert case_ids <= ids if kept else not case_ids & ids
+    assert p.block("S").fields["signs"] == ("++" if kept else "+")
+
+
 def test_pruned_and_unpruned_augmentation_simulate_identically(first_order):
     c = SimConfig(step=1e-3, tf=2.0)
     d2 = agdm_diff(first_order, "tau")  # pruned internally

@@ -159,3 +159,30 @@ def test_serialization_round_trip(first_order):
     text = diagram_to_json(first_order)
     d2 = parse_diagram(text)
     assert to_dict(d2) == to_dict(first_order)
+
+
+def _gain_chain_doc(n, loop):
+    """n unit Gains G0 -> G1 -> ... -> G{n-1}, fed by a Step or, with
+    ``loop``, closed into a purely algebraic ring."""
+    blocks = [{"id": f"G{i}", "kind": "Gain", "gain": 1.0} for i in range(n)]
+    links = [{"from": f"G{i}.out", "to": f"G{i + 1}.in"} for i in range(n - 1)]
+    if loop:
+        links.append({"from": f"G{n - 1}.out", "to": "G0.in"})
+    else:
+        blocks.append({"id": "U", "kind": "Step"})
+        links.append({"from": "U.out", "to": "G0.in"})
+    return {"schema": 1, "name": "chain", "params": {}, "blocks": blocks,
+            "links": links, "outputs": [{"name": "y", "from": f"G{n - 1}.out"}]}
+
+
+def test_long_chain_validates():
+    d = parse_diagram(json.dumps(_gain_chain_doc(3000, loop=False)))
+    assert validate(d).ok
+
+
+def test_long_algebraic_loop_reported_with_full_path():
+    n = 2500
+    rep = validate(_parse_dict(_gain_chain_doc(n, loop=True)))
+    path = " -> ".join([f"G{i}" for i in range(n)] + ["G0"])
+    assert [(v.code, v.message) for v in rep.violations] == [
+        ("algebraic-loop", "algebraic loop: " + path)]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hybridad import (
     EvalDomainError,
     EventSpec,
     EventStorm,
+    ImpactSensitivityWarning,
     ImpactSurface,
     NonTransversal,
     OdeModel,
@@ -603,3 +605,34 @@ def test_fractional_power_of_negative_state_is_a_domain_error():
     with pytest.raises(EvalDomainError) as exc:
         integrate(m, SimConfig(step=0.25, tf=2.0))
     assert exc.value.node_id == root
+
+
+def _bounce_model(g=9.81, height=0.05, barrier=100.0):
+    """q' = v, v' = -g above a floor at q = 0 whose barrier exceeds the
+    impact energy, so the particle rebounds."""
+    b = TapeBuilder(4)                   # [q, v, t, g]
+    q, v = b.input(0), b.input(1)
+    tape = b.build([v, b.neg(b.input(3)), q, v])
+    gb = TapeBuilder(2)                  # [q, t]
+    floor = ImpactSurface(1, lambda _q: np.eye(1), lambda _q: barrier,
+                          lambda _q: 0.0, gb.build([gb.neg(gb.input(0))]))
+    return make_ode_model(2, tape, ("g",), {"g": g}, ("q", "v"), ("q", "v"),
+                          init_exprs=(parse_expr(height), parse_expr(0.0)),
+                          events=(impact_event(floor, 2),))
+
+
+def test_sensitivity_across_impact_warns_once():
+    # no saltation jump is applied at impacts: at tf dq/dg reads -0.01125
+    # where central differences give about +0.0039
+    m = _bounce_model()
+    c = SimConfig(step=2e-3, tf=0.15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        primal = integrate(m, c)
+    assert len(primal.events) == 1
+    with pytest.warns(ImpactSensitivityWarning) as rec:
+        sens = integrate(sensitivity_extend(m, "g"), c)
+    assert len(sens.events) == 1
+    assert len(rec) == 1
+    msg = str(rec[0].message)
+    assert f"impact event 0 at t={sens.events[0].time!r}" in msg
