@@ -159,15 +159,11 @@ def identifiability_test(m: OdeModel, times=None, config: SimConfig = None,
     if not times:
         raise ShapeMismatch("need at least one sample time")
 
-    rows = len(times) * q
-    M = np.empty((rows, len(columns)))
-    for jc, p in enumerate(columns):
-        ext = sensitivity_extend(m, p)
-        tr = integrate(ext, config)
-        for it, tq in enumerate(times):
-            idx = int(np.argmin(np.abs(tr.times - tq)))
-            for jo in range(q):
-                M[it * q + jo, jc] = tr.outputs[idx, q + jo]
+    M = np.empty((len(times) * q, len(columns)))
+    tr = integrate(sensitivity_extend(m, columns), config)
+    for it, tq in enumerate(times):
+        idx = int(np.argmin(np.abs(tr.times - tq)))
+        M[it * q:(it + 1) * q] = tr.outputs[idx, q:].reshape(len(columns), q).T
 
     sv = np.linalg.svd(M, compute_uv=False)
     sigma_min = float(sv[-1]) if sv.size else 0.0

@@ -121,12 +121,12 @@ def _sens_columns(d: Diagram, base, tr0, thetas, config, route: str):
     """Output columns of the base run ``tr0`` plus one sensitivity column
     per (output, theta)."""
     cols: dict[str, np.ndarray] = {nm: tr0.output(nm) for nm in base.output_names}
-    for th in thetas:
-        if route == "agdm":
-            m = flatten(agdm_diff(d, th))
-        else:
-            m = sensitivity_extend(base, th)
-        tr = integrate(m, config)
+    if route == "agdm":
+        runs = ((th, integrate(flatten(agdm_diff(d, th)), config)) for th in thetas)
+    else:
+        tr = integrate(sensitivity_extend(base, thetas), config)
+        runs = [(th, tr) for th in thetas]
+    for th, tr in runs:
         for nm in base.output_names:
             dn = d_output_name(nm, th)
             cols[dn] = tr.output(dn)

@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import SchemaError, ValidationError
 from .ops import parse_fn
@@ -34,8 +35,7 @@ from .paramexpr import ParamExpr, parse_expr
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class PortRef:
+class PortRef(NamedTuple):
     block: str
     port: str
 

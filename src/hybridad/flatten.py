@@ -191,6 +191,15 @@ def flatten(d: Diagram) -> OdeModel:
     def in_node(bid: str, port: str) -> int:
         return port_node(d.driver(PortRef(bid, port)))
 
+    def state_terms(info: _StateInfo, row):
+        return [(c, lambda j=info.index + jx: x_nodes[j]) for jx, c in enumerate(row)]
+
+    def ss_terms(b: Block, x_row, u_row):
+        """Terms of x_row . x + u_row . u for a state-space block."""
+        ins, _ = b.port_names()
+        return state_terms(states[b.id], x_row) + [
+            (c, lambda p=p: in_node(b.id, p)) for c, p in zip(u_row, ins)]
+
     def _emit_output(b: Block, port: str) -> int:
         k = b.kind
         f = b.fields
@@ -241,25 +250,18 @@ def flatten(d: Diagram) -> OdeModel:
         if k == "UnitDelay":
             return x_nodes[states[b.id].index]
         if k in ("TransferFnS", "TransferFnZ"):
-            return _tf_output(bld, env, b, states[b.id],
-                              lambda: in_node(b.id, "in"), x_nodes)
+            num, den = f["num"], f["den"]
+            deg = states[b.id].count
+            zero = ParamExpr.const(0.0)
+            bn = num[deg] if len(num) > deg else zero
+            an = den[deg]
+            coeffs = [(num[i] if i < len(num) else zero) - bn * den[i] / an
+                      for i in range(deg)]
+            return _lincomb(bld, env, state_terms(states[b.id], coeffs)
+                            + [(bn / an, lambda: in_node(b.id, "in"))])
         if k in ("StateSpaceC", "StateSpaceD"):
-            info = states[b.id]
-            C, D = f["C"], f["D"]
             i = int(port[3:]) - 1 if port != "out" else 0
-            ins, _ = b.port_names()
-            acc = None
-            for jx in range(info.count):
-                if C[i][jx].is_zero():
-                    continue
-                term = bld.mul(C[i][jx].to_tape(bld, env), x_nodes[info.index + jx])
-                acc = term if acc is None else bld.add(acc, term)
-            for ju, p in enumerate(ins):
-                if D[i][ju].is_zero():
-                    continue
-                term = bld.mul(D[i][ju].to_tape(bld, env), in_node(b.id, p))
-                acc = term if acc is None else bld.add(acc, term)
-            return acc if acc is not None else bld.const(0.0)
+            return _lincomb(bld, env, ss_terms(b, f["C"][i], f["D"][i]))
         if k == "TransportDelay":
             return dval_nodes[delay_slot_of[(b.id, "in")]]
         if k == "DelaySensitivity":
@@ -313,20 +315,8 @@ def flatten(d: Diagram) -> OdeModel:
             rhs_nodes[info.index + deg - 1] = top
         elif k in ("StateSpaceC", "StateSpaceD"):
             A, B = b.fields["A"], b.fields["B"]
-            ins, _ = b.port_names()
             for i in range(info.count):
-                acc = None
-                for jx in range(info.count):
-                    if A[i][jx].is_zero():
-                        continue
-                    term = bld.mul(A[i][jx].to_tape(bld, env), x_nodes[info.index + jx])
-                    acc = term if acc is None else bld.add(acc, term)
-                for ju, p in enumerate(ins):
-                    if B[i][ju].is_zero():
-                        continue
-                    term = bld.mul(B[i][ju].to_tape(bld, env), in_node(b.id, p))
-                    acc = term if acc is None else bld.add(acc, term)
-                rhs_nodes[info.index + i] = acc if acc is not None else bld.const(0.0)
+                rhs_nodes[info.index + i] = _lincomb(bld, env, ss_terms(b, A[i], B[i]))
 
     out_nodes = [port_node(o.src) for o in d.outputs]
     slot_nodes = [port_node(d.driver(spec[0])) for spec in slot_specs]
@@ -346,21 +336,16 @@ def flatten(d: Diagram) -> OdeModel:
         state_clamps=clamps)
 
 
-def _tf_output(bld, env, b: Block, info: _StateInfo, u_thunk, x_nodes) -> int:
-    num, den = b.fields["num"], b.fields["den"]
-    deg = info.count
-    bn = num[deg] if len(num) > deg else ParamExpr.const(0.0)
-    an = den[deg]
+def _lincomb(bld, env, terms) -> int:
+    """Sum of coeff * node over ``terms``, pairs of a ParamExpr and a thunk
+    that emits the node; zero coefficients are skipped, and the constant 0
+    is returned when no term is left.  Each term emits its coefficient,
+    then its node, then the product, in list order."""
     acc = None
-    for i in range(deg):
-        bi = num[i] if i < len(num) else ParamExpr.const(0.0)
-        coeff = bi - bn * den[i] / an
+    for coeff, node in terms:
         if coeff.is_zero():
             continue
-        term = bld.mul(coeff.to_tape(bld, env), x_nodes[info.index + i])
-        acc = term if acc is None else bld.add(acc, term)
-    if not bn.is_zero():
-        term = bld.mul((bn / an).to_tape(bld, env), u_thunk())
+        term = bld.mul(coeff.to_tape(bld, env), node())
         acc = term if acc is None else bld.add(acc, term)
     return acc if acc is not None else bld.const(0.0)
 

@@ -33,7 +33,7 @@ import bisect
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -636,119 +636,134 @@ def impact_update(s: ImpactSurface, q, v_pre, t) -> np.ndarray:
 def impact_event(surface: ImpactSurface, n: int,
                  deadtime: float | None = None) -> EventSpec:
     """Wrap an impact surface as a full-state event guard."""
+    return EventSpec(_widen_guard(surface.guard, surface.dim, n), surface, deadtime)
+
+
+def _widen_guard(guard: Tape, k: int, n: int) -> Tape:
+    """``guard`` over [x_0..x_{k-1}, t] as a tape over [x_0..x_{n-1}, t]."""
     b = TapeBuilder(n + 1)
-    qs = [b.input(i) for i in range(surface.dim)]
-    tnode = b.input(n)
-    node_map = copy_into(b, surface.guard, qs + [tnode])
-    guard = b.build([node_map[surface.guard.outputs[0]]])
-    return EventSpec(guard, surface, deadtime)
+    node_map = copy_into(b, guard, [b.input(i) for i in range(k)] + [b.input(n)])
+    return b.build([node_map[guard.outputs[0]]])
 
 
 # ---------------------------------------------------------------------------
 # sensitivity extension (variational system)
 # ---------------------------------------------------------------------------
 
-def sensitivity_extend(m: OdeModel, theta: str) -> OdeModel:
-    """Append the sensitivity states d x_i / d theta to a model.
+def sensitivity_extend(m: OdeModel, theta: str | Sequence[str]) -> OdeModel:
+    """Append the sensitivity states d x_i / d theta to a model, for one
+    parameter name or for each name of a sequence (vector forward mode).
 
     The added states obey the variational equations (the Jacobian of the
     right-hand side times the sensitivities plus the explicit parameter
-    derivative), built once as tape nodes by source transformation;
-    initial conditions are dg/dtheta - f(g, h, theta) * dh/dtheta.  For
-    delayed models the delayed tangent also carries the
-    -x'(t-h) * dh/dtheta correction when the delay itself depends on the
-    parameter.
+    derivative), built once as tape nodes by source transformation: one
+    copy of the model tape and one tangent sweep per parameter.  Initial
+    conditions are dg/dtheta - f(g, h, theta) * dh/dtheta.  For delayed
+    models the delayed tangent also carries the -x'(t-h) * dh/dtheta
+    correction when the delay itself depends on the parameter.
+
+    For names theta_1..theta_p every part of the model gets one block per
+    name, in that order: states [x, dx/dtheta_1, ..., dx/dtheta_p], outputs
+    [y, dy/dtheta_1, ..., dy/dtheta_p] and delay slots likewise, with the
+    added states and outputs named by ``d_output_name``.  Each block equals
+    the block of the one-name extension bit for bit.
     """
-    if theta not in m.param_names:
-        raise UnknownParameter(theta, m.param_names)
+    thetas = (theta,) if isinstance(theta, str) else tuple(theta)
+    for th in thetas:
+        if th not in m.param_names:
+            raise UnknownParameter(th, m.param_names)
 
     n, s, J = m.n, len(m.param_names), len(m.delays)
     q = len(m.output_names)
-    base = m.tape.num_inputs
-    theta_idx = m.param_names.index(theta)
+    w = len(thetas) + 1                     # blocks: primal, then one per theta
 
-    b = TapeBuilder(2 * n + 1 + s + 2 * 2 * J)
+    b = TapeBuilder(w * n + 1 + s + 2 * w * J)
     xs = [b.input(i) for i in range(n)]
-    ss = [b.input(n + i) for i in range(n)]
-    tn = b.input(2 * n)
-    ths = [b.input(2 * n + 1 + k) for k in range(s)]
-    off = 2 * n + 1 + s
-    dvals = [b.input(off + j) for j in range(2 * J)]
-    dslopes = [b.input(off + 2 * J + j) for j in range(2 * J)]
+    ss = [b.input(n + i) for i in range(n * (w - 1))]
+    tn = b.input(w * n)
+    ths = [b.input(w * n + 1 + k) for k in range(s)]
+    off = w * n + 1 + s
+    dvals = [b.input(off + j) for j in range(w * J)]
+    dslopes = [b.input(off + w * J + j) for j in range(w * J)]
 
     orig_inputs = xs + [tn] + ths + dvals[:J] + dslopes[:J]
     node_map = copy_into(b, m.tape, orig_inputs)
 
     env_nodes = {p: ths[k] for k, p in enumerate(m.param_names)}
-    seeds = list(ss)
-    seeds.append(b.const(0.0))                                  # t
-    for k in range(s):
-        seeds.append(b.const(1.0 if k == theta_idx else 0.0))   # theta_k
-    for j in range(J):                                          # dval_j
-        dh = m.delays[j].delay.diff(theta)
-        sd = dvals[J + j]
-        if dh.is_zero():
-            seeds.append(sd)
-        else:
-            dh_node = dh.to_tape(b, env_nodes)
-            seeds.append(b.sub(sd, b.mul(dslopes[j], dh_node)))
-    zero = b.const(0.0)
-    for j in range(J):                                          # dslope_j
-        seeds.append(zero)
-    tg = append_tangent(b, m.tape, node_map, seeds)
+    tgs = []
+    for d, th in enumerate(thetas):
+        seeds = ss[d * n:(d + 1) * n]
+        seeds.append(b.const(0.0))                                  # t
+        for p in m.param_names:
+            seeds.append(b.const(1.0 if p == th else 0.0))          # theta_k
+        for j in range(J):                                          # dval_j
+            dh = m.delays[j].delay.diff(th)
+            sd = dvals[(d + 1) * J + j]
+            if dh.is_zero():
+                seeds.append(sd)
+            else:
+                dh_node = dh.to_tape(b, env_nodes)
+                seeds.append(b.sub(sd, b.mul(dslopes[j], dh_node)))
+        seeds += [b.const(0.0)] * J                                 # dslope_j
+        tgs.append(append_tangent(b, m.tape, node_map, seeds))
 
     o = m.tape.outputs
-    rhs_nodes = [node_map[o[i]] for i in range(n)]
-    drhs_nodes = [tg[o[i]] for i in range(n)]
-    y_nodes = [node_map[o[n + i]] for i in range(q)]
-    dy_nodes = [tg[o[n + i]] for i in range(q)]
-    slot_nodes = [node_map[o[n + q + j]] for j in range(J)]
-    dslot_nodes = [tg[o[n + q + j]] for j in range(J)]
-    tape = b.build(rhs_nodes + drhs_nodes + y_nodes + dy_nodes
-                   + slot_nodes + dslot_nodes)
+    parts = [(0, n), (n, n + q), (n + q, n + q + J)]        # rhs, outputs, slots
+    tape = b.build([mp[o[i]] for lo, hi in parts for mp in [node_map, *tgs]
+                    for i in range(lo, hi)])
 
     # initial conditions for the sensitivity states:
     # s(h) = dg/dtheta - f(g, h, theta) * dh/dtheta
-    dh_time = m.init_time.diff(theta) if m.init_time is not None else None
     init_exprs = None
     init_fn = None
-    if m.init_exprs is not None and (dh_time is None or dh_time.is_zero()):
-        init_exprs = tuple(m.init_exprs) + tuple(g.diff(theta) for g in m.init_exprs)
+    if m.init_exprs is not None and (m.init_time is None or all(
+            m.init_time.diff(th).is_zero() for th in thetas)):
+        init_exprs = tuple(m.init_exprs) + tuple(
+            g.diff(th) for th in thetas for g in m.init_exprs)
     else:
-        def init_fn(env, _m=m, _theta=theta):
-            x0 = _m.initial_state(env)
-            if _m.init_exprs is not None:
-                dg = np.array([g.diff(_theta).evaluate(env) for g in _m.init_exprs])
-            else:
-                dg = _fd_init(_m, env, _theta)
-            if _m.init_time is None:
-                return np.concatenate([x0, dg])
-            dh0 = _m.init_time.diff(_theta).evaluate(env)
-            if dh0 == 0.0:
-                return np.concatenate([x0, dg])
-            if _m.delays:
-                raise NotImplementedError(
-                    "parameter-dependent start time with delays")
-            h0 = _m.start_time(env, 0.0)
-            theta_vals = [env[p] for p in _m.param_names]
-            f0 = tape_eval(_m.tape, list(x0) + [h0] + theta_vals)[:_m.n]
-            return np.concatenate([x0, dg - np.asarray(f0) * dh0])
+        def init_fn(env):
+            x0 = m.initial_state(env)
+            return np.concatenate([x0] + [_initial_sensitivity(m, env, th, x0)
+                                          for th in thetas])
 
     new_delays = tuple(m.delays) + tuple(
         DelaySlot(slot.delay,
-                  None if slot.prehistory is None else slot.prehistory.diff(theta))
-        for slot in m.delays)
+                  None if slot.prehistory is None else slot.prehistory.diff(th))
+        for th in thetas for slot in m.delays)
 
-    events = tuple(_widen_event(ev, m.n, 2 * m.n) for ev in m.events)
+    events = tuple(EventSpec(_widen_guard(ev.guard, n, w * n), ev.action, ev.deadtime)
+                   for ev in m.events)
+
+    def names(base):
+        return base + tuple(d_output_name(nm, th) for th in thetas for nm in base)
 
     return OdeModel(
-        2 * n, tape, m.param_names, dict(m.params),
-        m.state_names + tuple(d_output_name(nm, theta) for nm in m.state_names),
-        m.output_names + tuple(d_output_name(nm, theta) for nm in m.output_names),
+        w * n, tape, m.param_names, dict(m.params),
+        names(m.state_names), names(m.output_names),
         init_exprs=init_exprs, init_fn=init_fn, init_time=m.init_time,
         events=events, delays=new_delays, discrete=m.discrete,
         sample_time=m.sample_time, has_sensitivity=True,
         state_clamps=m.state_clamps)
+
+
+def _initial_sensitivity(m: OdeModel, env, theta: str, x0) -> np.ndarray:
+    """Sensitivity of the initial state to ``theta``, with the start-time
+    correction -f(g, h, theta) * dh/dtheta."""
+    if m.init_exprs is not None:
+        dg = np.array([g.diff(theta).evaluate(env) for g in m.init_exprs])
+    else:
+        dg = _fd_init(m, env, theta)
+    if m.init_time is None:
+        return dg
+    dh0 = m.init_time.diff(theta).evaluate(env)
+    if dh0 == 0.0:
+        return dg
+    if m.delays:
+        raise NotImplementedError("parameter-dependent start time with delays")
+    h0 = m.start_time(env, 0.0)
+    theta_vals = [env[p] for p in m.param_names]
+    f0 = tape_eval(m.tape, list(x0) + [h0] + theta_vals)[:m.n]
+    return dg - np.asarray(f0) * dh0
 
 
 def _fd_init(m: OdeModel, env, theta: str):
@@ -760,15 +775,7 @@ def _fd_init(m: OdeModel, env, theta: str):
     return (m.initial_state(up) - m.initial_state(dn)) / (2 * h)
 
 
-def _widen_event(ev: EventSpec, n_old: int, n_new: int) -> EventSpec:
-    b = TapeBuilder(n_new + 1)
-    xs = [b.input(i) for i in range(n_old)]
-    tn = b.input(n_new)
-    node_map = copy_into(b, ev.guard, xs + [tn])
-    return EventSpec(b.build([node_map[ev.guard.outputs[0]]]), ev.action, ev.deadtime)
-
-
-def dde_extend(m: OdeModel, theta: str) -> OdeModel:
+def dde_extend(m: OdeModel, theta: str | Sequence[str]) -> OdeModel:
     """Sensitivity extension of a delayed model (theta may be the delay)."""
     if not m.delays:
         raise ValueError("model has no delays; use sensitivity_extend")

@@ -162,6 +162,10 @@ def test_unknown_parameter(first_order):
     with pytest.raises(UnknownParameter) as exc:
         agdm_diff(first_order, "zeta")
     assert "k" in str(exc.value) and "tau" in str(exc.value)
+    # one bad name in a sequence is enough
+    with pytest.raises(UnknownParameter) as exc:
+        sensitivity_extend(flatten(first_order), ["tau", "zeta", "k"])
+    assert "zeta" in str(exc.value) and "tau" in str(exc.value)
 
 
 def test_theta_independent_model_prunes_to_zero():

@@ -12,9 +12,11 @@ from hybridad import (
     compare_report,
     finite_difference,
     identifiability_test,
+    integrate,
     parse_expr,
     sequence_probe,
 )
+from hybridad import analysis
 from hybridad.sim import make_ode_model
 
 
@@ -160,6 +162,22 @@ def test_default_times_make_square_matrix():
     assert rep.matrix.shape == (2, 2)
     assert rep.times == (0.75, 1.5)
     assert rep.verdict == "identifiable+observable"
+
+
+def test_identifiability_integrates_once(monkeypatch):
+    # all columns come from one extension over every parameter
+    calls = []
+
+    def counting(m, config, theta=None):
+        calls.append(m)
+        return integrate(m, config, theta)
+
+    monkeypatch.setattr(analysis, "integrate", counting)
+    rep = identifiability_test(_product_structure(), [0.3, 0.7, 1.2],
+                               SimConfig(step=1e-2, tf=1.5), ic_params=["c"],
+                               theta_params=["th1", "th2"])
+    assert rep.matrix.shape == (3, 3)
+    assert len(calls) == 1 and calls[0].n == 4
 
 
 def test_report_renders_text_and_json():

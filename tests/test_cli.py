@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import first_order_doc
-from hybridad import parse_diagram
+from hybridad import cli, parse_diagram
 from hybridad.cli import main, optimize_scalar, step_map_derivatives
-from hybridad.sim import SimConfig
+from hybridad.sim import SimConfig, integrate
 
 MODELS = os.path.join(os.path.dirname(__file__), "..", "models")
 
@@ -153,6 +153,24 @@ def test_sens_routes_agree_on_discrete_loop(tmp_path, capsys):
     assert rc == 0
     disc = float(capsys.readouterr().err.split("=")[-1].split()[0])
     assert disc <= 1e-9
+
+
+def test_sensode_route_integrates_sensitivities_once(tmp_path, monkeypatch):
+    # one base run, then one run of the extension over both parameters
+    calls = []
+
+    def counting(m, config, theta=None):
+        calls.append(m)
+        return integrate(m, config, theta)
+
+    monkeypatch.setattr(cli, "integrate", counting)
+    out = tmp_path / "s.csv"
+    assert main(["sens", model_path("first_order.json"), "--theta", "tau",
+                 "--theta", "k", "--route", "sensode", "--tf", "1", "--step", "0.01",
+                 "--out", str(out)]) == 0
+    assert [m.has_sensitivity for m in calls] == [False, True]
+    assert calls[1].output_names == ("y", "dy/dtau", "dy/dk")
+    assert _read_csv(out)[0] == ["t", "y", "dy/dtau", "dy/dk"]
 
 
 def test_sens_zero_column_for_unused_parameter(tmp_path):

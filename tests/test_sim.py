@@ -636,3 +636,86 @@ def test_sensitivity_across_impact_warns_once():
     assert len(rec) == 1
     msg = str(rec[0].message)
     assert f"impact event 0 at t={sens.events[0].time!r}" in msg
+
+
+# ---------------------------------------------------------------------------
+# one extension over several parameters
+# ---------------------------------------------------------------------------
+
+def _gain_dde_model():
+    """x'(t) = -a x(t - h) - x(t - h/2) / 4 with prehistories 1 + a t and 1;
+    h = 0.3137 is off the grid."""
+    b = TapeBuilder(8)          # [x, t, a, h, xdel_1, xdel_2, xdelslope_1, xdelslope_2]
+    x, a, xdel1, xdel2 = b.input(0), b.input(2), b.input(4), b.input(5)
+    rhs = b.sub(b.neg(b.mul(a, xdel1)), b.mul(b.const(0.25), xdel2))
+    t = b.build([rhs, x, x, x])
+    return make_ode_model(
+        1, t, ("a", "h"), {"a": 0.8, "h": 0.3137}, ("x",), ("y",),
+        init_exprs=(parse_expr(1.0),),
+        delays=(DelaySlot(parse_expr("h"), parse_expr("1 + a*t")),
+                DelaySlot(parse_expr("h/2"), parse_expr(1.0))))
+
+
+def _height_bounce_model():
+    """q' = v, v' = -g from q(0) = z0 onto a rebounding floor at q = 0."""
+    b = TapeBuilder(5)          # [q, v, t, g, z0]
+    q, v = b.input(0), b.input(1)
+    tape = b.build([v, b.neg(b.input(3)), q, v])
+    gb = TapeBuilder(2)         # [q, t]
+    floor = ImpactSurface(1, lambda _q: np.eye(1), lambda _q: 100.0,
+                          lambda _q: 0.0, gb.build([gb.neg(gb.input(0))]))
+    return make_ode_model(2, tape, ("g", "z0"), {"g": 9.81, "z0": 0.05},
+                          ("q", "v"), ("q", "v"),
+                          init_exprs=(parse_expr("z0"), parse_expr(0.0)),
+                          events=(impact_event(floor, 2),))
+
+
+def _late_start_model():
+    """x' = a x from x(theta) = 2: the start time depends on theta."""
+    b = TapeBuilder(4)          # [x, t, a, theta]
+    x = b.input(0)
+    t = b.build([b.mul(b.input(2), x), x])
+    return make_ode_model(1, t, ("a", "theta"), {"a": 0.7, "theta": 0.25},
+                          ("x",), ("y",), init_exprs=(parse_expr(2.0),),
+                          init_time=parse_expr("theta"))
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("model, names, config", [
+    (_gain_dde_model, ["h", "a"], SimConfig(step=1e-2, tf=1.0)),
+    (_height_bounce_model, ["g", "z0"], SimConfig(step=2e-3, tf=0.15)),
+    (_late_start_model, ["theta", "a"], SimConfig(step=1e-2, tf=1.0)),
+    (_late_start_model, ["a", "theta", "a"], SimConfig(step=1e-2, tf=1.0)),
+], ids=["dde-off-grid", "impact", "theta-start", "repeated-name"])
+def test_vector_extension_columns_equal_scalar_extension(model, names, config):
+    m = model()
+    n, q = m.n, m.n_outputs
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ImpactSensitivityWarning)
+        ext = sensitivity_extend(m, names)
+        tr = integrate(ext, config)
+        scalar = [integrate(sensitivity_extend(m, th), config) for th in names]
+    assert ext.n == (len(names) + 1) * n
+    assert len(ext.delays) == (len(names) + 1) * len(m.delays)
+    for k, sc in enumerate(scalar):
+        # the primal block, then block k + 1, against the scalar layout
+        ix = [*range(n), *range((k + 1) * n, (k + 2) * n)]
+        iy = [*range(q), *range((k + 1) * q, (k + 2) * q)]
+        assert [ext.state_names[i] for i in ix] == list(sc.state_names)
+        assert [ext.output_names[i] for i in iy] == list(sc.output_names)
+        assert _same_bits(tr.times, sc.times)
+        assert _same_bits(tr.states[:, ix], sc.states)
+        assert _same_bits(tr.outputs[:, iy], sc.outputs)
+        assert len(tr.events) == len(sc.events)
+        for ev, ev1 in zip(tr.events, sc.events):
+            assert (ev.time, ev.guard_index) == (ev1.time, ev1.guard_index)
+            assert _same_bits(ev.pre_state[ix], ev1.pre_state)
+            assert _same_bits(ev.post_state[ix], ev1.post_state)
+            assert _same_bits(ev.pre_outputs[iy], ev1.pre_outputs)
+            assert _same_bits(ev.post_outputs[iy], ev1.post_outputs)
+    if model is _height_bounce_model:
+        assert len(tr.events) == 1
