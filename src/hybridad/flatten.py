@@ -180,27 +180,52 @@ def flatten(d: Diagram) -> OdeModel:
 
     memo: dict[PortRef, int] = {}
 
+    def lower(gen, port=None) -> int:
+        """Runs ``gen``, a generator that yields the output ports it reads
+        and returns a node (the node of ``port``, when given).  A port not
+        yet lowered is lowered first, by its own ``_emit_output``; pending
+        generators form an explicit stack, so chains of any length lower
+        without recursion, and each block emits its nodes in the same order
+        as a recursive descent would."""
+        stack, value = [(gen, port)], None
+        while True:
+            g, port = stack[-1]
+            try:
+                ref = g.send(value)
+            except StopIteration as done:
+                stack.pop()
+                value = done.value
+                if port is not None:
+                    memo[port] = value
+                if not stack:
+                    return value
+                continue
+            if ref in memo:
+                value = memo[ref]
+            else:
+                stack.append((_emit_output(d.block(ref.block), ref.port), ref))
+                value = None
+
     def port_node(p: PortRef) -> int:
-        if p in memo:
-            return memo[p]
-        blk = d.block(p.block)
-        node = _emit_output(blk, p.port)
-        memo[p] = node
-        return node
+        return memo[p] if p in memo else lower(_emit_output(d.block(p.block), p.port), p)
+
+    def ask(bid: str, port: str) -> PortRef:
+        return d.driver(PortRef(bid, port))
 
     def in_node(bid: str, port: str) -> int:
-        return port_node(d.driver(PortRef(bid, port)))
+        return port_node(ask(bid, port))
 
     def state_terms(info: _StateInfo, row):
-        return [(c, lambda j=info.index + jx: x_nodes[j]) for jx, c in enumerate(row)]
+        return [(c, x_nodes[info.index + jx]) for jx, c in enumerate(row)]
 
     def ss_terms(b: Block, x_row, u_row):
         """Terms of x_row . x + u_row . u for a state-space block."""
         ins, _ = b.port_names()
-        return state_terms(states[b.id], x_row) + [
-            (c, lambda p=p: in_node(b.id, p)) for c, p in zip(u_row, ins)]
+        return state_terms(states[b.id], x_row) + [(c, ask(b.id, p)) for c, p in zip(u_row, ins)]
 
-    def _emit_output(b: Block, port: str) -> int:
+    def _emit_output(b: Block, port: str):
+        """Generator of the node of ``b``'s output ``port``; it yields each
+        input's driving port and is sent back that port's node."""
         k = b.kind
         f = b.fields
         if k == "Constant":
@@ -208,13 +233,13 @@ def flatten(d: Diagram) -> OdeModel:
         if k == "Step":
             return bld.branch(t_node, f["time"], bld.const(f["level"]), bld.const(0.0))
         if k == "Gain":
-            return bld.mul(f["gain"].to_tape(bld, env), in_node(b.id, "in"))
+            return bld.mul(f["gain"].to_tape(bld, env), (yield ask(b.id, "in")))
         if k == "Sum":
             signs = f["signs"]
             ins, _ = b.port_names()
             acc = None
             for sg, p in zip(signs, ins):
-                nd = in_node(b.id, p)
+                nd = yield ask(b.id, p)
                 if acc is None:
                     acc = nd if sg == "+" else bld.neg(nd)
                 else:
@@ -224,26 +249,26 @@ def flatten(d: Diagram) -> OdeModel:
             ins, _ = b.port_names()
             acc = None
             for p in ins:
-                nd = in_node(b.id, p)
+                nd = yield ask(b.id, p)
                 acc = nd if acc is None else bld.mul(acc, nd)
             return acc
         if k == "Fn":
-            return bld.apply(f["fn"], in_node(b.id, "in"))
+            return bld.apply(f["fn"], (yield ask(b.id, "in")))
         if k == "Switch":
-            return bld.branch(in_node(b.id, "in2"), f["threshold"],
-                              in_node(b.id, "in1"), in_node(b.id, "in3"))
+            return bld.branch((yield ask(b.id, "in2")), f["threshold"],
+                              (yield ask(b.id, "in1")), (yield ask(b.id, "in3")))
         if k == "Saturation":
-            u = in_node(b.id, "in")
+            u = yield ask(b.id, "in")
             lo_arm = bld.branch(bld.neg(u), -f["lo"], bld.const(f["lo"]), u)
             return bld.branch(u, f["hi"], bld.const(f["hi"]), lo_arm)
         if k == "SaturationDynamic":
-            u = in_node(b.id, "in")
-            up = in_node(b.id, "up")
-            lo = in_node(b.id, "lo")
+            u = yield ask(b.id, "in")
+            up = yield ask(b.id, "up")
+            lo = yield ask(b.id, "lo")
             inner = bld.branch(bld.sub(lo, u), 0.0, lo, u)
             return bld.branch(bld.sub(u, up), 0.0, up, inner)
         if k == "LookupTable1D":
-            return _emit_lookup(bld, f, in_node(b.id, "in"))
+            return _emit_lookup(bld, f, (yield ask(b.id, "in")))
         if k == "Integrator":
             x = x_nodes[states[b.id].index]
             return x
@@ -257,11 +282,11 @@ def flatten(d: Diagram) -> OdeModel:
             an = den[deg]
             coeffs = [(num[i] if i < len(num) else zero) - bn * den[i] / an
                       for i in range(deg)]
-            return _lincomb(bld, env, state_terms(states[b.id], coeffs)
-                            + [(bn / an, lambda: in_node(b.id, "in"))])
+            return (yield from _lincomb(bld, env, state_terms(states[b.id], coeffs)
+                                        + [(bn / an, ask(b.id, "in"))]))
         if k in ("StateSpaceC", "StateSpaceD"):
             i = int(port[3:]) - 1 if port != "out" else 0
-            return _lincomb(bld, env, ss_terms(b, f["C"][i], f["D"][i]))
+            return (yield from _lincomb(bld, env, ss_terms(b, f["C"][i], f["D"][i])))
         if k == "TransportDelay":
             return dval_nodes[delay_slot_of[(b.id, "in")]]
         if k == "DelaySensitivity":
@@ -316,7 +341,7 @@ def flatten(d: Diagram) -> OdeModel:
         elif k in ("StateSpaceC", "StateSpaceD"):
             A, B = b.fields["A"], b.fields["B"]
             for i in range(info.count):
-                rhs_nodes[info.index + i] = _lincomb(bld, env, ss_terms(b, A[i], B[i]))
+                rhs_nodes[info.index + i] = lower(_lincomb(bld, env, ss_terms(b, A[i], B[i])))
 
     out_nodes = [port_node(o.src) for o in d.outputs]
     slot_nodes = [port_node(d.driver(spec[0])) for spec in slot_specs]
@@ -336,16 +361,18 @@ def flatten(d: Diagram) -> OdeModel:
         state_clamps=clamps)
 
 
-def _lincomb(bld, env, terms) -> int:
-    """Sum of coeff * node over ``terms``, pairs of a ParamExpr and a thunk
-    that emits the node; zero coefficients are skipped, and the constant 0
-    is returned when no term is left.  Each term emits its coefficient,
-    then its node, then the product, in list order."""
+def _lincomb(bld, env, terms):
+    """Generator of the sum of coeff * node over ``terms``, pairs of a
+    ParamExpr and a node id or the output port to ask for; zero
+    coefficients are skipped, and the constant 0 is returned when no term
+    is left.  Each term emits its coefficient, then its node, then the
+    product, in list order."""
     acc = None
     for coeff, node in terms:
         if coeff.is_zero():
             continue
-        term = bld.mul(coeff.to_tape(bld, env), node())
+        term = bld.mul(coeff.to_tape(bld, env),
+                       node if isinstance(node, int) else (yield node))
         acc = term if acc is None else bld.add(acc, term)
     return acc if acc is not None else bld.const(0.0)
 

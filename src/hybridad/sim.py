@@ -22,9 +22,14 @@ run.  Sensitivity propagation across any other event kind is refused
 (SensitivityAcrossEvent).
 
 Integrators are deliberately fixed-step (midpoint and classic RK4) so
-finite-difference oracles stay deterministic.  Models are immutable and
-each ``integrate`` call owns its private workspace: parameter sweeps may
-run concurrently.
+finite-difference oracles stay deterministic.  Each model is compiled
+once per method into one generated RK step: parameter-only nodes are
+computed once per ``integrate`` call, stages compute only the rhs, and a
+branch arm that can raise runs only when it is taken.  So an exception
+there is a real domain error; ``tape_eval`` re-runs the point and names
+the node (``EvalDomainError``).  Models are immutable and each
+``integrate`` call owns its private workspace: parameter sweeps may run
+concurrently.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from __future__ import annotations
 import bisect
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -52,8 +57,12 @@ from .tape import (
     Tape,
     TapeBuilder,
     append_tangent,
+    arm_contexts,
     compile_tape,
     copy_into,
+    guarded_source,
+    node_ref,
+    node_source,
     reverse_gradient,
     tape_eval,
 )
@@ -131,6 +140,8 @@ class OdeModel:
     # exact anti-windup pinning of saturated integrator states, applied
     # after each accepted step (the gated rhs handles the interior)
     state_clamps: tuple[tuple[int, float, float], ...] = ()
+    # method -> generated ``_make`` (see ``_generate_stepper``)
+    _steppers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_outputs(self) -> int:
@@ -304,6 +315,9 @@ class _History:
 # integration
 # ---------------------------------------------------------------------------
 
+_ARITH_ERRORS = (ZeroDivisionError, ValueError, OverflowError)
+
+
 def _evaluator(tape: Tape):
     """Compiled evaluation of ``tape``; a call that raises is re-run
     interpreted, which computes only taken branch arms (same numbers) and
@@ -313,22 +327,88 @@ def _evaluator(tape: Tape):
     def evaluate(vals):
         try:
             return compiled(vals)
-        except (ZeroDivisionError, ValueError, OverflowError):
+        except _ARITH_ERRORS:
             return tape_eval(tape, vals)
     return evaluate
 
 
+def _generate_stepper(m: OdeModel, method: str):
+    """Compiles ``_make(runner, theta...) -> (ev, step)``.  ``_make``
+    computes the parameter-only nodes that cannot raise or that every call
+    needs.  ``ev(x..., t, full)`` computes the rhs nodes, and the output
+    and slot nodes when ``full`` is set; a node in an arm that can raise
+    runs only when that arm is taken (``arm_contexts``).  ``step(x, t, h,
+    k1)`` is one RK step around ``ev``."""
+    tape, n, s, q = m.tape, m.n, len(m.param_names), m.n_outputs
+    nodes, outs = tape.nodes, tape.outputs
+    place, opened = arm_contexts(tape, [(o, 0 if k < n else 1) for k, o in enumerate(outs)])
+    arg = {nd.a: nid for nid, nd in enumerate(nodes) if nd.op == "input"}
+    inputs = set(arg.values())
+    bound = {arg[j] for j in range(n + 1, n + 1 + s) if j in arg}       # parameters
+    hoist = []      # parameter-only nodes that cannot raise or that every call needs
+    for nid in sorted(set(place) - inputs):
+        nd = nodes[nid]
+        if all(c in bound for c in nd.children()) and (
+                nd.op not in ("div", "apply") or place[nid] <= {0, 1}):
+            hoist.append(nid)
+            bound.add(nid)
+    bound |= inputs
+    arg = [f"_v{arg[j]}" if j in arg else f"_u{j}" for j in range(tape.num_inputs)]
+
+    def row(fmt):               # one entry per state
+        return ", ".join(fmt.format(i) for i in range(n))
+
+    def refs(ids):
+        return ", ".join(node_ref(tape, o) for o in ids)
+
+    def stage(k_out, k_in, hs):     # k_out: the rhs at (x + hs * k_in, t + hs)
+        xs = "".join(f"x{i} + {hs} * {k_in}{i}, " for i in range(n))
+        return f"        [{row(k_out + '{}')}] = ev({xs}t + {hs}, False)"
+
+    src = [f"def _make({', '.join(['_r'] + arg[n + 1:n + 1 + s])}):",
+           *("    " + node_source(tape, nid) for nid in hoist if nodes[nid].op != "const"),
+           f"    def ev({', '.join(arg[:n + 1])}, full):",
+           *([f"        [{', '.join(arg[n + 1 + s:])}] = sum(_r._delayed({arg[n]}), [])"]
+             if m.delays else []),
+           "        try:",
+           *(" " * 12 + line for line in guarded_source(tape, place, opened, bound, 0)),
+           "            if not full:",
+           f"                return [{refs(outs[:n])}]",
+           *(" " * 12 + line for line in guarded_source(tape, place, opened, bound, 1)),
+           f"            return [{refs(outs[:n])}], [{refs(outs[n:n + q])}], "
+           f"[{refs(outs[n + q:])}]",
+           "        except _ARITH_ERRORS:",
+           f"            _fail([{', '.join(arg)}])",
+           "            raise",
+           "    def step(x, t, h, k1):",
+           "        _r.step_anchor = t",
+           f"        [{row('x{}')}] = x",
+           f"        [{row('a{}')}] = k1",
+           "        hh = 0.5 * h",
+           stage("b", "a", "hh")]
+    if method == "midpoint":
+        src.append(f"        y = [{row('x{0} + h * b{0}')}]")
+    else:
+        src += [stage("c", "b", "hh"), stage("d", "c", "h"), "        h6 = h / 6.0",
+                f"        y = [{row('x{0} + h6 * (a{0} + 2.0 * b{0} + 2.0 * c{0} + d{0})')}]"]
+    if m.state_clamps:
+        src += ["        for i, lo, hi in _clamps:", "            y[i] = min(hi, max(lo, y[i]))"]
+    ns = {"_m": math, "inf": math.inf, "nan": math.nan, "_ARITH_ERRORS": _ARITH_ERRORS,
+          "_clamps": m.state_clamps, "_fail": lambda vals: tape_eval(tape, vals)}
+    exec("\n".join(src + ["        return y", "    return ev, step"]), ns)
+    return ns["_make"]
+
+
 class _Runner:
-    """Owns the per-call mutable state of one integration.  States are
-    lists of floats, stepped with the same IEEE operations in the same
-    order as array arithmetic, without numpy's cost on tiny vectors."""
+    """Owns the per-call mutable state of one integration: parameters and
+    delay histories.  States are lists of floats, stepped with the same
+    IEEE operations in the same order as array arithmetic, without
+    numpy's cost on tiny vectors."""
 
     def __init__(self, m: OdeModel, c: SimConfig, env, t_start: float):
         self.m = m
-        self.c = c
         self.theta = [env[p] for p in m.param_names]
-        self.n, self.q, self.J = m.n, len(m.output_names), len(m.delays)
-        self.tape_fn = _evaluator(m.tape)
+        self.J = len(m.delays)
         self.h_delays = [slot.delay.evaluate(env) for slot in m.delays]
         for h in self.h_delays:
             if h < c.step:
@@ -359,16 +439,6 @@ class _Runner:
         slot_outs = m.tape.outputs[n + len(m.output_names):]
         return _evaluator(b.build([tg[o] for o in slot_outs]))
 
-    def eval_tape(self, x, t):
-        """Returns (rhs, outputs, slot values) at one point in time."""
-        vals = x + [t] + self.theta
-        if self.J:
-            dv, ds = self._delayed(t)
-            vals += dv + ds
-        out = self.tape_fn(vals)
-        n, q = self.n, self.q
-        return out[:n], out[n:n + q], out[n + q:]
-
     def _delayed(self, t):
         key = (t, self.step_anchor)
         if key not in self.lookups:
@@ -389,24 +459,6 @@ class _Runner:
         for j, hist in enumerate(self.histories):
             hist.push(t, slots[j], slopes[j])
         self.lookups.clear()     # lookups near the new node may now interpolate
-
-    def step_from(self, x, t, h, k1):
-        """State after a step of size h from (x, t); k1 is the rhs there."""
-        self.step_anchor = t
-        f = self.eval_tape
-        hh = 0.5 * h
-        k2 = f([a + hh * b for a, b in zip(x, k1)], t + hh)[0]
-        if self.c.method == "midpoint":
-            x_new = [a + h * b for a, b in zip(x, k2)]
-        else:
-            k3 = f([a + hh * b for a, b in zip(x, k2)], t + hh)[0]
-            k4 = f([a + h * b for a, b in zip(x, k3)], t + h)[0]
-            h6 = h / 6.0
-            x_new = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                     for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
-        for i, lo, hi in self.m.state_clamps:
-            x_new[i] = min(hi, max(lo, x_new[i]))
-        return x_new
 
 
 def _guard_value(guard, x, t) -> float:
@@ -439,7 +491,14 @@ def integrate(m: OdeModel, c: SimConfig, theta=None) -> Trajectory:
                  for ev in m.events]
     last_fire = [-math.inf] * len(m.events)
 
-    f0, y0, slots0 = r.eval_tape(x, t)      # f0: rhs at (x, t), the next k1
+    if c.method not in m._steppers:
+        m._steppers[c.method] = _generate_stepper(m, c.method)
+    try:
+        ev, step = m._steppers[c.method](r, *r.theta)
+    except _ARITH_ERRORS:       # a parameter-only node failed: the interpreter names it
+        tape_eval(m.tape, x + [t] + r.theta + sum(r._delayed(t), []))
+        raise
+    f0, y0, slots0 = ev(*x, t, True)      # f0: rhs at (x, t), the next k1
     r.record(t, x, f0, slots0)
     times, states, outputs = [t], [x], [y0]
     events: list[EventRecord] = []
@@ -457,7 +516,7 @@ def integrate(m: OdeModel, c: SimConfig, theta=None) -> Trajectory:
         h = t_next - t
         events_this_step = 0
         while True:
-            x_new = r.step_from(x, t, h, f0)
+            x_new = step(x, t, h, f0)
             fired = None
             g_new = []      # None: whole step inside the guard's deadtime window
             for i, g in enumerate(guards):
@@ -473,15 +532,15 @@ def integrate(m: OdeModel, c: SimConfig, theta=None) -> Trajectory:
             events_this_step += 1
             if events_this_step > c.max_events_per_step:
                 raise EventStorm(f"more than {c.max_events_per_step} events near t={t}")
-            t_star, x_pre = _locate_event(r, guards[fired], x, t, h, f0,
+            t_star, x_pre = _locate_event(step, guards[fired], x, t, h, f0,
                                           g_prev[fired], x_new, tol)
-            rhs_pre, y_pre, slots_pre = r.eval_tape(x_pre, t_star)
+            rhs_pre, y_pre, slots_pre = ev(*x_pre, t_star, True)
             r.record(t_star, x_pre, rhs_pre, slots_pre)
             if t_star < last_fire[fired] + deadtimes[fired]:
                 # crossing still inside the deadtime: pass through silently;
                 # rhs_pre read the delays anchored at the old step's start
                 x = x_pre
-                f0 = r.eval_tape(x, t_star)[0]
+                f0 = ev(*x, t_star, True)[0]
             else:
                 # record both sides so interpolation never crosses the jump
                 if m.has_sensitivity and not events:
@@ -489,7 +548,7 @@ def integrate(m: OdeModel, c: SimConfig, theta=None) -> Trajectory:
                                   "are wrong from here on (no saltation jump is applied)",
                                   ImpactSensitivityWarning, stacklevel=2)
                 x = _apply_action(m.events[fired], x_pre, t_star)
-                f0, y_post, slots_post = r.eval_tape(x, t_star)
+                f0, y_post, slots_post = ev(*x, t_star, True)
                 r.record(t_star, x, f0, slots_post)
                 events.append(EventRecord(t_star, fired, np.array(x_pre), np.array(x),
                                           np.asarray(y_pre), np.asarray(y_post)))
@@ -507,7 +566,7 @@ def integrate(m: OdeModel, c: SimConfig, theta=None) -> Trajectory:
         k += 1
         x = x_new
         r.step_anchor = t        # node values are right-continuous at jumps
-        f0, y_n, slots_n = r.eval_tape(x, t)
+        f0, y_n, slots_n = ev(*x, t, True)
         r.record(t, x, f0, slots_n)
         g_prev = [_guard_value(g, x, t) if v is None else v
                   for g, v in zip(guards, g_new)]
@@ -519,14 +578,15 @@ def integrate(m: OdeModel, c: SimConfig, theta=None) -> Trajectory:
                       events, m.state_names, m.output_names)
 
 
-def _locate_event(r: _Runner, guard, x, t, h, k1, g0, x_hi, tol):
-    """Bisection from (t, x) over sub-steps of [t, t+h]; ``k1`` and ``g0``
-    are the rhs and guard at (x, t), ``x_hi`` the full step's state."""
+def _locate_event(step, guard, x, t, h, k1, g0, x_hi, tol):
+    """Bisection from (t, x) over sub-steps of [t, t+h] taken by ``step``;
+    ``k1`` and ``g0`` are the rhs and guard at (x, t), ``x_hi`` the full
+    step's state."""
     lo, hi = 0.0, h
     g_hi = None         # guard at (x_hi, t + hi), evaluated when first needed
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        x_mid = r.step_from(x, t, mid, k1) if mid > 0 else x
+        x_mid = step(x, t, mid, k1) if mid > 0 else x
         g_mid = _guard_value(guard, x_mid, t + mid)
         if (g0 >= 0.0) != (g_mid >= 0.0):
             hi, x_hi, g_hi = mid, x_mid, g_mid

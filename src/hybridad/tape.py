@@ -21,7 +21,9 @@ Modes provided here:
 * ``reverse_gradient``   -- one forward sweep + one adjoint sweep
 * ``hessian``            -- forward duals pushed through the reverse sweep
 * ``tape_jet_eval``      -- order-r Taylor propagation (jet module)
-* ``compile_tape``       -- Python code generation for the simulator's hot loops
+* ``compile_tape``       -- Python code generation (eager, both arms)
+* ``arm_contexts`` / ``guarded_source`` -- taken-arm code generation,
+  used by the simulator's generated stepper
 * ``op_count``           -- arithmetic-operation count of a derivative pass
 * ``jvp_tape``           -- source transformation emitting derivative nodes
 * ``audit_branches`` / ``taylor_patch`` -- branch-boundary checks and
@@ -33,8 +35,10 @@ own workspace, so concurrent evaluations of a shared tape are safe.
 
 from __future__ import annotations
 
+import heapq
 import math
 import operator
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -531,42 +535,139 @@ def parse_dump(text: str) -> Tape:
 # compilation to a plain Python function (hot loops in the simulator)
 # ---------------------------------------------------------------------------
 
+_INFIX = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
+
+
+def node_ref(t: Tape, i: int) -> str:
+    """How generated code reads node ``i``: a literal for a constant, else
+    the variable ``_v<i>``."""
+    return repr(t.nodes[i].value) if t.nodes[i].op == "const" else f"_v{i}"
+
+
+def node_source(t: Tape, i: int) -> str:
+    """Python statement computing the non-constant node ``i`` from its
+    children (``x`` holds the inputs, ``_m`` is ``math``)."""
+    n, r = t.nodes[i], lambda j: node_ref(t, j)
+    if n.op == "input":
+        e = f"x[{n.a}]"
+    elif n.op in _INFIX:
+        e = f"{r(n.a)} {_INFIX[n.op]} {r(n.b)}"
+    elif n.op == "branch":
+        e = f"{r(n.a)} if {r(n.cond)} >= {n.threshold!r} else {r(n.b)}"
+    elif n.fn.kind == "pow":
+        e = f"_m.pow({r(n.a)}, {n.fn.exponent!r})"
+    elif n.fn.kind == "abs":
+        e = f"abs({r(n.a)})"
+    else:
+        e = f"_m.{n.fn.kind}({r(n.a)})"
+    return f"_v{i} = {e}"
+
+
 def compile_tape(t: Tape):
     """Build a fast eager evaluator ``f(x) -> list[float]``.
 
-    Unlike the interpreted path the compiled function evaluates both
-    branch arms, so it raises where a dead arm divides by zero.  The
-    simulator re-runs just that evaluation through ``tape_eval``, which
-    gives the same numbers or the typed error naming the node.
+    Unlike the interpreted path it evaluates both branch arms, so it raises
+    where a dead arm divides by zero; a caller re-runs that evaluation
+    through ``tape_eval`` for the interpreter's numbers or the typed error
+    naming the node.  ``guarded_source`` emits taken-arm code instead.
     """
-    src = ["def _f(x, _m=math):"]
-    for i, n in enumerate(t.nodes):
-        if n.op == "input":
-            src.append(f"    _v{i} = x[{n.a}]")
-        elif n.op == "const":
-            src.append(f"    _v{i} = {n.value!r}")
-        elif n.op == "add":
-            src.append(f"    _v{i} = _v{n.a} + _v{n.b}")
-        elif n.op == "sub":
-            src.append(f"    _v{i} = _v{n.a} - _v{n.b}")
-        elif n.op == "mul":
-            src.append(f"    _v{i} = _v{n.a} * _v{n.b}")
-        elif n.op == "div":
-            src.append(f"    _v{i} = _v{n.a} / _v{n.b}")
-        elif n.op == "branch":
-            src.append(f"    _v{i} = _v{n.a} if _v{n.cond} >= {n.threshold!r} else _v{n.b}")
-        else:
-            k = n.fn.kind
-            if k == "pow":
-                src.append(f"    _v{i} = _m.pow(_v{n.a}, {n.fn.exponent!r})")
-            elif k == "abs":
-                src.append(f"    _v{i} = abs(_v{n.a})")
-            else:
-                src.append(f"    _v{i} = _m.{k}(_v{n.a})")
-    src.append("    return [" + ", ".join(f"_v{o}" for o in t.outputs) + "]")
-    ns: dict = {"math": math}
+    src = ["def _f(x, _m=math):",
+           *("    " + node_source(t, i) for i, n in enumerate(t.nodes) if n.op != "const"),
+           "    return [" + ", ".join(node_ref(t, o) for o in t.outputs) + "]"]
+    ns: dict = {"math": math, "inf": math.inf, "nan": math.nan}    # non-finite literals
     exec("\n".join(src), ns)
     return ns["_f"]
+
+
+def arm_contexts(t: Tape, roots):
+    """Where demand-driven evaluation of ``roots``, (node id, context)
+    pairs, computes each node it reaches.  Contexts 0 and 1 are the
+    outermost, 1 inside 0.  A branch b with an arm that can raise (it
+    holds a division or an elementary function) opens, in each context c
+    it runs in, the contexts ``opened[c, b]`` of its then-arm and that
+    plus one of its else-arm.  A node gets the fewest contexts that cover
+    its uses: both arms of a branch merge into the branch's context, and
+    one inside another it has is dropped.  So a node that one arm alone
+    uses runs only when that arm is taken, and one that arms of two
+    branches use runs in each of them: computing it once around both could
+    raise where neither arm is taken (the tangent of a switched division
+    reuses the quotient that way).  Returns ``place`` (node id ->
+    contexts) and ``opened``.
+    """
+    uses, place, risky, opened = defaultdict(set), {}, [], {}
+    up = [None, 0]          # per context: the one around it, numbered before it
+    for n in t.nodes:
+        risky.append(n.op in ("div", "apply") or any(risky[c] for c in n.children()))
+    for nid, ctx in roots:
+        uses[nid].add(ctx)
+
+    def covered(k, cs):     # a context around k is in cs
+        k = up[k]
+        while k is not None and k not in cs:
+            k = up[k]
+        return k is not None
+
+    for nid in range(len(t.nodes) - 1, -1, -1):
+        cs, n = uses.pop(nid, set()), t.nodes[nid]
+        newest = [-k for k in cs] if len(cs) > 1 else []
+        heapq.heapify(newest)
+        while newest:           # merge arm pairs, innermost (highest number) first
+            k = -heapq.heappop(newest)
+            if k > 1 and {k, k ^ 1} <= cs:
+                cs -= {k, k ^ 1}
+                cs.add(up[k])
+                heapq.heappush(newest, -up[k])
+        if len(cs) > 1:
+            cs = {k for k in cs if not covered(k, cs)}
+        if cs:
+            place[nid] = cs
+        arms = n.op == "branch" and (risky[n.a] or risky[n.b])
+        for c in cs:
+            if not arms:
+                for child in n.children():
+                    uses[child].add(c)
+                continue
+            k = opened.setdefault((c, nid), len(up))
+            if k == len(up):
+                up += [c, c]
+            uses[n.cond].add(c)
+            uses[n.a].add(k)
+            uses[n.b].add(k + 1)
+    return place, opened
+
+
+def guarded_source(t: Tape, place, opened, skip, ctx: int) -> list[str]:
+    """Statements computing the nodes not in ``skip`` that ``place`` (from
+    ``arm_contexts``) puts in context ``ctx`` or inside it: in id order,
+    with each branch's arms just before it.  Arm context k is the flag
+    ``_c<k>``, true when its arm is live and taken, that guards the
+    statements in it (``if _c3: ...``), so the code stays flat however
+    deep arms nest."""
+    by_ctx = defaultdict(list)
+    for nid in sorted(set(place) - skip):
+        for c in place[nid] if t.nodes[nid].op != "const" else ():
+            by_ctx[c].append(nid)
+    lines, todo = [], [(ctx, iter(by_ctx[ctx]))]
+    while todo:
+        c, items = todo[-1]
+        nid = next(items, None)
+        guard, live = (f"if _c{c}: ", f"_c{c} and ") if c > 1 else ("", "")
+        if nid is None:
+            todo.pop()
+            continue
+        if isinstance(nid, str):            # a branch's value, after its arms
+            lines.append(nid)
+            continue
+        a = opened.get((c, nid), -2)        # its then-arm context; -2: it opens none
+        if a not in by_ctx and a + 1 not in by_ctx:
+            lines.append(guard + node_source(t, nid))
+            continue
+        n = t.nodes[nid]
+        lines += [f"_c{a} = {live}{node_ref(t, n.cond)} >= {n.threshold!r}",
+                  f"_c{a + 1} = {live}not _c{a}"]
+        todo += [(c, iter([f"{guard}_v{nid} = {node_ref(t, n.a)} if _c{a} else {node_ref(t, n.b)}"])),
+                 (a + 1, iter(by_ctx.get(a + 1, ()))), (a, iter(by_ctx.get(a, ())))]
+    return lines
 
 
 # ---------------------------------------------------------------------------

@@ -257,3 +257,19 @@ def test_time_parameter_name_reserved():
     doc["params"]["t"] = 1.0
     with pytest.raises(FlattenError):
         flatten(_diag(doc))
+
+
+def test_long_chain_listed_consumer_first_flattens():
+    # each Gain is declared before the Gain that drives it, so lowering the
+    # first block reaches down the whole chain before emitting anything
+    n = 3000
+    blocks = [{"id": f"G{i}", "kind": "Gain", "gain": 2.0 if i == 0 else 1.0}
+              for i in range(n - 1, -1, -1)]
+    links = [{"from": f"G{i}.out", "to": f"G{i + 1}.in"} for i in range(n - 1)]
+    blocks += [{"id": "U", "kind": "Step"}, {"id": "I", "kind": "Integrator", "initial": 0.0}]
+    links += [{"from": "U.out", "to": "G0.in"}, {"from": f"G{n - 1}.out", "to": "I.in"}]
+    m = flatten(_diag({"schema": 1, "name": "chain", "params": {}, "blocks": blocks,
+                       "links": links, "outputs": [{"name": "y", "from": "I.out"}]}))
+    assert sum(nd.op == "mul" for nd in m.tape.nodes) == n
+    tr = integrate(m, SimConfig(step=0.25, tf=1.0))
+    assert tr.output("y")[-1] == 2.0

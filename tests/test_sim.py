@@ -1,9 +1,11 @@
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from conftest import random_tape
 from hybridad import (
     DelaySlot,
     EvalDomainError,
@@ -16,14 +18,18 @@ from hybridad import (
     SensitivityAcrossEvent,
     SimConfig,
     SingularMetric,
+    Tape,
     TapeBuilder,
     dde_extend,
+    flatten,
     impact_event,
     impact_update,
     integrate,
+    parse_diagram,
     parse_expr,
     sensitivity_extend,
     smooth_heaviside,
+    tape_eval,
 )
 from hybridad import sim
 from hybridad.ops import Pow
@@ -530,7 +536,7 @@ def test_csv_determinism():
 # ---------------------------------------------------------------------------
 
 def _count_evaluations(monkeypatch):
-    """Counts calls of every compiled tape the simulator builds, by tape id."""
+    """Counts calls of every compiled guard tape the simulator builds, by tape id."""
     counts = {}
     compile_tape = sim.compile_tape
 
@@ -547,19 +553,47 @@ def _count_evaluations(monkeypatch):
     return counts
 
 
+def _count_model_evaluations(monkeypatch):
+    """Records the ``full`` flag of every call of the generated model
+    evaluator ``ev``: the march's calls at accepted nodes and the RK
+    stages inside the generated ``step``, which reaches ``ev`` through its
+    closure."""
+    calls = []
+    generate = sim._generate_stepper
+
+    def counting_generate(m, method):
+        make = generate(m, method)
+
+        def counted_make(*args):
+            ev, step = make(*args)
+
+            def counted(*a):
+                calls.append(a[-1])
+                return ev(*a)
+            step.__closure__[step.__code__.co_freevars.index("ev")].cell_contents = counted
+            return counted, step
+        return counted_make
+
+    monkeypatch.setattr(sim, "_generate_stepper", counting_generate)
+    return calls
+
+
 @pytest.mark.parametrize("method, per_step", [("rk4", 4), ("midpoint", 2)])
 def test_rhs_evaluations_per_step(monkeypatch, method, per_step):
-    counts = _count_evaluations(monkeypatch)
+    calls = _count_model_evaluations(monkeypatch)
     m = _decay_model()
     tr = integrate(m, SimConfig(step=0.01, tf=1.0, method=method))
     steps = len(tr.times) - 1
     assert steps == 100
     # the rhs at each accepted node is the next step's first stage
-    assert counts[id(m.tape)] == 1 + per_step * steps
+    assert len(calls) == 1 + per_step * steps
+    # outputs are read at the accepted nodes only
+    assert calls.count(True) == 1 + steps
 
 
 def test_guard_evaluated_once_per_accepted_node(monkeypatch):
     counts = _count_evaluations(monkeypatch)
+    calls = _count_model_evaluations(monkeypatch)
     m = _decay_model()
     gb = TapeBuilder(2)
     guard = gb.build([gb.sub(gb.input(0), gb.const(10.0))])     # never crosses
@@ -568,13 +602,13 @@ def test_guard_evaluated_once_per_accepted_node(monkeypatch):
                        events=(EventSpec(guard, lambda x, t: x),))
     tr = integrate(m, SimConfig(step=0.01, tf=1.0))
     assert not tr.events
-    assert counts[id(guard)] == len(tr.times)
+    assert counts[id(guard)] == len(tr.times) == calls.count(True)
 
 
-def test_dead_arm_falls_back_for_that_evaluation_only(monkeypatch):
-    # x' = 1 if t >= 0.5 else 1/(t - 0.5): the compiled code evaluates the
-    # dead arm and divides by zero at t = 0.5, where the interpreter takes
-    # the live one
+def test_dead_arm_is_never_evaluated(monkeypatch):
+    # x' = 1 if t >= 0.5 else 1/(t - 0.5): the else arm would divide by
+    # zero at t = 0.5, where the generated code takes the then arm only, so
+    # the interpreter is never called
     b = TapeBuilder(2)
     tn = b.input(1)
     one = b.const(1.0)
@@ -586,10 +620,173 @@ def test_dead_arm_falls_back_for_that_evaluation_only(monkeypatch):
     monkeypatch.setattr(sim, "tape_eval",
                         lambda t, vals: interpreted.append(vals[1]) or tape_eval(t, vals))
     tr = integrate(m, SimConfig(step=0.25, tf=2.0))
-    # the last stage of the step into t = 0.5 and the node there
-    assert interpreted == [0.5, 0.5]
+    assert interpreted == []
     y = tr.output("y")
     assert np.allclose(np.diff(y[tr.times >= 0.5]), 0.25, rtol=0.0, atol=1e-12)
+
+
+def test_dead_arms_of_two_branches_sharing_a_node(monkeypatch):
+    # the sensitivity of x' = 1 if t >= 0.5 else p/(t - 0.5) reads the
+    # quotient in the else arms of two branches: the model's and its
+    # tangent's.  Computing it once around both would divide by zero at
+    # t = 0.5, where neither arm is taken.
+    b = TapeBuilder(3)
+    tn = b.input(1)
+    one = b.const(1.0)
+    rhs = b.branch(tn, 0.5, one, b.div(b.input(2), b.sub(tn, b.const(0.5))))
+    m = make_ode_model(1, b.build([rhs, b.input(0)]), ("p",), {"p": 1.0}, ("x",), ("y",),
+                       init_exprs=(parse_expr(0.0),))
+    ms = sensitivity_extend(m, "p")
+    interpreted = []
+    tape_eval = sim.tape_eval
+    monkeypatch.setattr(sim, "tape_eval",
+                        lambda t, vals: interpreted.append(vals[1]) or tape_eval(t, vals))
+    tr = integrate(ms, SimConfig(step=0.25, tf=1.0))
+    assert interpreted == []
+    assert tr.states[-1].tolist() == [tr.states[2][0] + 0.5, tr.states[2][1]]
+
+
+# ---------------------------------------------------------------------------
+# the generated step against a reference march
+# ---------------------------------------------------------------------------
+
+def _reference_march(m, c):
+    """The march of ``integrate`` for a model without events or delays,
+    written with ``tape_eval``: RK stages read the rhs only, accepted nodes
+    read every output, and node times are ``anchor_t + (k + 1) * step``.
+    A failing evaluation is named by ``tape_eval`` of the whole tape."""
+    n = m.n
+    rhs_tape = Tape(m.tape.nodes, m.tape.num_inputs, m.tape.outputs[:n])
+    theta = [m.params[p] for p in m.param_names]
+
+    def f(x, t):
+        try:
+            return tape_eval(rhs_tape, x + [t] + theta)
+        except EvalDomainError:
+            tape_eval(m.tape, x + [t] + theta)
+            raise
+
+    def node(x, t):
+        out = tape_eval(m.tape, x + [t] + theta)
+        return out[:n], out[n:]
+
+    t = c.t0
+    x = m.initial_state(m.params).tolist()
+    for i, lo, hi in m.state_clamps:
+        x[i] = min(hi, max(lo, x[i]))
+    k1, y = node(x, t)
+    times, states, outputs = [t], [x], [y]
+    anchor_t, k = t, 0
+    while t < c.tf - 1e-12 * max(1.0, abs(c.tf)):
+        t_next = min(anchor_t + (k + 1) * c.step, c.tf)
+        h = t_next - t
+        hh = 0.5 * h
+        k2 = f([a + hh * b for a, b in zip(x, k1)], t + hh)
+        if c.method == "midpoint":
+            x = [a + h * b for a, b in zip(x, k2)]
+        else:
+            k3 = f([a + hh * b for a, b in zip(x, k2)], t + hh)
+            k4 = f([a + h * b for a, b in zip(x, k3)], t + h)
+            h6 = h / 6.0
+            x = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                 for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+        for i, lo, hi in m.state_clamps:
+            x[i] = min(hi, max(lo, x[i]))
+        t, k = t_next, k + 1
+        k1, y = node(x, t)
+        times.append(t)
+        states.append(x)
+        outputs.append(y)
+    return times, states, outputs
+
+
+def _hex(rows):
+    return [[float(v).hex() for v in np.atleast_1d(r)] for r in rows]
+
+
+def _random_model(seed, clamp=False):
+    """A model over a random tape with branch nodes: inputs [x (n), t,
+    theta (s)], rhs and outputs drawn among its nodes."""
+    rng = np.random.default_rng(seed)
+    n, s = int(rng.integers(1, 4)), int(rng.integers(0, 3))
+    tape, x0 = random_tape(rng, max_nodes=80, num_inputs=n + 1 + s,
+                           ops=("add", "sub", "mul", "div", "apply", "branch"))
+    picks = [int(i) for i in rng.integers(n + 1 + s, len(tape), n + 2)]
+    outs = tuple(tape.outputs[:1]) + tuple(picks)
+    names = [f"p{k}" for k in range(s)]
+    clamps = tuple((i, x0[i] - 0.01, x0[i] + 0.01) for i in range(n)) if clamp else ()
+    m = make_ode_model(n, Tape(tape.nodes, tape.num_inputs, outs), names,
+                       dict(zip(names, x0[n + 1:])), [f"x{i}" for i in range(n)],
+                       [f"y{i}" for i in range(len(outs) - n)],
+                       init_exprs=tuple(parse_expr(float(v)) for v in x0[:n]),
+                       state_clamps=clamps)
+    return m, float(x0[n])
+
+
+@pytest.mark.parametrize("method", ["rk4", "midpoint"])
+def test_generated_step_matches_reference_march_bitwise(method):
+    branchy = ran = 0
+    for seed in range(40):
+        m, t0 = _random_model(seed, clamp=seed == 0)
+        branchy += any(nd.op == "branch" for nd in m.tape.nodes)
+        c = SimConfig(step=2e-3, tf=t0 + 0.05, t0=t0, method=method)
+        try:
+            want = _reference_march(m, c)
+        except EvalDomainError as exc:
+            with pytest.raises(EvalDomainError) as got:
+                integrate(m, c)
+            assert got.value.node_id == exc.node_id
+            continue
+        tr = integrate(m, c)
+        ran += 1
+        assert [float(v).hex() for v in tr.times] == [float(v).hex() for v in want[0]]
+        assert _hex(tr.states) == _hex(want[1])
+        assert _hex(tr.outputs) == _hex(want[2])
+    assert branchy >= 30 and ran >= 30
+
+
+def test_non_finite_constants_in_generated_step():
+    # x' = 1 while x >= -inf, y = x + inf
+    b = TapeBuilder(2)
+    x = b.input(0)
+    rhs = b.branch(x, -math.inf, b.const(1.0), b.const(0.0))
+    m = make_ode_model(1, b.build([rhs, b.add(x, b.const(math.inf))]), (), {}, ("x",), ("y",),
+                       init_exprs=(parse_expr(0.0),))
+    tr = integrate(m, SimConfig(step=0.25, tf=1.0))
+    assert tr.states[-1, 0] == 1.0 and np.all(tr.output("y") == math.inf)
+
+
+def _stage_only_pole_model(t_pole):
+    """x' = (t - t_pole) / (t - t_pole), which is 1 except at t_pole where it
+    divides zero by zero; y = x."""
+    b = TapeBuilder(2)
+    d = b.sub(b.input(1), b.const(t_pole))
+    rhs = b.div(d, d)
+    return make_ode_model(1, b.build([rhs, b.input(0)]), (), {}, ("x",), ("y",),
+                          init_exprs=(parse_expr(0.0),)), rhs
+
+
+def test_domain_error_at_inner_stage_names_the_node():
+    # t = 0.125 is the midpoint stage of the first step of 0.25, never a node
+    m, rhs = _stage_only_pole_model(0.125)
+    with pytest.raises(EvalDomainError) as exc:
+        integrate(m, SimConfig(step=0.25, tf=1.0))
+    assert exc.value.node_id == rhs
+
+
+def test_domain_error_inside_event_bisection_names_the_node():
+    # the guard x - 0.3 crosses in the step from 0.25 to 0.5; the first
+    # bisection sub-step of 0.125 has its midpoint stage at t = 0.3125,
+    # which the march itself never visits
+    m, rhs = _stage_only_pole_model(0.3125)
+    gb = TapeBuilder(2)
+    guard = gb.build([gb.sub(gb.input(0), gb.const(0.3))])
+    m = make_ode_model(1, m.tape, (), {}, m.state_names, m.output_names,
+                       init_exprs=m.init_exprs, events=(EventSpec(guard, lambda x, t: x),))
+    assert integrate(m, SimConfig(step=0.25, tf=0.25)).states[-1][0] == 0.25
+    with pytest.raises(EvalDomainError) as exc:
+        integrate(m, SimConfig(step=0.25, tf=1.0))
+    assert exc.value.node_id == rhs
 
 
 def test_fractional_power_of_negative_state_is_a_domain_error():
@@ -719,3 +916,54 @@ def test_vector_extension_columns_equal_scalar_extension(model, names, config):
             assert _same_bits(ev.post_outputs[iy], ev1.post_outputs)
     if model is _height_bounce_model:
         assert len(tr.events) == 1
+
+
+def _integrate_both(doc, tf):
+    """``integrate`` and the reference march of a flattened diagram, as hex."""
+    m = flatten(parse_diagram(json.dumps(doc)))
+    c = SimConfig(step=0.05, tf=tf)
+    tr, want = integrate(m, c), _reference_march(m, c)
+    return (_hex(tr.states), _hex(tr.outputs)), (_hex(want[1]), _hex(want[2]))
+
+
+def test_deeply_nested_arms_lookup_table():
+    # every breakpoint test reads sin(x), so each segment of the table's
+    # branch chain sits in an arm that could raise: 200 nested arms
+    bp = np.linspace(-1.0, 1.0, 200).tolist()
+    doc = {"schema": 1, "name": "lut", "params": {},
+           "blocks": [{"id": "U", "kind": "Step", "time": 0.0, "level": 1.0},
+                      {"id": "X", "kind": "Integrator", "initial": 0.0},
+                      {"id": "F", "kind": "Fn", "fn": "sin"},
+                      {"id": "L", "kind": "LookupTable1D", "breakpoints": bp,
+                       "values": [v * v for v in bp]},
+                      {"id": "Y", "kind": "Integrator", "initial": 0.0}],
+           "links": [{"from": "U.out", "to": "X.in"}, {"from": "X.out", "to": "F.in"},
+                     {"from": "F.out", "to": "L.in"}, {"from": "L.out", "to": "Y.in"}],
+           "outputs": [{"name": "l", "from": "L.out"}, {"name": "y", "from": "Y.out"}]}
+    got, want = _integrate_both(doc, 2.0)
+    assert got == want
+
+
+def test_deeply_nested_arms_switch_cascade():
+    # S{k} passes S{k-1} while sin(x) >= k / 200 and log(1 + x) otherwise
+    k_max = 150
+    blocks = [{"id": "U", "kind": "Step", "time": 0.0, "level": 1.0},
+              {"id": "X", "kind": "Integrator", "initial": 0.0},
+              {"id": "F", "kind": "Fn", "fn": "sin"},
+              {"id": "C", "kind": "Constant", "value": 1.0},
+              {"id": "A", "kind": "Sum", "signs": "++"},
+              {"id": "G", "kind": "Fn", "fn": "log"},
+              {"id": "Y", "kind": "Integrator", "initial": 0.0}]
+    links = [{"from": "U.out", "to": "X.in"}, {"from": "X.out", "to": "F.in"},
+             {"from": "X.out", "to": "A.in1"}, {"from": "C.out", "to": "A.in2"},
+             {"from": "A.out", "to": "G.in"}, {"from": "G.out", "to": "S0.in1"},
+             {"from": f"S{k_max - 1}.out", "to": "Y.in"}]
+    for k in range(k_max):
+        blocks.append({"id": f"S{k}", "kind": "Switch", "threshold": k / 200})
+        links += [{"from": "F.out", "to": f"S{k}.in2"}, {"from": "G.out", "to": f"S{k}.in3"}]
+        if k:
+            links.append({"from": f"S{k - 1}.out", "to": f"S{k}.in1"})
+    doc = {"schema": 1, "name": "cascade", "params": {}, "blocks": blocks, "links": links,
+           "outputs": [{"name": "s", "from": f"S{k_max - 1}.out"}, {"name": "y", "from": "Y.out"}]}
+    got, want = _integrate_both(doc, 1.0)
+    assert got == want

@@ -245,6 +245,14 @@ def test_compiled_matches_interpreted_bitwise():
         assert f(list(x0)) == tape_eval(t, x0)
 
 
+def test_compiled_non_finite_constants():
+    b = TapeBuilder(1)
+    x = b.input(0)
+    t = b.build([b.add(x, b.const(math.inf)),
+                 b.branch(x, -math.inf, b.mul(x, b.const(math.nan)), x)])
+    assert str(compile_tape(t)([1.0])) == str(tape_eval(t, [1.0])) == "[inf, nan]"
+
+
 def test_jvp_tape_matches_forward():
     rng = np.random.default_rng(37)
     for _ in range(10):
