@@ -7,7 +7,8 @@ A file given as ``NAME=PATH`` puts its runs on side NAME (for example
 ``parent=`` and ``change=``); other runs go on a side named by their git
 commit.  For each side and workload the record holds the median, the
 quartiles and every value of each metric, the runs' seeds, commits, source
-digests and failure counts, and the host.  The record also holds the HEAD
+digests and failure counts, and the host; traced (``--trace 1``) runs of a
+workload are kept apart from its untraced runs.  The record also holds the HEAD
 commit and source digest of the checkout it is written in, and names the
 sides whose runs measured exactly those sources: runs of an uncommitted
 tree report no commit, and the digest is what ties them to the code that
@@ -73,10 +74,13 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
 
 
 def summarize(runs: list[dict]) -> dict:
-    """Per workload: seeds, failures and the spread of each metric."""
+    """Per workload: seeds, failures and the spread of each metric.  Traced
+    runs report per-layer metrics in place of the end-to-end ones, so they
+    are summarized apart, under "<workload> traced"."""
     by_workload: dict[str, list[dict]] = {}
     for r in runs:
-        by_workload.setdefault(r["env"]["workload"], []).append(r)
+        key = r["env"]["workload"] + (" traced" if r["env"]["trace"] else "")
+        by_workload.setdefault(key, []).append(r)
     out = {}
     for wl, rs in sorted(by_workload.items()):
         metrics = {}

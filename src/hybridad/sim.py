@@ -6,9 +6,10 @@ and delayed quantities live on one tape with input layout::
     [x_0..x_{n-1}, t, theta_0..theta_{s-1}, dval_0.., dslope_0..]
 
 ``dval_j``/``dslope_j`` are the value and time-slope of delay slot j's
-carried expression at ``t - h_j``, provided by the integrator from the
-recorded trajectory (cubic Hermite between accepted nodes, prehistory
-expression before the start time).
+carried expression at ``t - h_j``, provided by the integrator from one
+history per call that stores the accepted node times once for all slots:
+cubic Hermite between nodes, found by one forward cursor per distinct
+delay, and the prehistory expression before the start time.
 
 Event handling is sign-change detection on guard tapes between accepted
 steps, bisection localization to the configured tolerance, a two-phase
@@ -243,72 +244,84 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 class _History:
-    """Per-slot record of (time, value, slope) with cubic interpolation."""
+    """The delay record of one integration: the node times once (every
+    slot is pushed at the same nodes), one row of slot values and one of
+    slopes per node.  Slots are grouped by their evaluated delay; each
+    group keeps an interval cursor that walks forward with the march and
+    falls back to bisection when an event bisection reads behind it."""
 
-    def __init__(self, slot: DelaySlot, env, t_start: float):
+    def __init__(self, slots: Sequence[DelaySlot], delays: list[float], env, t_start: float):
         self.t_start = t_start
         self.tol = 1e-9 * max(1.0, abs(t_start))
         self.env = env
         self.times: list[float] = []
-        self.values: list[float] = []
-        self.slopes: list[float] = []
-        if slot.prehistory is not None:
-            self._pre = slot.prehistory
-            self._dpre = slot.prehistory.diff("t")
-        else:
-            self._pre = None
-            self._dpre = None
+        self.values: list[list[float]] = []      # per node: one value per slot
+        self.slopes: list[list[float]] = []
+        self.pre = [None if s.prehistory is None else (s.prehistory, s.prehistory.diff("t"))
+                    for s in slots]
+        self.groups = [(h, [j for j, d in enumerate(delays) if d == h])
+                       for h in dict.fromkeys(delays)]
+        self.cursors = [0] * len(self.groups)
 
-    def push(self, t: float, v: float, s: float):
+    def push(self, t: float, values: list[float], slopes: list[float]):
         self.times.append(t)
-        self.values.append(v)
-        self.slopes.append(s)
+        self.values.append(values)
+        self.slopes.append(slopes)
 
-    def _pre_value(self, tau: float) -> tuple[float, float]:
-        if self._pre is None:
-            raise DelayUnderflow(
-                f"lookup at t={tau} precedes history and no prehistory is defined")
-        env = dict(self.env)
-        env["t"] = tau
-        return self._pre.evaluate(env), self._dpre.evaluate(env)
+    def _pre_values(self, tau: float, js: list[int], out: list[float]):
+        env = {**self.env, "t": tau}
+        for j in js:
+            if self.pre[j] is None:
+                raise DelayUnderflow(
+                    f"lookup at t={tau} precedes history and no prehistory is defined")
+            out[j], out[len(self.pre) + j] = (e.evaluate(env) for e in self.pre[j])
 
-    def lookup(self, tau: float, prefer_pre: bool = False) -> tuple[float, float]:
-        """Value and time-slope of the carried signal at time tau.
+    def lookup(self, t: float, anchor: float) -> list[float]:
+        """Values, then time-slopes, of each slot's carried signal at t minus
+        its delay, for the step started at ``anchor``; one basis per group.
 
         The carried signal may jump at the start time (prehistory on one
-        side, dynamics on the other); ``prefer_pre`` selects the left
-        limit when the lookup lands exactly on that boundary, so steps
-        on either side of an aligned breakpoint both see a consistent
-        one-sided right-hand side.
+        side, dynamics on the other); a step that starts left of that
+        boundary reads the left limit on it and one starting on it the
+        right, so steps on either side of an aligned breakpoint both see
+        a consistent one-sided right-hand side.
         """
-        if tau < self.t_start - self.tol or (prefer_pre and tau <= self.t_start + self.tol):
-            return self._pre_value(tau)
-        if not self.times:
-            return self._pre_value(tau)
-        tau = max(tau, self.times[0])
-        if tau >= self.times[-1]:
-            # clamp to the newest node (reachable only by roundoff)
-            return self.values[-1], self.slopes[-1]
-        i = bisect.bisect_right(self.times, tau) - 1
-        t0, t1 = self.times[i], self.times[i + 1]
-        if t1 == t0:
-            return self.values[i + 1], self.slopes[i + 1]
-        w = (tau - t0) / (t1 - t0)
-        h = t1 - t0
-        v0, v1 = self.values[i], self.values[i + 1]
-        s0, s1 = self.slopes[i], self.slopes[i + 1]
-        h00 = (1 + 2 * w) * (1 - w) ** 2
-        h10 = w * (1 - w) ** 2
-        h01 = w * w * (3 - 2 * w)
-        h11 = w * w * (w - 1)
-        val = h00 * v0 + h10 * h * s0 + h01 * v1 + h11 * h * s1
-        dw = 1.0 / h
-        d00 = 6 * w * (w - 1) * dw
-        d10 = (3 * w * w - 4 * w + 1)
-        d01 = -6 * w * (w - 1) * dw
-        d11 = (3 * w * w - 2 * w)
-        slope = d00 * v0 + d10 * s0 + d01 * v1 + d11 * s1
-        return val, slope
+        J, times = len(self.pre), self.times
+        out = [0.0] * (2 * J)
+        left = self.t_start - self.tol
+        for g, (h, js) in enumerate(self.groups):
+            tau = t - h
+            if tau < left or (anchor - h < left and tau <= self.t_start + self.tol) or not times:
+                self._pre_values(tau, js, out)
+                continue
+            tau = max(tau, times[0])
+            if tau >= times[-1]:        # clamp to the newest node (roundoff only)
+                for j in js:
+                    out[j], out[J + j] = self.values[-1][j], self.slopes[-1][j]
+                continue
+            i = self.cursors[g]
+            if times[i] > tau:
+                i = bisect.bisect_right(times, tau) - 1
+            while times[i + 1] <= tau:
+                i += 1
+            self.cursors[g] = i
+            t0, t1 = times[i], times[i + 1]
+            dt = t1 - t0
+            w = (tau - t0) / dt
+            h00 = (1 + 2 * w) * (1 - w) ** 2
+            h10 = w * (1 - w) ** 2 * dt
+            h01 = w * w * (3 - 2 * w)
+            h11 = w * w * (w - 1) * dt
+            dw = 1.0 / dt
+            d00 = 6 * w * (w - 1) * dw
+            d10 = (3 * w * w - 4 * w + 1)
+            d01 = -6 * w * (w - 1) * dw
+            d11 = (3 * w * w - 2 * w)
+            (v0, v1), (s0, s1) = self.values[i:i + 2], self.slopes[i:i + 2]
+            for j in js:
+                out[j] = h00 * v0[j] + h10 * s0[j] + h01 * v1[j] + h11 * s1[j]
+                out[J + j] = d00 * v0[j] + d10 * s0[j] + d01 * v1[j] + d11 * s1[j]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +381,7 @@ def _generate_stepper(m: OdeModel, method: str):
     src = [f"def _make({', '.join(['_r'] + arg[n + 1:n + 1 + s])}):",
            *("    " + node_source(tape, nid) for nid in hoist if nodes[nid].op != "const"),
            f"    def ev({', '.join(arg[:n + 1])}, full):",
-           *([f"        [{', '.join(arg[n + 1 + s:])}] = sum(_r._delayed({arg[n]}), [])"]
+           *([f"        [{', '.join(arg[n + 1 + s:])}] = _r._delayed({arg[n]})"]
              if m.delays else []),
            "        try:",
            *(" " * 12 + line for line in guarded_source(tape, place, opened, bound, 0)),
@@ -401,7 +414,7 @@ def _generate_stepper(m: OdeModel, method: str):
 
 class _Runner:
     """Owns the per-call mutable state of one integration: parameters and
-    delay histories.  States are lists of floats, stepped with the same
+    the delay history.  States are lists of floats, stepped with the same
     IEEE operations in the same order as array arithmetic, without
     numpy's cost on tiny vectors."""
 
@@ -411,12 +424,12 @@ class _Runner:
         self.J = len(m.delays)
         self.h_delays = [slot.delay.evaluate(env) for slot in m.delays]
         for h in self.h_delays:
-            if h < c.step:
+            if not h >= c.step:
                 raise ValueError(f"delay {h} smaller than the step {c.step}")
-        self.histories = [_History(slot, env, t_start) for slot in m.delays]
+        self.history = _History(m.delays, self.h_delays, env, t_start)
         self.step_anchor = t_start       # start time of the step in progress
-        # (t, step_anchor) -> delayed values and slopes, since the last push
-        self.lookups: dict[tuple[float, float], tuple[list, list]] = {}
+        # (t, step_anchor) -> [dval.., dslope..], since the last push
+        self.lookups: dict[tuple[float, float], list[float]] = {}
         # slope tape: time-derivative of the slot expressions
         self.slope_eval = self._build_slope_eval() if self.J else None
 
@@ -442,22 +455,14 @@ class _Runner:
     def _delayed(self, t):
         key = (t, self.step_anchor)
         if key not in self.lookups:
-            # a step that starts left of the prehistory boundary reads the
-            # left limit at the boundary; one starting on it reads the right
-            found = [hist.lookup(t - h, self.step_anchor - h < hist.t_start - hist.tol)
-                     for h, hist in zip(self.h_delays, self.histories)]
-            self.lookups[key] = [v for v, _ in found], [s for _, s in found]
+            self.lookups[key] = self.history.lookup(t, self.step_anchor)
         return self.lookups[key]
 
     def record(self, t, x, rhs, slots):
-        if not self.J:
-            return
         # the node being recorded opens the next segment: right-sided lookups
         self.step_anchor = t
-        dv, ds = self._delayed(t)
-        slopes = self.slope_eval(x + [t] + self.theta + dv + ds + rhs + ds)
-        for j, hist in enumerate(self.histories):
-            hist.push(t, slots[j], slopes[j])
+        d = self._delayed(t)
+        self.history.push(t, slots, self.slope_eval(x + [t] + self.theta + d + rhs + d[self.J:]))
         self.lookups.clear()     # lookups near the new node may now interpolate
 
 
@@ -496,10 +501,11 @@ def integrate(m: OdeModel, c: SimConfig, theta=None) -> Trajectory:
     try:
         ev, step = m._steppers[c.method](r, *r.theta)
     except _ARITH_ERRORS:       # a parameter-only node failed: the interpreter names it
-        tape_eval(m.tape, x + [t] + r.theta + sum(r._delayed(t), []))
+        tape_eval(m.tape, x + [t] + r.theta + r._delayed(t))
         raise
     f0, y0, slots0 = ev(*x, t, True)      # f0: rhs at (x, t), the next k1
-    r.record(t, x, f0, slots0)
+    if r.J:
+        r.record(t, x, f0, slots0)
     times, states, outputs = [t], [x], [y0]
     events: list[EventRecord] = []
 
@@ -535,7 +541,8 @@ def integrate(m: OdeModel, c: SimConfig, theta=None) -> Trajectory:
             t_star, x_pre = _locate_event(step, guards[fired], x, t, h, f0,
                                           g_prev[fired], x_new, tol)
             rhs_pre, y_pre, slots_pre = ev(*x_pre, t_star, True)
-            r.record(t_star, x_pre, rhs_pre, slots_pre)
+            if r.J:
+                r.record(t_star, x_pre, rhs_pre, slots_pre)
             if t_star < last_fire[fired] + deadtimes[fired]:
                 # crossing still inside the deadtime: pass through silently;
                 # rhs_pre read the delays anchored at the old step's start
@@ -549,7 +556,8 @@ def integrate(m: OdeModel, c: SimConfig, theta=None) -> Trajectory:
                                   ImpactSensitivityWarning, stacklevel=2)
                 x = _apply_action(m.events[fired], x_pre, t_star)
                 f0, y_post, slots_post = ev(*x, t_star, True)
-                r.record(t_star, x, f0, slots_post)
+                if r.J:
+                    r.record(t_star, x, f0, slots_post)
                 events.append(EventRecord(t_star, fired, np.array(x_pre), np.array(x),
                                           np.asarray(y_pre), np.asarray(y_post)))
                 last_fire[fired] = t_star
@@ -567,9 +575,11 @@ def integrate(m: OdeModel, c: SimConfig, theta=None) -> Trajectory:
         x = x_new
         r.step_anchor = t        # node values are right-continuous at jumps
         f0, y_n, slots_n = ev(*x, t, True)
-        r.record(t, x, f0, slots_n)
-        g_prev = [_guard_value(g, x, t) if v is None else v
-                  for g, v in zip(guards, g_new)]
+        if r.J:
+            r.record(t, x, f0, slots_n)
+        if guards:
+            g_prev = [_guard_value(g, x, t) if v is None else v
+                      for g, v in zip(guards, g_new)]
         times.append(t)
         states.append(x)
         outputs.append(y_n)

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -494,6 +495,11 @@ def test_delay_smaller_than_step_rejected():
         integrate(m, SimConfig(step=0.7, tf=2.0))
 
 
+def test_nan_delay_rejected():
+    with pytest.raises(ValueError, match="delay nan smaller than the step"):
+        integrate(_dde_model(math.nan), SimConfig(step=0.1, tf=1.0))
+
+
 def test_delay_underflow_without_prehistory():
     b = TapeBuilder(5)
     x = b.input(0)
@@ -504,6 +510,22 @@ def test_delay_underflow_without_prehistory():
                        delays=(DelaySlot(parse_expr("h"), None),))
     from hybridad import DelayUnderflow
     with pytest.raises(DelayUnderflow):
+        integrate(m, SimConfig(step=1e-2, tf=1.0))
+
+
+@pytest.mark.parametrize("undefined", [0, 1])
+def test_delay_underflow_with_one_slot_of_a_delay_undefined(undefined):
+    # two slots on the same delay: one has a prehistory, the other has none
+    b = TapeBuilder(7)          # [x, t, h, xdel_1, xdel_2, xdelslope_1, xdelslope_2]
+    x = b.input(0)
+    t = b.build([b.neg(b.add(b.input(3), b.input(4))), x, x, x])
+    slots = [DelaySlot(parse_expr("h"), parse_expr("1 + t"))] * 2
+    slots[undefined] = DelaySlot(parse_expr("h"), None)
+    m = make_ode_model(1, t, ("h",), {"h": 0.5}, ("x",), ("y",),
+                       init_exprs=(parse_expr(1.0),), delays=tuple(slots))
+    from hybridad import DelayUnderflow
+    with pytest.raises(DelayUnderflow, match="^lookup at t=-0.5 precedes history "
+                                             "and no prehistory is defined$"):
         integrate(m, SimConfig(step=1e-2, tf=1.0))
 
 
@@ -967,3 +989,51 @@ def test_deeply_nested_arms_switch_cascade():
            "outputs": [{"name": "s", "from": f"S{k_max - 1}.out"}, {"name": "y", "from": "Y.out"}]}
     got, want = _integrate_both(doc, 1.0)
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# golden delay trajectories
+# ---------------------------------------------------------------------------
+
+def _delay_reset_model():
+    """x'(t) = 1 - x(t - h) / 2 with prehistory t / 4 and h = 0.37 off the
+    grid; x is reset to 0.1 whenever it rises through 0.6, so event
+    bisections read the history behind the latest lookups."""
+    b = TapeBuilder(5)          # [x, t, h, xdel, xdelslope]
+    x = b.input(0)
+    t = b.build([b.sub(b.const(1.0), b.mul(b.const(0.5), b.input(3))), x, x])
+    gb = TapeBuilder(2)         # [x, t]
+    guard = gb.build([gb.sub(gb.input(0), gb.const(0.6))])
+    return make_ode_model(
+        1, t, ("h",), {"h": 0.37}, ("x",), ("y",), init_exprs=(parse_expr(0.0),),
+        events=(EventSpec(guard, lambda x, t: np.full_like(x, 0.1)),),
+        delays=(DelaySlot(parse_expr("h"), parse_expr("t/4")),))
+
+
+GOLDEN_DELAY = [
+    ("gain_dde", _gain_dde_model, SimConfig(step=1e-2, tf=1.0)),
+    ("gain_dde.h_a", lambda: sensitivity_extend(_gain_dde_model(), ["h", "a"]),
+     SimConfig(step=1e-2, tf=1.0)),
+    ("delay_reset", _delay_reset_model, SimConfig(step=1e-2, tf=3.0)),
+    ("dde_third.midpoint", lambda: _dde_model(1.0 / 3.0),
+     SimConfig(step=1.0 / 3.0, tf=2.0, method="midpoint")),
+]
+
+
+@pytest.mark.parametrize("name, model, config", GOLDEN_DELAY,
+                         ids=[g[0] for g in GOLDEN_DELAY])
+def test_delay_trajectory_matches_golden_file(monkeypatch, name, model, config):
+    # the golden files were written before the slots shared one history
+    # with a cursor per delay; that must not move a bit
+    reads_behind = []
+    bisect_right = sim.bisect.bisect_right
+    monkeypatch.setattr(sim.bisect, "bisect_right",
+                        lambda *a: reads_behind.append(a[1]) or bisect_right(*a))
+    tr = integrate(model(), config)
+    if name == "delay_reset":
+        # an event bisection reads behind the cursor, and both sides of
+        # each event time are recorded
+        assert len(tr.events) >= 3 and reads_behind
+    path = os.path.join(os.path.dirname(__file__), "golden", f"{name}.csv")
+    with open(path, encoding="ascii", newline="") as fh:
+        assert tr.to_csv() == fh.read()
