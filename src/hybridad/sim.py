@@ -6,10 +6,11 @@ and delayed quantities live on one tape with input layout::
     [x_0..x_{n-1}, t, theta_0..theta_{s-1}, dval_0.., dslope_0..]
 
 ``dval_j``/``dslope_j`` are the value and time-slope of delay slot j's
-carried expression at ``t - h_j``, provided by the integrator from one
-history per call that stores the accepted node times once for all slots:
-cubic Hermite between nodes, found by one forward cursor per distinct
-delay, and the prehistory expression before the start time.
+carried expression at ``t - h_j``, read from one history per call.  It
+stores the node times once and per node the slot values with their
+time-slopes (the time tangent of the slot outputs), both computed by the
+generated step; lookups are cubic Hermite between nodes, found by one
+forward cursor per distinct delay, or the prehistory before the start.
 
 Event handling is sign-change detection on guard tapes between accepted
 steps, bisection localization to the configured tolerance, a two-phase
@@ -151,9 +152,9 @@ class OdeModel:
     def theta_env(self, overrides=None) -> dict[str, float]:
         env = dict(self.params)
         if overrides:
-            unknown = set(overrides) - set(self.param_names)
+            unknown = sorted(set(overrides) - set(self.param_names))
             if unknown:
-                raise KeyError(f"unknown parameters {sorted(unknown)}")
+                raise UnknownParameter(unknown[0], self.param_names)
             env.update(overrides)
         return env
 
@@ -244,29 +245,47 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 class _History:
-    """The delay record of one integration: the node times once (every
-    slot is pushed at the same nodes), one row of slot values and one of
-    slopes per node.  Slots are grouped by their evaluated delay; each
-    group keeps an interval cursor that walks forward with the march and
-    falls back to bisection when an event bisection reads behind it."""
+    """The delay record of one integration, built only for models with
+    delay slots: the node times once (every slot is pushed at the same
+    nodes) and per node one row of slot values followed by their
+    time-slopes, both computed by the generated ``ev``.  Slots are grouped
+    by their evaluated delay; each group keeps an interval cursor that
+    walks forward with the march and falls back to bisection when an
+    event bisection reads behind it."""
 
-    def __init__(self, slots: Sequence[DelaySlot], delays: list[float], env, t_start: float):
+    def __init__(self, slots: Sequence[DelaySlot], env, t_start: float, step: float):
+        delays = [slot.delay.evaluate(env) for slot in slots]
+        for h in delays:
+            if not h >= step:
+                raise ValueError(f"delay {h} smaller than the step {step}")
         self.t_start = t_start
         self.tol = 1e-9 * max(1.0, abs(t_start))
         self.env = env
+        self.h_max = max(delays)
         self.times: list[float] = []
-        self.values: list[list[float]] = []      # per node: one value per slot
-        self.slopes: list[list[float]] = []
+        self.rows: list[list[float]] = []       # per node: values, then slopes
         self.pre = [None if s.prehistory is None else (s.prehistory, s.prehistory.diff("t"))
                     for s in slots]
         self.groups = [(h, [j for j, d in enumerate(delays) if d == h])
                        for h in dict.fromkeys(delays)]
         self.cursors = [0] * len(self.groups)
+        self.key = self.last = None             # the previous lookup and its key
 
-    def push(self, t: float, values: list[float], slopes: list[float]):
+    def push(self, t: float, row: list[float]):
         self.times.append(t)
-        self.values.append(values)
-        self.slopes.append(slopes)
+        self.rows.append(row)
+        self.key = None         # a lookup clamped to the old newest node may now interpolate
+
+    def delayed(self, t: float, anchor: float) -> list[float]:
+        """``lookup(t, anchor)``, reusing the previous lookup when it was
+        made at the same t and its anchor cannot change the result either.
+        An anchor ``h_max`` or more past the start time reaches the
+        prehistory branch of no group, so the lookup at an accepted node is
+        the last RK stage's."""
+        key = (t, anchor if anchor - self.h_max < self.t_start - self.tol else None)
+        if key != self.key:
+            self.key, self.last = key, self.lookup(t, anchor)
+        return self.last
 
     def _pre_values(self, tau: float, js: list[int], out: list[float]):
         env = {**self.env, "t": tau}
@@ -286,7 +305,7 @@ class _History:
         right, so steps on either side of an aligned breakpoint both see
         a consistent one-sided right-hand side.
         """
-        J, times = len(self.pre), self.times
+        J, times, rows = len(self.pre), self.times, self.rows
         out = [0.0] * (2 * J)
         left = self.t_start - self.tol
         for g, (h, js) in enumerate(self.groups):
@@ -297,7 +316,7 @@ class _History:
             tau = max(tau, times[0])
             if tau >= times[-1]:        # clamp to the newest node (roundoff only)
                 for j in js:
-                    out[j], out[J + j] = self.values[-1][j], self.slopes[-1][j]
+                    out[j], out[J + j] = rows[-1][j], rows[-1][J + j]
                 continue
             i = self.cursors[g]
             if times[i] > tau:
@@ -317,10 +336,10 @@ class _History:
             d10 = (3 * w * w - 4 * w + 1)
             d01 = -6 * w * (w - 1) * dw
             d11 = (3 * w * w - 2 * w)
-            (v0, v1), (s0, s1) = self.values[i:i + 2], self.slopes[i:i + 2]
+            r0, r1 = rows[i], rows[i + 1]
             for j in js:
-                out[j] = h00 * v0[j] + h10 * s0[j] + h01 * v1[j] + h11 * s1[j]
-                out[J + j] = d00 * v0[j] + d10 * s0[j] + d01 * v1[j] + d11 * s1[j]
+                out[j] = h00 * r0[j] + h10 * r0[J + j] + h01 * r1[j] + h11 * r1[J + j]
+                out[J + j] = d00 * r0[j] + d10 * r0[J + j] + d01 * r1[j] + d11 * r1[J + j]
         return out
 
 
@@ -345,24 +364,45 @@ def _evaluator(tape: Tape):
     return evaluate
 
 
+def _with_slot_slopes(m: OdeModel) -> Tape:
+    """``m.tape`` followed by the time-slopes of its slot outputs as more
+    outputs: the tangent along x' = rhs, t' = 1, fixed theta and dval' =
+    dslope, with the curvature dslope' dropped.  Every node of ``m.tape``
+    keeps its id, so the interpreter names a failing node the same way."""
+    n, s, J = m.n, len(m.param_names), len(m.delays)
+    b = TapeBuilder(m.tape.num_inputs)
+    ids = copy_into(b, m.tape)
+    zero = b.const(0.0)
+    seeds = [*m.tape.outputs[:n], b.const(1.0), *[zero] * s,
+             *(b.input(n + 1 + s + J + j) for j in range(J)), *[zero] * J]
+    tg = append_tangent(b, m.tape, ids, seeds)
+    return b.build([*m.tape.outputs, *(tg[o] for o in m.tape.outputs[-J:])])
+
+
 def _generate_stepper(m: OdeModel, method: str):
-    """Compiles ``_make(runner, theta...) -> (ev, step)``.  ``_make``
-    computes the parameter-only nodes that cannot raise or that every call
-    needs.  ``ev(x..., t, full)`` computes the rhs nodes, and the output
-    and slot nodes when ``full`` is set; a node in an arm that can raise
+    """Compiles ``_make(history, theta...) -> (ev, step)``.  ``history`` is
+    the call's ``_History``, None for a model without delay slots.
+    ``_make`` computes the parameter-only nodes that cannot raise or that
+    every call needs.  ``ev(x..., t, anchor, full)`` computes the rhs
+    nodes, reading the history for the step that starts at ``anchor``;
+    with ``full`` set, at a node of the march, it also returns the outputs
+    and pushes the node's history row: the slot values and their
+    time-slopes (``_with_slot_slopes``).  A node in an arm that can raise
     runs only when that arm is taken (``arm_contexts``).  ``step(x, t, h,
-    k1)`` is one RK step around ``ev``."""
-    tape, n, s, q = m.tape, m.n, len(m.param_names), m.n_outputs
+    k1)`` is one RK step around ``ev``, anchored at ``t``."""
+    tape = _with_slot_slopes(m) if m.delays else m.tape
+    n, s, q = m.n, len(m.param_names), m.n_outputs
     nodes, outs = tape.nodes, tape.outputs
     place, opened = arm_contexts(tape, [(o, 0 if k < n else 1) for k, o in enumerate(outs)])
     arg = {nd.a: nid for nid, nd in enumerate(nodes) if nd.op == "input"}
     inputs = set(arg.values())
     bound = {arg[j] for j in range(n + 1, n + 1 + s) if j in arg}       # parameters
     hoist = []      # parameter-only nodes that cannot raise or that every call needs
+    # (context 0: the rhs, whose failure ``integrate`` names through ``m.tape``)
     for nid in sorted(set(place) - inputs):
         nd = nodes[nid]
         if all(c in bound for c in nd.children()) and (
-                nd.op not in ("div", "apply") or place[nid] <= {0, 1}):
+                nd.op not in ("div", "apply") or place[nid] == {0}):
             hoist.append(nid)
             bound.add(nid)
     bound |= inputs
@@ -376,25 +416,24 @@ def _generate_stepper(m: OdeModel, method: str):
 
     def stage(k_out, k_in, hs):     # k_out: the rhs at (x + hs * k_in, t + hs)
         xs = "".join(f"x{i} + {hs} * {k_in}{i}, " for i in range(n))
-        return f"        [{row(k_out + '{}')}] = ev({xs}t + {hs}, False)"
+        return f"        [{row(k_out + '{}')}] = ev({xs}t + {hs}, t, False)"
 
     src = [f"def _make({', '.join(['_r'] + arg[n + 1:n + 1 + s])}):",
            *("    " + node_source(tape, nid) for nid in hoist if nodes[nid].op != "const"),
-           f"    def ev({', '.join(arg[:n + 1])}, full):",
-           *([f"        [{', '.join(arg[n + 1 + s:])}] = _r._delayed({arg[n]})"]
+           f"    def ev({', '.join(arg[:n + 1])}, anchor, full):",
+           *([f"        [{', '.join(arg[n + 1 + s:])}] = _r.delayed({arg[n]}, anchor)"]
              if m.delays else []),
            "        try:",
            *(" " * 12 + line for line in guarded_source(tape, place, opened, bound, 0)),
            "            if not full:",
            f"                return [{refs(outs[:n])}]",
            *(" " * 12 + line for line in guarded_source(tape, place, opened, bound, 1)),
-           f"            return [{refs(outs[:n])}], [{refs(outs[n:n + q])}], "
-           f"[{refs(outs[n + q:])}]",
+           *([f"            _r.push({arg[n]}, [{refs(outs[n + q:])}])"] if m.delays else []),
+           f"            return [{refs(outs[:n])}], [{refs(outs[n:n + q])}]",
            "        except _ARITH_ERRORS:",
            f"            _fail([{', '.join(arg)}])",
            "            raise",
            "    def step(x, t, h, k1):",
-           "        _r.step_anchor = t",
            f"        [{row('x{}')}] = x",
            f"        [{row('a{}')}] = k1",
            "        hh = 0.5 * h",
@@ -412,60 +451,6 @@ def _generate_stepper(m: OdeModel, method: str):
     return ns["_make"]
 
 
-class _Runner:
-    """Owns the per-call mutable state of one integration: parameters and
-    the delay history.  States are lists of floats, stepped with the same
-    IEEE operations in the same order as array arithmetic, without
-    numpy's cost on tiny vectors."""
-
-    def __init__(self, m: OdeModel, c: SimConfig, env, t_start: float):
-        self.m = m
-        self.theta = [env[p] for p in m.param_names]
-        self.J = len(m.delays)
-        self.h_delays = [slot.delay.evaluate(env) for slot in m.delays]
-        for h in self.h_delays:
-            if not h >= c.step:
-                raise ValueError(f"delay {h} smaller than the step {c.step}")
-        self.history = _History(m.delays, self.h_delays, env, t_start)
-        self.step_anchor = t_start       # start time of the step in progress
-        # (t, step_anchor) -> [dval.., dslope..], since the last push
-        self.lookups: dict[tuple[float, float], list[float]] = {}
-        # slope tape: time-derivative of the slot expressions
-        self.slope_eval = self._build_slope_eval() if self.J else None
-
-    def _build_slope_eval(self):
-        # time-derivative of the slot expressions: inputs are the model
-        # tape inputs followed by [xdot (n), slope-of-dval (J)]
-        m = self.m
-        base = m.tape.num_inputs
-        n, s, J = m.n, len(m.param_names), self.J
-        b = TapeBuilder(base + n + J)
-        orig_inputs = [b.input(j) for j in range(base)]
-        node_map = copy_into(b, m.tape, orig_inputs)
-        zero = b.const(0.0)
-        seeds = [b.input(base + i) for i in range(n)]          # x -> xdot
-        seeds.append(b.const(1.0))                             # t -> 1
-        seeds += [zero] * s                                    # theta fixed
-        seeds += [b.input(base + n + j) for j in range(J)]     # dval -> its slope
-        seeds += [zero] * J                                    # dslope: curvature dropped
-        tg = append_tangent(b, m.tape, node_map, seeds)
-        slot_outs = m.tape.outputs[n + len(m.output_names):]
-        return _evaluator(b.build([tg[o] for o in slot_outs]))
-
-    def _delayed(self, t):
-        key = (t, self.step_anchor)
-        if key not in self.lookups:
-            self.lookups[key] = self.history.lookup(t, self.step_anchor)
-        return self.lookups[key]
-
-    def record(self, t, x, rhs, slots):
-        # the node being recorded opens the next segment: right-sided lookups
-        self.step_anchor = t
-        d = self._delayed(t)
-        self.history.push(t, slots, self.slope_eval(x + [t] + self.theta + d + rhs + d[self.J:]))
-        self.lookups.clear()     # lookups near the new node may now interpolate
-
-
 def _guard_value(guard, x, t) -> float:
     return guard(x + [t])[0]
 
@@ -473,7 +458,9 @@ def _guard_value(guard, x, t) -> float:
 def integrate(m: OdeModel, c: SimConfig, theta=None) -> Trajectory:
     """Fixed-step march with event localization and delay buffers.  The
     rhs at an accepted node is the next step's k1, and the guard values
-    checked at a step's end are the next step's old signs."""
+    checked at a step's end are the next step's old signs.  States are
+    lists of floats, stepped with the same IEEE operations in the same
+    order as array arithmetic, without numpy's cost on tiny vectors."""
     env = m.theta_env(theta)
     if m.has_sensitivity:
         bad = [i for i, ev in enumerate(m.events)
@@ -482,11 +469,12 @@ def integrate(m: OdeModel, c: SimConfig, theta=None) -> Trajectory:
             raise SensitivityAcrossEvent(
                 f"events {bad} are not impact surfaces; sensitivity "
                 "propagation across general events is not supported")
+    theta = [env[p] for p in m.param_names]
     if m.discrete:
-        return _integrate_discrete(m, c, env)
+        return _integrate_discrete(m, c, env, theta)
 
     t = m.start_time(env, c.t0)
-    r = _Runner(m, c, env, t)
+    hist = _History(m.delays, env, t, c.step) if m.delays else None
     x = m.initial_state(env).tolist()
     for i, lo, hi in m.state_clamps:
         x[i] = min(hi, max(lo, x[i]))
@@ -499,13 +487,11 @@ def integrate(m: OdeModel, c: SimConfig, theta=None) -> Trajectory:
     if c.method not in m._steppers:
         m._steppers[c.method] = _generate_stepper(m, c.method)
     try:
-        ev, step = m._steppers[c.method](r, *r.theta)
+        ev, step = m._steppers[c.method](hist, *theta)
     except _ARITH_ERRORS:       # a parameter-only node failed: the interpreter names it
-        tape_eval(m.tape, x + [t] + r.theta + r._delayed(t))
+        tape_eval(m.tape, x + [t] + theta + (hist.delayed(t, t) if hist else []))
         raise
-    f0, y0, slots0 = ev(*x, t, True)      # f0: rhs at (x, t), the next k1
-    if r.J:
-        r.record(t, x, f0, slots0)
+    f0, y0 = ev(*x, t, t, True)      # f0: rhs at (x, t), the next k1
     times, states, outputs = [t], [x], [y0]
     events: list[EventRecord] = []
 
@@ -540,14 +526,12 @@ def integrate(m: OdeModel, c: SimConfig, theta=None) -> Trajectory:
                 raise EventStorm(f"more than {c.max_events_per_step} events near t={t}")
             t_star, x_pre = _locate_event(step, guards[fired], x, t, h, f0,
                                           g_prev[fired], x_new, tol)
-            rhs_pre, y_pre, slots_pre = ev(*x_pre, t_star, True)
-            if r.J:
-                r.record(t_star, x_pre, rhs_pre, slots_pre)
+            y_pre = ev(*x_pre, t_star, t, True)[1]     # the pre-side node, still in the step from t
             if t_star < last_fire[fired] + deadtimes[fired]:
                 # crossing still inside the deadtime: pass through silently;
-                # rhs_pre read the delays anchored at the old step's start
+                # the pre-side rhs read the delays anchored at the old step's start
                 x = x_pre
-                f0 = ev(*x, t_star, True)[0]
+                f0 = ev(*x, t_star, t_star, False)
             else:
                 # record both sides so interpolation never crosses the jump
                 if m.has_sensitivity and not events:
@@ -555,9 +539,7 @@ def integrate(m: OdeModel, c: SimConfig, theta=None) -> Trajectory:
                                   "are wrong from here on (no saltation jump is applied)",
                                   ImpactSensitivityWarning, stacklevel=2)
                 x = _apply_action(m.events[fired], x_pre, t_star)
-                f0, y_post, slots_post = ev(*x, t_star, True)
-                if r.J:
-                    r.record(t_star, x, f0, slots_post)
+                f0, y_post = ev(*x, t_star, t_star, True)
                 events.append(EventRecord(t_star, fired, np.array(x_pre), np.array(x),
                                           np.asarray(y_pre), np.asarray(y_post)))
                 last_fire[fired] = t_star
@@ -573,10 +555,7 @@ def integrate(m: OdeModel, c: SimConfig, theta=None) -> Trajectory:
         t = t_next
         k += 1
         x = x_new
-        r.step_anchor = t        # node values are right-continuous at jumps
-        f0, y_n, slots_n = ev(*x, t, True)
-        if r.J:
-            r.record(t, x, f0, slots_n)
+        f0, y_n = ev(*x, t, t, True)      # opening the next step: right-continuous at jumps
         if guards:
             g_prev = [_guard_value(g, x, t) if v is None else v
                       for g, v in zip(guards, g_new)]
@@ -621,11 +600,10 @@ def _apply_action(ev: EventSpec, x, t) -> list[float]:
     return np.asarray(ev.action(x, t), dtype=float).tolist()
 
 
-def _integrate_discrete(m: OdeModel, c: SimConfig, env) -> Trajectory:
+def _integrate_discrete(m: OdeModel, c: SimConfig, env, theta) -> Trajectory:
     if m.events or m.delays:
         raise NotImplementedError("discrete models with events/delays")
     ts = m.sample_time
-    theta = [env[p] for p in m.param_names]
     f = _evaluator(m.tape)
     t = m.start_time(env, c.t0)
     x = m.initial_state(env).tolist()

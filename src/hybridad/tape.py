@@ -674,19 +674,23 @@ def guarded_source(t: Tape, place, opened, skip, ctx: int) -> list[str]:
 # source transformation: append tangent (directional-derivative) nodes
 # ---------------------------------------------------------------------------
 
-def copy_into(b: TapeBuilder, t: Tape, input_nodes: list[int]) -> list[int]:
-    """Replay ``t``'s nodes into builder ``b``; returns old-id -> new-id map."""
-    if len(input_nodes) != t.num_inputs:
+def copy_into(b: TapeBuilder, t: Tape, input_nodes: list[int] | None = None) -> list[int]:
+    """Replay ``t``'s nodes into builder ``b``; returns old-id -> new-id map.
+    Without ``input_nodes`` the input nodes are replayed too, so into a
+    fresh builder every node keeps its id."""
+    if input_nodes is not None and len(input_nodes) != t.num_inputs:
         raise ValueError("need one replacement node per tape input")
     m: list[int] = []
     for n in t.nodes:
-        m.append(input_nodes[n.a] if n.op == "input" else _replay(b, n, m))
+        m.append(input_nodes[n.a] if input_nodes and n.op == "input" else _replay(b, n, m))
     return m
 
 
 def _replay(b: TapeBuilder, n: Node, m: list[int]) -> int:
-    """Push the non-input node ``n`` into ``b`` with its children renamed
-    through ``m``; returns the new id."""
+    """Push node ``n`` into ``b`` with its children renamed through ``m``;
+    returns the new id."""
+    if n.op == "input":
+        return b.input(n.a)
     if n.op == "const":
         return b.const(n.value)
     if n.op == "apply":
@@ -906,8 +910,6 @@ def taylor_patch(t: Tape, branch_id: int, center: float = 0.0,
             for k in range(order - 1, -1, -1):
                 p = b.add(b.const(coeffs.c[k]), b.mul(e, p))
             m.append(b.branch(c, half_width, m[formula_arm], p))
-        elif n.op == "input":
-            m.append(b.input(n.a))
         else:
             m.append(_replay(b, n, m))
     return b.build([m[o] for o in t.outputs])

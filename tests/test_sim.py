@@ -21,6 +21,7 @@ from hybridad import (
     SingularMetric,
     Tape,
     TapeBuilder,
+    UnknownParameter,
     dde_extend,
     flatten,
     impact_event,
@@ -1010,8 +1011,25 @@ def _delay_reset_model():
         delays=(DelaySlot(parse_expr("h"), parse_expr("t/4")),))
 
 
+def _two_delay_jump_model():
+    """x'(t) = -x(t - 0.1) / 2 - x(t - 0.3) from x(0) = 1, with prehistory
+    2 + 2 t for both slots, so the carried signal jumps at the start time.
+    On a step of 0.1 both delays are on the grid: a node's lookup of the
+    0.3 slot depends on the step anchor until 0.3, after the 0.1 slot's
+    has stopped depending on it."""
+    b = TapeBuilder(6)          # [x, t, xdel_1, xdel_2, xdelslope_1, xdelslope_2]
+    x = b.input(0)
+    rhs = b.sub(b.neg(b.mul(b.const(0.5), b.input(2))), b.input(3))
+    t = b.build([rhs, x, x, x])
+    pre = parse_expr("2 + 2*t")
+    return make_ode_model(
+        1, t, (), {}, ("x",), ("y",), init_exprs=(parse_expr(1.0),),
+        delays=(DelaySlot(parse_expr(0.1), pre), DelaySlot(parse_expr(0.3), pre)))
+
+
 GOLDEN_DELAY = [
     ("gain_dde", _gain_dde_model, SimConfig(step=1e-2, tf=1.0)),
+    ("two_delay_jump", _two_delay_jump_model, SimConfig(step=0.1, tf=1.0)),
     ("gain_dde.h_a", lambda: sensitivity_extend(_gain_dde_model(), ["h", "a"]),
      SimConfig(step=1e-2, tf=1.0)),
     ("delay_reset", _delay_reset_model, SimConfig(step=1e-2, tf=3.0)),
@@ -1037,3 +1055,40 @@ def test_delay_trajectory_matches_golden_file(monkeypatch, name, model, config):
     path = os.path.join(os.path.dirname(__file__), "golden", f"{name}.csv")
     with open(path, encoding="ascii", newline="") as fh:
         assert tr.to_csv() == fh.read()
+
+
+def test_node_lookup_reuses_the_last_stage_lookup(monkeypatch):
+    # past t0 + h the step anchor cannot reach the prehistory, so the
+    # lookup at an accepted node is the last RK stage's at the same time
+    calls = []
+    lookup = sim._History.lookup
+    monkeypatch.setattr(sim._History, "lookup",
+                        lambda self, *a: calls.append(a[0]) or lookup(self, *a))
+    counts = []
+    for tf in (1.0, 1.1):
+        calls.clear()
+        integrate(_dde_model(0.5), SimConfig(step=0.1, tf=tf))
+        counts.append(len(calls))
+    # the step from 1.0 to 1.1: one lookup at the two midpoint stages and
+    # one at the end, which the node at 1.1 reuses
+    assert counts[1] - counts[0] == 2
+
+
+def test_unknown_parameter_override_is_a_typed_error():
+    with pytest.raises(UnknownParameter, match="unknown parameter 'bogus'"):
+        integrate(_dde_model(), SimConfig(step=0.1, tf=1.0), theta={"bogus": 1.0})
+
+
+def test_domain_error_in_a_slot_slope_alone_names_the_node():
+    # the slot carries p ** 0.5 * x with p = 0: its value is fine, but the
+    # chain rule of its time-slope evaluates p ** -0.5
+    b = TapeBuilder(5)          # [x, t, p, xdel, xdelslope]
+    x = b.input(0)
+    slot = b.mul(b.apply(Pow(0.5), b.input(2)), x)
+    m = make_ode_model(1, b.build([b.neg(b.input(3)), x, slot]), ("p",), {"p": 0.0},
+                       ("x",), ("y",), init_exprs=(parse_expr(1.0),),
+                       delays=(DelaySlot(parse_expr(0.5), parse_expr(0.0)),))
+    with pytest.raises(EvalDomainError) as exc:
+        integrate(m, SimConfig(step=0.1, tf=1.0))
+    # a node of the appended time tangent, past the model's own nodes
+    assert exc.value.node_id >= len(m.tape)
