@@ -21,7 +21,7 @@ import numpy as np
 
 from .agdm import agdm_diff, d_output_name
 from .analysis import sequence_probe
-from .diagram import Diagram, diagram_to_json, parse_diagram, validate
+from .diagram import Diagram, diagram_to_json, load_diagram, parse_diagram, validate
 from .errors import HybridAdError, UnknownParameter, ValidationError
 from .flatten import flatten
 from .jet import jet_derivative, jet_var
@@ -81,11 +81,8 @@ def _csv(times, columns: dict[str, np.ndarray]) -> str:
 def cmd_validate(args) -> int:
     with open(args.diagram, "r", encoding="utf-8") as fh:
         text = fh.read()
-    from .diagram import _parse_dict  # parse without raising on validation
-    import json
-
     try:
-        d = _parse_dict(json.loads(text))
+        d = load_diagram(text)
     except HybridAdError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 2

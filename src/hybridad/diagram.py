@@ -522,15 +522,20 @@ def _parse_dict(doc: dict, path: str = "$") -> Diagram:
     return Diagram(str(doc.get("name", "")), params, blocks, links, outputs, dict(ann))
 
 
-def parse_diagram(document: str) -> Diagram:
-    """Parse and validate a schema-1 diagram document."""
+def load_diagram(document: str) -> Diagram:
+    """Parse a schema-1 diagram document without validating it."""
     try:
         doc = json.loads(document)
     except json.JSONDecodeError as exc:
         raise SchemaError("$", f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("$", "expected a JSON object")
-    d = _parse_dict(doc)
+    return _parse_dict(doc)
+
+
+def parse_diagram(document: str) -> Diagram:
+    """Parse and validate a schema-1 diagram document."""
+    d = load_diagram(document)
     report = validate(d)
     if not report.ok:
         raise ValidationError(report.violations)

@@ -12,7 +12,7 @@ time-slopes (the time tangent of the slot outputs), both computed by the
 generated step; lookups are cubic Hermite between nodes, found by one
 forward cursor per distinct delay, or the prehistory before the start.
 
-Event handling is sign-change detection on guard tapes between accepted
+Event handling is sign-change detection on the guards between accepted
 steps, bisection localization to the configured tolerance, a two-phase
 state update, and a deadtime that suppresses re-triggering right after a
 discontinuity.  Impact events apply the energy-balance velocity update of
@@ -25,11 +25,11 @@ run.  Sensitivity propagation across any other event kind is refused
 
 Integrators are deliberately fixed-step (midpoint and classic RK4) so
 finite-difference oracles stay deterministic.  Each model is compiled
-once per method into one generated RK step: parameter-only nodes are
-computed once per ``integrate`` call, stages compute only the rhs, and a
-branch arm that can raise runs only when it is taken.  So an exception
-there is a real domain error; ``tape_eval`` re-runs the point and names
-the node (``EvalDomainError``).  Models are immutable and each
+once per method into one generated RK step and one function per event
+guard: parameter-only nodes are computed once per ``integrate`` call,
+stages compute only the rhs, and a branch arm that can raise runs only
+when it is taken.  So an exception there is a real domain error;
+``tape_eval`` re-runs the point and names the node (``EvalDomainError``).  Models are immutable and each
 ``integrate`` call owns its private workspace: parameter sweeps may run
 concurrently.
 """
@@ -60,7 +60,6 @@ from .tape import (
     TapeBuilder,
     append_tangent,
     arm_contexts,
-    compile_tape,
     copy_into,
     guarded_source,
     node_ref,
@@ -350,20 +349,6 @@ class _History:
 _ARITH_ERRORS = (ZeroDivisionError, ValueError, OverflowError)
 
 
-def _evaluator(tape: Tape):
-    """Compiled evaluation of ``tape``; a call that raises is re-run
-    interpreted, which computes only taken branch arms (same numbers) and
-    names the node of a real domain error."""
-    compiled = compile_tape(tape)
-
-    def evaluate(vals):
-        try:
-            return compiled(vals)
-        except _ARITH_ERRORS:
-            return tape_eval(tape, vals)
-    return evaluate
-
-
 def _with_slot_slopes(m: OdeModel) -> Tape:
     """``m.tape`` followed by the time-slopes of its slot outputs as more
     outputs: the tangent along x' = rhs, t' = 1, fixed theta and dval' =
@@ -380,7 +365,7 @@ def _with_slot_slopes(m: OdeModel) -> Tape:
 
 
 def _generate_stepper(m: OdeModel, method: str):
-    """Compiles ``_make(history, theta...) -> (ev, step)``.  ``history`` is
+    """Compiles ``_make(history, theta...) -> (ev, step, guards)``.  ``history`` is
     the call's ``_History``, None for a model without delay slots.
     ``_make`` computes the parameter-only nodes that cannot raise or that
     every call needs.  ``ev(x..., t, anchor, full)`` computes the rhs
@@ -389,7 +374,9 @@ def _generate_stepper(m: OdeModel, method: str):
     and pushes the node's history row: the slot values and their
     time-slopes (``_with_slot_slopes``).  A node in an arm that can raise
     runs only when that arm is taken (``arm_contexts``).  ``step(x, t, h,
-    k1)`` is one RK step around ``ev``, anchored at ``t``."""
+    k1)`` is one RK step around ``ev``, anchored at ``t``.  ``guards`` holds
+    one ``g(x..., t) -> float`` per event, its guard tape's output computed
+    the same taken-arm way."""
     tape = _with_slot_slopes(m) if m.delays else m.tape
     n, s, q = m.n, len(m.param_names), m.n_outputs
     nodes, outs = tape.nodes, tape.outputs
@@ -418,7 +405,15 @@ def _generate_stepper(m: OdeModel, method: str):
         xs = "".join(f"x{i} + {hs} * {k_in}{i}, " for i in range(n))
         return f"        [{row(k_out + '{}')}] = ev({xs}t + {hs}, t, False)"
 
-    src = [f"def _make({', '.join(['_r'] + arg[n + 1:n + 1 + s])}):",
+    fails = (tape, *(e.guard for e in m.events))     # ``_fail(k, vals)`` re-runs tape k
+    src = []
+    for k, g in enumerate(fails[1:], 1):        # guard k - 1, called g(x..., t)
+        g_place, g_opened = arm_contexts(g, [(g.outputs[0], 0)])
+        src += [f"def _g{k}(*x):", "    try:",
+                *(" " * 8 + ln for ln in guarded_source(g, g_place, g_opened, set(), 0)),
+                f"        return {node_ref(g, g.outputs[0])}",
+                "    except _ARITH_ERRORS:", f"        _fail({k}, list(x))", "        raise"]
+    src += [f"def _make({', '.join(['_r'] + arg[n + 1:n + 1 + s])}):",
            *("    " + node_source(tape, nid) for nid in hoist if nodes[nid].op != "const"),
            f"    def ev({', '.join(arg[:n + 1])}, anchor, full):",
            *([f"        [{', '.join(arg[n + 1 + s:])}] = _r.delayed({arg[n]}, anchor)"]
@@ -431,7 +426,7 @@ def _generate_stepper(m: OdeModel, method: str):
            *([f"            _r.push({arg[n]}, [{refs(outs[n + q:])}])"] if m.delays else []),
            f"            return [{refs(outs[:n])}], [{refs(outs[n:n + q])}]",
            "        except _ARITH_ERRORS:",
-           f"            _fail([{', '.join(arg)}])",
+           f"            _fail(0, [{', '.join(arg)}])",
            "            raise",
            "    def step(x, t, h, k1):",
            f"        [{row('x{}')}] = x",
@@ -446,13 +441,10 @@ def _generate_stepper(m: OdeModel, method: str):
     if m.state_clamps:
         src += ["        for i, lo, hi in _clamps:", "            y[i] = min(hi, max(lo, y[i]))"]
     ns = {"_m": math, "inf": math.inf, "nan": math.nan, "_ARITH_ERRORS": _ARITH_ERRORS,
-          "_clamps": m.state_clamps, "_fail": lambda vals: tape_eval(tape, vals)}
-    exec("\n".join(src + ["        return y", "    return ev, step"]), ns)
+          "_clamps": m.state_clamps, "_fail": lambda k, vals: tape_eval(fails[k], vals)}
+    guards = "".join(f"_g{k}, " for k in range(1, len(fails)))
+    exec("\n".join(src + ["        return y", f"    return ev, step, ({guards})"]), ns)
     return ns["_make"]
-
-
-def _guard_value(guard, x, t) -> float:
-    return guard(x + [t])[0]
 
 
 def integrate(m: OdeModel, c: SimConfig, theta=None) -> Trajectory:
@@ -479,23 +471,16 @@ def integrate(m: OdeModel, c: SimConfig, theta=None) -> Trajectory:
     for i, lo, hi in m.state_clamps:
         x[i] = min(hi, max(lo, x[i]))
 
-    guards = [_evaluator(ev.guard) for ev in m.events]
     deadtimes = [ev.deadtime if ev.deadtime is not None else 2.0 * c.step
                  for ev in m.events]
     last_fire = [-math.inf] * len(m.events)
 
-    if c.method not in m._steppers:
-        m._steppers[c.method] = _generate_stepper(m, c.method)
-    try:
-        ev, step = m._steppers[c.method](hist, *theta)
-    except _ARITH_ERRORS:       # a parameter-only node failed: the interpreter names it
-        tape_eval(m.tape, x + [t] + theta + (hist.delayed(t, t) if hist else []))
-        raise
+    ev, step, guards = _stepper(m, c.method, hist, theta, x, t)
     f0, y0 = ev(*x, t, t, True)      # f0: rhs at (x, t), the next k1
     times, states, outputs = [t], [x], [y0]
     events: list[EventRecord] = []
 
-    g_prev = [_guard_value(g, x, t) for g in guards]
+    g_prev = [g(*x, t) for g in guards]
     tol = c.resolved_event_tol
     eps = 1e-12 * max(1.0, abs(c.tf))
     anchor_t = t       # stepping is anchored to kill accumulation drift
@@ -515,7 +500,7 @@ def integrate(m: OdeModel, c: SimConfig, theta=None) -> Trajectory:
                 if t_next <= last_fire[i] + deadtimes[i]:
                     g_new.append(None)
                     continue
-                g_new.append(_guard_value(g, x_new, t_next))
+                g_new.append(g(*x_new, t_next))
                 if (g_prev[i] >= 0.0) != (g_new[i] >= 0.0):
                     fired = i
                     break
@@ -545,7 +530,7 @@ def integrate(m: OdeModel, c: SimConfig, theta=None) -> Trajectory:
                 last_fire[fired] = t_star
             t = t_star
             anchor_t, k = t, 0
-            g_prev = [_guard_value(g, x, t) for g in guards]
+            g_prev = [g(*x, t) for g in guards]
             t_next = min(anchor_t + c.step, c.tf)
             h = t_next - t
             if h <= eps:
@@ -557,7 +542,7 @@ def integrate(m: OdeModel, c: SimConfig, theta=None) -> Trajectory:
         x = x_new
         f0, y_n = ev(*x, t, t, True)      # opening the next step: right-continuous at jumps
         if guards:
-            g_prev = [_guard_value(g, x, t) if v is None else v
+            g_prev = [g(*x, t) if v is None else v
                       for g, v in zip(guards, g_new)]
         times.append(t)
         states.append(x)
@@ -565,6 +550,18 @@ def integrate(m: OdeModel, c: SimConfig, theta=None) -> Trajectory:
 
     return Trajectory(np.array(times), np.array(states), np.array(outputs),
                       events, m.state_names, m.output_names)
+
+
+def _stepper(m: OdeModel, method: str, hist, theta, x, t):
+    """The generated ``(ev, step, guards)`` of ``m`` for one call; the
+    interpreter names a parameter-only node that fails."""
+    if method not in m._steppers:
+        m._steppers[method] = _generate_stepper(m, method)
+    try:
+        return m._steppers[method](hist, *theta)
+    except _ARITH_ERRORS:
+        tape_eval(m.tape, x + [t] + theta + (hist.delayed(t, t) if hist else []))
+        raise
 
 
 def _locate_event(step, guard, x, t, h, k1, g0, x_hi, tol):
@@ -576,14 +573,14 @@ def _locate_event(step, guard, x, t, h, k1, g0, x_hi, tol):
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         x_mid = step(x, t, mid, k1) if mid > 0 else x
-        g_mid = _guard_value(guard, x_mid, t + mid)
+        g_mid = guard(*x_mid, t + mid)
         if (g0 >= 0.0) != (g_mid >= 0.0):
             hi, x_hi, g_hi = mid, x_mid, g_mid
         else:
             lo = mid
         if hi - lo <= tol:
             if g_hi is None:
-                g_hi = _guard_value(guard, x_hi, t + hi)
+                g_hi = guard(*x_hi, t + hi)
             if abs(g_hi) <= 1e-8 * max(1.0, abs(g0)):
                 break
         if hi - lo <= 1e-15 * max(1.0, abs(t)):
@@ -604,18 +601,17 @@ def _integrate_discrete(m: OdeModel, c: SimConfig, env, theta) -> Trajectory:
     if m.events or m.delays:
         raise NotImplementedError("discrete models with events/delays")
     ts = m.sample_time
-    f = _evaluator(m.tape)
     t = m.start_time(env, c.t0)
     x = m.initial_state(env).tolist()
-    n, q = m.n, len(m.output_names)
+    ev = _stepper(m, c.method, None, theta, x, t)[0]
     times, states, outputs = [], [], []
     steps = int(math.floor((c.tf - t) / ts + 1e-9))
     for _ in range(steps + 1):
-        out = f(x + [t] + theta)
+        x_next, y = ev(*x, t, t, True)      # the rhs of a discrete model is its next state
         times.append(t)
         states.append(x)
-        outputs.append(out[n:n + q])
-        x = out[:n]
+        outputs.append(y)
+        x = x_next
         t += ts
     return Trajectory(np.array(times), np.array(states), np.array(outputs),
                       [], m.state_names, m.output_names)

@@ -21,9 +21,9 @@ Modes provided here:
 * ``reverse_gradient``   -- one forward sweep + one adjoint sweep
 * ``hessian``            -- forward duals pushed through the reverse sweep
 * ``tape_jet_eval``      -- order-r Taylor propagation (jet module)
-* ``compile_tape``       -- Python code generation (eager, both arms)
-* ``arm_contexts`` / ``guarded_source`` -- taken-arm code generation,
-  used by the simulator's generated stepper
+* ``compile_tape``       -- Python code generation, taken arms only
+* ``arm_contexts`` / ``guarded_source`` -- the taken-arm code generator
+  behind ``compile_tape`` and the simulator's generated step
 * ``op_count``           -- arithmetic-operation count of a derivative pass
 * ``jvp_tape``           -- source transformation emitting derivative nodes
 * ``audit_branches`` / ``taylor_patch`` -- branch-boundary checks and
@@ -532,7 +532,7 @@ def parse_dump(text: str) -> Tape:
 
 
 # ---------------------------------------------------------------------------
-# compilation to a plain Python function (hot loops in the simulator)
+# taken-arm compilation to plain Python functions
 # ---------------------------------------------------------------------------
 
 _INFIX = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
@@ -564,15 +564,16 @@ def node_source(t: Tape, i: int) -> str:
 
 
 def compile_tape(t: Tape):
-    """Build a fast eager evaluator ``f(x) -> list[float]``.
+    """Build a fast evaluator ``f(x) -> list[float]`` of the outputs.
 
-    Unlike the interpreted path it evaluates both branch arms, so it raises
-    where a dead arm divides by zero; a caller re-runs that evaluation
-    through ``tape_eval`` for the interpreter's numbers or the typed error
-    naming the node.  ``guarded_source`` emits taken-arm code instead.
+    It computes only taken branch arms, as ``tape_eval`` does, with the same
+    numbers.  Where ``tape_eval`` names a failing node it raises the plain
+    ZeroDivisionError, ValueError or OverflowError; only a fractional power
+    of -inf, which ``math.pow`` takes and ``tape_eval`` refuses, does not.
     """
+    place, opened = arm_contexts(t, [(o, 0) for o in t.outputs])
     src = ["def _f(x, _m=math):",
-           *("    " + node_source(t, i) for i, n in enumerate(t.nodes) if n.op != "const"),
+           *("    " + line for line in guarded_source(t, place, opened, set(), 0)),
            "    return [" + ", ".join(node_ref(t, o) for o in t.outputs) + "]"]
     ns: dict = {"math": math, "inf": math.inf, "nan": math.nan}    # non-finite literals
     exec("\n".join(src), ns)

@@ -36,6 +36,15 @@ def test_validate_reports_violations(tmp_path, capsys):
     assert "unlinked-input" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ['{"name": "x", ', "[1]"])
+def test_validate_malformed_document_is_a_schema_error(tmp_path, capsys, text):
+    # a truncated document and a JSON array: no traceback, exit status 2
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("schema error: ")
+
+
 def test_diff_round_trip_schema_closure(tmp_path, capsys):
     out = tmp_path / "aug.json"
     rc = main(["diff", model_path("first_order.json"), "--theta", "tau",

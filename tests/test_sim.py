@@ -22,6 +22,7 @@ from hybridad import (
     Tape,
     TapeBuilder,
     UnknownParameter,
+    compile_tape,
     dde_extend,
     flatten,
     impact_event,
@@ -559,20 +560,27 @@ def test_csv_determinism():
 # ---------------------------------------------------------------------------
 
 def _count_evaluations(monkeypatch):
-    """Counts calls of every compiled guard tape the simulator builds, by tape id."""
+    """Counts calls of every generated guard, by guard tape id."""
     counts = {}
-    compile_tape = sim.compile_tape
+    generate = sim._generate_stepper
 
-    def counting_compile(tape):
-        f = compile_tape(tape)
-        counts[id(tape)] = 0
+    def counting_generate(m, method):
+        make = generate(m, method)
 
-        def counted(vals):
-            counts[id(tape)] += 1
-            return f(vals)
-        return counted
+        def counting(tape, g):
+            counts[id(tape)] = 0
 
-    monkeypatch.setattr(sim, "compile_tape", counting_compile)
+            def counted(*a):
+                counts[id(tape)] += 1
+                return g(*a)
+            return counted
+
+        def counted_make(*args):
+            ev, step, guards = make(*args)
+            return ev, step, [counting(e.guard, g) for e, g in zip(m.events, guards)]
+        return counted_make
+
+    monkeypatch.setattr(sim, "_generate_stepper", counting_generate)
     return counts
 
 
@@ -588,13 +596,13 @@ def _count_model_evaluations(monkeypatch):
         make = generate(m, method)
 
         def counted_make(*args):
-            ev, step = make(*args)
+            ev, step, guards = make(*args)
 
             def counted(*a):
                 calls.append(a[-1])
                 return ev(*a)
             step.__closure__[step.__code__.co_freevars.index("ev")].cell_contents = counted
-            return counted, step
+            return counted, step, guards
         return counted_make
 
     monkeypatch.setattr(sim, "_generate_stepper", counting_generate)
@@ -629,23 +637,45 @@ def test_guard_evaluated_once_per_accepted_node(monkeypatch):
 
 
 def test_dead_arm_is_never_evaluated(monkeypatch):
-    # x' = 1 if t >= 0.5 else 1/(t - 0.5): the else arm would divide by
-    # zero at t = 0.5, where the generated code takes the then arm only, so
-    # the interpreter is never called
-    b = TapeBuilder(2)
-    tn = b.input(1)
-    one = b.const(1.0)
-    rhs = b.branch(tn, 0.5, one, b.div(one, b.sub(tn, b.const(0.5))))
-    m = make_ode_model(1, b.build([rhs, b.input(0)]), (), {}, ("x",), ("y",),
-                       init_exprs=(parse_expr(0.0),))
+    # dead = 1 if t >= 0.5 else 1/(t - 0.5): the else arm would divide by
+    # zero at the node t = 0.5, where the generated code takes the then arm
+    # only, so the interpreter is never called.  ``dead`` is the rhs of
+    # x' = dead, the guard of an event on x' = 1 (it crosses zero at 0.5),
+    # or the increment of the discrete map x <- x + dead sampled every 0.25
     interpreted = []
     tape_eval = sim.tape_eval
     monkeypatch.setattr(sim, "tape_eval",
                         lambda t, vals: interpreted.append(vals[1]) or tape_eval(t, vals))
-    tr = integrate(m, SimConfig(step=0.25, tf=2.0))
-    assert interpreted == []
-    y = tr.output("y")
-    assert np.allclose(np.diff(y[tr.times >= 0.5]), 0.25, rtol=0.0, atol=1e-12)
+    for where, rise in (("rhs", 0.25), ("guard", 0.25), ("discrete", 1.0)):
+        b = TapeBuilder(2)
+        x, tn = b.input(0), b.input(1)
+        one = b.const(1.0)
+        dead = b.branch(tn, 0.5, one, b.div(one, b.sub(tn, b.const(0.5))))
+        rhs = b.add(x, dead) if where == "discrete" else dead if where == "rhs" else one
+        kw = {"guard": {"events": (EventSpec(b.build([dead]), lambda x, t: x),)},
+              "discrete": {"discrete": True, "sample_time": 0.25}}.get(where, {})
+        m = make_ode_model(1, b.build([rhs, x]), (), {}, ("x",), ("y",),
+                           init_exprs=(parse_expr(0.0),), **kw)
+        tr = integrate(m, SimConfig(step=0.25, tf=2.0))
+        assert interpreted == []
+        assert [e.time for e in tr.events] == ([0.5] if where == "guard" else [])
+        y = tr.output("y")
+        assert np.allclose(np.diff(y[tr.times >= 0.5]), rise, rtol=0.0, atol=1e-12)
+
+
+def test_domain_error_in_a_guard_names_the_guard_node():
+    # x' = 1 with the guard -1 if t < 0.5 else 1/(t - 1): the taken arm
+    # divides by zero at the node t = 1
+    b = TapeBuilder(2)
+    x, tn = b.input(0), b.input(1)
+    one = b.const(1.0)
+    pole = b.div(one, b.sub(tn, one))
+    guard = b.build([b.branch(tn, 0.5, pole, b.const(-1.0))])
+    m = make_ode_model(1, b.build([one, x]), (), {}, ("x",), ("y",),
+                       init_exprs=(parse_expr(0.0),), events=(EventSpec(guard, lambda x, t: x),))
+    with pytest.raises(EvalDomainError) as exc:
+        integrate(m, SimConfig(step=0.25, tf=2.0))
+    assert exc.value.node_id == pole
 
 
 def test_dead_arms_of_two_branches_sharing_a_node(monkeypatch):
@@ -819,7 +849,7 @@ def test_fractional_power_of_negative_state_is_a_domain_error():
     root = b.apply(Pow(0.5), x)
     tape = b.build([b.const(-1.0), root])
     with pytest.raises(ValueError):
-        sim.compile_tape(tape)([-4.0, 0.0])
+        compile_tape(tape)([-4.0, 0.0])
     m = make_ode_model(1, tape, (), {}, ("x",), ("y",),
                        init_exprs=(parse_expr(1.0),))
     with pytest.raises(EvalDomainError) as exc:
