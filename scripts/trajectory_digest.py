@@ -1,0 +1,83 @@
+#!/usr/bin/env python3
+"""Print a SHA-256 of every trajectory the benchmark's jobs compute.
+
+For each workload and seed, every job of ``perfbench/workloads.py`` runs
+once, with its output check, in job-list order.  ``integrate`` is wrapped
+in every loaded module that holds it, so trajectories computed through the
+CLI, the analysis helpers and the checks are seen too.  Each returned
+``Trajectory`` prints one line:
+
+    <workload> <seed> <job index> <job kind> <call index> <sha256 of to_csv()>
+
+CLI input files go to a temporary directory, and no bytecode is written,
+so nothing is written under ``perfbench/``.  Two checkouts compute the same
+trajectories bit for bit when this prints the same lines for both.  The
+exit status is 1 when a job raises or its check reports a problem.
+
+    python scripts/trajectory_digest.py --seed 1 --seed 2
+    python scripts/trajectory_digest.py --workload delay-sens --seed 1
+"""
+
+import argparse
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("smooth-sens", "impact-events", "delay-sens", "large-diagram")
+
+
+def _wrap_integrate(seen: list):
+    """Route every module-level ``integrate`` through one recorder."""
+    import hybridad.sim
+    original = hybridad.sim.integrate
+
+    def recorded(*args, **kwargs):
+        tr = original(*args, **kwargs)
+        seen.append(hashlib.sha256(tr.to_csv().encode("ascii")).hexdigest())
+        return tr
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "integrate", None) is original:
+            mod.integrate = recorded
+
+
+def main() -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("--workload", action="append", choices=WORKLOADS,
+                   help="workload to run (repeatable; default: all four)")
+    p.add_argument("--seed", action="append", type=int, required=True,
+                   help="workload seed (repeatable)")
+    args = p.parse_args()
+
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import workloads
+    from tracing import Tracer
+
+    seen: list[str] = []
+    _wrap_integrate(seen)
+    tracer, failed = Tracer(False), 0
+    for name in args.workload or WORKLOADS:
+        for seed in args.seed:
+            with tempfile.TemporaryDirectory() as tmp:
+                wl = workloads.build(name, seed, Path(tmp))
+                for path, text in wl.files.items():
+                    path.write_text(text, encoding="utf-8")
+                for j, job in enumerate(wl.jobs):
+                    seen.clear()
+                    try:
+                        problems = job.check(job.run(tracer)).problems
+                    except Exception as exc:      # reported, and the run goes on
+                        problems = [f"{type(exc).__name__}: {exc}"]
+                    for k, digest in enumerate(seen):
+                        print(f"{name} {seed} {j} {job.kind} {k} {digest}")
+                    for problem in problems:
+                        print(f"{name} {seed} {j} {job.kind}: {problem}", file=sys.stderr)
+                    failed += bool(problems)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -14,6 +14,7 @@ byte-identical CSV output.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -22,7 +23,7 @@ import numpy as np
 from .agdm import agdm_diff, d_output_name
 from .analysis import sequence_probe
 from .diagram import Diagram, diagram_to_json, load_diagram, parse_diagram, validate
-from .errors import HybridAdError, UnknownParameter, ValidationError
+from .errors import HybridAdError, SchemaError, UnknownParameter, ValidationError
 from .flatten import flatten
 from .jet import jet_derivative, jet_var
 from .sim import SimConfig, integrate, sensitivity_extend
@@ -80,13 +81,7 @@ def _csv(times, columns: dict[str, np.ndarray]) -> str:
 
 def cmd_validate(args) -> int:
     with open(args.diagram, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        d = load_diagram(text)
-    except HybridAdError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return 2
-    report = validate(d)
+        report = validate(load_diagram(fh.read()))
     if report.ok:
         print("ok")
         return 0
@@ -385,7 +380,9 @@ def cmd_table(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then shared."""
     p = argparse.ArgumentParser(prog="hybridad",
                                 description="block-diagram differentiation toolkit")
     sub = p.add_subparsers(dest="command", required=True)
@@ -439,6 +436,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ValidationError, UnknownParameter) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except SchemaError as exc:
+        print(f"schema error: {exc}", file=sys.stderr)
         return 2
     except HybridAdError as exc:
         print(f"simulation error: {exc}", file=sys.stderr)

@@ -175,10 +175,7 @@ class ParamExpr:
         if op == "const":
             return self.value
         if op == "param":
-            try:
-                return float(env[self.name])
-            except KeyError:
-                raise KeyError(f"parameter {self.name!r} not bound") from None
+            return param_value(env, self.name)
         if op == "add":
             return self.args[0].evaluate(env) + self.args[1].evaluate(env)
         if op == "sub":
@@ -192,6 +189,27 @@ class ParamExpr:
         if op == "fn":
             return fn_value(self.fn, self.args[0].evaluate(env))
         raise AssertionError(op)
+
+    def to_source(self, names: dict[str, str], consts: list) -> str:
+        """A Python expression computing ``evaluate`` with the same
+        operations.  ``names`` maps each parameter to a float variable;
+        constants and elementary functions are appended to ``consts`` and
+        read as ``_k[i]``, so the source depends on the expression's shape
+        only, and a function becomes ``_fv(_k[i], ...)`` (``fn_value``), so
+        it fails as ``evaluate`` does."""
+        op = self.op
+        if op == "const":
+            consts.append(self.value)
+            return f"_k[{len(consts) - 1}]"
+        if op == "param":
+            return names[self.name]
+        if op == "neg":
+            return f"(-{self.args[0].to_source(names, consts)})"
+        if op == "fn":
+            consts.append(self.fn)
+            return f"_fv(_k[{len(consts) - 1}], {self.args[0].to_source(names, consts)})"
+        a, b = (e.to_source(names, consts) for e in self.args)
+        return f"({a} {_INFIX[op]} {b})"
 
     def to_tape(self, builder, env: dict[str, int]) -> int:
         """Emit this expression into a tape; env maps parameter names to
@@ -252,6 +270,15 @@ class ParamExpr:
 
 
 ZERO = ParamExpr.const(0.0)
+_INFIX = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
+
+
+def param_value(env, name: str) -> float:
+    """The float bound to a parameter name; KeyError when it is unbound."""
+    try:
+        return float(env[name])
+    except KeyError:
+        raise KeyError(f"parameter {name!r} not bound") from None
 
 
 def parse_expr(text) -> ParamExpr:

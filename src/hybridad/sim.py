@@ -6,11 +6,13 @@ and delayed quantities live on one tape with input layout::
     [x_0..x_{n-1}, t, theta_0..theta_{s-1}, dval_0.., dslope_0..]
 
 ``dval_j``/``dslope_j`` are the value and time-slope of delay slot j's
-carried expression at ``t - h_j``, read from one history per call.  It
-stores the node times once and per node the slot values with their
+carried expression at ``t - h_j``, read from one delay record per call.
+It stores the node times once and per node the slot values with their
 time-slopes (the time tangent of the slot outputs), both computed by the
 generated step; lookups are cubic Hermite between nodes, found by one
-forward cursor per distinct delay, or the prehistory before the start.
+forward cursor per distinct delay expression, or the prehistory before
+the start, all generated per model with the delays evaluated once per
+call.
 
 Event handling is sign-change detection on the guards between accepted
 steps, bisection localization to the configured tolerance, a two-phase
@@ -25,18 +27,23 @@ run.  Sensitivity propagation across any other event kind is refused
 
 Integrators are deliberately fixed-step (midpoint and classic RK4) so
 finite-difference oracles stay deterministic.  Each model is compiled
-once per method into one generated RK step and one function per event
-guard: parameter-only nodes are computed once per ``integrate`` call,
-stages compute only the rhs, and a branch arm that can raise runs only
-when it is taken.  So an exception there is a real domain error;
-``tape_eval`` re-runs the point and names the node (``EvalDomainError``).  Models are immutable and each
-``integrate`` call owns its private workspace: parameter sweeps may run
-concurrently.
+once per method into generated code: the march over the step grid, with
+the RK step, the guard checks and the delay lookups, and one function per
+event guard for event location; models of the same structure share the
+compiled code.  Parameter-only nodes are computed once
+per ``integrate`` call, stages compute only the rhs, and a branch arm that
+can raise runs only when it is taken.  So an exception there is a real
+domain error; ``tape_eval`` re-runs the point and names the node
+(``EvalDomainError``).  Python code runs only at the start, at each event
+(location, action, record) and to assemble the trajectory.  Models are
+immutable and each ``integrate`` call owns its private workspace:
+parameter sweeps may run concurrently.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -54,7 +61,8 @@ from .errors import (
     SingularMetric,
     UnknownParameter,
 )
-from .paramexpr import ParamExpr
+from .ops import fn_value
+from .paramexpr import ParamExpr, param_value
 from .tape import (
     Tape,
     TapeBuilder,
@@ -240,109 +248,6 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# history buffers (delay support)
-# ---------------------------------------------------------------------------
-
-class _History:
-    """The delay record of one integration, built only for models with
-    delay slots: the node times once (every slot is pushed at the same
-    nodes) and per node one row of slot values followed by their
-    time-slopes, both computed by the generated ``ev``.  Slots are grouped
-    by their evaluated delay; each group keeps an interval cursor that
-    walks forward with the march and falls back to bisection when an
-    event bisection reads behind it."""
-
-    def __init__(self, slots: Sequence[DelaySlot], env, t_start: float, step: float):
-        delays = [slot.delay.evaluate(env) for slot in slots]
-        for h in delays:
-            if not h >= step:
-                raise ValueError(f"delay {h} smaller than the step {step}")
-        self.t_start = t_start
-        self.tol = 1e-9 * max(1.0, abs(t_start))
-        self.env = env
-        self.h_max = max(delays)
-        self.times: list[float] = []
-        self.rows: list[list[float]] = []       # per node: values, then slopes
-        self.pre = [None if s.prehistory is None else (s.prehistory, s.prehistory.diff("t"))
-                    for s in slots]
-        self.groups = [(h, [j for j, d in enumerate(delays) if d == h])
-                       for h in dict.fromkeys(delays)]
-        self.cursors = [0] * len(self.groups)
-        self.key = self.last = None             # the previous lookup and its key
-
-    def push(self, t: float, row: list[float]):
-        self.times.append(t)
-        self.rows.append(row)
-        self.key = None         # a lookup clamped to the old newest node may now interpolate
-
-    def delayed(self, t: float, anchor: float) -> list[float]:
-        """``lookup(t, anchor)``, reusing the previous lookup when it was
-        made at the same t and its anchor cannot change the result either.
-        An anchor ``h_max`` or more past the start time reaches the
-        prehistory branch of no group, so the lookup at an accepted node is
-        the last RK stage's."""
-        key = (t, anchor if anchor - self.h_max < self.t_start - self.tol else None)
-        if key != self.key:
-            self.key, self.last = key, self.lookup(t, anchor)
-        return self.last
-
-    def _pre_values(self, tau: float, js: list[int], out: list[float]):
-        env = {**self.env, "t": tau}
-        for j in js:
-            if self.pre[j] is None:
-                raise DelayUnderflow(
-                    f"lookup at t={tau} precedes history and no prehistory is defined")
-            out[j], out[len(self.pre) + j] = (e.evaluate(env) for e in self.pre[j])
-
-    def lookup(self, t: float, anchor: float) -> list[float]:
-        """Values, then time-slopes, of each slot's carried signal at t minus
-        its delay, for the step started at ``anchor``; one basis per group.
-
-        The carried signal may jump at the start time (prehistory on one
-        side, dynamics on the other); a step that starts left of that
-        boundary reads the left limit on it and one starting on it the
-        right, so steps on either side of an aligned breakpoint both see
-        a consistent one-sided right-hand side.
-        """
-        J, times, rows = len(self.pre), self.times, self.rows
-        out = [0.0] * (2 * J)
-        left = self.t_start - self.tol
-        for g, (h, js) in enumerate(self.groups):
-            tau = t - h
-            if tau < left or (anchor - h < left and tau <= self.t_start + self.tol) or not times:
-                self._pre_values(tau, js, out)
-                continue
-            tau = max(tau, times[0])
-            if tau >= times[-1]:        # clamp to the newest node (roundoff only)
-                for j in js:
-                    out[j], out[J + j] = rows[-1][j], rows[-1][J + j]
-                continue
-            i = self.cursors[g]
-            if times[i] > tau:
-                i = bisect.bisect_right(times, tau) - 1
-            while times[i + 1] <= tau:
-                i += 1
-            self.cursors[g] = i
-            t0, t1 = times[i], times[i + 1]
-            dt = t1 - t0
-            w = (tau - t0) / dt
-            h00 = (1 + 2 * w) * (1 - w) ** 2
-            h10 = w * (1 - w) ** 2 * dt
-            h01 = w * w * (3 - 2 * w)
-            h11 = w * w * (w - 1) * dt
-            dw = 1.0 / dt
-            d00 = 6 * w * (w - 1) * dw
-            d10 = (3 * w * w - 4 * w + 1)
-            d01 = -6 * w * (w - 1) * dw
-            d11 = (3 * w * w - 2 * w)
-            r0, r1 = rows[i], rows[i + 1]
-            for j in js:
-                out[j] = h00 * r0[j] + h10 * r0[J + j] + h01 * r1[j] + h11 * r1[J + j]
-                out[J + j] = d00 * r0[j] + d10 * r0[J + j] + d01 * r1[j] + d11 * r1[J + j]
-        return out
-
-
-# ---------------------------------------------------------------------------
 # integration
 # ---------------------------------------------------------------------------
 
@@ -364,19 +269,107 @@ def _with_slot_slopes(m: OdeModel) -> Tape:
     return b.build([*m.tape.outputs, *(tg[o] for o in m.tape.outputs[-J:])])
 
 
+_HERMITE = (    # the cubic Hermite basis on [_T[i], _T[i + 1]] at tau, and its time derivative
+    "t0 = _T[i]", "dt = _T[i + 1] - t0", "w = (tau - t0) / dt",
+    "h00 = (1 + 2 * w) * (1 - w) ** 2", "h10 = w * (1 - w) ** 2 * dt",
+    "h01 = w * w * (3 - 2 * w)", "h11 = w * w * (w - 1) * dt", "dw = 1.0 / dt",
+    "d00 = 6 * w * (w - 1) * dw", "d10 = (3 * w * w - 4 * w + 1)",
+    "d01 = -6 * w * (w - 1) * dw", "d11 = (3 * w * w - 2 * w)", "r0, r1 = _R[i], _R[i + 1]")
+
+
+def _record_source(m: OdeModel, dv: list[str], consts: list) -> list[str]:
+    """The delay record of ``_make``: each distinct delay expression
+    evaluated once and checked against the step, the node times ``_T``
+    and per node the slot values, then their time-slopes (``_R``), and
+    ``_look(t, anchor)``, which sets the slot inputs ``dv`` to the values,
+    then the time-slopes, of each slot's carried signal at t minus its
+    delay, for the step started at ``anchor``.  Per delay it holds one
+    block: an interval cursor that walks forward with the march (bisection
+    when an event bisection reads behind it), one Hermite basis and the
+    slots unrolled, or the prehistory and its t-derivative, both
+    expressions of tau and theta whose constants are read from ``_k``.
+
+    The carried signal may jump at the start time (prehistory on one
+    side, dynamics on the other); a step that starts left of that boundary
+    reads the left limit on it and one starting on it the right, so steps
+    on either side of an aligned breakpoint both see a consistent
+    one-sided right-hand side."""
+    J = len(m.delays)
+    delays = list(dict.fromkeys(slot.delay for slot in m.delays))
+    pre = [None if slot.prehistory is None else (slot.prehistory, slot.prehistory.diff("t"))
+           for slot in m.delays]
+    names = [p for e in delays for p in sorted(e.params())]
+    names += [p for es in filter(None, pre) for e in es for p in sorted(e.params() - {"t"})]
+    q = {p: f"_q{k}" for k, p in enumerate(dict.fromkeys(names))}
+    at_tau = {**q, "t": "tau"}
+    hs = ", ".join(f"_h{g}" for g in range(len(delays)))
+    src = [*(f"    {v} = _param(_env, {p!r})" for p, v in q.items()),
+           *(f"    _h{g} = {e.to_source(q, consts)}" for g, e in enumerate(delays)),
+           f"    for _h in ({hs},):", "        if not _h >= _step:",
+           '            raise ValueError(f"delay {_h} smaller than the step {_step}")',
+           f"    _hmax = max([{hs}])", "    _tol = 1e-9 * max(1.0, abs(_t0))",
+           "    _left, _right = _t0 - _tol, _t0 + _tol",
+           "    _T, _R = [], []", "    _kt = _ka = None",
+           f"    {' = '.join(f'_i{g}' for g in range(len(delays)))} = 0",
+           f"    {' = '.join(dv)} = 0.0",
+           "    def _look(t, anchor):",
+           f"        nonlocal {', '.join([*(f'_i{g}' for g in range(len(delays))), *dv])}"]
+    for g, e in enumerate(delays):
+        js = [j for j, slot in enumerate(m.delays) if slot.delay == e]
+        before = []
+        for j in js:
+            if pre[j] is None:
+                before.append('raise DelayUnderflow(f"lookup at t={tau} precedes history '
+                              'and no prehistory is defined")')
+                break
+            before += [f"{dv[j]} = {pre[j][0].to_source(at_tau, consts)}",
+                       f"{dv[J + j]} = {pre[j][1].to_source(at_tau, consts)}"]
+        body = [f"tau = t - _h{g}",
+                f"if tau < _left or (anchor - _h{g} < _left and tau <= _right) or not _T:",
+                *("    " + ln for ln in before),
+                "else:", "    if _T[0] > tau:", "        tau = _T[0]",
+                "    if tau >= _T[-1]:       # clamp to the newest node (roundoff only)",
+                "        r0 = _R[-1]",
+                *(f"        {dv[j]}, {dv[J + j]} = r0[{j}], r0[{J + j}]" for j in js),
+                "    else:", f"        i = _i{g}", "        if _T[i] > tau:",
+                "            i = _bisect.bisect_right(_T, tau) - 1",
+                "        while _T[i + 1] <= tau:", "            i += 1", f"        _i{g} = i",
+                *("        " + ln for ln in _HERMITE)]
+        for j in js:
+            body += [f"        {dv[j]} = h00 * r0[{j}] + h10 * r0[{J + j}] + h01 * r1[{j}] + h11 * r1[{J + j}]",
+                     f"        {dv[J + j]} = d00 * r0[{j}] + d10 * r0[{J + j}] + d01 * r1[{j}] + d11 * r1[{J + j}]"]
+        src += ["        " + ln for ln in body]
+    return src
+
+
 def _generate_stepper(m: OdeModel, method: str):
-    """Compiles ``_make(history, theta...) -> (ev, step, guards)``.  ``history`` is
-    the call's ``_History``, None for a model without delay slots.
-    ``_make`` computes the parameter-only nodes that cannot raise or that
-    every call needs.  ``ev(x..., t, anchor, full)`` computes the rhs
-    nodes, reading the history for the step that starts at ``anchor``;
-    with ``full`` set, at a node of the march, it also returns the outputs
-    and pushes the node's history row: the slot values and their
-    time-slopes (``_with_slot_slopes``).  A node in an arm that can raise
-    runs only when that arm is taken (``arm_contexts``).  ``step(x, t, h,
-    k1)`` is one RK step around ``ev``, anchored at ``t``.  ``guards`` holds
-    one ``g(x..., t) -> float`` per event, its guard tape's output computed
-    the same taken-arm way."""
+    """Compiles ``_make(c, x, t, env, theta...) -> (ev, step, guards,
+    march)`` for a call with config ``c`` starting at (x, t) under
+    parameters ``env`` (``theta`` their values in ``m.param_names`` order).
+    ``_make`` builds the delay record (``_record_source``), for a model
+    with delay slots, and computes the parameter-only nodes that cannot
+    raise or that every call needs; the interpreter names one that fails.
+
+    ``ev(x..., t, anchor, full)`` computes the rhs nodes, reading the
+    delay record for the step that starts at ``anchor``, and reuses the
+    previous lookup when it was made at the same t and its anchor cannot
+    change the result either (an anchor the longest delay or more past the
+    start time reaches the prehistory of no slot, so the lookup at an
+    accepted node is the last RK stage's).  With ``full`` set, at a node of
+    the march, it also returns the outputs and records the node: the slot
+    values and their time-slopes (``_with_slot_slopes``).  A node in an arm
+    that can raise runs only when that arm is taken (``arm_contexts``).
+    ``step(x, t, h, k1)`` is one RK step around ``ev``, anchored at ``t``.
+    ``guards`` holds one ``g(x..., t) -> float`` per event, its guard
+    tape's output computed the same taken-arm way.
+
+    ``march(x, t, f, g, until, times, states, outputs)`` steps on the grid
+    anchored at t, with ``f`` the rhs and ``g`` the guard values at (x, t),
+    appending each accepted node to the three lists, until tf or the first
+    step across which a guard changes sign; a guard is not checked on a
+    step that ends inside its deadtime window, which closes at
+    ``until[i]``.  It returns None at tf, else ``(i, k, x, t, h, f, g_i,
+    y)``: guard i changed sign on the k-th step, from (x, t) over h to y."""
     tape = _with_slot_slopes(m) if m.delays else m.tape
     n, s, q = m.n, len(m.param_names), m.n_outputs
     nodes, outs = tape.nodes, tape.outputs
@@ -385,7 +378,7 @@ def _generate_stepper(m: OdeModel, method: str):
     inputs = set(arg.values())
     bound = {arg[j] for j in range(n + 1, n + 1 + s) if j in arg}       # parameters
     hoist = []      # parameter-only nodes that cannot raise or that every call needs
-    # (context 0: the rhs, whose failure ``integrate`` names through ``m.tape``)
+    # (context 0: the rhs, whose failure ``_make`` names through ``m.tape``)
     for nid in sorted(set(place) - inputs):
         nd = nodes[nid]
         if all(c in bound for c in nd.children()) and (
@@ -394,6 +387,7 @@ def _generate_stepper(m: OdeModel, method: str):
             bound.add(nid)
     bound |= inputs
     arg = [f"_v{arg[j]}" if j in arg else f"_u{j}" for j in range(tape.num_inputs)]
+    theta, dv, tt = arg[n + 1:n + 1 + s], arg[n + 1 + s:], arg[n]
 
     def row(fmt):               # one entry per state
         return ", ".join(fmt.format(i) for i in range(n))
@@ -405,34 +399,57 @@ def _generate_stepper(m: OdeModel, method: str):
         xs = "".join(f"x{i} + {hs} * {k_in}{i}, " for i in range(n))
         return f"        [{row(k_out + '{}')}] = ev({xs}t + {hs}, t, False)"
 
-    fails = (tape, *(e.guard for e in m.events))     # ``_fail(k, vals)`` re-runs tape k
-    src = []
-    for k, g in enumerate(fails[1:], 1):        # guard k - 1, called g(x..., t)
+    # ``_fail(k, vals)`` re-runs tape k: 0 ev's, k >= 1 guard k - 1's, the last the model's
+    fails = (tape, *(e.guard for e in m.events), m.tape)
+    src, checks, late = [], [], []
+    for k, e in enumerate(m.events, 1):         # guard k - 1, called g(x..., t)
+        g = e.guard
         g_place, g_opened = arm_contexts(g, [(g.outputs[0], 0)])
+        out = node_ref(g, g.outputs[0])
         src += [f"def _g{k}(*x):", "    try:",
                 *(" " * 8 + ln for ln in guarded_source(g, g_place, g_opened, set(), 0)),
-                f"        return {node_ref(g, g.outputs[0])}",
+                f"        return {out}",
                 "    except _ARITH_ERRORS:", f"        _fail({k}, list(x))", "        raise"]
-    src += [f"def _make({', '.join(['_r'] + arg[n + 1:n + 1 + s])}):",
-           *("    " + node_source(tape, nid) for nid in hoist if nodes[nid].op != "const"),
-           f"    def ev({', '.join(arg[:n + 1])}, anchor, full):",
-           *([f"        [{', '.join(arg[n + 1 + s:])}] = _r.delayed({arg[n]}, anchor)"]
-             if m.delays else []),
-           "        try:",
-           *(" " * 12 + line for line in guarded_source(tape, place, opened, bound, 0)),
-           "            if not full:",
-           f"                return [{refs(outs[:n])}]",
-           *(" " * 12 + line for line in guarded_source(tape, place, opened, bound, 1)),
-           *([f"            _r.push({arg[n]}, [{refs(outs[n + q:])}])"] if m.delays else []),
-           f"            return [{refs(outs[:n])}], [{refs(outs[n:n + q])}]",
-           "        except _ARITH_ERRORS:",
-           f"            _fail(0, [{', '.join(arg)}])",
-           "            raise",
-           "    def step(x, t, h, k1):",
-           f"        [{row('x{}')}] = x",
-           f"        [{row('a{}')}] = k1",
-           "        hh = 0.5 * h",
-           stage("b", "a", "hh")]
+        ins = {nid: "tn" if nd.a == n else f"y[{nd.a}]"    # inline in march, at the step's end
+               for nid, nd in enumerate(g.nodes) if nd.op == "input" and nid in g_place}
+        checks += [f"            if not tn <= u{k}:", "                try:",
+                   *(f"                    _v{nid} = {v}" for nid, v in ins.items()),
+                   *(" " * 20 + ln for ln in guarded_source(g, g_place, g_opened, set(ins), 0)),
+                   "                except _ARITH_ERRORS:",
+                   f"                    _fail({k}, [*y, tn])", "                    raise",
+                   f"                if (p{k} >= 0.0) != ({out} >= 0.0):",
+                   f"                    return {k - 1}, k, x, t, h, f, p{k}, y",
+                   f"                p{k} = {out}"]
+        late += [f"            if tn <= u{k}:", f"                p{k} = _g{k}(*y, tn)"]
+    ps = ", ".join(f"p{k}" for k in range(1, len(m.events) + 1))
+    us = ps.replace("p", "u")
+    consts: list = []
+    src += [f"def _make({', '.join(['_c', '_x', '_t0', '_env'] + theta)}):",
+            "    _step, _tf = _c.step, _c.tf", "    _end = _tf - 1e-12 * max(1.0, abs(_tf))",
+            *(_record_source(m, dv, consts) if m.delays else []),
+            f"    def ev({', '.join(arg[:n + 1])}, anchor, full):"]
+    if m.delays:
+        src += ["        nonlocal _kt, _ka",
+                "        a = anchor if anchor - _hmax < _left else None",
+                f"        if {tt} != _kt or a != _ka:",
+                f"            _look({tt}, anchor)", f"            _kt, _ka = {tt}, a"]
+    src += ["        try:",
+            *(" " * 12 + line for line in guarded_source(tape, place, opened, bound, 0)),
+            "            if not full:",
+            f"                return [{refs(outs[:n])}]",
+            *(" " * 12 + line for line in guarded_source(tape, place, opened, bound, 1)),
+            *([f"            _T.append({tt})", f"            _R.append([{refs(outs[n + q:])}])",
+               "            _kt = None      # a lookup clamped to the old newest node may now interpolate"]
+              if m.delays else []),
+            f"            return [{refs(outs[:n])}], [{refs(outs[n:n + q])}]",
+            "        except _ARITH_ERRORS:",
+            f"            _fail(0, [{', '.join(arg)}])",
+            "            raise",
+            "    def step(x, t, h, k1):",
+            f"        [{row('x{}')}] = x",
+            f"        [{row('a{}')}] = k1",
+            "        hh = 0.5 * h",
+            stage("b", "a", "hh")]
     if method == "midpoint":
         src.append(f"        y = [{row('x{0} + h * b{0}')}]")
     else:
@@ -440,19 +457,53 @@ def _generate_stepper(m: OdeModel, method: str):
                 f"        y = [{row('x{0} + h6 * (a{0} + 2.0 * b{0} + 2.0 * c{0} + d{0})')}]"]
     if m.state_clamps:
         src += ["        for i, lo, hi in _clamps:", "            y[i] = min(hi, max(lo, y[i]))"]
+    src += ["        return y",
+            "    def march(x, t, f, g, until, times, states, outputs):",
+            *([f"        [{ps}] = g", f"        [{us}] = until"] if m.events else []),
+            "        anchor, k = t, 1",
+            "        while True:",
+            "            tn = min(anchor + k * _step, _tf)",
+            "            h = tn - t",
+            "            y = step(x, t, h, f)",
+            *checks,
+            "            f, out = ev(*y, tn, tn, True)",
+            *late,
+            "            times.append(tn)", "            states.append(y)",
+            "            outputs.append(out)",
+            "            if not tn < _end:", "                return None",
+            "            x, t = y, tn", "            k += 1"]
+    lift = [node_source(tape, nid) for nid in hoist if nodes[nid].op != "const"]
+    if lift:
+        src += ["    try:", *("        " + ln for ln in lift), "    except _ARITH_ERRORS:",
+                *(["        _look(_t0, _t0)"] if m.delays else []),
+                f"        _fail({len(fails) - 1}, [*_x, _t0, {', '.join(theta + dv)}])",
+                "        raise"]
+    guards = "".join(f"_g{k}, " for k in range(1, len(fails) - 1))
     ns = {"_m": math, "inf": math.inf, "nan": math.nan, "_ARITH_ERRORS": _ARITH_ERRORS,
-          "_clamps": m.state_clamps, "_fail": lambda k, vals: tape_eval(fails[k], vals)}
-    guards = "".join(f"_g{k}, " for k in range(1, len(fails)))
-    exec("\n".join(src + ["        return y", f"    return ev, step, ({guards})"]), ns)
+          "_clamps": m.state_clamps, "_fail": lambda k, vals: tape_eval(fails[k], vals),
+          "_bisect": bisect, "_fv": fn_value, "_k": consts, "_param": param_value,
+          "DelayUnderflow": DelayUnderflow}
+    exec(_compiled("\n".join(src + [f"    return ev, step, ({guards}), march"])), ns)
     return ns["_make"]
+
+
+@functools.lru_cache(maxsize=32)
+def _compiled(source: str):
+    """One code object per distinct generated source, so models of the
+    same structure compile once (the delay record reads its constants
+    from ``_k``, so they do not make sources differ)."""
+    return compile(source, "<generated>", "exec")
 
 
 def integrate(m: OdeModel, c: SimConfig, theta=None) -> Trajectory:
     """Fixed-step march with event localization and delay buffers.  The
-    rhs at an accepted node is the next step's k1, and the guard values
-    checked at a step's end are the next step's old signs.  States are
-    lists of floats, stepped with the same IEEE operations in the same
-    order as array arithmetic, without numpy's cost on tiny vectors."""
+    generated ``march`` runs the steps between events; each guard sign
+    change is located, acted on and recorded here, and the march resumes
+    anchored at the event time.  The rhs at an accepted node is the next
+    step's k1, and the guard values at a step's end are the next step's
+    old signs.  States are lists of floats, stepped with the same IEEE
+    operations in the same order as array arithmetic, without numpy's cost
+    on tiny vectors."""
     env = m.theta_env(theta)
     if m.has_sensitivity:
         bad = [i for i, ev in enumerate(m.events)
@@ -461,107 +512,64 @@ def integrate(m: OdeModel, c: SimConfig, theta=None) -> Trajectory:
             raise SensitivityAcrossEvent(
                 f"events {bad} are not impact surfaces; sensitivity "
                 "propagation across general events is not supported")
-    theta = [env[p] for p in m.param_names]
     if m.discrete:
-        return _integrate_discrete(m, c, env, theta)
+        return _integrate_discrete(m, c, env)
 
     t = m.start_time(env, c.t0)
-    hist = _History(m.delays, env, t, c.step) if m.delays else None
     x = m.initial_state(env).tolist()
     for i, lo, hi in m.state_clamps:
         x[i] = min(hi, max(lo, x[i]))
-
-    deadtimes = [ev.deadtime if ev.deadtime is not None else 2.0 * c.step
-                 for ev in m.events]
-    last_fire = [-math.inf] * len(m.events)
-
-    ev, step, guards = _stepper(m, c.method, hist, theta, x, t)
-    f0, y0 = ev(*x, t, t, True)      # f0: rhs at (x, t), the next k1
-    times, states, outputs = [t], [x], [y0]
+    ev, step, guards, march = _stepper(m, c, x, t, env)
+    f, y = ev(*x, t, t, True)      # f: rhs at (x, t), the next k1
+    times, states, outputs = [t], [x], [y]
     events: list[EventRecord] = []
 
-    g_prev = [g(*x, t) for g in guards]
+    g = [gk(*x, t) for gk in guards]
+    until = [-math.inf] * len(guards)       # per guard: the end of its deadtime window
+    deadtimes = [e.deadtime if e.deadtime is not None else 2.0 * c.step for e in m.events]
     tol = c.resolved_event_tol
     eps = 1e-12 * max(1.0, abs(c.tf))
-    anchor_t = t       # stepping is anchored to kill accumulation drift
-    k = 0
-
-    while t < c.tf - eps:
-        t_next = anchor_t + (k + 1) * c.step
-        if t_next > c.tf:
-            t_next = c.tf
-        h = t_next - t
-        events_this_step = 0
-        while True:
-            x_new = step(x, t, h, f0)
-            fired = None
-            g_new = []      # None: whole step inside the guard's deadtime window
-            for i, g in enumerate(guards):
-                if t_next <= last_fire[i] + deadtimes[i]:
-                    g_new.append(None)
-                    continue
-                g_new.append(g(*x_new, t_next))
-                if (g_prev[i] >= 0.0) != (g_new[i] >= 0.0):
-                    fired = i
-                    break
-            if fired is None:
-                break
-            events_this_step += 1
-            if events_this_step > c.max_events_per_step:
-                raise EventStorm(f"more than {c.max_events_per_step} events near t={t}")
-            t_star, x_pre = _locate_event(step, guards[fired], x, t, h, f0,
-                                          g_prev[fired], x_new, tol)
-            y_pre = ev(*x_pre, t_star, t, True)[1]     # the pre-side node, still in the step from t
-            if t_star < last_fire[fired] + deadtimes[fired]:
-                # crossing still inside the deadtime: pass through silently;
-                # the pre-side rhs read the delays anchored at the old step's start
-                x = x_pre
-                f0 = ev(*x, t_star, t_star, False)
-            else:
-                # record both sides so interpolation never crosses the jump
-                if m.has_sensitivity and not events:
-                    warnings.warn(f"impact event {fired} at t={t_star!r}: sensitivities "
-                                  "are wrong from here on (no saltation jump is applied)",
-                                  ImpactSensitivityWarning, stacklevel=2)
-                x = _apply_action(m.events[fired], x_pre, t_star)
-                f0, y_post = ev(*x, t_star, t_star, True)
-                events.append(EventRecord(t_star, fired, np.array(x_pre), np.array(x),
-                                          np.asarray(y_pre), np.asarray(y_post)))
-                last_fire[fired] = t_star
-            t = t_star
-            anchor_t, k = t, 0
-            g_prev = [g(*x, t) for g in guards]
-            t_next = min(anchor_t + c.step, c.tf)
-            h = t_next - t
-            if h <= eps:
-                break
-        if h <= eps:
+    storm = 0           # events since the last accepted node
+    hit = march(x, t, f, g, until, times, states, outputs) if t < c.tf - eps else None
+    while hit:
+        i, k, x, t, h, f, g0, x_new = hit
+        storm = storm + 1 if k == 1 else 1
+        if storm > c.max_events_per_step:
+            raise EventStorm(f"more than {c.max_events_per_step} events near t={t}")
+        t_star, x_pre = _locate_event(step, guards[i], x, t, h, f, g0, x_new, tol)
+        y_pre = ev(*x_pre, t_star, t, True)[1]     # the pre-side node, still in the step from t
+        if t_star < until[i]:
+            # crossing still inside the deadtime: pass through silently;
+            # the pre-side rhs read the delays anchored at the old step's start
+            x = x_pre
+            f = ev(*x, t_star, t_star, False)
+        else:
+            # record both sides so interpolation never crosses the jump
+            if m.has_sensitivity and not events:
+                warnings.warn(f"impact event {i} at t={t_star!r}: sensitivities "
+                              "are wrong from here on (no saltation jump is applied)",
+                              ImpactSensitivityWarning, stacklevel=2)
+            x = _apply_action(m.events[i], x_pre, t_star)
+            f, y_post = ev(*x, t_star, t_star, True)
+            events.append(EventRecord(t_star, i, np.array(x_pre), np.array(x),
+                                      np.asarray(y_pre), np.asarray(y_post)))
+            until[i] = t_star + deadtimes[i]
+        t = t_star
+        g = [gk(*x, t) for gk in guards]
+        if min(t + c.step, c.tf) - t <= eps:
             break
-        t = t_next
-        k += 1
-        x = x_new
-        f0, y_n = ev(*x, t, t, True)      # opening the next step: right-continuous at jumps
-        if guards:
-            g_prev = [g(*x, t) if v is None else v
-                      for g, v in zip(guards, g_new)]
-        times.append(t)
-        states.append(x)
-        outputs.append(y_n)
+        hit = march(x, t, f, g, until, times, states, outputs)
 
     return Trajectory(np.array(times), np.array(states), np.array(outputs),
                       events, m.state_names, m.output_names)
 
 
-def _stepper(m: OdeModel, method: str, hist, theta, x, t):
-    """The generated ``(ev, step, guards)`` of ``m`` for one call; the
-    interpreter names a parameter-only node that fails."""
-    if method not in m._steppers:
-        m._steppers[method] = _generate_stepper(m, method)
-    try:
-        return m._steppers[method](hist, *theta)
-    except _ARITH_ERRORS:
-        tape_eval(m.tape, x + [t] + theta + (hist.delayed(t, t) if hist else []))
-        raise
+def _stepper(m: OdeModel, c: SimConfig, x, t, env):
+    """The generated ``(ev, step, guards, march)`` of ``m`` for one call;
+    the code is generated once per model and method."""
+    if c.method not in m._steppers:
+        m._steppers[c.method] = _generate_stepper(m, c.method)
+    return m._steppers[c.method](c, x, t, env, *(env[p] for p in m.param_names))
 
 
 def _locate_event(step, guard, x, t, h, k1, g0, x_hi, tol):
@@ -597,13 +605,13 @@ def _apply_action(ev: EventSpec, x, t) -> list[float]:
     return np.asarray(ev.action(x, t), dtype=float).tolist()
 
 
-def _integrate_discrete(m: OdeModel, c: SimConfig, env, theta) -> Trajectory:
+def _integrate_discrete(m: OdeModel, c: SimConfig, env) -> Trajectory:
     if m.events or m.delays:
         raise NotImplementedError("discrete models with events/delays")
     ts = m.sample_time
     t = m.start_time(env, c.t0)
     x = m.initial_state(env).tolist()
-    ev = _stepper(m, c.method, None, theta, x, t)[0]
+    ev = _stepper(m, c, x, t, env)[0]
     times, states, outputs = [], [], []
     steps = int(math.floor((c.tf - t) / ts + 1e-9))
     for _ in range(steps + 1):

@@ -556,6 +556,8 @@ def node_source(t: Tape, i: int) -> str:
         e = f"{r(n.a)} if {r(n.cond)} >= {n.threshold!r} else {r(n.b)}"
     elif n.fn.kind == "pow":
         e = f"_m.pow({r(n.a)}, {n.fn.exponent!r})"
+        if not n.fn.exponent.is_integer():     # a negative base fails as in ``fn_value``
+            e += f" if not {r(n.a)} < 0.0 else _m.sqrt({r(n.a)})"
     elif n.fn.kind == "abs":
         e = f"abs({r(n.a)})"
     else:
@@ -568,8 +570,7 @@ def compile_tape(t: Tape):
 
     It computes only taken branch arms, as ``tape_eval`` does, with the same
     numbers.  Where ``tape_eval`` names a failing node it raises the plain
-    ZeroDivisionError, ValueError or OverflowError; only a fractional power
-    of -inf, which ``math.pow`` takes and ``tape_eval`` refuses, does not.
+    ZeroDivisionError, ValueError or OverflowError.
     """
     place, opened = arm_contexts(t, [(o, 0) for o in t.outputs])
     src = ["def _f(x, _m=math):",

@@ -45,6 +45,21 @@ def test_validate_malformed_document_is_a_schema_error(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("schema error: ")
 
 
+@pytest.mark.parametrize("text", ['{"name": "x", ', "[1]"])
+@pytest.mark.parametrize("argv", [["simulate", "--tf", "1"], ["diff", "--theta", "k"],
+                                  ["sens", "--theta", "k"],
+                                  ["optimize", "--theta", "k", "--cost", "y"]])
+def test_every_subcommand_reports_a_schema_error_as_validate_does(tmp_path, capsys, argv, text):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    assert capsys.readouterr().err.startswith("schema error: ")
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_diff_round_trip_schema_closure(tmp_path, capsys):
     out = tmp_path / "aug.json"
     rc = main(["diff", model_path("first_order.json"), "--theta", "tau",

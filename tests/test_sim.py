@@ -35,7 +35,7 @@ from hybridad import (
     tape_eval,
 )
 from hybridad import sim
-from hybridad.ops import Pow
+from hybridad.ops import ATAN, Pow
 from hybridad.sim import make_ode_model
 
 
@@ -560,27 +560,18 @@ def test_csv_determinism():
 # ---------------------------------------------------------------------------
 
 def _count_evaluations(monkeypatch):
-    """Counts calls of every generated guard, by guard tape id."""
-    counts = {}
-    generate = sim._generate_stepper
+    """Counts calls of ``math.atan``.  Generated code reaches it through
+    the math module, both in the guard functions and in the guard checks
+    inlined into the generated march, so a guard holding a model's only
+    atan counts that guard's evaluations."""
+    counts = [0]
+    atan = math.atan
 
-    def counting_generate(m, method):
-        make = generate(m, method)
+    def counted(v):
+        counts[0] += 1
+        return atan(v)
 
-        def counting(tape, g):
-            counts[id(tape)] = 0
-
-            def counted(*a):
-                counts[id(tape)] += 1
-                return g(*a)
-            return counted
-
-        def counted_make(*args):
-            ev, step, guards = make(*args)
-            return ev, step, [counting(e.guard, g) for e, g in zip(m.events, guards)]
-        return counted_make
-
-    monkeypatch.setattr(sim, "_generate_stepper", counting_generate)
+    monkeypatch.setattr(math, "atan", counted)
     return counts
 
 
@@ -596,13 +587,13 @@ def _count_model_evaluations(monkeypatch):
         make = generate(m, method)
 
         def counted_make(*args):
-            ev, step, guards = make(*args)
+            ev, step, *rest = make(*args)
 
             def counted(*a):
                 calls.append(a[-1])
                 return ev(*a)
             step.__closure__[step.__code__.co_freevars.index("ev")].cell_contents = counted
-            return counted, step, guards
+            return counted, step, *rest
         return counted_make
 
     monkeypatch.setattr(sim, "_generate_stepper", counting_generate)
@@ -627,13 +618,13 @@ def test_guard_evaluated_once_per_accepted_node(monkeypatch):
     calls = _count_model_evaluations(monkeypatch)
     m = _decay_model()
     gb = TapeBuilder(2)
-    guard = gb.build([gb.sub(gb.input(0), gb.const(10.0))])     # never crosses
+    guard = gb.build([gb.sub(gb.apply(ATAN, gb.input(0)), gb.const(10.0))])     # never crosses
     m = make_ode_model(1, m.tape, (), {}, m.state_names, m.output_names,
                        init_exprs=m.init_exprs,
                        events=(EventSpec(guard, lambda x, t: x),))
     tr = integrate(m, SimConfig(step=0.01, tf=1.0))
     assert not tr.events
-    assert counts[id(guard)] == len(tr.times) == calls.count(True)
+    assert counts[0] == len(tr.times) == calls.count(True)
 
 
 def test_dead_arm_is_never_evaluated(monkeypatch):
@@ -857,6 +848,18 @@ def test_fractional_power_of_negative_state_is_a_domain_error():
     assert exc.value.node_id == root
 
 
+def test_fractional_power_of_minus_inf_state_is_a_domain_error():
+    # x(0) = -inf with y = x ** 0.5: math.pow would give inf at the first node
+    b = TapeBuilder(2)
+    x = b.input(0)
+    root = b.apply(Pow(0.5), x)
+    m = make_ode_model(1, b.build([b.const(0.0), root]), (), {}, ("x",), ("y",),
+                       init_exprs=(parse_expr(-math.inf),))
+    with pytest.raises(EvalDomainError) as exc:
+        integrate(m, SimConfig(step=0.25, tf=1.0))
+    assert exc.value.node_id == root
+
+
 def _bounce_model(g=9.81, height=0.05, barrier=100.0):
     """q' = v, v' = -g above a floor at q = 0 whose barrier exceeds the
     impact energy, so the particle rebounds."""
@@ -1057,6 +1060,39 @@ def _two_delay_jump_model():
         delays=(DelaySlot(parse_expr(0.1), pre), DelaySlot(parse_expr(0.3), pre)))
 
 
+def _signed_zero_prehistory_model():
+    """x' = x(t - 0.5) - x from t0 = 0.5 with the prehistories -c at c = 0
+    and cos(t) on two slots that carry x; the outputs are the delayed
+    values and time-slopes.  Before t = 1 they read the prehistories:
+    -c and its t-derivative are -0.0, as is -sin(t) at the start node
+    (tau = 0), and the CSV prints each as -0."""
+    b = TapeBuilder(7)          # [x, t, c, xdel_1, xdel_2, xdelslope_1, xdelslope_2]
+    x = b.input(0)
+    d1, d2, s1, s2 = (b.input(j) for j in range(3, 7))
+    t = b.build([b.sub(d2, x), d1, s1, d2, s2, x, x])
+    return make_ode_model(
+        1, t, ("c",), {"c": 0.0}, ("x",), ("v1", "s1", "v2", "s2"),
+        init_exprs=(parse_expr(1.0),),
+        delays=(DelaySlot(parse_expr(0.5), parse_expr("-c")),
+                DelaySlot(parse_expr(0.5), parse_expr("cos(t)"))))
+
+
+def _shared_delay_model():
+    """x' = -(x1(t - h) + x2(t - h)/2 + x3(t - 2h/2)/4) - x with x1 = x,
+    x2 = x^2 and x3 = t x: two slots on the expression h and one on 2*h/2,
+    which evaluates equal to it.  h = 0.35 is off the step grid."""
+    b = TapeBuilder(9)          # [x, t, h, d1, d2, d3, s1, s2, s3]
+    x, tn = b.input(0), b.input(1)
+    d1, d2, d3 = (b.input(j) for j in range(3, 6))
+    mix = b.add(b.add(d1, b.mul(b.const(0.5), d2)), b.mul(b.const(0.25), d3))
+    t = b.build([b.sub(b.neg(mix), x), mix, x, b.mul(x, x), b.mul(tn, x)])
+    return make_ode_model(
+        1, t, ("h",), {"h": 0.35}, ("x",), ("y",), init_exprs=(parse_expr(1.0),),
+        delays=(DelaySlot(parse_expr("h"), parse_expr("1 + t")),
+                DelaySlot(parse_expr("h"), parse_expr("2*h")),
+                DelaySlot(parse_expr("2*h/2"), parse_expr("t/4"))))
+
+
 GOLDEN_DELAY = [
     ("gain_dde", _gain_dde_model, SimConfig(step=1e-2, tf=1.0)),
     ("two_delay_jump", _two_delay_jump_model, SimConfig(step=0.1, tf=1.0)),
@@ -1065,6 +1101,9 @@ GOLDEN_DELAY = [
     ("delay_reset", _delay_reset_model, SimConfig(step=1e-2, tf=3.0)),
     ("dde_third.midpoint", lambda: _dde_model(1.0 / 3.0),
      SimConfig(step=1.0 / 3.0, tf=2.0, method="midpoint")),
+    ("signed_zero_prehistory", _signed_zero_prehistory_model,
+     SimConfig(step=0.1, tf=1.5, t0=0.5)),
+    ("shared_delay", _shared_delay_model, SimConfig(step=0.1, tf=2.0)),
 ]
 
 
@@ -1091,9 +1130,21 @@ def test_node_lookup_reuses_the_last_stage_lookup(monkeypatch):
     # past t0 + h the step anchor cannot reach the prehistory, so the
     # lookup at an accepted node is the last RK stage's at the same time
     calls = []
-    lookup = sim._History.lookup
-    monkeypatch.setattr(sim._History, "lookup",
-                        lambda self, *a: calls.append(a[0]) or lookup(self, *a))
+    generate = sim._generate_stepper
+
+    def counting_generate(m, method):
+        make = generate(m, method)
+
+        def counted_make(*args):
+            made = make(*args)
+            ev = made[0]
+            cell = ev.__closure__[ev.__code__.co_freevars.index("_look")]
+            lookup = cell.cell_contents
+            cell.cell_contents = lambda *a: calls.append(a[0]) or lookup(*a)
+            return made
+        return counted_make
+
+    monkeypatch.setattr(sim, "_generate_stepper", counting_generate)
     counts = []
     for tf in (1.0, 1.1):
         calls.clear()
@@ -1102,6 +1153,22 @@ def test_node_lookup_reuses_the_last_stage_lookup(monkeypatch):
     # the step from 1.0 to 1.1: one lookup at the two midpoint stages and
     # one at the end, which the node at 1.1 reuses
     assert counts[1] - counts[0] == 2
+
+
+def test_models_of_one_structure_share_the_compiled_code():
+    # the delay record reads its constants from a table, so models that
+    # differ only in a delay or prehistory constant compile once
+    def model(c):
+        b = TapeBuilder(4)          # [x, t, xdel, xdelslope]
+        x = b.input(0)
+        return make_ode_model(1, b.build([b.neg(b.input(2)), x, x]), (), {}, ("x",), ("y",),
+                              init_exprs=(parse_expr(1.0),),
+                              delays=(DelaySlot(parse_expr(c), parse_expr(c)),))
+    made = [sim._generate_stepper(model(c), "rk4") for c in (0.5, 0.25)]
+    assert made[0].__code__ is made[1].__code__
+    cfg = SimConfig(step=0.25, tf=0.25)
+    # x(0.25) = 1 - 0.25 c: each model reads its own prehistory constant
+    assert [integrate(model(c), cfg).states[-1, 0] for c in (0.5, 0.25)] == [0.875, 0.9375]
 
 
 def test_unknown_parameter_override_is_a_typed_error():

@@ -367,6 +367,30 @@ def test_second_derivative_failure_names_the_node():
         assert exc.value.node_id == node
 
 
+def test_fractional_power_of_minus_inf_fails_compiled_as_interpreted():
+    # math.pow takes a fractional power of -inf where fn_value refuses it
+    from hybridad import Pow
+    for p in (0.5, -0.5, 1.5, 2.0, -3.0):
+        b = TapeBuilder(1)
+        t = b.build([b.apply(Pow(p), b.input(0))])
+        f = compile_tape(t)
+        if p.is_integer():
+            assert f([-math.inf]) == tape_eval(t, [-math.inf])
+        else:
+            with pytest.raises(EvalDomainError):
+                tape_eval(t, [-math.inf])
+            with pytest.raises(ValueError):
+                f([-math.inf])
+        for x in (2.0, 0.25, 0.0, -0.0, math.inf, math.nan, -2.0):
+            try:
+                want = repr(tape_eval(t, [x]))
+            except EvalDomainError:
+                with pytest.raises(ValueError):
+                    f([x])
+                continue
+            assert repr(f([x])) == want
+
+
 def test_modes_agree_on_random_tapes_with_branches():
     rng = np.random.default_rng(43)
     ops = ("add", "sub", "mul", "div", "apply", "branch")
