@@ -14,6 +14,12 @@ so nothing is written under ``perfbench/``.  Two checkouts compute the same
 trajectories bit for bit when this prints the same lines for both.  The
 exit status is 1 when a job raises or its check reports a problem.
 
+Standard error gets one more line per workload and seed: how many
+distinct sources the simulator generated for how many models, that is,
+how many code objects a process with an empty cache would compile:
+
+    <workload> <seed>: <distinct> distinct generated sources of <models>
+
     python scripts/trajectory_digest.py --seed 1 --seed 2
     python scripts/trajectory_digest.py --workload delay-sens --seed 1
 """
@@ -43,6 +49,13 @@ def _wrap_integrate(seen: list):
             mod.integrate = recorded
 
 
+def _wrap_compiled(sources: list):
+    """Record every source the simulator compiles, cached or not."""
+    import hybridad.sim
+    original = hybridad.sim._compiled
+    hybridad.sim._compiled = lambda source: sources.append(source) or original(source)
+
+
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--workload", action="append", choices=WORKLOADS,
@@ -57,10 +70,13 @@ def main() -> int:
     from tracing import Tracer
 
     seen: list[str] = []
+    sources: list[str] = []
     _wrap_integrate(seen)
+    _wrap_compiled(sources)
     tracer, failed = Tracer(False), 0
     for name in args.workload or WORKLOADS:
         for seed in args.seed:
+            sources.clear()
             with tempfile.TemporaryDirectory() as tmp:
                 wl = workloads.build(name, seed, Path(tmp))
                 for path, text in wl.files.items():
@@ -76,6 +92,8 @@ def main() -> int:
                     for problem in problems:
                         print(f"{name} {seed} {j} {job.kind}: {problem}", file=sys.stderr)
                     failed += bool(problems)
+            print(f"{name} {seed}: {len(set(sources))} distinct generated sources "
+                  f"of {len(sources)}", file=sys.stderr)
     return 1 if failed else 0
 
 

@@ -29,15 +29,16 @@ Integrators are deliberately fixed-step (midpoint and classic RK4) so
 finite-difference oracles stay deterministic.  Each model is compiled
 once per method into generated code: the march over the step grid, with
 the RK step, the guard checks and the delay lookups, and one function per
-event guard for event location; models of the same structure share the
-compiled code.  Parameter-only nodes are computed once
-per ``integrate`` call, stages compute only the rhs, and a branch arm that
-can raise runs only when it is taken.  So an exception there is a real
-domain error; ``tape_eval`` re-runs the point and names the node
-(``EvalDomainError``).  Python code runs only at the start, at each event
-(location, action, record) and to assemble the trajectory.  Models are
-immutable and each ``integrate`` call owns its private workspace:
-parameter sweeps may run concurrently.
+event guard for event location.  Tape constants, branch thresholds and
+delay constants are read from a per-model table, not written into the
+source, so models of the same structure share the compiled code.
+Parameter-only nodes are computed once per ``integrate`` call, stages
+compute only the rhs, and a branch arm that can raise runs only when it is
+taken.  So an exception there is a real domain error; ``tape_eval`` re-runs
+the point and names the node (``EvalDomainError``).  Python code runs only
+at the start, at each event (location, action, record) and to assemble the
+trajectory.  Models are immutable and each ``integrate`` call owns its
+private workspace: parameter sweeps may run concurrently.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ from .tape import (
     guarded_source,
     node_ref,
     node_source,
+    numbers,
     reverse_gradient,
     tape_eval,
 )
@@ -346,9 +348,10 @@ def _generate_stepper(m: OdeModel, method: str):
     """Compiles ``_make(c, x, t, env, theta...) -> (ev, step, guards,
     march)`` for a call with config ``c`` starting at (x, t) under
     parameters ``env`` (``theta`` their values in ``m.param_names`` order).
-    ``_make`` builds the delay record (``_record_source``), for a model
-    with delay slots, and computes the parameter-only nodes that cannot
-    raise or that every call needs; the interpreter names one that fails.
+    ``_make`` binds the model's and the guards' ``numbers`` from the table
+    ``_k``, builds the delay record (``_record_source``), for a model with
+    delay slots, and computes the parameter-only nodes that cannot raise or
+    that every call needs; the interpreter names one that fails.
 
     ``ev(x..., t, anchor, full)`` computes the rhs nodes, reading the
     delay record for the step that starts at ``anchor``, and reuses the
@@ -401,20 +404,22 @@ def _generate_stepper(m: OdeModel, method: str):
 
     # ``_fail(k, vals)`` re-runs tape k: 0 ev's, k >= 1 guard k - 1's, the last the model's
     fails = (tape, *(e.guard for e in m.events), m.tape)
+    nums = numbers(tape, place)     # the model's numbers, bound once per ``_make`` call
     src, checks, late = [], [], []
     for k, e in enumerate(m.events, 1):         # guard k - 1, called g(x..., t)
-        g = e.guard
+        g, tag = e.guard, f"{k}_"
         g_place, g_opened = arm_contexts(g, [(g.outputs[0], 0)])
-        out = node_ref(g, g.outputs[0])
-        src += [f"def _g{k}(*x):", "    try:",
-                *(" " * 8 + ln for ln in guarded_source(g, g_place, g_opened, set(), 0)),
-                f"        return {out}",
-                "    except _ARITH_ERRORS:", f"        _fail({k}, list(x))", "        raise"]
+        nums.update(numbers(g, g_place, tag))
+        out = node_ref(g, g.outputs[0], tag)
+        src += [f"    def _g{k}(*x):", "        try:",
+                *(" " * 12 + ln for ln in guarded_source(g, g_place, g_opened, set(), 0, tag)),
+                f"            return {out}",
+                "        except _ARITH_ERRORS:", f"            _fail({k}, list(x))", "            raise"]
         ins = {nid: "tn" if nd.a == n else f"y[{nd.a}]"    # inline in march, at the step's end
                for nid, nd in enumerate(g.nodes) if nd.op == "input" and nid in g_place}
         checks += [f"            if not tn <= u{k}:", "                try:",
                    *(f"                    _v{nid} = {v}" for nid, v in ins.items()),
-                   *(" " * 20 + ln for ln in guarded_source(g, g_place, g_opened, set(ins), 0)),
+                   *(" " * 20 + ln for ln in guarded_source(g, g_place, g_opened, set(ins), 0, tag)),
                    "                except _ARITH_ERRORS:",
                    f"                    _fail({k}, [*y, tn])", "                    raise",
                    f"                if (p{k} >= 0.0) != ({out} >= 0.0):",
@@ -423,10 +428,11 @@ def _generate_stepper(m: OdeModel, method: str):
         late += [f"            if tn <= u{k}:", f"                p{k} = _g{k}(*y, tn)"]
     ps = ", ".join(f"p{k}" for k in range(1, len(m.events) + 1))
     us = ps.replace("p", "u")
-    consts: list = []
-    src += [f"def _make({', '.join(['_c', '_x', '_t0', '_env'] + theta)}):",
-            "    _step, _tf = _c.step, _c.tf", "    _end = _tf - 1e-12 * max(1.0, abs(_tf))",
-            *(_record_source(m, dv, consts) if m.delays else []),
+    consts = list(nums.values())        # then the delay record's, read as ``_k[i]``
+    src = [f"def _make({', '.join(['_c', '_x', '_t0', '_env'] + theta)}):",
+           f"    [{', '.join(nums)}] = _k[:{len(nums)}]", *src,
+           "    _step, _tf = _c.step, _c.tf", "    _end = _tf - 1e-12 * max(1.0, abs(_tf))",
+           *(_record_source(m, dv, consts) if m.delays else []),
             f"    def ev({', '.join(arg[:n + 1])}, anchor, full):"]
     if m.delays:
         src += ["        nonlocal _kt, _ka",
@@ -489,9 +495,9 @@ def _generate_stepper(m: OdeModel, method: str):
 
 @functools.lru_cache(maxsize=32)
 def _compiled(source: str):
-    """One code object per distinct generated source, so models of the
-    same structure compile once (the delay record reads its constants
-    from ``_k``, so they do not make sources differ)."""
+    """One code object per distinct generated source.  Each model's
+    numbers live in its own table ``_k``, not in the source, so models of
+    the same structure compile once."""
     return compile(source, "<generated>", "exec")
 
 

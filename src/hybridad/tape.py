@@ -538,22 +538,23 @@ def parse_dump(text: str) -> Tape:
 _INFIX = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
 
 
-def node_ref(t: Tape, i: int) -> str:
-    """How generated code reads node ``i``: a literal for a constant, else
-    the variable ``_v<i>``."""
-    return repr(t.nodes[i].value) if t.nodes[i].op == "const" else f"_v{i}"
+def node_ref(t: Tape, i: int, tag: str = "") -> str:
+    """How generated code reads node ``i``: the variable ``_v<i>``, or for a
+    constant the name ``_k<tag><i>`` bound from the table (``numbers``)."""
+    return f"_k{tag}{i}" if t.nodes[i].op == "const" else f"_v{i}"
 
 
-def node_source(t: Tape, i: int) -> str:
+def node_source(t: Tape, i: int, tag: str = "") -> str:
     """Python statement computing the non-constant node ``i`` from its
-    children (``x`` holds the inputs, ``_m`` is ``math``)."""
-    n, r = t.nodes[i], lambda j: node_ref(t, j)
+    children (``x`` holds the inputs, ``_m`` is ``math``); a branch reads its
+    threshold as ``_k<tag><i>``, a power's exponent stays a literal."""
+    n, r = t.nodes[i], lambda j: node_ref(t, j, tag)
     if n.op == "input":
         e = f"x[{n.a}]"
     elif n.op in _INFIX:
         e = f"{r(n.a)} {_INFIX[n.op]} {r(n.b)}"
     elif n.op == "branch":
-        e = f"{r(n.a)} if {r(n.cond)} >= {n.threshold!r} else {r(n.b)}"
+        e = f"{r(n.a)} if {r(n.cond)} >= _k{tag}{i} else {r(n.b)}"
     elif n.fn.kind == "pow":
         e = f"_m.pow({r(n.a)}, {n.fn.exponent!r})"
         if not n.fn.exponent.is_integer():     # a negative base fails as in ``fn_value``
@@ -565,20 +566,32 @@ def node_source(t: Tape, i: int) -> str:
     return f"_v{i} = {e}"
 
 
+def numbers(t: Tape, place, tag: str = "") -> dict[str, float]:
+    """The table of the code generated for the nodes of ``place``: each
+    constant's value and branch threshold by the name ``_k<tag><i>`` it is
+    bound to (``[names] = _k``), so the source holds the structure alone."""
+    return {f"_k{tag}{i}": t.nodes[i].value if t.nodes[i].op == "const" else t.nodes[i].threshold
+            for i in sorted(place) if t.nodes[i].op in ("const", "branch")}
+
+
 def compile_tape(t: Tape):
     """Build a fast evaluator ``f(x) -> list[float]`` of the outputs.
 
     It computes only taken branch arms, as ``tape_eval`` does, with the same
     numbers.  Where ``tape_eval`` names a failing node it raises the plain
-    ZeroDivisionError, ValueError or OverflowError.
+    ZeroDivisionError, ValueError or OverflowError.  ``_mk(_k)`` binds the
+    ``numbers`` once, as closure cells of ``f``, as ``sim._make`` does.
     """
     place, opened = arm_contexts(t, [(o, 0) for o in t.outputs])
-    src = ["def _f(x, _m=math):",
-           *("    " + line for line in guarded_source(t, place, opened, set(), 0)),
-           "    return [" + ", ".join(node_ref(t, o) for o in t.outputs) + "]"]
-    ns: dict = {"math": math, "inf": math.inf, "nan": math.nan}    # non-finite literals
+    k = numbers(t, place)
+    src = ["def _mk(_k):", f"    [{', '.join(k)}] = _k",
+           "    def _f(x, _m=math):",
+           *("        " + line for line in guarded_source(t, place, opened, set(), 0)),
+           "        return [" + ", ".join(node_ref(t, o) for o in t.outputs) + "]",
+           "    return _f"]
+    ns: dict = {"math": math, "inf": math.inf, "nan": math.nan}    # non-finite exponents
     exec("\n".join(src), ns)
-    return ns["_f"]
+    return ns["_mk"](list(k.values()))
 
 
 def arm_contexts(t: Tape, roots):
@@ -638,13 +651,13 @@ def arm_contexts(t: Tape, roots):
     return place, opened
 
 
-def guarded_source(t: Tape, place, opened, skip, ctx: int) -> list[str]:
+def guarded_source(t: Tape, place, opened, skip, ctx: int, tag: str = "") -> list[str]:
     """Statements computing the nodes not in ``skip`` that ``place`` (from
     ``arm_contexts``) puts in context ``ctx`` or inside it: in id order,
     with each branch's arms just before it.  Arm context k is the flag
     ``_c<k>``, true when its arm is live and taken, that guards the
     statements in it (``if _c3: ...``), so the code stays flat however
-    deep arms nest."""
+    deep arms nest.  Numbers are read as ``node_source`` reads them."""
     by_ctx = defaultdict(list)
     for nid in sorted(set(place) - skip):
         for c in place[nid] if t.nodes[nid].op != "const" else ():
@@ -662,12 +675,12 @@ def guarded_source(t: Tape, place, opened, skip, ctx: int) -> list[str]:
             continue
         a = opened.get((c, nid), -2)        # its then-arm context; -2: it opens none
         if a not in by_ctx and a + 1 not in by_ctx:
-            lines.append(guard + node_source(t, nid))
+            lines.append(guard + node_source(t, nid, tag))
             continue
-        n = t.nodes[nid]
-        lines += [f"_c{a} = {live}{node_ref(t, n.cond)} >= {n.threshold!r}",
+        n, r = t.nodes[nid], lambda j: node_ref(t, j, tag)
+        lines += [f"_c{a} = {live}{r(n.cond)} >= _k{tag}{nid}",
                   f"_c{a + 1} = {live}not _c{a}"]
-        todo += [(c, iter([f"{guard}_v{nid} = {node_ref(t, n.a)} if _c{a} else {node_ref(t, n.b)}"])),
+        todo += [(c, iter([f"{guard}_v{nid} = {r(n.a)} if _c{a} else {r(n.b)}"])),
                  (a + 1, iter(by_ctx.get(a + 1, ()))), (a, iter(by_ctx.get(a, ())))]
     return lines
 

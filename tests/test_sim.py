@@ -35,7 +35,7 @@ from hybridad import (
     tape_eval,
 )
 from hybridad import sim
-from hybridad.ops import ATAN, Pow
+from hybridad.ops import ATAN, SQRT, Pow
 from hybridad.sim import make_ode_model
 
 
@@ -1093,6 +1093,25 @@ def _shared_delay_model():
                 DelaySlot(parse_expr("2*h/2"), parse_expr("t/4"))))
 
 
+def _special_constants_model():
+    """Constants -0.0, inf, -inf and nan on the tape, and the branch
+    thresholds -0.0 (a Saturation with lo = 0, lowered as ``flatten``
+    does) and inf.  x' = sat(t - 0.5) - x with limits [0, inf]; z starts
+    at -0.0 with rhs -0.0, so it stays -0.0.  The CSV prints -0, inf, -inf
+    and nan."""
+    b = TapeBuilder(3)          # [x, z, t]
+    x = b.input(0)
+    nzero, inf, ninf, nan = (b.const(v) for v in (-0.0, math.inf, -math.inf, math.nan))
+    u = b.sub(b.input(2), b.const(0.5))
+    sat = b.branch(u, math.inf, b.const(math.inf),
+                   b.branch(b.neg(u), -0.0, b.const(0.0), u))
+    t = b.build([b.sub(sat, x), nzero, sat, b.mul(nzero, x), b.add(x, ninf),
+                 b.branch(x, math.inf, nan, nzero), inf, nan])
+    return make_ode_model(
+        2, t, (), {}, ("x", "z"), ("sat", "nzx", "ninf", "pick", "inf", "nan"),
+        init_exprs=(parse_expr(1.0), parse_expr(-0.0)))
+
+
 GOLDEN_DELAY = [
     ("gain_dde", _gain_dde_model, SimConfig(step=1e-2, tf=1.0)),
     ("two_delay_jump", _two_delay_jump_model, SimConfig(step=0.1, tf=1.0)),
@@ -1169,6 +1188,77 @@ def test_models_of_one_structure_share_the_compiled_code():
     cfg = SimConfig(step=0.25, tf=0.25)
     # x(0.25) = 1 - 0.25 c: each model reads its own prehistory constant
     assert [integrate(model(c), cfg).states[-1, 0] for c in (0.5, 0.25)] == [0.875, 0.9375]
+
+
+def _chain_model(hi, clk, pole, mid):
+    """Two stages of the benchmark's large-diagram chain, each e' = k (u -
+    e) into a Saturation [-hi, hi], a lag 1/(s + pole), a Switch on a
+    Step at time clk and a lookup whose third value is mid; extended by
+    dy/dk."""
+    blocks = [{"id": "U", "kind": "Step", "time": 0.0, "level": 1.0},
+              {"id": "Clk", "kind": "Step", "time": clk, "level": 1.0}]
+    links, prev = [], "U.out"
+    for s in ("A", "B"):
+        blocks += [
+            {"id": f"{s}E", "kind": "Sum", "signs": "+-"},
+            {"id": f"{s}G", "kind": "Gain", "gain": "k"},
+            {"id": f"{s}I", "kind": "Integrator", "initial": 0.0},
+            {"id": f"{s}Sat", "kind": "Saturation", "lo": -hi, "hi": hi},
+            {"id": f"{s}T", "kind": "TransferFnS", "num": [1.0], "den": [1.0, pole]},
+            {"id": f"{s}W", "kind": "Switch", "threshold": 0.5},
+            {"id": f"{s}L", "kind": "LookupTable1D", "breakpoints": [-1.0, 0.0, 0.4, 1.0],
+             "values": [-1.0, 0.0, mid, 1.1]}]
+        links += [
+            {"from": prev, "to": f"{s}E.in1"}, {"from": f"{s}I.out", "to": f"{s}E.in2"},
+            {"from": f"{s}E.out", "to": f"{s}G.in"}, {"from": f"{s}G.out", "to": f"{s}I.in"},
+            {"from": f"{s}I.out", "to": f"{s}Sat.in"}, {"from": f"{s}Sat.out", "to": f"{s}T.in"},
+            {"from": f"{s}T.out", "to": f"{s}W.in1"}, {"from": "Clk.out", "to": f"{s}W.in2"},
+            {"from": f"{s}Sat.out", "to": f"{s}W.in3"}, {"from": f"{s}W.out", "to": f"{s}L.in"}]
+        prev = f"{s}L.out"
+    doc = {"schema": 1, "name": "chain", "params": {"k": 2.0}, "blocks": blocks,
+           "links": links, "outputs": [{"name": "y", "from": prev}]}
+    return sensitivity_extend(flatten(parse_diagram(json.dumps(doc))), "k")
+
+
+def test_one_structure_compiles_once_and_runs_its_own_numbers():
+    # every constant of B differs from A's; the generated source does not
+    a = {"hi": 0.8, "clk": 0.7, "pole": 0.2, "mid": 0.5}
+    b = {"hi": 0.6, "clk": 0.9, "pole": 0.3, "mid": 0.45}
+    cfg = SimConfig(step=0.01, tf=1.5)
+    sim._compiled.cache_clear()
+    shared = [integrate(_chain_model(**p), cfg).to_csv() for p in (a, b, a)]
+    info = sim._compiled.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    assert shared[0] == shared[2] != shared[1]
+    for p, csv in zip((a, b), shared):
+        sim._compiled.cache_clear()
+        assert integrate(_chain_model(**p), cfg).to_csv() == csv
+
+
+def test_one_structure_names_the_failing_models_node():
+    # x' = sqrt(c - t): c = 0.5 fails past t = 0.5, c = 2 runs to the end
+    def model(c):
+        b = TapeBuilder(2)          # [x, t]
+        root = b.apply(SQRT, b.sub(b.const(c), b.input(1)))
+        return make_ode_model(1, b.build([root, b.input(0)]), (), {}, ("x",), ("y",),
+                              init_exprs=(parse_expr(0.0),)), root
+    cfg = SimConfig(step=0.1, tf=1.0)
+    sim._compiled.cache_clear()
+    clean = integrate(model(2.0)[0], cfg).to_csv()
+    bad, root = model(0.5)
+    with pytest.raises(EvalDomainError, match="sqrt of negative value") as exc:
+        integrate(bad, cfg)
+    assert exc.value.node_id == root
+    assert integrate(model(2.0)[0], cfg).to_csv() == clean
+    assert sim._compiled.cache_info().misses == 1
+
+
+def test_special_constants_trajectory_matches_golden_file():
+    # written before constants and thresholds were read from a table
+    tr = integrate(_special_constants_model(), SimConfig(step=0.25, tf=1.5))
+    path = os.path.join(os.path.dirname(__file__), "golden", "special_constants.csv")
+    with open(path, encoding="ascii", newline="") as fh:
+        assert tr.to_csv() == fh.read()
 
 
 def test_unknown_parameter_override_is_a_typed_error():

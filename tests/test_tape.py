@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -17,12 +18,14 @@ from hybridad import (
     compile_tape,
     dump,
     finite_difference,
+    flatten,
     forward_gradient,
     hessian,
     jet_derivative,
     jet_var,
     jvp_tape,
     op_count,
+    parse_diagram,
     parse_dump,
     reverse_gradient,
     tape_eval,
@@ -251,6 +254,45 @@ def test_compiled_non_finite_constants():
     t = b.build([b.add(x, b.const(math.inf)),
                  b.branch(x, -math.inf, b.mul(x, b.const(math.nan)), x)])
     assert str(compile_tape(t)([1.0])) == str(tape_eval(t, [1.0])) == "[inf, nan]"
+
+
+def _same_bits(got, want):
+    return len(got) == len(want) and all(
+        math.isnan(g) if math.isnan(w) else
+        g == w and math.copysign(1.0, g) == math.copysign(1.0, w)
+        for g, w in zip(got, want))
+
+
+def test_compiled_special_constants_keep_their_bits():
+    # constants and thresholds come from a table, not from literals, so
+    # -0.0, inf, -inf and nan must reach the generated code unchanged
+    b = TapeBuilder(1)
+    x = b.input(0)
+    nzero, inf, ninf, nan = (b.const(v) for v in (-0.0, math.inf, -math.inf, math.nan))
+    # a Saturation with lo = 0 and hi = inf, lowered as ``flatten`` does:
+    # the lower limit's threshold is -0.0
+    sat = b.branch(x, math.inf, b.const(math.inf), b.branch(b.neg(x), -0.0, b.const(0.0), x))
+    t = b.build([nzero, inf, ninf, nan, sat, b.mul(nzero, x), b.add(x, ninf),
+                 b.branch(x, -0.0, nzero, inf), b.branch(x, math.inf, nan, ninf)])
+    f = compile_tape(t)
+    for x0 in (-2.0, -0.0, 0.0, 0.5, math.inf, -math.inf):
+        assert _same_bits(f([x0]), tape_eval(t, [x0])), x0
+
+
+def test_compiled_saturation_at_zero_keeps_its_bits():
+    doc = {"schema": 1, "name": "sat0", "params": {"a": 0.0},
+           "blocks": [{"id": "C", "kind": "Constant", "value": "a"},
+                      {"id": "S", "kind": "Saturation", "lo": 0.0, "hi": 1.0}],
+           "links": [{"from": "C.out", "to": "S.in"}],
+           "outputs": [{"name": "s", "from": "S.out"}]}
+    t = flatten(parse_diagram(json.dumps(doc))).tape
+    assert any(n.op == "branch" and n.threshold == 0.0 and math.copysign(1.0, n.threshold) < 0
+               for n in t.nodes)
+    f = compile_tape(t)
+    for a in (-1.0, -0.0, 0.0, 0.5, 2.0):
+        x = [0.0] * t.num_inputs
+        x[-1] = a
+        assert _same_bits(f(x), tape_eval(t, x)), a
 
 
 def test_jvp_tape_matches_forward():
