@@ -16,9 +16,10 @@ exit status is 1 when a job raises or its check reports a problem.
 
 Standard error gets one more line per workload and seed: how many
 distinct sources the simulator generated for how many models, that is,
-how many code objects a process with an empty cache would compile:
+how many code objects a process with an empty cache would compile, and
+how many lines all those sources hold together:
 
-    <workload> <seed>: <distinct> distinct generated sources of <models>
+    <workload> <seed>: <distinct> distinct generated sources of <models>, <lines> lines
 
     python scripts/trajectory_digest.py --seed 1 --seed 2
     python scripts/trajectory_digest.py --workload delay-sens --seed 1
@@ -92,8 +93,9 @@ def main() -> int:
                     for problem in problems:
                         print(f"{name} {seed} {j} {job.kind}: {problem}", file=sys.stderr)
                     failed += bool(problems)
+            lines = sum(src.count("\n") + 1 for src in sources)
             print(f"{name} {seed}: {len(set(sources))} distinct generated sources "
-                  f"of {len(sources)}", file=sys.stderr)
+                  f"of {len(sources)}, {lines} lines", file=sys.stderr)
     return 1 if failed else 0
 
 

@@ -44,17 +44,13 @@ def _read_diagram(path: str) -> Diagram:
         return parse_diagram(fh.read())
 
 
-def _sim_config(args) -> SimConfig:
-    return SimConfig(step=args.step, tf=args.tf, t0=args.t0, method=args.method,
-                     event_tol=args.event_tol)
-
-
 def _add_sim_flags(p: argparse.ArgumentParser):
     p.add_argument("--step", type=float, default=1e-3, help="fixed step size [s]")
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--tf", type=float, default=5.0)
     p.add_argument("--method", choices=("midpoint", "rk4"), default="rk4")
     p.add_argument("--event-tol", type=float, default=None, dest="event_tol")
+    p.set_defaults(sim_flags=p)     # ``main`` checks them into ``args.config``
 
 
 def _write(path: str | None, text: str):
@@ -92,7 +88,7 @@ def cmd_validate(args) -> int:
 def cmd_simulate(args) -> int:
     d = _read_diagram(args.diagram)
     m = flatten(d)
-    tr = integrate(m, _sim_config(args))
+    tr = integrate(m, args.config)
     _write(args.out, tr.to_csv())
     return 0
 
@@ -127,7 +123,7 @@ def _sens_columns(d: Diagram, base, tr0, thetas, config, route: str):
 
 def cmd_sens(args) -> int:
     d = _read_diagram(args.diagram)
-    config = _sim_config(args)
+    config = args.config
     thetas = args.theta
     for th in thetas:
         if th not in d.params:
@@ -257,7 +253,7 @@ def cmd_optimize(args) -> int:
     d = _read_diagram(args.diagram)
     if args.theta not in d.params:
         raise UnknownParameter(args.theta, d.params.keys())
-    config = _sim_config(args)
+    config = args.config
     res = optimize_scalar(d, args.theta, args.cost, config, args.theta0,
                           jacobian=args.jacobian, decimate=args.decimate)
     lines = [f"{args.theta}_opt = {res['theta_opt']:.10g}",
@@ -432,6 +428,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if "sim_flags" in args:     # a value SimConfig rejects is a bad flag: usage, exit status 2
+        try:
+            args.config = SimConfig(step=args.step, tf=args.tf, t0=args.t0,
+                                    method=args.method, event_tol=args.event_tol)
+        except ValueError as exc:
+            args.sim_flags.error(str(exc))
     try:
         return args.fn(args)
     except (ValidationError, UnknownParameter) as exc:

@@ -237,20 +237,16 @@ def flatten(d: Diagram) -> OdeModel:
         if k == "Sum":
             signs = f["signs"]
             ins, _ = b.port_names()
-            acc = None
+            acc = bld.const(0.0)
             for sg, p in zip(signs, ins):
                 nd = yield ask(b.id, p)
-                if acc is None:
-                    acc = nd if sg == "+" else bld.neg(nd)
-                else:
-                    acc = bld.add(acc, nd) if sg == "+" else bld.sub(acc, nd)
+                acc = bld.add(acc, nd) if sg == "+" else bld.sub(acc, nd)
             return acc
         if k == "Product":
             ins, _ = b.port_names()
-            acc = None
+            acc = bld.const(1.0)
             for p in ins:
-                nd = yield ask(b.id, p)
-                acc = nd if acc is None else bld.mul(acc, nd)
+                acc = bld.mul(acc, (yield ask(b.id, p)))
             return acc
         if k == "Fn":
             return bld.apply(f["fn"], (yield ask(b.id, "in")))
@@ -330,8 +326,6 @@ def flatten(d: Diagram) -> OdeModel:
             an = den[deg].to_tape(bld, env)
             acc = u
             for i in range(deg):
-                if den[i].is_zero():
-                    continue
                 acc = bld.sub(acc, bld.mul(den[i].to_tape(bld, env),
                                            x_nodes[info.index + i]))
             top = bld.div(acc, an)
@@ -363,18 +357,17 @@ def flatten(d: Diagram) -> OdeModel:
 
 def _lincomb(bld, env, terms):
     """Generator of the sum of coeff * node over ``terms``, pairs of a
-    ParamExpr and a node id or the output port to ask for; zero
-    coefficients are skipped, and the constant 0 is returned when no term
-    is left.  Each term emits its coefficient, then its node, then the
+    ParamExpr and a node id or the output port to ask for.  The sum starts
+    from the constant 0, which the builder's rule folds into the first
+    term; a zero coefficient skips its term, so its port is never asked
+    for.  Each term emits its coefficient, then its node, then the
     product, in list order."""
-    acc = None
+    acc = bld.const(0.0)
     for coeff, node in terms:
-        if coeff.is_zero():
-            continue
-        term = bld.mul(coeff.to_tape(bld, env),
-                       node if isinstance(node, int) else (yield node))
-        acc = term if acc is None else bld.add(acc, term)
-    return acc if acc is not None else bld.const(0.0)
+        if not coeff.is_zero():
+            acc = bld.add(acc, bld.mul(coeff.to_tape(bld, env),
+                                       node if isinstance(node, int) else (yield node)))
+    return acc
 
 
 def _emit_lookup(bld, f, u: int) -> int:

@@ -196,6 +196,8 @@ class SimConfig:
     def __post_init__(self):
         if not self.step > 0.0:
             raise ValueError("step must be positive")
+        if not (math.isfinite(self.t0) and math.isfinite(self.tf)):
+            raise ValueError("t0 and tf must be finite")
         if self.method not in ("rk4", "midpoint"):
             raise ValueError(f"unknown method {self.method!r}")
         if self.event_tol is not None and not (0.0 < self.event_tol < self.step):
@@ -615,18 +617,18 @@ def _integrate_discrete(m: OdeModel, c: SimConfig, env) -> Trajectory:
     if m.events or m.delays:
         raise NotImplementedError("discrete models with events/delays")
     ts = m.sample_time
-    t = m.start_time(env, c.t0)
+    t0 = m.start_time(env, c.t0)
     x = m.initial_state(env).tolist()
-    ev = _stepper(m, c, x, t, env)[0]
+    ev = _stepper(m, c, x, t0, env)[0]
     times, states, outputs = [], [], []
-    steps = int(math.floor((c.tf - t) / ts + 1e-9))
-    for _ in range(steps + 1):
+    steps = int(math.floor((c.tf - t0) / ts + 1e-9))
+    for k in range(steps + 1):
+        t = t0 + k * ts                     # as the march does: no drift from summing ts
         x_next, y = ev(*x, t, t, True)      # the rhs of a discrete model is its next state
         times.append(t)
         states.append(x)
         outputs.append(y)
         x = x_next
-        t += ts
     return Trajectory(np.array(times), np.array(states), np.array(outputs),
                       [], m.state_names, m.output_names)
 
@@ -750,19 +752,11 @@ def sensitivity_extend(m: OdeModel, theta: str | Sequence[str]) -> OdeModel:
     env_nodes = {p: ths[k] for k, p in enumerate(m.param_names)}
     tgs = []
     for d, th in enumerate(thetas):
-        seeds = ss[d * n:(d + 1) * n]
-        seeds.append(b.const(0.0))                                  # t
-        for p in m.param_names:
-            seeds.append(b.const(1.0 if p == th else 0.0))          # theta_k
-        for j in range(J):                                          # dval_j
-            dh = m.delays[j].delay.diff(th)
-            sd = dvals[(d + 1) * J + j]
-            if dh.is_zero():
-                seeds.append(sd)
-            else:
-                dh_node = dh.to_tape(b, env_nodes)
-                seeds.append(b.sub(sd, b.mul(dslopes[j], dh_node)))
-        seeds += [b.const(0.0)] * J                                 # dslope_j
+        seeds = [*ss[d * n:(d + 1) * n], b.const(0.0),                  # x, t
+                 *(b.const(1.0 if p == th else 0.0) for p in m.param_names),
+                 *(b.sub(dvals[(d + 1) * J + j],                        # dval_j
+                         b.mul(dslopes[j], m.delays[j].delay.diff(th).to_tape(b, env_nodes)))
+                   for j in range(J)), *[b.const(0.0)] * J]             # dslope_j
         tgs.append(append_tangent(b, m.tape, node_map, seeds))
 
     o = m.tape.outputs

@@ -31,6 +31,9 @@ Modes provided here:
 
 Tapes are immutable after construction; every evaluation allocates its
 own workspace, so concurrent evaluations of a shared tape are safe.
+``TapeBuilder`` folds exact identities and structural zeros as it builds,
+so a tangent sweep emits no nodes for zero tangents; ``copy_into`` replays
+a tape as it is.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import heapq
 import math
 import operator
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -51,7 +54,6 @@ from .ops import (
     ABS,
     COS,
     SIN,
-    TAN,
     ElementaryFn,
     Pow,
     fn_derivative,
@@ -107,7 +109,18 @@ class Tape:
 
 
 class TapeBuilder:
-    """Incremental tape construction; methods return node ids."""
+    """Incremental tape construction; methods return node ids.
+
+    One structural-zero rule folds where nodes are built, returning an
+    existing id and pushing nothing: ``x + 0``, ``0 + x``, ``x - 0``,
+    ``x * 1``, ``1 * x`` and ``x / 1`` give x, ``x * 0`` and ``0 * x`` the
+    zero, and a branch whose arms are one node, or both zeros, its then-arm;
+    ``0 - x`` (``neg``) and ``0 / x`` stay nodes.  ``x*1``, ``1*x``, ``x/1``
+    and ``x - (+0.0)`` are exact in IEEE arithmetic; ``x + 0`` and ``x * 0``
+    are exact for finite operands up to the sign of a zero result.  A
+    folded-away operand is no longer computed, so an error it would have
+    raised no longer happens.
+    """
 
     def __init__(self, num_inputs: int):
         self.num_inputs = num_inputs
@@ -117,6 +130,13 @@ class TapeBuilder:
     def _push(self, node: Node) -> int:
         self._nodes.append(node)
         return len(self._nodes) - 1
+
+    def _is(self, i: int, v: float) -> bool:       # node i is the constant v
+        return self._nodes[i].op == "const" and self._nodes[i].value == v
+
+    def is_zero(self, i: int) -> bool:
+        """Node ``i`` is a constant equal to 0.0 (of either sign)."""
+        return self._is(i, 0.0)
 
     def input(self, j: int) -> int:
         if not (0 <= j < self.num_inputs):
@@ -129,21 +149,26 @@ class TapeBuilder:
         return self._push(Node("const", value=float(v)))
 
     def add(self, a: int, b: int) -> int:
-        return self._push(Node("add", a=a, b=b))
+        return b if self.is_zero(a) else a if self.is_zero(b) else self._push(Node("add", a=a, b=b))
 
     def sub(self, a: int, b: int) -> int:
-        return self._push(Node("sub", a=a, b=b))
+        return a if self.is_zero(b) else self._push(Node("sub", a=a, b=b))
 
     def mul(self, a: int, b: int) -> int:
+        for x, y in ((a, b), (b, a)):
+            if self.is_zero(x) or self._is(y, 1.0):
+                return x
         return self._push(Node("mul", a=a, b=b))
 
     def div(self, a: int, b: int) -> int:
-        return self._push(Node("div", a=a, b=b))
+        return a if self._is(b, 1.0) else self._push(Node("div", a=a, b=b))
 
     def apply(self, fn: ElementaryFn, a: int) -> int:
         return self._push(Node("apply", a=a, fn=fn))
 
     def branch(self, cond: int, threshold: float, then_id: int, else_id: int) -> int:
+        if then_id == else_id or self.is_zero(then_id) and self.is_zero(else_id):
+            return then_id
         return self._push(Node("branch", a=then_id, b=else_id, cond=cond,
                                threshold=float(threshold)))
 
@@ -702,17 +727,12 @@ def copy_into(b: TapeBuilder, t: Tape, input_nodes: list[int] | None = None) -> 
 
 
 def _replay(b: TapeBuilder, n: Node, m: list[int]) -> int:
-    """Push node ``n`` into ``b`` with its children renamed through ``m``;
-    returns the new id."""
+    """Push node ``n`` into ``b`` as it is, unfolded, with its children
+    renamed through ``m``; returns the new id."""
     if n.op == "input":
         return b.input(n.a)
-    if n.op == "const":
-        return b.const(n.value)
-    if n.op == "apply":
-        return b.apply(n.fn, m[n.a])
-    if n.op == "branch":
-        return b.branch(m[n.cond], n.threshold, m[n.a], m[n.b])
-    return b._push(Node(n.op, a=m[n.a], b=m[n.b]))
+    return b._push(replace(n, **{f: m[getattr(n, f)] for f in ("a", "b", "cond")
+                                 if getattr(n, f) >= 0}))
 
 
 def append_tangent(b: TapeBuilder, t: Tape, node_map: list[int],
@@ -720,14 +740,17 @@ def append_tangent(b: TapeBuilder, t: Tape, node_map: list[int],
     """Emit tangent nodes for every node of ``t`` (chain rule, arm-wise
     on branches with the original conditions).  ``node_map`` are the value
     nodes from ``copy_into``; ``seed_nodes[j]`` is the tangent of input j.
-    Returns old-id -> tangent-node-id.
+    Returns old-id -> tangent-node-id.  A zero tangent is the constant
+    zero, which the builder's rule carries through sums, products and
+    branches; an ``apply`` or ``div`` of zero operand tangents gets it too.
     """
     zero = b.const(0.0)
     tan: list[int] = []
     for nid, n in enumerate(t.nodes):
         if n.op == "input":
             tan.append(seed_nodes[n.a])
-        elif n.op == "const":
+        elif n.op == "const" or n.op in ("apply", "div") and all(
+                b.is_zero(tan[c]) for c in n.children()):
             tan.append(zero)
         elif n.op == "add":
             tan.append(b.add(tan[n.a], tan[n.b]))
@@ -742,35 +765,22 @@ def append_tangent(b: TapeBuilder, t: Tape, node_map: list[int],
         elif n.op == "branch":
             tan.append(b.branch(node_map[n.cond], n.threshold, tan[n.a], tan[n.b]))
         else:
-            x = node_map[n.a]
-            dx = tan[n.a]
-            k = n.fn.kind
-            if k == "exp":
-                d = node_map[nid]
-            elif k == "log":
-                tan.append(b.div(dx, x))
+            x, y, dx, k = node_map[n.a], node_map[nid], tan[n.a], n.fn.kind
+            if k in ("log", "atan", "sqrt"):            # dx / (1 / f'(x))
+                tan.append(b.div(dx, x if k == "log" else b.mul(b.const(2.0), y) if k == "sqrt"
+                                 else b.add(b.const(1.0), b.mul(x, x))))
                 continue
+            if k == "exp":
+                d = y
             elif k == "sin":
                 d = b.apply(COS, x)
             elif k == "cos":
                 d = b.neg(b.apply(SIN, x))
             elif k == "tan":
-                y = node_map[nid]
                 d = b.add(b.const(1.0), b.mul(y, y))
-            elif k == "atan":
-                tan.append(b.div(dx, b.add(b.const(1.0), b.mul(x, x))))
-                continue
-            elif k == "sqrt":
-                tan.append(b.div(dx, b.mul(b.const(2.0), node_map[nid])))
-                continue
             elif k == "pow":
-                p = n.fn.exponent
-                if p == 0:
-                    tan.append(zero)
-                    continue
-                d = b.mul(b.const(p), b.apply(Pow(p - 1), x))
-            elif k == "abs":
-                # sign(x)*dx with the >= tie at zero (same arm selection as branches)
+                d = b.mul(b.const(n.fn.exponent), b.apply(Pow(n.fn.exponent - 1), x))
+            elif k == "abs":    # sign(x)*dx, >= tie at zero as in branches
                 d = b.branch(x, 0.0, b.const(1.0), b.const(-1.0))
             else:
                 raise AssertionError(k)

@@ -284,3 +284,16 @@ def test_table_sequence(capsys):
     out = capsys.readouterr().out
     assert "(0.0, 11)" in out
     assert "float32" in out
+
+
+@pytest.mark.parametrize("flags", [["--step", "0"], ["--tf", "inf"], ["--event-tol", "2"]])
+@pytest.mark.parametrize("command", [["simulate"], ["sens", "--theta", "k"],
+                                     ["optimize", "--theta", "k", "--cost", "y"]])
+def test_bad_simulation_flags_are_usage_errors(capsys, command, flags):
+    # reported as argparse reports a bad flag, before the diagram is read
+    with pytest.raises(SystemExit) as exc:
+        main([command[0], "no-such-file.json", *command[1:], *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: hybridad {command[0]} ")
+    assert f"hybridad {command[0]}: error: " in err

@@ -150,6 +150,23 @@ def test_unit_delay_accumulator():
     assert list(tr.output("y")) == [1.0, 2.0, 3.0, 4.0, 5.0]
 
 
+def test_discrete_sample_times_do_not_drift():
+    # a Step at t = 1.0 into a UnitDelay sampled at 0.1: summing 0.1 ten
+    # times lands at 0.9999999999999999, which would show the step a sample late
+    doc = {
+        "schema": 1, "name": "late", "params": {},
+        "blocks": [
+            {"id": "U", "kind": "Step", "time": 1.0, "level": 1.0},
+            {"id": "Z", "kind": "UnitDelay", "initial": 0.0, "sample_time": 0.1},
+        ],
+        "links": [{"from": "U.out", "to": "Z.in"}],
+        "outputs": [{"name": "y", "from": "Z.out"}],
+    }
+    tr = integrate(flatten(_diag(doc)), SimConfig(step=0.1, tf=1.5))
+    assert tr.times.tolist() == [k * 0.1 for k in range(16)]
+    assert tr.output("y").tolist() == [0.0] * 11 + [1.0] * 5
+
+
 def test_lookup_interpolation_and_clamp():
     doc = {
         "schema": 1, "name": "lut", "params": {"a": 0.0},
@@ -263,7 +280,7 @@ def test_long_chain_listed_consumer_first_flattens():
     # each Gain is declared before the Gain that drives it, so lowering the
     # first block reaches down the whole chain before emitting anything
     n = 3000
-    blocks = [{"id": f"G{i}", "kind": "Gain", "gain": 2.0 if i == 0 else 1.0}
+    blocks = [{"id": f"G{i}", "kind": "Gain", "gain": 2.0 if i == 0 else -1.0}
               for i in range(n - 1, -1, -1)]
     links = [{"from": f"G{i}.out", "to": f"G{i + 1}.in"} for i in range(n - 1)]
     blocks += [{"id": "U", "kind": "Step"}, {"id": "I", "kind": "Integrator", "initial": 0.0}]
@@ -272,4 +289,4 @@ def test_long_chain_listed_consumer_first_flattens():
                        "links": links, "outputs": [{"name": "y", "from": "I.out"}]}))
     assert sum(nd.op == "mul" for nd in m.tape.nodes) == n
     tr = integrate(m, SimConfig(step=0.25, tf=1.0))
-    assert tr.output("y")[-1] == 2.0
+    assert tr.output("y")[-1] == -2.0

@@ -1266,16 +1266,39 @@ def test_unknown_parameter_override_is_a_typed_error():
         integrate(_dde_model(), SimConfig(step=0.1, tf=1.0), theta={"bogus": 1.0})
 
 
-def test_domain_error_in_a_slot_slope_alone_names_the_node():
-    # the slot carries p ** 0.5 * x with p = 0: its value is fine, but the
-    # chain rule of its time-slope evaluates p ** -0.5
+def _slot_model(slot_of, x0: float):
+    """x' = -x(t - 0.5) with prehistory 0, whose one slot carries
+    ``slot_of(builder, x)``."""
     b = TapeBuilder(5)          # [x, t, p, xdel, xdelslope]
     x = b.input(0)
-    slot = b.mul(b.apply(Pow(0.5), b.input(2)), x)
-    m = make_ode_model(1, b.build([b.neg(b.input(3)), x, slot]), ("p",), {"p": 0.0},
-                       ("x",), ("y",), init_exprs=(parse_expr(1.0),),
-                       delays=(DelaySlot(parse_expr(0.5), parse_expr(0.0)),))
+    slot = slot_of(b, x)
+    return make_ode_model(1, b.build([b.neg(b.input(3)), x, slot]), ("p",), {"p": 0.0},
+                          ("x",), ("y",), init_exprs=(parse_expr(x0),),
+                          delays=(DelaySlot(parse_expr(0.5), parse_expr(0.0)),))
+
+
+def test_domain_error_in_a_slot_slope_alone_names_the_node():
+    # the slot carries sqrt(x) with x(0) = 0: its value is fine, but the
+    # chain rule of its time-slope divides x' by 2 * sqrt(x) = 0
+    m = _slot_model(lambda b, x: b.apply(SQRT, x), 0.0)
     with pytest.raises(EvalDomainError) as exc:
         integrate(m, SimConfig(step=0.1, tf=1.0))
     # a node of the appended time tangent, past the model's own nodes
     assert exc.value.node_id >= len(m.tape)
+
+
+def test_slot_of_a_parameter_power_times_x_has_a_zero_slope_at_p_zero():
+    # p ** 0.5 * x at p = 0: p is fixed in time, so the chain rule of the
+    # time-slope never reaches p ** -0.5, and the slope is exactly 0
+    m = _slot_model(lambda b, x: b.mul(b.apply(Pow(0.5), b.input(2)), x), 1.0)
+    assert tape_eval(sim._with_slot_slopes(m), [1.0, 0.0, 0.0, 0.0, 0.0])[-1] == 0.0
+    tr = integrate(m, SimConfig(step=0.1, tf=1.0))
+    assert tr.output("y").tolist() == [1.0] * len(tr.times)
+
+
+@pytest.mark.parametrize("bad", [{"tf": math.inf}, {"tf": math.nan}, {"t0": -math.inf},
+                                 {"t0": math.nan}])
+def test_non_finite_start_or_end_time_is_rejected(bad):
+    # only the config is built: an infinite end would march until memory runs out
+    with pytest.raises(ValueError, match="finite"):
+        SimConfig(**{"step": 0.1, "tf": 1.0, **bad})

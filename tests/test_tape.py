@@ -12,6 +12,8 @@ from hybridad import (
     EvalDomainError,
     NonDifferentiablePoint,
     SIN,
+    SQRT,
+    Tape,
     TapeBuilder,
     audit_branches,
     compare_report,
@@ -33,6 +35,7 @@ from hybridad import (
     taylor_patch,
 )
 from hybridad.jet import jet_const
+from hybridad.tape import Node, append_tangent, copy_into
 
 
 def test_worked_example_value():
@@ -463,3 +466,62 @@ def test_modes_agree_on_random_tapes_with_branches():
             compiled_checks += 1
             assert [repr(v) for v in f(x)] == [repr(v) for v in want]
     assert branches >= 40 and compiled_checks >= 40
+
+
+def test_builder_folds_return_an_existing_id_and_push_no_node():
+    b = TapeBuilder(2)
+    x, y = b.input(0), b.input(1)
+    zero, nzero, one = b.const(0.0), b.const(-0.0), b.const(1.0)
+    size = len(b.build([]))
+    folds = {"x + 0": (b.add(x, zero), x), "0 + x": (b.add(zero, x), x),
+             "x + -0": (b.add(x, nzero), x), "x - 0": (b.sub(x, zero), x),
+             "x * 0": (b.mul(x, zero), zero), "-0 * x": (b.mul(nzero, x), nzero),
+             "0 * 1": (b.mul(zero, one), zero), "x * 1": (b.mul(x, one), x),
+             "1 * x": (b.mul(one, x), x), "x / 1": (b.div(x, one), x),
+             "y ? x : x": (b.branch(y, 0.5, x, x), x),
+             "y ? 0 : -0": (b.branch(y, 0.5, zero, nzero), zero)}
+    assert {k: got for k, (got, _) in folds.items()} == {k: want for k, (_, want) in folds.items()}
+    assert len(b.build([])) == size
+    assert b.is_zero(zero) and b.is_zero(nzero) and not b.is_zero(one) and not b.is_zero(x)
+
+
+def test_negation_zero_over_x_scaling_and_true_branches_stay_nodes():
+    b = TapeBuilder(2)
+    x, y = b.input(0), b.input(1)
+    zero, two = b.const(0.0), b.const(2.0)
+    ids = [b.sub(zero, x), b.neg(x), b.div(zero, x), b.mul(x, two), b.branch(y, 0.5, x, two)]
+    t = b.build(ids)
+    assert [t.nodes[i].op for i in ids] == ["sub", "sub", "div", "mul", "branch"]
+    # 0 / x still divides: at x = 0 it fails and names the node
+    with pytest.raises(EvalDomainError) as exc:
+        tape_eval(t, [0.0, 1.0])
+    assert exc.value.node_id == ids[2]
+    assert [repr(v) for v in tape_eval(t, [3.0, 0.0])] == ["-3.0", "-3.0", "0.0", "6.0", "2.0"]
+
+
+def test_copy_into_a_fresh_builder_keeps_every_node_as_it_is():
+    # x * 0.0, 1.0 * (x * 0.0) and a branch with one node in both arms:
+    # a replay pushes them unfolded, so every node keeps its id
+    t = Tape((Node("input", a=0), Node("const", value=0.0), Node("mul", a=0, b=1),
+              Node("const", value=1.0), Node("mul", a=3, b=2),
+              Node("branch", a=2, b=2, cond=0, threshold=0.5)), 1, (4, 5))
+    b = TapeBuilder(1)
+    assert copy_into(b, t) == list(range(len(t)))
+    assert b.build(t.outputs) == t
+
+
+def test_tangent_of_a_constant_subexpression_emits_no_node():
+    # x * (sqrt(p) / p) along x: the operand tangents of sqrt and of the
+    # division are zero, so the tangent is the product's other factor
+    t0 = TapeBuilder(2)
+    x, p = t0.input(0), t0.input(1)
+    q = t0.div(t0.apply(SQRT, p), p)
+    t = t0.build([t0.mul(x, q)])
+    b = TapeBuilder(2)
+    m = copy_into(b, t)
+    seeds = [b.const(1.0), b.const(0.0)]
+    size = len(b.build([]))
+    tan = append_tangent(b, t, m, seeds)
+    assert tan[t.outputs[0]] == m[q]
+    assert len(b.build([])) == size + 1             # the one shared zero constant
+    assert tape_eval(b.build([tan[t.outputs[0]]]), [5.0, 4.0]) == [0.5]
