@@ -16,10 +16,12 @@ exit status is 1 when a job raises or its check reports a problem.
 
 Standard error gets one more line per workload and seed: how many
 distinct sources the simulator generated for how many models, that is,
-how many code objects a process with an empty cache would compile, and
-how many lines all those sources hold together:
+how many code objects a process with an empty cache would compile, how
+many lines all those sources hold together, and how many of those lines
+are node statements, which assign a ``_v<i>``, outside ``march`` (whose RK
+stages and guard checks repeat the statements of ``ev`` and the guards):
 
-    <workload> <seed>: <distinct> distinct generated sources of <models>, <lines> lines
+    <workload> <seed>: <distinct> distinct generated sources of <models>, <lines> lines, <nodes> node statements
 
     python scripts/trajectory_digest.py --seed 1 --seed 2
     python scripts/trajectory_digest.py --workload delay-sens --seed 1
@@ -27,12 +29,15 @@ how many lines all those sources hold together:
 
 import argparse
 import hashlib
+import re
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("smooth-sens", "impact-events", "delay-sens", "large-diagram")
+MARCH = re.compile(r"^    def march\(.*?(?=^ {0,4}\S)", re.M | re.S)
+NODE_STATEMENT = re.compile(r"^ *(if _c\d+: )?_v[\d_]+ = ", re.M)
 
 
 def _wrap_integrate(seen: list):
@@ -94,8 +99,9 @@ def main() -> int:
                         print(f"{name} {seed} {j} {job.kind}: {problem}", file=sys.stderr)
                     failed += bool(problems)
             lines = sum(src.count("\n") + 1 for src in sources)
+            nodes = sum(len(NODE_STATEMENT.findall(MARCH.sub("", src))) for src in sources)
             print(f"{name} {seed}: {len(set(sources))} distinct generated sources "
-                  f"of {len(sources)}, {lines} lines", file=sys.stderr)
+                  f"of {len(sources)}, {lines} lines, {nodes} node statements", file=sys.stderr)
     return 1 if failed else 0
 
 

@@ -150,6 +150,26 @@ def cmd_sens(args) -> int:
 
 # -- optimize ----------------------------------------------------------------
 
+def _decimation(decimate: float | None, step: float) -> int | None:
+    """Steps per sample of the decimated cost channel (None: every step);
+    ValueError unless ``decimate`` is a whole positive number of steps."""
+    if decimate is None:
+        return None
+    q = decimate / step
+    every = round(q) if math.isfinite(q) else 0
+    if every < 1 or abs(every * step - decimate) > 1e-9 * max(1.0, decimate):
+        raise ValueError("--decimate must be a multiple of the step")
+    return every
+
+
+def _finite(text: str) -> float:
+    """An argparse type: a finite float."""
+    v = float(text)
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return v
+
+
 def _cost_evaluator(d: Diagram, theta: str, cost: str, config: SimConfig,
                     decimate: float | None, use_ad: bool):
     """Returns (J(z), g(z)) callables over the clamped scalar parameter.
@@ -166,11 +186,7 @@ def _cost_evaluator(d: Diagram, theta: str, cost: str, config: SimConfig,
         raise ValidationError([type("V", (), {"message": f"no output {cost!r}"})()])
     dcost = d_output_name(cost, theta)
     maug = flatten(agdm_diff(d, theta)) if use_ad else None
-    every = None
-    if decimate is not None:
-        every = int(round(decimate / config.step))
-        if every < 1 or abs(every * config.step - decimate) > 1e-9 * max(1.0, decimate):
-            raise ValueError("--decimate must be a multiple of the step")
+    every = _decimation(decimate, config.step)
 
     def accumulate(times, series) -> float:
         if every is None:
@@ -202,6 +218,8 @@ def optimize_scalar(d: Diagram, theta: str, cost: str, config: SimConfig,
                     lo: float = 0.001, hi: float = 3.0,
                     max_iter: int = 60):
     """Damped secant root-finding on dJ/dtheta with clamped iterates."""
+    if not math.isfinite(theta0):
+        raise ValueError(f"theta0 must be finite, got {theta0!r}")
     J, g = _cost_evaluator(d, theta, cost, config, decimate, jacobian == "ad")
 
     def clamp(z):
@@ -413,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     op.add_argument("--theta", required=True)
     op.add_argument("--cost", required=True, help="output accumulated as the cost integrand")
     op.add_argument("--jacobian", choices=("ad", "fd"), default="ad")
-    op.add_argument("--theta0", type=float, default=0.1)
+    op.add_argument("--theta0", type=_finite, default=0.1)
     op.add_argument("--decimate", type=float, default=None,
                     help="rate-transition sampling interval of the cost channel [s]")
     _add_sim_flags(op)
@@ -428,10 +446,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if "sim_flags" in args:     # a value SimConfig rejects is a bad flag: usage, exit status 2
-        try:
+    if "sim_flags" in args:     # a value SimConfig or the decimation rejects is a bad flag:
+        try:                    # usage, exit status 2
             args.config = SimConfig(step=args.step, tf=args.tf, t0=args.t0,
                                     method=args.method, event_tol=args.event_tol)
+            _decimation(getattr(args, "decimate", None), args.step)
         except ValueError as exc:
             args.sim_flags.error(str(exc))
     try:

@@ -28,10 +28,11 @@ run.  Sensitivity propagation across any other event kind is refused
 Integrators are deliberately fixed-step (midpoint and classic RK4) so
 finite-difference oracles stay deterministic.  Each model is compiled
 once per method into generated code: the march over the step grid, with
-the RK step, the guard checks and the delay lookups, and one function per
-event guard for event location.  Tape constants, branch thresholds and
-delay constants are read from a per-model table, not written into the
-source, so models of the same structure share the compiled code.
+the RK stages, the guard checks and the delay lookups written out, and
+the RK step and one function per event guard for event location.  Tape
+constants, branch thresholds and delay constants are read from a
+per-model table, not written into the source, so models of the same
+structure share the compiled code.
 Parameter-only nodes are computed once per ``integrate`` call, stages
 compute only the rhs, and a branch arm that can raise runs only when it is
 taken.  So an exception there is a real domain error; ``tape_eval`` re-runs
@@ -72,8 +73,8 @@ from .tape import (
     copy_into,
     guarded_source,
     node_ref,
-    node_source,
     numbers,
+    readers,
     reverse_gradient,
     tape_eval,
 )
@@ -346,6 +347,32 @@ def _record_source(m: OdeModel, dv: list[str], consts: list) -> list[str]:
     return src
 
 
+# per RK stage after the first (whose rhs is ``f``, read as a0, a1, ...): the
+# name of its rhs, the stage whose rhs it steps along and the step, then y
+_RK_STAGES = {"midpoint": (("b", "a", "hh"),),
+              "rk4": (("b", "a", "hh"), ("c", "b", "hh"), ("d", "c", "h"))}
+_RK_Y = {"midpoint": "x{0} + h * b{0}",
+         "rk4": "x{0} + h6 * (a{0} + 2.0 * b{0} + 2.0 * c{0} + d{0})"}
+
+
+def _rk_source(m: OdeModel, method: str, stage) -> list[str]:
+    """Statements of one RK step of ``method`` from state ``x`` at ``t``
+    over ``h``, whose first stage is the rhs ``f`` at (x, t): they set
+    ``y``, clamped.  ``stage(k, xs, ts)`` gives the statements that set
+    ``k0, k1, ...`` to the rhs at the states ``xs`` and time ``ts`` (source
+    expressions), for the step anchored at ``t``."""
+    def row(fmt):               # one entry per state
+        return ", ".join(fmt.format(i) for i in range(m.n))
+
+    src = [f"[{row('x{}')}] = x", f"[{row('a{}')}] = f", "hh = 0.5 * h"]
+    for k, k_in, hs in _RK_STAGES[method]:
+        src += stage(k, [f"x{i} + {hs} * {k_in}{i}" for i in range(m.n)], f"t + {hs}")
+    src += [*(["h6 = h / 6.0"] if method == "rk4" else []), f"y = [{row(_RK_Y[method])}]"]
+    if m.state_clamps:
+        src += ["for i, lo, hi in _clamps:", "    y[i] = min(hi, max(lo, y[i]))"]
+    return src
+
+
 def _generate_stepper(m: OdeModel, method: str):
     """Compiles ``_make(c, x, t, env, theta...) -> (ev, step, guards,
     march)`` for a call with config ``c`` starting at (x, t) under
@@ -353,7 +380,9 @@ def _generate_stepper(m: OdeModel, method: str):
     ``_make`` binds the model's and the guards' ``numbers`` from the table
     ``_k``, builds the delay record (``_record_source``), for a model with
     delay slots, and computes the parameter-only nodes that cannot raise or
-    that every call needs; the interpreter names one that fails.
+    that every call needs; the interpreter names one that fails.  All code
+    is ``guarded_source``'s: a node that one statement alone reads is
+    written into that statement's expression.
 
     ``ev(x..., t, anchor, full)`` computes the rhs nodes, reading the
     delay record for the step that starts at ``anchor``, and reuses the
@@ -364,15 +393,19 @@ def _generate_stepper(m: OdeModel, method: str):
     the march, it also returns the outputs and records the node: the slot
     values and their time-slopes (``_with_slot_slopes``).  A node in an arm
     that can raise runs only when that arm is taken (``arm_contexts``).
-    ``step(x, t, h, k1)`` is one RK step around ``ev``, anchored at ``t``.
+    ``step(x, t, h, f)`` is one RK step (``_rk_source``) that calls ``ev``
+    at its stages, anchored at ``t``; event location bisects with it.
     ``guards`` holds one ``g(x..., t) -> float`` per event, its guard
     tape's output computed the same taken-arm way.
 
     ``march(x, t, f, g, until, times, states, outputs)`` steps on the grid
     anchored at t, with ``f`` the rhs and ``g`` the guard values at (x, t),
     appending each accepted node to the three lists, until tf or the first
-    step across which a guard changes sign; a guard is not checked on a
-    step that ends inside its deadtime window, which closes at
+    step across which a guard changes sign.  Each step is ``step``'s RK
+    formula with the stages written out: the stage inputs, the delay
+    lookup and ``ev``'s rhs statements, so only the accepted node calls
+    ``ev``.  The guard checks are written out too; a guard is not checked
+    on a step that ends inside its deadtime window, which closes at
     ``until[i]``.  It returns None at tf, else ``(i, k, x, t, h, f, g_i,
     y)``: guard i changed sign on the k-th step, from (x, t) over h to y."""
     tape = _with_slot_slopes(m) if m.delays else m.tape
@@ -394,15 +427,26 @@ def _generate_stepper(m: OdeModel, method: str):
     arg = [f"_v{arg[j]}" if j in arg else f"_u{j}" for j in range(tape.num_inputs)]
     theta, dv, tt = arg[n + 1:n + 1 + s], arg[n + 1 + s:], arg[n]
 
-    def row(fmt):               # one entry per state
-        return ", ".join(fmt.format(i) for i in range(n))
-
     def refs(ids):
         return ", ".join(node_ref(tape, o) for o in ids)
 
-    def stage(k_out, k_in, hs):     # k_out: the rhs at (x + hs * k_in, t + hs)
-        xs = "".join(f"x{i} + {hs} * {k_in}{i}, " for i in range(n))
-        return f"        [{row(k_out + '{}')}] = ev({xs}t + {hs}, t, False)"
+    def lookup(ts, anchor):     # the delay record read at ts for the step from anchor
+        return [f"a = {anchor} if {anchor} - _hmax < _left else None",
+                f"if {ts} != _kt or a != _ka:", f"    _look({ts}, {anchor})",
+                f"    _kt, _ka = {ts}, a"] if m.delays else []
+
+    reads = readers(tape, place, inputs, outs)
+    rhs = guarded_source(tape, place, opened, bound, 0, reads)
+
+    def call_stage(k, xs, ts):          # ``step``: the rhs by a call of ``ev``
+        return [f"[{', '.join(f'{k}{i}' for i in range(n))}] = "
+                f"ev({''.join(x + ', ' for x in xs)}{ts}, t, False)"]
+
+    def inline_stage(k, xs, ts):        # ``march``: ``ev``'s statements, at the stage inputs
+        return [*(f"{a} = {e}" for a, e in zip(arg, [*xs, ts])), *lookup(tt, "t"),
+                *(["try:", *("    " + ln for ln in rhs), "except _ARITH_ERRORS:",
+                   f"    _fail(0, [{', '.join(arg)}])", "    raise"] if rhs else []),
+                *(f"{k}{i} = {node_ref(tape, o)}" for i, o in enumerate(outs[:n]))]
 
     # ``_fail(k, vals)`` re-runs tape k: 0 ev's, k >= 1 guard k - 1's, the last the model's
     fails = (tape, *(e.guard for e in m.events), m.tape)
@@ -412,22 +456,23 @@ def _generate_stepper(m: OdeModel, method: str):
         g, tag = e.guard, f"{k}_"
         g_place, g_opened = arm_contexts(g, [(g.outputs[0], 0)])
         nums.update(numbers(g, g_place, tag))
-        out = node_ref(g, g.outputs[0], tag)
-        src += [f"    def _g{k}(*x):", "        try:",
-                *(" " * 12 + ln for ln in guarded_source(g, g_place, g_opened, set(), 0, tag)),
+        out, g_reads = node_ref(g, g.outputs[0], tag), readers(g, g_place, keep=g.outputs)
+        body = guarded_source(g, g_place, g_opened, set(), 0, g_reads, tag)
+        src += [f"    def _g{k}(*x):", "        try:", *(" " * 12 + ln for ln in body),
                 f"            return {out}",
                 "        except _ARITH_ERRORS:", f"            _fail({k}, list(x))", "            raise"]
         ins = {nid: "tn" if nd.a == n else f"y[{nd.a}]"    # inline in march, at the step's end
                for nid, nd in enumerate(g.nodes) if nd.op == "input" and nid in g_place}
-        checks += [f"            if not tn <= u{k}:", "                try:",
-                   *(f"                    _v{nid} = {v}" for nid, v in ins.items()),
-                   *(" " * 20 + ln for ln in guarded_source(g, g_place, g_opened, set(ins), 0, tag)),
-                   "                except _ARITH_ERRORS:",
-                   f"                    _fail({k}, [*y, tn])", "                    raise",
-                   f"                if (p{k} >= 0.0) != ({out} >= 0.0):",
-                   f"                    return {k - 1}, k, x, t, h, f, p{k}, y",
-                   f"                p{k} = {out}"]
-        late += [f"            if tn <= u{k}:", f"                p{k} = _g{k}(*y, tn)"]
+        checks += [f"if not tn <= u{k}:", "    try:",
+                   *(f"        {node_ref(g, nid, tag)} = {v}" for nid, v in ins.items()),
+                   *(" " * 8 + ln
+                     for ln in guarded_source(g, g_place, g_opened, set(ins), 0, g_reads, tag)),
+                   "    except _ARITH_ERRORS:",
+                   f"        _fail({k}, [*y, tn])", "        raise",
+                   f"    if (p{k} >= 0.0) != ({out} >= 0.0):",
+                   f"        return {k - 1}, k, x, t, h, f, p{k}, y",
+                   f"    p{k} = {out}"]
+        late += [f"if tn <= u{k}:", f"    p{k} = _g{k}(*y, tn)"]
     ps = ", ".join(f"p{k}" for k in range(1, len(m.events) + 1))
     us = ps.replace("p", "u")
     consts = list(nums.values())        # then the delay record's, read as ``_k[i]``
@@ -435,52 +480,39 @@ def _generate_stepper(m: OdeModel, method: str):
            f"    [{', '.join(nums)}] = _k[:{len(nums)}]", *src,
            "    _step, _tf = _c.step, _c.tf", "    _end = _tf - 1e-12 * max(1.0, abs(_tf))",
            *(_record_source(m, dv, consts) if m.delays else []),
-            f"    def ev({', '.join(arg[:n + 1])}, anchor, full):"]
-    if m.delays:
-        src += ["        nonlocal _kt, _ka",
-                "        a = anchor if anchor - _hmax < _left else None",
-                f"        if {tt} != _kt or a != _ka:",
-                f"            _look({tt}, anchor)", f"            _kt, _ka = {tt}, a"]
-    src += ["        try:",
-            *(" " * 12 + line for line in guarded_source(tape, place, opened, bound, 0)),
-            "            if not full:",
-            f"                return [{refs(outs[:n])}]",
-            *(" " * 12 + line for line in guarded_source(tape, place, opened, bound, 1)),
-            *([f"            _T.append({tt})", f"            _R.append([{refs(outs[n + q:])}])",
-               "            _kt = None      # a lookup clamped to the old newest node may now interpolate"]
-              if m.delays else []),
-            f"            return [{refs(outs[:n])}], [{refs(outs[n:n + q])}]",
-            "        except _ARITH_ERRORS:",
-            f"            _fail(0, [{', '.join(arg)}])",
-            "            raise",
-            "    def step(x, t, h, k1):",
-            f"        [{row('x{}')}] = x",
-            f"        [{row('a{}')}] = k1",
-            "        hh = 0.5 * h",
-            stage("b", "a", "hh")]
-    if method == "midpoint":
-        src.append(f"        y = [{row('x{0} + h * b{0}')}]")
-    else:
-        src += [stage("c", "b", "hh"), stage("d", "c", "h"), "        h6 = h / 6.0",
-                f"        y = [{row('x{0} + h6 * (a{0} + 2.0 * b{0} + 2.0 * c{0} + d{0})')}]"]
-    if m.state_clamps:
-        src += ["        for i, lo, hi in _clamps:", "            y[i] = min(hi, max(lo, y[i]))"]
-    src += ["        return y",
-            "    def march(x, t, f, g, until, times, states, outputs):",
-            *([f"        [{ps}] = g", f"        [{us}] = until"] if m.events else []),
-            "        anchor, k = t, 1",
-            "        while True:",
-            "            tn = min(anchor + k * _step, _tf)",
-            "            h = tn - t",
-            "            y = step(x, t, h, f)",
-            *checks,
-            "            f, out = ev(*y, tn, tn, True)",
-            *late,
-            "            times.append(tn)", "            states.append(y)",
-            "            outputs.append(out)",
-            "            if not tn < _end:", "                return None",
-            "            x, t = y, tn", "            k += 1"]
-    lift = [node_source(tape, nid) for nid in hoist if nodes[nid].op != "const"]
+           f"    def ev({', '.join(arg[:n + 1])}, anchor, full):",
+           *(["        nonlocal _kt, _ka"] if m.delays else []),
+           *("        " + ln for ln in lookup(tt, "anchor")),
+           "        try:", *(" " * 12 + ln for ln in rhs),
+           "            if not full:",
+           f"                return [{refs(outs[:n])}]",
+           *(" " * 12 + ln for ln in guarded_source(tape, place, opened, bound, 1, reads)),
+           *([f"            _T.append({tt})", f"            _R.append([{refs(outs[n + q:])}])",
+              "            _kt = None      # a lookup clamped to the old newest node may now interpolate"]
+             if m.delays else []),
+           f"            return [{refs(outs[:n])}], [{refs(outs[n:n + q])}]",
+           "        except _ARITH_ERRORS:",
+           f"            _fail(0, [{', '.join(arg)}])",
+           "            raise",
+           "    def step(x, t, h, f):",
+           *("        " + ln for ln in _rk_source(m, method, call_stage)),
+           "        return y",
+           "    def march(x, t, f, g, until, times, states, outputs):",
+           *(["        nonlocal _kt, _ka"] if m.delays else []),
+           *([f"        [{ps}] = g", f"        [{us}] = until"] if m.events else []),
+           "        anchor, k = t, 1",
+           "        while True:",
+           "            tn = min(anchor + k * _step, _tf)",
+           "            h = tn - t",
+           *(" " * 12 + ln for ln in _rk_source(m, method, inline_stage)),
+           *(" " * 12 + ln for ln in checks),
+           "            f, out = ev(*y, tn, tn, True)",
+           *(" " * 12 + ln for ln in late),
+           "            times.append(tn)", "            states.append(y)",
+           "            outputs.append(out)",
+           "            if not tn < _end:", "                return None",
+           "            x, t = y, tn", "            k += 1"]
+    lift = guarded_source(tape, dict.fromkeys(hoist, {0}), {}, set(), 0, reads)
     if lift:
         src += ["    try:", *("        " + ln for ln in lift), "    except _ARITH_ERRORS:",
                 *(["        _look(_t0, _t0)"] if m.delays else []),

@@ -22,8 +22,9 @@ Modes provided here:
 * ``hessian``            -- forward duals pushed through the reverse sweep
 * ``tape_jet_eval``      -- order-r Taylor propagation (jet module)
 * ``compile_tape``       -- Python code generation, taken arms only
-* ``arm_contexts`` / ``guarded_source`` -- the taken-arm code generator
-  behind ``compile_tape`` and the simulator's generated step
+* ``arm_contexts`` / ``readers`` / ``guarded_source`` -- the taken-arm
+  code generator behind ``compile_tape`` and the simulator's generated
+  code, which writes a node read once into its reader's expression
 * ``op_count``           -- arithmetic-operation count of a derivative pass
 * ``jvp_tape``           -- source transformation emitting derivative nodes
 * ``audit_branches`` / ``taylor_patch`` -- branch-boundary checks and
@@ -41,7 +42,7 @@ from __future__ import annotations
 import heapq
 import math
 import operator
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -561,34 +562,43 @@ def parse_dump(text: str) -> Tape:
 # ---------------------------------------------------------------------------
 
 _INFIX = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
+_MAX_NEST = 100     # parentheses an inlined expression may nest; CPython refuses over 200
 
 
 def node_ref(t: Tape, i: int, tag: str = "") -> str:
-    """How generated code reads node ``i``: the variable ``_v<i>``, or for a
-    constant the name ``_k<tag><i>`` bound from the table (``numbers``)."""
-    return f"_k{tag}{i}" if t.nodes[i].op == "const" else f"_v{i}"
+    """How generated code reads node ``i``: the variable ``_v<tag><i>``, or
+    for a constant the name ``_k<tag><i>`` bound from the table
+    (``numbers``)."""
+    return f"_k{tag}{i}" if t.nodes[i].op == "const" else f"_v{tag}{i}"
 
 
-def node_source(t: Tape, i: int, tag: str = "") -> str:
-    """Python statement computing the non-constant node ``i`` from its
-    children (``x`` holds the inputs, ``_m`` is ``math``); a branch reads its
-    threshold as ``_k<tag><i>``, a power's exponent stays a literal."""
-    n, r = t.nodes[i], lambda j: node_ref(t, j, tag)
+def _operands(n: Node) -> tuple[int, ...]:
+    """The nodes ``node_source`` reads for ``n``, once per reading: a
+    fractional power reads its base three times."""
+    if n.op == "apply" and n.fn.kind == "pow" and not n.fn.exponent.is_integer():
+        return (n.a,) * 3
+    return n.children()
+
+
+def node_source(t: Tape, i: int, r, tag: str = "") -> str:
+    """Python expression computing the non-constant node ``i`` from its
+    children (``x`` holds the inputs, ``_m`` is ``math``), each read as
+    ``r(j)`` gives it: its ``node_ref``, or its own expression in
+    parentheses (``guarded_source``).  A branch reads its threshold as
+    ``_k<tag><i>``, a power's exponent stays a literal."""
+    n = t.nodes[i]
     if n.op == "input":
-        e = f"x[{n.a}]"
-    elif n.op in _INFIX:
-        e = f"{r(n.a)} {_INFIX[n.op]} {r(n.b)}"
-    elif n.op == "branch":
-        e = f"{r(n.a)} if {r(n.cond)} >= _k{tag}{i} else {r(n.b)}"
-    elif n.fn.kind == "pow":
+        return f"x[{n.a}]"
+    if n.op in _INFIX:
+        return f"{r(n.a)} {_INFIX[n.op]} {r(n.b)}"
+    if n.op == "branch":
+        return f"{r(n.a)} if {r(n.cond)} >= _k{tag}{i} else {r(n.b)}"
+    if n.fn.kind == "pow":
         e = f"_m.pow({r(n.a)}, {n.fn.exponent!r})"
         if not n.fn.exponent.is_integer():     # a negative base fails as in ``fn_value``
             e += f" if not {r(n.a)} < 0.0 else _m.sqrt({r(n.a)})"
-    elif n.fn.kind == "abs":
-        e = f"abs({r(n.a)})"
-    else:
-        e = f"_m.{n.fn.kind}({r(n.a)})"
-    return f"_v{i} = {e}"
+        return e
+    return f"abs({r(n.a)})" if n.fn.kind == "abs" else f"_m.{n.fn.kind}({r(n.a)})"
 
 
 def numbers(t: Tape, place, tag: str = "") -> dict[str, float]:
@@ -605,13 +615,16 @@ def compile_tape(t: Tape):
     It computes only taken branch arms, as ``tape_eval`` does, with the same
     numbers.  Where ``tape_eval`` names a failing node it raises the plain
     ZeroDivisionError, ValueError or OverflowError.  ``_mk(_k)`` binds the
-    ``numbers`` once, as closure cells of ``f``, as ``sim._make`` does.
+    ``numbers`` once, as closure cells of ``f``, as ``sim._make`` does.  A
+    node that one statement alone reads is written into that statement's
+    expression (``guarded_source``); the outputs keep their names.
     """
     place, opened = arm_contexts(t, [(o, 0) for o in t.outputs])
     k = numbers(t, place)
     src = ["def _mk(_k):", f"    [{', '.join(k)}] = _k",
            "    def _f(x, _m=math):",
-           *("        " + line for line in guarded_source(t, place, opened, set(), 0)),
+           *("        " + line for line in guarded_source(
+               t, place, opened, set(), 0, readers(t, place, keep=t.outputs))),
            "        return [" + ", ".join(node_ref(t, o) for o in t.outputs) + "]",
            "    return _f"]
     ns: dict = {"math": math, "inf": math.inf, "nan": math.nan}    # non-finite exponents
@@ -676,38 +689,70 @@ def arm_contexts(t: Tape, roots):
     return place, opened
 
 
-def guarded_source(t: Tape, place, opened, skip, ctx: int, tag: str = "") -> list[str]:
+def readers(t: Tape, place, skip=(), keep=()) -> Counter:
+    """How often code generated for ``place`` (``guarded_source``) reads
+    each node: once per reading in the statements of the nodes not in
+    ``skip``, in each of their contexts, and once for each node in
+    ``keep``, which other code reads."""
+    operands = list(keep)
+    for nid in set(place) - set(skip):
+        if t.nodes[nid].op != "const":
+            operands += _operands(t.nodes[nid]) * len(place[nid])
+    return Counter(operands)
+
+
+def guarded_source(t: Tape, place, opened, skip, ctx: int, reads, tag: str = "") -> list[str]:
     """Statements computing the nodes not in ``skip`` that ``place`` (from
     ``arm_contexts``) puts in context ``ctx`` or inside it: in id order,
     with each branch's arms just before it.  Arm context k is the flag
     ``_c<k>``, true when its arm is live and taken, that guards the
     statements in it (``if _c3: ...``), so the code stays flat however
-    deep arms nest.  Numbers are read as ``node_source`` reads them."""
+    deep arms nest.  Numbers are read as ``node_source`` reads them.
+
+    A node that ``reads`` (from ``readers``) counts one reading of, by a
+    statement of its own context, is written into that statement in
+    parentheses instead of its own (``_v5 = _k3 * (_v1 + _v2)``): the same
+    IEEE operations in the same order, which CPython does not reassociate.
+    Written into an arm of a flagless ternary it runs only when that arm is
+    taken; such an arm holds no node that can raise (``arm_contexts``).  An
+    expression nests at most ``_MAX_NEST`` parentheses."""
     by_ctx = defaultdict(list)
     for nid in sorted(set(place) - skip):
         for c in place[nid] if t.nodes[nid].op != "const" else ():
             by_ctx[c].append(nid)
+    text, depth, own, inlined = {}, {}, {}, set()
+    c = nest = deep = 0
+
+    def r(j):               # how the statement in hand, in context c, reads node j
+        nonlocal deep
+        if reads[j] == 1 and own.get(j) == c and depth[j] + nest <= _MAX_NEST:
+            inlined.add(j)
+            deep = max(deep, depth[j] + nest)
+            return f"({text[j]})"
+        return node_ref(t, j, tag)
+
     lines, todo = [], [(ctx, iter(by_ctx[ctx]))]
     while todo:
         c, items = todo[-1]
-        nid = next(items, None)
-        guard, live = (f"if _c{c}: ", f"_c{c} and ") if c > 1 else ("", "")
-        if nid is None:
+        item = next(items, None)
+        if item is None:
             todo.pop()
             continue
-        if isinstance(nid, str):            # a branch's value, after its arms
-            lines.append(nid)
+        guard, live = (f"if _c{c}: ", f"_c{c} and ") if c > 1 else ("", "")
+        value = isinstance(item, tuple)     # a branch's value, after its arms (context a)
+        nid, a = item if value else (item, opened.get((c, item), -2))
+        n = t.nodes[nid]
+        nest, deep = 2 if n.op == "apply" else 1, 0
+        if not value and (a in by_ctx or a + 1 in by_ctx):      # a's flags, then its arms
+            lines += [(None, f"_c{a} = {live}{r(n.cond)} >= _k{tag}{nid}"),
+                      (None, f"_c{a + 1} = {live}not _c{a}")]
+            todo += [(c, iter([(nid, a)])), (a + 1, iter(by_ctx.get(a + 1, ()))),
+                     (a, iter(by_ctx.get(a, ())))]
             continue
-        a = opened.get((c, nid), -2)        # its then-arm context; -2: it opens none
-        if a not in by_ctx and a + 1 not in by_ctx:
-            lines.append(guard + node_source(t, nid, tag))
-            continue
-        n, r = t.nodes[nid], lambda j: node_ref(t, j, tag)
-        lines += [f"_c{a} = {live}{r(n.cond)} >= _k{tag}{nid}",
-                  f"_c{a + 1} = {live}not _c{a}"]
-        todo += [(c, iter([f"{guard}_v{nid} = {r(n.a)} if _c{a} else {r(n.b)}"])),
-                 (a + 1, iter(by_ctx.get(a + 1, ()))), (a, iter(by_ctx.get(a, ())))]
-    return lines
+        text[nid] = f"{r(n.a)} if _c{a} else {r(n.b)}" if value else node_source(t, nid, r, tag)
+        own[nid], depth[nid] = c, deep
+        lines.append((nid, f"{guard}{node_ref(t, nid, tag)} = {text[nid]}"))
+    return [line for nid, line in lines if nid not in inlined]
 
 
 # ---------------------------------------------------------------------------

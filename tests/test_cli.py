@@ -297,3 +297,15 @@ def test_bad_simulation_flags_are_usage_errors(capsys, command, flags):
     err = capsys.readouterr().err
     assert err.startswith(f"usage: hybridad {command[0]} ")
     assert f"hybridad {command[0]}: error: " in err
+
+
+@pytest.mark.parametrize("flags", [["--decimate", "0.25", "--step", "0.1"], ["--decimate", "nan"],
+                                   ["--theta0", "nan"], ["--theta0", "-inf"]])
+def test_bad_optimize_flags_are_usage_errors(capsys, flags):
+    # a decimation off the step grid and a start that no clamp can place
+    with pytest.raises(SystemExit) as exc:
+        main(["optimize", "no-such-file.json", "--theta", "k", "--cost", "y", *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hybridad optimize ")
+    assert "hybridad optimize: error: " in err

@@ -35,7 +35,7 @@ from hybridad import (
     tape_eval,
 )
 from hybridad import sim
-from hybridad.ops import ATAN, SQRT, Pow
+from hybridad.ops import ATAN, COS, SIN, SQRT, Pow
 from hybridad.sim import make_ode_model
 
 
@@ -576,55 +576,48 @@ def _count_evaluations(monkeypatch):
 
 
 def _count_model_evaluations(monkeypatch):
-    """Records the ``full`` flag of every call of the generated model
-    evaluator ``ev``: the march's calls at accepted nodes and the RK
-    stages inside the generated ``step``, which reaches ``ev`` through its
-    closure."""
-    calls = []
-    generate = sim._generate_stepper
+    """Counts calls of ``math.sin`` and ``math.cos``.  In ``_counted_model``
+    the rhs holds the only sine and an output the only cosine, so they
+    count the rhs evaluations (at the RK stages, which the generated march
+    writes out, and at the accepted nodes) and the output evaluations."""
+    counts = {"rhs": 0, "outputs": 0}
+    for key, name in (("rhs", "sin"), ("outputs", "cos")):
+        def counted(v, key=key, fn=getattr(math, name)):
+            counts[key] += 1
+            return fn(v)
+        monkeypatch.setattr(math, name, counted)
+    return counts
 
-    def counting_generate(m, method):
-        make = generate(m, method)
 
-        def counted_make(*args):
-            ev, step, *rest = make(*args)
-
-            def counted(*a):
-                calls.append(a[-1])
-                return ev(*a)
-            step.__closure__[step.__code__.co_freevars.index("ev")].cell_contents = counted
-            return counted, step, *rest
-        return counted_make
-
-    monkeypatch.setattr(sim, "_generate_stepper", counting_generate)
-    return calls
+def _counted_model(events=()):
+    """x' = -sin(x), x(0) = 1, with the output y = cos(x)."""
+    b = TapeBuilder(2)          # [x, t]
+    x = b.input(0)
+    return make_ode_model(1, b.build([b.neg(b.apply(SIN, x)), b.apply(COS, x)]), (), {},
+                          ("x",), ("y",), init_exprs=(parse_expr(1.0),), events=events)
 
 
 @pytest.mark.parametrize("method, per_step", [("rk4", 4), ("midpoint", 2)])
 def test_rhs_evaluations_per_step(monkeypatch, method, per_step):
     calls = _count_model_evaluations(monkeypatch)
-    m = _decay_model()
-    tr = integrate(m, SimConfig(step=0.01, tf=1.0, method=method))
+    tr = integrate(_counted_model(), SimConfig(step=0.01, tf=1.0, method=method))
     steps = len(tr.times) - 1
     assert steps == 100
     # the rhs at each accepted node is the next step's first stage
-    assert len(calls) == 1 + per_step * steps
+    assert calls["rhs"] == 1 + per_step * steps
     # outputs are read at the accepted nodes only
-    assert calls.count(True) == 1 + steps
+    assert calls["outputs"] == 1 + steps
 
 
 def test_guard_evaluated_once_per_accepted_node(monkeypatch):
     counts = _count_evaluations(monkeypatch)
     calls = _count_model_evaluations(monkeypatch)
-    m = _decay_model()
     gb = TapeBuilder(2)
     guard = gb.build([gb.sub(gb.apply(ATAN, gb.input(0)), gb.const(10.0))])     # never crosses
-    m = make_ode_model(1, m.tape, (), {}, m.state_names, m.output_names,
-                       init_exprs=m.init_exprs,
-                       events=(EventSpec(guard, lambda x, t: x),))
-    tr = integrate(m, SimConfig(step=0.01, tf=1.0))
+    tr = integrate(_counted_model((EventSpec(guard, lambda x, t: x),)),
+                   SimConfig(step=0.01, tf=1.0))
     assert not tr.events
-    assert counts[0] == len(tr.times) == calls.count(True)
+    assert counts[0] == len(tr.times) == calls["outputs"]
 
 
 def test_dead_arm_is_never_evaluated(monkeypatch):
@@ -787,6 +780,54 @@ def test_generated_step_matches_reference_march_bitwise(method):
         assert _hex(tr.states) == _hex(want[1])
         assert _hex(tr.outputs) == _hex(want[2])
     assert branchy >= 30 and ran >= 30
+
+
+@pytest.mark.parametrize("method", ["rk4", "midpoint"])
+def test_long_single_use_chain_marches_bitwise(method):
+    # x' = a chain of 1,000 add and mul nodes, each read by the next only:
+    # written into one expression, it would nest 1,000 parentheses
+    b = TapeBuilder(2)          # [x, t]
+    x = v = b.input(0)
+    for i in range(1000):
+        v = b.add(v, b.input(1)) if i % 2 else b.mul(v, b.const(0.999))
+    m = make_ode_model(1, b.build([v, x]), (), {}, ("x",), ("y",), init_exprs=(parse_expr(1.0),))
+    c = SimConfig(step=0.01, tf=0.05, method=method)
+    tr, want = integrate(m, c), _reference_march(m, c)
+    assert _hex(tr.states) == _hex(want[1]) and _hex(tr.outputs) == _hex(want[2])
+
+
+def test_failure_in_an_inlined_node_of_the_third_stage_is_named(monkeypatch):
+    # x' = 2x - 1 + 2^-60 sqrt(x + 0.75), x(0) = 0, one step of 1: the RK4
+    # stages read x = 0, -0.5, -1 and -3, so the square root fails at the
+    # third, inside the march; its argument is written into it
+    b = TapeBuilder(2)          # [x, t]
+    x = b.input(0)
+    root = b.apply(SQRT, b.add(x, b.const(0.75)))
+    rhs = b.add(b.sub(b.mul(b.const(2.0), x), b.const(1.0)), b.mul(b.const(2.0 ** -60), root))
+    m = make_ode_model(1, b.build([rhs, x]), (), {}, ("x",), ("y",), init_exprs=(parse_expr(0.0),))
+    interpreted = []
+    tape_eval = sim.tape_eval
+    monkeypatch.setattr(sim, "tape_eval",
+                        lambda t, vals: interpreted.append(vals[0]) or tape_eval(t, vals))
+    with pytest.raises(EvalDomainError, match="sqrt of negative value") as exc:
+        integrate(m, SimConfig(step=1.0, tf=1.0))
+    assert exc.value.node_id == root
+    assert interpreted == [pytest.approx(-1.0)]
+
+
+def test_failure_in_an_inlined_guard_check_is_named():
+    # x' = 1 with the guard sqrt(0.55 - x) - 10, which never changes sign:
+    # the march's check of it fails at the node x = 0.6
+    b = TapeBuilder(2)          # [x, t]
+    x = b.input(0)
+    root = b.apply(SQRT, b.sub(b.const(0.55), x))
+    guard = b.build([b.sub(root, b.const(10.0))])
+    b = TapeBuilder(2)
+    m = make_ode_model(1, b.build([b.const(1.0), b.input(0)]), (), {}, ("x",), ("y",),
+                       init_exprs=(parse_expr(0.0),), events=(EventSpec(guard, lambda x, t: x),))
+    with pytest.raises(EvalDomainError, match="sqrt of negative value") as exc:
+        integrate(m, SimConfig(step=0.1, tf=1.0))
+    assert exc.value.node_id == root
 
 
 def test_non_finite_constants_in_generated_step():

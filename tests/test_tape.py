@@ -35,7 +35,8 @@ from hybridad import (
     taylor_patch,
 )
 from hybridad.jet import jet_const
-from hybridad.tape import Node, append_tangent, copy_into
+from hybridad.tape import (Node, append_tangent, arm_contexts, copy_into, guarded_source,
+                           readers)
 
 
 def test_worked_example_value():
@@ -466,6 +467,73 @@ def test_modes_agree_on_random_tapes_with_branches():
             compiled_checks += 1
             assert [repr(v) for v in f(x)] == [repr(v) for v in want]
     assert branches >= 40 and compiled_checks >= 40
+
+
+def _chain_arms(t, x0, rng):
+    """``t`` with one more output: a branch on its first output, taken at
+    ``x0``, whose arms are chains of add and mul nodes that nothing else
+    reads."""
+    b = TapeBuilder(t.num_inputs)
+    m = copy_into(b, t)
+    arms = []
+    for _ in range(2):
+        v = m[int(rng.integers(len(m)))]
+        for _ in range(int(rng.integers(2, 6))):
+            w = m[int(rng.integers(len(m)))]
+            scale = b.const(float(rng.uniform(0.5, 0.9)))
+            v = b.add(v, w) if rng.random() < 0.5 else b.mul(v, scale)
+        arms.append(v)
+    cond = m[t.outputs[0]]
+    thr = tape_eval(t, x0)[0]
+    return b.build([*(m[o] for o in t.outputs), b.branch(cond, thr, *arms)])
+
+
+def test_compiled_inlined_arms_match_interpreted_bitwise():
+    # single-use chains are written into the arms of the ternary that reads
+    # them, so they run only when their arm is taken, as in ``tape_eval``
+    # (or, where an arm holds a division or function, into its flagged arm)
+    rng = np.random.default_rng(47)
+    inlined = checks = 0
+    taken = set()
+    for k in range(40):
+        ops = ("add", "sub", "mul", "branch") + ("div", "apply") * (k % 2)
+        t, x0 = random_tape(rng, max_nodes=60, ops=ops)
+        t = _chain_arms(t, x0, rng)
+        place, opened = arm_contexts(t, [(o, 0) for o in t.outputs])
+        lines = guarded_source(t, place, opened, set(), 0, readers(t, place, keep=t.outputs))
+        ternary = f"_v{t.outputs[-1]} = ("
+        inlined += any(ln.startswith(ternary) and ") if " in ln and " else (" in ln for ln in lines)
+        f = compile_tape(t)
+        for x in ([float(v) for v in x0], [-float(v) for v in x0], [0.0] * len(x0)):
+            try:
+                want = tape_eval(t, x)
+            except EvalDomainError:
+                with pytest.raises((ZeroDivisionError, ValueError, OverflowError)):
+                    f(x)
+                continue
+            checks += 1
+            cond = t.nodes[t.outputs[-1]]
+            taken.add(tape_eval(Tape(t.nodes, t.num_inputs, (cond.cond,)), x)[0] >= cond.threshold)
+            assert [repr(v) for v in f(x)] == [repr(v) for v in want]
+    assert inlined >= 10 and checks >= 60 and taken == {True, False}
+
+
+def _long_chain(b, v, length=1000):
+    """``length`` add and mul nodes in a row, each read by the next only."""
+    for i in range(length):
+        v = b.add(v, b.const(0.001)) if i % 2 else b.mul(v, b.const(0.999))
+    return v
+
+
+def test_long_single_use_chain_compiles():
+    # inlined, the chain would nest 1,000 parentheses; CPython refuses over 200
+    b = TapeBuilder(1)
+    t = b.build([_long_chain(b, b.input(0))])
+    place, opened = arm_contexts(t, [(t.outputs[0], 0)])
+    lines = guarded_source(t, place, opened, set(), 0, readers(t, place, keep=t.outputs))
+    assert 1 < len(lines) < 100
+    for x in (0.0, 1.5, -3.0):
+        assert repr(compile_tape(t)([x])[0]) == repr(tape_eval(t, [x])[0])
 
 
 def test_builder_folds_return_an_existing_id_and_push_no_node():
