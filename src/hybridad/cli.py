@@ -162,14 +162,6 @@ def _decimation(decimate: float | None, step: float) -> int | None:
     return every
 
 
-def _finite(text: str) -> float:
-    """An argparse type: a finite float."""
-    v = float(text)
-    if not math.isfinite(v):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
-    return v
-
-
 def _cost_evaluator(d: Diagram, theta: str, cost: str, config: SimConfig,
                     decimate: float | None, use_ad: bool):
     """Returns (J(z), g(z)) callables over the clamped scalar parameter.
@@ -431,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     op.add_argument("--theta", required=True)
     op.add_argument("--cost", required=True, help="output accumulated as the cost integrand")
     op.add_argument("--jacobian", choices=("ad", "fd"), default="ad")
-    op.add_argument("--theta0", type=_finite, default=0.1)
+    op.add_argument("--theta0", type=float, default=0.1)
     op.add_argument("--decimate", type=float, default=None,
                     help="rate-transition sampling interval of the cost channel [s]")
     _add_sim_flags(op)
@@ -446,11 +438,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if "sim_flags" in args:     # a value SimConfig or the decimation rejects is a bad flag:
-        try:                    # usage, exit status 2
+    if "sim_flags" in args:     # a value SimConfig, the decimation or the start rejects is a
+        try:                    # bad flag: usage, exit status 2
             args.config = SimConfig(step=args.step, tf=args.tf, t0=args.t0,
                                     method=args.method, event_tol=args.event_tol)
             _decimation(getattr(args, "decimate", None), args.step)
+            if not math.isfinite(getattr(args, "theta0", 0.0)):
+                raise ValueError(f"--theta0 must be finite, got {args.theta0!r}")
         except ValueError as exc:
             args.sim_flags.error(str(exc))
     try:

@@ -435,7 +435,7 @@ def _generate_stepper(m: OdeModel, method: str):
                 f"if {ts} != _kt or a != _ka:", f"    _look({ts}, {anchor})",
                 f"    _kt, _ka = {ts}, a"] if m.delays else []
 
-    reads = readers(tape, place, inputs, outs)
+    reads = readers(tape, place)
     rhs = guarded_source(tape, place, opened, bound, 0, reads)
 
     def call_stage(k, xs, ts):          # ``step``: the rhs by a call of ``ev``
@@ -456,7 +456,7 @@ def _generate_stepper(m: OdeModel, method: str):
         g, tag = e.guard, f"{k}_"
         g_place, g_opened = arm_contexts(g, [(g.outputs[0], 0)])
         nums.update(numbers(g, g_place, tag))
-        out, g_reads = node_ref(g, g.outputs[0], tag), readers(g, g_place, keep=g.outputs)
+        out, g_reads = node_ref(g, g.outputs[0], tag), readers(g, g_place)
         body = guarded_source(g, g_place, g_opened, set(), 0, g_reads, tag)
         src += [f"    def _g{k}(*x):", "        try:", *(" " * 12 + ln for ln in body),
                 f"            return {out}",

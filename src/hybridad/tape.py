@@ -572,14 +572,6 @@ def node_ref(t: Tape, i: int, tag: str = "") -> str:
     return f"_k{tag}{i}" if t.nodes[i].op == "const" else f"_v{tag}{i}"
 
 
-def _operands(n: Node) -> tuple[int, ...]:
-    """The nodes ``node_source`` reads for ``n``, once per reading: a
-    fractional power reads its base three times."""
-    if n.op == "apply" and n.fn.kind == "pow" and not n.fn.exponent.is_integer():
-        return (n.a,) * 3
-    return n.children()
-
-
 def node_source(t: Tape, i: int, r, tag: str = "") -> str:
     """Python expression computing the non-constant node ``i`` from its
     children (``x`` holds the inputs, ``_m`` is ``math``), each read as
@@ -624,7 +616,7 @@ def compile_tape(t: Tape):
     src = ["def _mk(_k):", f"    [{', '.join(k)}] = _k",
            "    def _f(x, _m=math):",
            *("        " + line for line in guarded_source(
-               t, place, opened, set(), 0, readers(t, place, keep=t.outputs))),
+               t, place, opened, set(), 0, readers(t, place))),
            "        return [" + ", ".join(node_ref(t, o) for o in t.outputs) + "]",
            "    return _f"]
     ns: dict = {"math": math, "inf": math.inf, "nan": math.nan}    # non-finite exponents
@@ -689,16 +681,21 @@ def arm_contexts(t: Tape, roots):
     return place, opened
 
 
-def readers(t: Tape, place, skip=(), keep=()) -> Counter:
+def readers(t: Tape, place) -> Counter:
     """How often code generated for ``place`` (``guarded_source``) reads
-    each node: once per reading in the statements of the nodes not in
-    ``skip``, in each of their contexts, and once for each node in
-    ``keep``, which other code reads."""
-    operands = list(keep)
-    for nid in set(place) - set(skip):
+    each node: once per reading in the text ``node_source`` writes for each
+    node, in each of its contexts (a fractional power reads its base three
+    times), and once for each output, which other code reads."""
+    reads = Counter(t.outputs)
+
+    def count(j):
+        reads[j] += len(cs)
+        return ""
+
+    for nid, cs in place.items():
         if t.nodes[nid].op != "const":
-            operands += _operands(t.nodes[nid]) * len(place[nid])
-    return Counter(operands)
+            node_source(t, nid, count)
+    return reads
 
 
 def guarded_source(t: Tape, place, opened, skip, ctx: int, reads, tag: str = "") -> list[str]:

@@ -35,8 +35,9 @@ from hybridad import (
     taylor_patch,
 )
 from hybridad.jet import jet_const
+from hybridad.ops import parse_fn
 from hybridad.tape import (Node, append_tangent, arm_contexts, copy_into, guarded_source,
-                           readers)
+                           node_ref, node_source, readers)
 
 
 def test_worked_example_value():
@@ -500,7 +501,7 @@ def test_compiled_inlined_arms_match_interpreted_bitwise():
         t, x0 = random_tape(rng, max_nodes=60, ops=ops)
         t = _chain_arms(t, x0, rng)
         place, opened = arm_contexts(t, [(o, 0) for o in t.outputs])
-        lines = guarded_source(t, place, opened, set(), 0, readers(t, place, keep=t.outputs))
+        lines = guarded_source(t, place, opened, set(), 0, readers(t, place))
         ternary = f"_v{t.outputs[-1]} = ("
         inlined += any(ln.startswith(ternary) and ") if " in ln and " else (" in ln for ln in lines)
         f = compile_tape(t)
@@ -518,6 +519,21 @@ def test_compiled_inlined_arms_match_interpreted_bitwise():
     assert inlined >= 10 and checks >= 60 and taken == {True, False}
 
 
+@pytest.mark.parametrize("node", [
+    Node("add", a=0, b=1), Node("sub", a=1, b=1), Node("mul", a=0, b=2), Node("div", a=2, b=0),
+    Node("branch", cond=0, a=1, b=2, threshold=0.5),
+    *(Node("apply", a=1, fn=parse_fn(fn)) for fn in
+      ("exp", "log", "sin", "cos", "tan", "atan", "sqrt", "abs", "pow[2.0]", "pow[0.5]"))])
+def test_readers_count_the_text_node_source_writes(node):
+    # the inliner writes a node into its reader only when the text reads it once
+    t = Tape((Node("input", a=0), Node("input", a=1), Node("input", a=2), node), 3, (3,))
+    for place in ({3: {0}}, {3: {2, 3}}):
+        text = node_source(t, 3, lambda j: node_ref(t, j))
+        want = {j: text.count(f"_v{j}") * len(place[3]) for j in range(3)}
+        reads = readers(t, place)
+        assert {j: reads[j] for j in range(3)} == want and reads[3] == 1
+
+
 def _long_chain(b, v, length=1000):
     """``length`` add and mul nodes in a row, each read by the next only."""
     for i in range(length):
@@ -530,7 +546,7 @@ def test_long_single_use_chain_compiles():
     b = TapeBuilder(1)
     t = b.build([_long_chain(b, b.input(0))])
     place, opened = arm_contexts(t, [(t.outputs[0], 0)])
-    lines = guarded_source(t, place, opened, set(), 0, readers(t, place, keep=t.outputs))
+    lines = guarded_source(t, place, opened, set(), 0, readers(t, place))
     assert 1 < len(lines) < 100
     for x in (0.0, 1.5, -3.0):
         assert repr(compile_tape(t)([x])[0]) == repr(tape_eval(t, [x])[0])
