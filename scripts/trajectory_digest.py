@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
-"""Print a SHA-256 of every trajectory the benchmark's jobs compute.
+"""Print a SHA-256 of each trajectory and diagram the benchmark's jobs compute.
 
 For each workload and seed, every job of ``perfbench/workloads.py`` runs
-once, with its output check, in job-list order.  ``integrate`` is wrapped
-in every loaded module that holds it, so trajectories computed through the
-CLI, the analysis helpers and the checks are seen too.  Each returned
-``Trajectory`` prints one line:
+once, with its output check, in job-list order.  ``integrate`` and
+``diagram_to_json`` are wrapped in every loaded module that holds them, so
+trajectories and diagram documents computed through the CLI, the analysis
+helpers and the checks are seen too.  Each returned ``Trajectory`` prints
+one line, and so does each document ``diagram_to_json`` returns:
 
     <workload> <seed> <job index> <job kind> <call index> <sha256 of to_csv()>
+    <workload> <seed> <job index> <job kind> json <call index> <sha256 of the document>
 
 CLI input files go to a temporary directory, and no bytecode is written,
 so nothing is written under ``perfbench/``.  Two checkouts compute the same
-trajectories bit for bit when this prints the same lines for both.  The
-exit status is 1 when a job raises or its check reports a problem.
+trajectories and documents bit for bit when this prints the same lines for
+both.  The exit status is 1 when a job raises or its check reports a problem.
 
 Standard error gets one more line per workload and seed: how many
 distinct sources the simulator generated for how many models, that is,
@@ -40,19 +42,19 @@ MARCH = re.compile(r"^    def march\(.*?(?=^ {0,4}\S)", re.M | re.S)
 NODE_STATEMENT = re.compile(r"^ *(if _c\d+: )?_v[\d_]+ = ", re.M)
 
 
-def _wrap_integrate(seen: list):
-    """Route every module-level ``integrate`` through one recorder."""
-    import hybridad.sim
-    original = hybridad.sim.integrate
+def _wrap(module: str, name: str, seen: list, text):
+    """Route every module-level ``name`` through one recorder of the
+    digest of ``text(result)``."""
+    original = getattr(sys.modules[module], name)
 
     def recorded(*args, **kwargs):
-        tr = original(*args, **kwargs)
-        seen.append(hashlib.sha256(tr.to_csv().encode("ascii")).hexdigest())
-        return tr
+        out = original(*args, **kwargs)
+        seen.append(hashlib.sha256(text(out).encode("ascii")).hexdigest())
+        return out
 
     for mod in list(sys.modules.values()):
-        if getattr(mod, "integrate", None) is original:
-            mod.integrate = recorded
+        if getattr(mod, name, None) is original:
+            setattr(mod, name, recorded)
 
 
 def _wrap_compiled(sources: list):
@@ -76,8 +78,10 @@ def main() -> int:
     from tracing import Tracer
 
     seen: list[str] = []
+    docs: list[str] = []
     sources: list[str] = []
-    _wrap_integrate(seen)
+    _wrap("hybridad.sim", "integrate", seen, lambda tr: tr.to_csv())
+    _wrap("hybridad.diagram", "diagram_to_json", docs, lambda text: text)
     _wrap_compiled(sources)
     tracer, failed = Tracer(False), 0
     for name in args.workload or WORKLOADS:
@@ -89,12 +93,15 @@ def main() -> int:
                     path.write_text(text, encoding="utf-8")
                 for j, job in enumerate(wl.jobs):
                     seen.clear()
+                    docs.clear()
                     try:
                         problems = job.check(job.run(tracer)).problems
                     except Exception as exc:      # reported, and the run goes on
                         problems = [f"{type(exc).__name__}: {exc}"]
                     for k, digest in enumerate(seen):
                         print(f"{name} {seed} {j} {job.kind} {k} {digest}")
+                    for k, digest in enumerate(docs):
+                        print(f"{name} {seed} {j} {job.kind} json {k} {digest}")
                     for problem in problems:
                         print(f"{name} {seed} {j} {job.kind}: {problem}", file=sys.stderr)
                     failed += bool(problems)

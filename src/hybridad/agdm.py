@@ -223,7 +223,10 @@ def agdm_diff(d: Diagram, theta: str) -> Diagram:
 
     d2 = Diagram(d.name, dict(d.params), d.blocks + bld.blocks,
                  d.links + bld.links, outputs, ann)
-    return prune_zero(d2, protect=d.block_ids())
+    # d's blocks read only each other, so their nonzero ports and links
+    # carry over, and only the added flow is walked
+    head = len(d.blocks)
+    return _pruned(d2, _nonzero_ports(d2, _nonzero(d), head), d.block_ids(), head, _wiring(d))
 
 
 def _emit_block(bld: _Builder, b: Block, dmap):
@@ -597,26 +600,32 @@ def _zero_rule(b: Block) -> tuple[bool, bool, tuple[str, ...]]:
     return source, k == "Product", ports      # a product is zero if one factor is
 
 
-def _nonzero_ports(d: Diagram) -> set[PortRef]:
+def _nonzero_ports(d: Diagram, known: set[PortRef] = frozenset(),
+                   start: int = 0) -> set[PortRef]:
     """Output ports that are not structurally zero: the least fixpoint of
     the blocks' zero rules (:func:`_zero_rule`), reached by a worklist.
     Each block's outputs are marked once; marking a port counts down the
-    inputs each of its consumers still waits for."""
-    waiting: list[int] = []                   # per block, in d.blocks order
+    inputs each of its consumers still waits for.  The blocks before
+    ``start`` read only each other and have the nonzero ports ``known``;
+    only the blocks from ``start`` on are walked."""
+    nz = set(known)
+    blocks = d.blocks[start:]
+    waiting: list[int] = []                   # per walked block
     consumers: dict[PortRef, list[int]] = {}
     work: list[int] = []
-    for i, b in enumerate(d.blocks):
+    for i, b in enumerate(blocks):
         source, need_all, ports = _zero_rule(b)
+        waiting.append(len(ports) if need_all else 1)
         for p in ports:
             drv = d.driver(PortRef(b.id, p))
-            if drv is not None:
+            if drv in nz:
+                waiting[i] -= 1
+            elif drv is not None:
                 consumers.setdefault(drv, []).append(i)
-        waiting.append(len(ports) if need_all else 1)
-        if source or waiting[i] == 0:
+        if source or waiting[i] <= 0:
             work.append(i)
-    nz: set[PortRef] = set()
     while work:
-        b = d.blocks[work.pop()]
+        b = blocks[work.pop()]
         for o in b.port_names()[1]:
             p = PortRef(b.id, o)
             if p in nz:
@@ -629,17 +638,37 @@ def _nonzero_ports(d: Diagram) -> set[PortRef]:
     return nz
 
 
+def _nonzero(d: Diagram) -> set[PortRef]:
+    if "nonzero" not in d._memo:
+        d._memo["nonzero"] = _nonzero_ports(d)
+    return d._memo["nonzero"]
+
+
+def _wiring(d: Diagram) -> list[Link]:
+    """The links of ``d`` in block and input-port order, one per driven port."""
+    if "wiring" not in d._memo:
+        dsts = [PortRef(b.id, p) for b in d.blocks for p in b.port_names()[0]]
+        d._memo["wiring"] = [Link(d.driver(p), p) for p in dsts if d.driver(p) is not None]
+    return d._memo["wiring"]
+
+
 def prune_zero(d: Diagram, protect: set[str] | frozenset[str] = frozenset()) -> Diagram:
     """Remove blocks whose outputs are structurally zero and reroute.
 
     Sum inputs fed by zeros are dropped (arity reduction); other
     consumers of a removed signal are rewired to a shared zero constant.
     Diagram outputs fed by pruned signals keep their names, repointed to
-    the zero constant.  Blocks in ``protect`` are never removed.
-    Simulation semantics are unchanged.
+    the zero constant.  Blocks in ``protect`` are never removed and keep
+    their ports.  Simulation semantics are unchanged.
     """
-    nz = _nonzero_ports(d)
+    return _pruned(d, _nonzero(d), protect)
 
+
+def _pruned(d: Diagram, nz: set[PortRef], protect: set[str] | frozenset[str],
+            head: int = 0, wiring: list[Link] | tuple = ()) -> Diagram:
+    """:func:`prune_zero` with the nonzero ports ``nz`` of ``d``.  The
+    first ``head`` blocks are protected, read only each other, and are
+    linked by ``wiring``."""
     def port_zero(p: PortRef) -> bool:
         return p not in nz
 
@@ -674,21 +703,12 @@ def prune_zero(d: Diagram, protect: set[str] | frozenset[str] = frozenset()) -> 
                 zero_id = f"#zero[{n}]"
         return zero_id
 
-    new_blocks: list[Block] = []
-    new_links: list[Link] = []
-    for b in d.blocks:
+    new_blocks: list[Block] = d.blocks[:head]
+    new_links: list[Link] = list(wiring)
+    for b in d.blocks[head:]:
         if b.id in doomed or b.id not in needed:
             continue
-        if b.id in protect:
-            # protected blocks (the original flow) keep their wiring verbatim
-            new_blocks.append(b)
-            ins, _ = b.port_names()
-            for p in ins:
-                drv = d.driver(PortRef(b.id, p))
-                if drv is not None:
-                    new_links.append(Link(drv, PortRef(b.id, p)))
-            continue
-        if b.kind == "Sum":
+        if b.kind == "Sum" and b.id not in protect:
             ins, _ = b.port_names()
             kept = []
             for i, p in enumerate(ins):
@@ -709,6 +729,7 @@ def prune_zero(d: Diagram, protect: set[str] | frozenset[str] = frozenset()) -> 
             new_blocks.append(nb)
             new_links.append(Link(PortRef(zero_block_id(), "out"), PortRef(b.id, "in")))
             continue
+        # other blocks keep their ports; a removed driver becomes the zero
         new_blocks.append(b)
         ins, _ = b.port_names()
         for p in ins:
@@ -742,4 +763,7 @@ def prune_zero(d: Diagram, protect: set[str] | frozenset[str] = frozenset()) -> 
                 ann[key] = kept
             else:
                 del ann[key]
-    return Diagram(d.name, dict(d.params), new_blocks, new_links, new_outputs, ann)
+    out = Diagram(d.name, dict(d.params), new_blocks, new_links, new_outputs, ann)
+    out._memo["nonzero"] = {p for p in nz if p.block in kept_ids}
+    out._memo["wiring"] = new_links      # written in block and input-port order
+    return out

@@ -24,6 +24,7 @@ any purely algebraic loop with its cycle path.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -82,9 +83,10 @@ class Block:
 @dataclass
 class Diagram:
     """A block diagram.  Diagrams are values: no transform edits one in
-    place, so the block and driver indexes built here stay valid.  Where
-    ids or input ports repeat (an invalid diagram), the first block or
-    link wins."""
+    place, so the block and driver indexes built here stay valid, and a
+    pass that reads only the diagram may keep its result in ``_memo``
+    (the ``validate`` report, agdm's nonzero ports).  Where ids or input
+    ports repeat (an invalid diagram), the first block or link wins."""
 
     name: str
     params: dict[str, float]
@@ -94,6 +96,7 @@ class Diagram:
     annotations: dict = field(default_factory=dict)
     _by_id: dict[str, Block] = field(init=False, repr=False, compare=False)
     _drivers: dict[PortRef, PortRef] = field(init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._by_id = {}
@@ -472,6 +475,13 @@ def _parse_portref(raw, path, diagram_blocks) -> PortRef:
     return PortRef(bid, port)
 
 
+def _list(doc: dict, key: str, path: str) -> list:
+    raw = doc.get(key, [])
+    if not isinstance(raw, list):
+        raise SchemaError(f"{path}.{key}", "expected a list")
+    return raw
+
+
 def _parse_dict(doc: dict, path: str = "$") -> Diagram:
     if doc.get("schema") != SCHEMA_VERSION:
         raise SchemaError(f"{path}.schema", f"expected schema {SCHEMA_VERSION}")
@@ -482,7 +492,7 @@ def _parse_dict(doc: dict, path: str = "$") -> Diagram:
 
     blocks: list[Block] = []
     ids: set[str] = set()
-    for i, braw in enumerate(doc.get("blocks", [])):
+    for i, braw in enumerate(_list(doc, "blocks", path)):
         bpath = f"{path}.blocks[{i}]"
         if not isinstance(braw, dict):
             raise SchemaError(bpath, "expected an object")
@@ -500,7 +510,7 @@ def _parse_dict(doc: dict, path: str = "$") -> Diagram:
 
     bmap = {b.id: b for b in blocks}
     links = []
-    for i, lraw in enumerate(doc.get("links", [])):
+    for i, lraw in enumerate(_list(doc, "links", path)):
         lpath = f"{path}.links[{i}]"
         if not isinstance(lraw, dict):
             raise SchemaError(lpath, "expected an object")
@@ -509,8 +519,10 @@ def _parse_dict(doc: dict, path: str = "$") -> Diagram:
         links.append(Link(src, dst))
 
     outputs = []
-    for i, oraw in enumerate(doc.get("outputs", [])):
+    for i, oraw in enumerate(_list(doc, "outputs", path)):
         opath = f"{path}.outputs[{i}]"
+        if not isinstance(oraw, dict):
+            raise SchemaError(opath, "expected an object")
         name = oraw.get("name")
         if not isinstance(name, str) or not name:
             raise SchemaError(f"{opath}.name", "missing output name")
@@ -557,8 +569,29 @@ def to_dict(d: Diagram) -> dict:
     return out
 
 
-def diagram_to_json(d: Diagram, indent: int = 1) -> str:
-    return json.dumps(to_dict(d), indent=indent)
+def diagram_to_json(d: Diagram) -> str:
+    """``json.dumps(to_dict(d), indent=1)``."""
+    return _dumps(to_dict(d), "")
+
+
+def _dumps(o, pad: str) -> str:
+    """``json.dumps(o, indent=1)``, written at the indent ``pad``.  With an
+    indent, ``json`` encodes in pure Python; here strings and finite floats
+    go through the C encoder's leaf functions, and every other value
+    (NaN, infinities, ints, bools, None, empty or unusual containers)
+    through ``json`` itself."""
+    t = type(o)
+    if t is str:
+        return encode_basestring_ascii(o)
+    if t is float and o - o == 0.0:         # finite
+        return float.__repr__(o)
+    sub = pad + " "
+    if t is list and o:
+        return f"[\n{sub}" + f",\n{sub}".join([_dumps(v, sub) for v in o]) + f"\n{pad}]"
+    if t is dict and o and all(type(k) is str for k in o):
+        return f"{{\n{sub}" + f",\n{sub}".join(
+            [f"{encode_basestring_ascii(k)}: {_dumps(v, sub)}" for k, v in o.items()]) + f"\n{pad}}}"
+    return json.dumps(o, indent=1).replace("\n", "\n" + pad)
 
 
 # ---------------------------------------------------------------------------
@@ -612,8 +645,15 @@ def _find_cycle(d: Diagram) -> list[str] | None:
     return None
 
 
-def validate(d: Diagram, top_level: bool = True) -> Report:
-    """Structural checks; returns a report instead of raising."""
+def validate(d: Diagram) -> Report:
+    """Structural checks; returns a report instead of raising.  A
+    diagram's report is computed once and kept with it."""
+    if "report" not in d._memo:
+        d._memo["report"] = _checks(d, True)
+    return d._memo["report"]
+
+
+def _checks(d: Diagram, top_level: bool) -> Report:
     v: list[Violation] = []
     if not d.outputs:
         v.append(Violation("no-outputs", "diagram declares no outputs"))
@@ -678,7 +718,7 @@ def validate(d: Diagram, top_level: bool = True) -> Report:
             if idx != list(range(len(idx))):
                 v.append(Violation("inport-indices",
                                    f"{b.id}: Inport indices must be 0..n-1, got {idx}"))
-            sub = validate(child, top_level=False)
+            sub = _checks(child, False)
             v.extend(Violation(s.code, f"{b.id}: {s.message}") for s in sub.violations)
 
     # Mux outputs may only feed Demux inputs (bundles are not simulated through

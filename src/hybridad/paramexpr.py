@@ -16,6 +16,7 @@ equivalent expression.
 from __future__ import annotations
 
 import ast
+import functools
 from dataclasses import dataclass
 
 from .errors import SchemaError
@@ -287,11 +288,18 @@ def parse_expr(text) -> ParamExpr:
         return text
     if isinstance(text, (int, float)):
         return ParamExpr.const(float(text))
+    return _parse_text(str(text))
+
+
+@functools.lru_cache(maxsize=1024)
+def _parse_text(text: str) -> ParamExpr:
+    """A document repeats a few strings many times, and a ParamExpr is
+    frozen, so each string is parsed once; a failure is not cached."""
     try:
-        tree = ast.parse(str(text), mode="eval")
+        tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
         raise SchemaError("expr", f"cannot parse {text!r}: {exc.msg}") from exc
-    return _from_ast(tree.body, str(text))
+    return _from_ast(tree.body, text)
 
 
 def _from_ast(node, src: str) -> ParamExpr:

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -18,8 +19,10 @@ from hybridad import (
     ss_augment,
     tf_param_derivative,
 )
-from hybridad.agdm import d_block_name, d_output_name
-from hybridad.diagram import PortRef
+from hybridad.agdm import _nonzero_ports, d_block_name, d_output_name
+from hybridad.diagram import PortRef, load_diagram
+
+MODELS = os.path.join(os.path.dirname(__file__), "..", "models")
 
 
 def _diag(doc):
@@ -500,6 +503,50 @@ def test_zero_rule_prunes_or_keeps_block(case):
     case_ids = {b["id"] for b in blocks}
     assert case_ids <= ids if kept else not case_ids & ids
     assert p.block("S").fields["signs"] == ("++" if kept else "+")
+
+
+def _carried_and_fresh(d, theta):
+    """Differentiate ``agdm_diff(d)`` again, once as it is, carrying its
+    nonzero ports, and once re-read from its JSON, which carries none."""
+    d1 = agdm_diff(d, theta)
+    fresh = load_diagram(diagram_to_json(d1))
+    assert "nonzero" not in fresh._memo
+    assert d1._memo["nonzero"] == _nonzero_ports(fresh)
+    return diagram_to_json(agdm_diff(d1, theta)), diagram_to_json(agdm_diff(fresh, theta))
+
+
+@pytest.mark.parametrize("case", sorted(c for c in _ZERO_RULE_CASES
+                                        if not c.startswith("DelaySensitivity")))
+def test_seeded_prune_equals_full_fixpoint_on_zero_rule_cases(case):
+    # U = th makes a derivative flow through X; a DelaySensitivity block
+    # has no derivative rule, so those cases cannot be differentiated
+    blocks, links, _ = _ZERO_RULE_CASES[case]
+    doc = _zero_rule_case(blocks, links)
+    doc["params"] = {"th": 0.5}
+    doc["blocks"][1] = {"id": "U", "kind": "Constant", "value": "th"}
+    doc["blocks"].append({"id": "Dead", "kind": "Gain", "gain": 2.0})   # read by nothing
+    doc["links"].append({"from": "U.out", "to": "Dead.in"})
+    carried, fresh = _carried_and_fresh(_diag(doc), "th")
+    assert carried == fresh
+
+
+@pytest.mark.parametrize("model,theta", [("first_order", "tau"), ("discrete_loop", "a"),
+                                         ("second_order_cost", "zeta"), ("chain2", "k")])
+@pytest.mark.parametrize("order", [1, 2])
+def test_seeded_prune_equals_full_fixpoint_on_models(model, theta, order):
+    with open(os.path.join(MODELS, f"{model}.json"), encoding="utf-8") as fh:
+        d = parse_diagram(fh.read())
+    for _ in range(order - 1):
+        d = agdm_diff(d, theta)
+    carried, fresh = _carried_and_fresh(d, theta)
+    assert carried == fresh
+
+
+def test_diff_writes_original_links_in_block_order(first_order):
+    doc = first_order_doc()
+    doc["links"].reverse()
+    shuffled = agdm_diff(_diag(doc), "tau")
+    assert diagram_to_json(shuffled) == diagram_to_json(agdm_diff(first_order, "tau"))
 
 
 def test_pruned_and_unpruned_augmentation_simulate_identically(first_order):

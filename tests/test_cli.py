@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import first_order_doc
-from hybridad import cli, parse_diagram
+from hybridad import SchemaError, cli, parse_diagram
 from hybridad.cli import main, optimize_scalar, step_map_derivatives
+from hybridad.diagram import load_diagram
 from hybridad.sim import SimConfig, integrate
 
 MODELS = os.path.join(os.path.dirname(__file__), "..", "models")
@@ -56,6 +57,27 @@ def test_every_subcommand_reports_a_schema_error_as_validate_does(tmp_path, caps
     assert capsys.readouterr().err.startswith("schema error: ")
 
 
+MALFORMED = {            # a list field given some other shape: the path it names
+    "outputs-entry-not-object": ("outputs", [1], "$.outputs[0]"),
+    "outputs-not-list": ("outputs", "y", "$.outputs"),
+    "blocks-not-list": ("blocks", 5, "$.blocks"),
+    "links-not-list": ("links", 3, "$.links"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+@pytest.mark.parametrize("argv", [["validate"], ["diff", "--theta", "k"]])
+def test_malformed_list_field_is_a_schema_error(tmp_path, capsys, case, argv):
+    key, value, path = MALFORMED[case]
+    doc = first_order_doc()
+    doc[key] = value
+    with pytest.raises(SchemaError) as exc:
+        load_diagram(json.dumps(doc))
+    assert exc.value.path == path
+    assert main([argv[0], _write(tmp_path, doc), *argv[1:]]) == 2
+    assert capsys.readouterr().err.startswith(f"schema error: {path}: ")
+
+
 def test_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
 
@@ -90,6 +112,7 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
     ("first_order", "tau", 2),
     ("discrete_loop", "a", 2),
     ("second_order_cost", "zeta", 1),
+    ("chain2", "k", 2),
 ])
 def test_diff_matches_golden_file(tmp_path, model, theta, order):
     out = tmp_path / "aug.json"

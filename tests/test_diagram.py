@@ -1,10 +1,13 @@
 import json
+import math
+from pathlib import Path
 
 import pytest
 
 from conftest import first_order_doc
-from hybridad import SchemaError, ValidationError, parse_diagram, validate
-from hybridad.diagram import _parse_dict, diagram_to_json, to_dict
+from hybridad import SchemaError, ValidationError, agdm_diff, flatten, parse_diagram, validate
+from hybridad import diagram
+from hybridad.diagram import _parse_dict, diagram_to_json, load_diagram, to_dict
 
 
 def test_parse_first_order(first_order):
@@ -186,3 +189,111 @@ def test_long_algebraic_loop_reported_with_full_path():
     path = " -> ".join([f"G{i}" for i in range(n)] + ["G0"])
     assert [(v.code, v.message) for v in rep.violations] == [
         ("algebraic-loop", "algebraic loop: " + path)]
+
+
+# -- the JSON writer -------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+MODEL_FILES = sorted((ROOT / "models").glob("*.json"))
+GOLDEN_FILES = sorted((ROOT / "tests" / "golden").glob("*.json"))
+
+
+def _same_as_json(d):
+    assert diagram_to_json(d) == json.dumps(to_dict(d), indent=1)
+
+
+@pytest.mark.parametrize("path", MODEL_FILES, ids=lambda p: p.stem)
+def test_writer_matches_json_on_models_and_their_diffs(path):
+    d = load_diagram(path.read_text(encoding="utf-8"))
+    _same_as_json(d)
+    for theta in d.params:
+        d1 = agdm_diff(d, theta)
+        _same_as_json(d1)
+        _same_as_json(agdm_diff(d1, theta))
+
+
+@pytest.mark.parametrize("path", GOLDEN_FILES, ids=lambda p: p.stem)
+def test_writer_matches_json_on_golden_files(path):
+    text = path.read_text(encoding="utf-8")
+    d = load_diagram(text)
+    _same_as_json(d)
+    assert diagram_to_json(d) + "\n" == text
+
+
+def test_writer_matches_json_on_unusual_values():
+    child = {"schema": 1, "name": "inner", "params": {"a": 1.0},
+             "blocks": [{"id": "In", "kind": "Inport", "index": 0},
+                        {"id": "Gé→", "kind": "Gain", "gain": "2*a"}],
+             "links": [{"from": "In.out", "to": "Gé→.in"}],
+             "outputs": [{"name": "zü", "from": "Gé→.out"}],
+             "annotations": {"note": "été \"quoted\"\n\ttab"}}
+    doc = {"schema": 1, "name": "unusual θ",
+           "params": {"a": 1.0, "nan": math.nan, "inf": math.inf, "ninf": -math.inf,
+                      "big": 1e300, "tiny": -5e-324, "whole": 3},
+           "blocks": [{"id": "U", "kind": "Step", "time": 0.0, "level": 2},
+                      {"id": "Sé", "kind": "Subsystem", "diagram": child},
+                      {"id": "P", "kind": "Product", "n": 2},
+                      {"id": "L", "kind": "LookupTable1D", "breakpoints": [0, 1.5],
+                       "values": [-0.0, 1e-7], "piecewise_constant": True}],
+           "links": [{"from": "U.out", "to": "Sé.in"},
+                     {"from": "Sé.zü", "to": "P.in1"}, {"from": "U.out", "to": "P.in2"},
+                     {"from": "P.out", "to": "L.in"}],
+           "outputs": [{"name": "y", "from": "L.out"}],
+           "annotations": {"empty": {}, "none": [], "mixed": [1, 2.5, True, None, "x", [[]]],
+                           "tuple": (1, [2.0, "t"]), "numeric keys": {1: "one", 2.5: [None]},
+                           "deep": {"a": {"b": {"c": [math.nan, math.inf]}}}}}
+    d = _parse_dict(doc)
+    _same_as_json(d)
+    _same_as_json(_parse_dict({**doc, "annotations": {}}))
+    _same_as_json(_parse_dict(child))
+
+
+# -- one validation per diagram ----------------------------------------------------
+
+def _count_checks(monkeypatch) -> list:
+    runs = []
+    checks = diagram._checks
+    monkeypatch.setattr(diagram, "_checks", lambda d, top: runs.append(top) or checks(d, top))
+    return runs
+
+
+def test_parse_then_flatten_validates_once(monkeypatch):
+    runs = _count_checks(monkeypatch)
+    d = parse_diagram(json.dumps(first_order_doc()))
+    flatten(d)
+    assert validate(d).ok
+    assert runs == [True]
+
+
+def test_flatten_of_invalid_diagram_reports_the_same_violations(monkeypatch):
+    doc = first_order_doc()
+    doc["links"] = doc["links"][:-1]
+    text = json.dumps(doc)
+    with pytest.raises(ValidationError) as parsed:
+        parse_diagram(text)
+    runs = _count_checks(monkeypatch)
+    d = load_diagram(text)
+    with pytest.raises(ValidationError) as flattened:
+        flatten(d)
+    with pytest.raises(ValidationError) as again:
+        flatten(d)
+    assert flattened.value.violations == parsed.value.violations == again.value.violations
+    assert [v.code for v in validate(d).violations] == ["unlinked-input"]
+    assert runs == [True]
+
+
+def test_memo_is_not_part_of_the_value():
+    text = json.dumps(first_order_doc())
+    checked, fresh = parse_diagram(text), load_diagram(text)
+    assert checked._memo and not fresh._memo
+    assert checked == fresh
+    assert repr(checked) == repr(fresh)
+
+
+def test_bad_expression_fails_on_every_parse():
+    doc = first_order_doc()
+    doc["blocks"][1]["gain"] = "k +"
+    for _ in range(2):
+        with pytest.raises(SchemaError) as exc:
+            load_diagram(json.dumps(doc))
+        assert exc.value.path == "$.blocks[1].gain"

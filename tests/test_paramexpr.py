@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridad import SchemaError, TapeBuilder, parse_expr, tape_eval
+from hybridad.paramexpr import _parse_text
 
 
 def test_parse_and_evaluate():
@@ -96,3 +97,8 @@ def test_nested_second_derivative():
     e = parse_expr("sqrt(a)")
     d2 = e.diff("a").diff("a")
     assert d2.evaluate({"a": 1.5}) == pytest.approx(-0.25 * 1.5 ** -1.5, rel=1e-13)
+
+
+def test_strings_parse_once_into_a_bounded_cache():
+    assert parse_expr("k/tau + 1") is parse_expr("k/tau + 1")
+    assert _parse_text.cache_info().maxsize is not None
