@@ -16,14 +16,15 @@ so nothing is written under ``perfbench/``.  Two checkouts compute the same
 trajectories and documents bit for bit when this prints the same lines for
 both.  The exit status is 1 when a job raises or its check reports a problem.
 
-Standard error gets one more line per workload and seed: how many
-distinct sources the simulator generated for how many models, that is,
-how many code objects a process with an empty cache would compile, how
-many lines all those sources hold together, and how many of those lines
-are node statements, which assign a ``_v<i>``, outside ``march`` (whose RK
-stages and guard checks repeat the statements of ``ev`` and the guards):
+Standard error gets one more line per workload and seed, whose jobs start
+from an empty code cache: how many models the simulator bound to generated
+code, how many times it generated code (cache misses), how many distinct
+sources those generations wrote, how many lines they hold together, and
+how many of those lines are node statements, which assign a ``_v<i>``,
+outside ``march`` (whose RK stages and guard checks repeat the statements
+of ``ev`` and the guards):
 
-    <workload> <seed>: <distinct> distinct generated sources of <models>, <lines> lines, <nodes> node statements
+    <workload> <seed>: <models> models, <misses> generations, <distinct> distinct sources, <lines> lines, <nodes> node statements
 
     python scripts/trajectory_digest.py --seed 1 --seed 2
     python scripts/trajectory_digest.py --workload delay-sens --seed 1
@@ -57,11 +58,19 @@ def _wrap(module: str, name: str, seen: list, text):
             setattr(mod, name, recorded)
 
 
-def _wrap_compiled(sources: list):
-    """Record every source the simulator compiles, cached or not."""
-    import hybridad.sim
-    original = hybridad.sim._compiled
-    hybridad.sim._compiled = lambda source: sources.append(source) or original(source)
+def _wrap_generation(models: list, sources: list):
+    """Record each model the simulator binds, and the source of each
+    structure it generates code for (a cache miss)."""
+    import hybridad.sim as sim
+    bind, generate = sim._bind_stepper, sim._generate_stepper
+
+    def generated(*args):
+        made = generate(*args)
+        sources.append(made[0])
+        return made
+
+    sim._bind_stepper = lambda *args: models.append(None) or bind(*args)
+    sim._generate_stepper = generated
 
 
 def main() -> int:
@@ -79,14 +88,18 @@ def main() -> int:
 
     seen: list[str] = []
     docs: list[str] = []
+    models: list = []
     sources: list[str] = []
     _wrap("hybridad.sim", "integrate", seen, lambda tr: tr.to_csv())
     _wrap("hybridad.diagram", "diagram_to_json", docs, lambda text: text)
-    _wrap_compiled(sources)
+    _wrap_generation(models, sources)
+    from hybridad import sim
     tracer, failed = Tracer(False), 0
     for name in args.workload or WORKLOADS:
         for seed in args.seed:
+            models.clear()
             sources.clear()
+            sim._CODE.clear()
             with tempfile.TemporaryDirectory() as tmp:
                 wl = workloads.build(name, seed, Path(tmp))
                 for path, text in wl.files.items():
@@ -107,8 +120,9 @@ def main() -> int:
                     failed += bool(problems)
             lines = sum(src.count("\n") + 1 for src in sources)
             nodes = sum(len(NODE_STATEMENT.findall(MARCH.sub("", src))) for src in sources)
-            print(f"{name} {seed}: {len(set(sources))} distinct generated sources "
-                  f"of {len(sources)}, {lines} lines, {nodes} node statements", file=sys.stderr)
+            print(f"{name} {seed}: {len(models)} models, {len(sources)} generations, "
+                  f"{len(set(sources))} distinct sources, {lines} lines, {nodes} node statements",
+                  file=sys.stderr)
     return 1 if failed else 0
 
 

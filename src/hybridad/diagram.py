@@ -156,6 +156,13 @@ def _num(raw, path) -> float:
     return float(raw)
 
 
+def _int(raw, path, lo: int) -> int:
+    """A JSON integer of at least ``lo``; a float, even 2.0, or a bool is not one."""
+    if not isinstance(raw, int) or isinstance(raw, bool) or raw < lo:
+        raise SchemaError(path, f"expected an integer >= {lo}, got {raw!r}")
+    return raw
+
+
 def _ins(n: int) -> list[str]:
     return ["in"] if n == 1 else [f"in{i + 1}" for i in range(n)]
 
@@ -212,7 +219,7 @@ _register(
 
 _register(
     "Product",
-    lambda raw, p: {"n": int(raw.get("n", 2))},
+    lambda raw, p: {"n": _int(raw.get("n", 2), f"{p}.n", 1)},
     lambda f: (_ins(f["n"]), _outs(1)),
     lambda f: {"n": f["n"]},
 )
@@ -390,9 +397,9 @@ _register("DelaySensitivity",
                      "dprehistory": _e2j(f["dprehistory"])},
           feedthrough=False)
 
-_register("Mux", lambda raw, p: {"n": int(raw.get("n", 2))},
+_register("Mux", lambda raw, p: {"n": _int(raw.get("n", 2), f"{p}.n", 1)},
           lambda f: (_ins(f["n"]), _outs(1)), lambda f: {"n": f["n"]})
-_register("Demux", lambda raw, p: {"n": int(raw.get("n", 2))},
+_register("Demux", lambda raw, p: {"n": _int(raw.get("n", 2), f"{p}.n", 1)},
           lambda f: (_ins(1), _outs(f["n"])), lambda f: {"n": f["n"]})
 
 _register("UnitDelay",
@@ -403,7 +410,7 @@ _register("UnitDelay",
           feedthrough=False)
 
 # Subsystem input markers (sources inside the child diagram).
-_register("Inport", lambda raw, p: {"index": int(raw.get("index", 0))},
+_register("Inport", lambda raw, p: {"index": _int(raw.get("index", 0), f"{p}.index", 0)},
           lambda f: ([], _outs(1)), lambda f: {"index": f["index"]})
 
 

@@ -26,13 +26,13 @@ run.  Sensitivity propagation across any other event kind is refused
 (SensitivityAcrossEvent).
 
 Integrators are deliberately fixed-step (midpoint and classic RK4) so
-finite-difference oracles stay deterministic.  Each model is compiled
-once per method into generated code: the march over the step grid, with
-the RK stages, the guard checks and the delay lookups written out, and
-the RK step and one function per event guard for event location.  Tape
-constants, branch thresholds and delay constants are read from a
-per-model table, not written into the source, so models of the same
-structure share the compiled code.
+finite-difference oracles stay deterministic.  Each model runs, per
+method, generated code: the march over the step grid, with the RK stages,
+the guard checks and the delay lookups written out, and the RK step and
+one function per event guard for event location.  Tape constants, branch
+thresholds and delay constants are read from a per-model table, not
+written into the source, so the code is generated and compiled once per
+model structure, and a model of a cached structure only fills its table.
 Parameter-only nodes are computed once per ``integrate`` call, stages
 compute only the rhs, and a branch arm that can raise runs only when it is
 taken.  So an exception there is a real domain error; ``tape_eval`` re-runs
@@ -45,10 +45,10 @@ private workspace: parameter sweeps may run concurrently.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -73,6 +73,7 @@ from .tape import (
     copy_into,
     guarded_source,
     node_ref,
+    number,
     numbers,
     readers,
     reverse_gradient,
@@ -152,7 +153,7 @@ class OdeModel:
     # exact anti-windup pinning of saturated integrator states, applied
     # after each accepted step (the gated rhs handles the interior)
     state_clamps: tuple[tuple[int, float, float], ...] = ()
-    # method -> generated ``_make`` (see ``_generate_stepper``)
+    # method -> generated ``_make`` (see ``_bind_stepper``)
     _steppers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -282,6 +283,15 @@ _HERMITE = (    # the cubic Hermite basis on [_T[i], _T[i + 1]] at tau, and its 
     "d01 = -6 * w * (w - 1) * dw", "d11 = (3 * w * w - 2 * w)", "r0, r1 = _R[i], _R[i + 1]")
 
 
+def _record_exprs(m: OdeModel):
+    """The expressions the delay record reads: each distinct delay
+    (``ParamExpr`` equality groups the slots), and per slot its prehistory
+    and the prehistory's t-derivative, or None."""
+    return (list(dict.fromkeys(slot.delay for slot in m.delays)),
+            [None if slot.prehistory is None else (slot.prehistory, slot.prehistory.diff("t"))
+             for slot in m.delays])
+
+
 def _record_source(m: OdeModel, dv: list[str], consts: list) -> list[str]:
     """The delay record of ``_make``: each distinct delay expression
     evaluated once and checked against the step, the node times ``_T``
@@ -300,16 +310,16 @@ def _record_source(m: OdeModel, dv: list[str], consts: list) -> list[str]:
     on either side of an aligned breakpoint both see a consistent
     one-sided right-hand side."""
     J = len(m.delays)
-    delays = list(dict.fromkeys(slot.delay for slot in m.delays))
-    pre = [None if slot.prehistory is None else (slot.prehistory, slot.prehistory.diff("t"))
-           for slot in m.delays]
+    delays, pre = _record_exprs(m)
     names = [p for e in delays for p in sorted(e.params())]
     names += [p for es in filter(None, pre) for e in es for p in sorted(e.params() - {"t"})]
     q = {p: f"_q{k}" for k, p in enumerate(dict.fromkeys(names))}
     at_tau = {**q, "t": "tau"}
+    hsrc = [e.to_source(q, consts) for e in delays]         # in ``_record_exprs`` order
+    psrc = [es and [e.to_source(at_tau, consts) for e in es] for es in pre]
     hs = ", ".join(f"_h{g}" for g in range(len(delays)))
     src = [*(f"    {v} = _param(_env, {p!r})" for p, v in q.items()),
-           *(f"    _h{g} = {e.to_source(q, consts)}" for g, e in enumerate(delays)),
+           *(f"    _h{g} = {h}" for g, h in enumerate(hsrc)),
            f"    for _h in ({hs},):", "        if not _h >= _step:",
            '            raise ValueError(f"delay {_h} smaller than the step {_step}")',
            f"    _hmax = max([{hs}])", "    _tol = 1e-9 * max(1.0, abs(_t0))",
@@ -327,8 +337,7 @@ def _record_source(m: OdeModel, dv: list[str], consts: list) -> list[str]:
                 before.append('raise DelayUnderflow(f"lookup at t={tau} precedes history '
                               'and no prehistory is defined")')
                 break
-            before += [f"{dv[j]} = {pre[j][0].to_source(at_tau, consts)}",
-                       f"{dv[J + j]} = {pre[j][1].to_source(at_tau, consts)}"]
+            before += [f"{dv[j]} = {psrc[j][0]}", f"{dv[J + j]} = {psrc[j][1]}"]
         body = [f"tau = t - _h{g}",
                 f"if tau < _left or (anchor - _h{g} < _left and tau <= _right) or not _T:",
                 *("    " + ln for ln in before),
@@ -373,16 +382,20 @@ def _rk_source(m: OdeModel, method: str, stage) -> list[str]:
     return src
 
 
-def _generate_stepper(m: OdeModel, method: str):
-    """Compiles ``_make(c, x, t, env, theta...) -> (ev, step, guards,
+def _generate_stepper(m: OdeModel, method: str, tape: Tape):
+    """The source of ``_make(c, x, t, env, theta...) -> (ev, step, guards,
     march)`` for a call with config ``c`` starting at (x, t) under
-    parameters ``env`` (``theta`` their values in ``m.param_names`` order).
-    ``_make`` binds the model's and the guards' ``numbers`` from the table
-    ``_k``, builds the delay record (``_record_source``), for a model with
-    delay slots, and computes the parameter-only nodes that cannot raise or
-    that every call needs; the interpreter names one that fails.  All code
-    is ``guarded_source``'s: a node that one statement alone reads is
-    written into that statement's expression.
+    parameters ``env`` (``theta`` their values in ``m.param_names`` order),
+    and its picks: the (tape, node id) whose ``number`` each entry of the
+    table ``_k`` holds, tape 0 being ``tape`` (``m.tape``, with the slot
+    slopes for a model with delay slots) and tape k the guard of event
+    k - 1; the delay record's constants follow them.  ``_make`` binds the
+    model's and the guards' ``numbers`` from ``_k``, builds the delay record
+    (``_record_source``), for a model with delay slots, and computes the
+    parameter-only nodes that cannot raise or that every call needs; the
+    interpreter names one that fails.  All code is ``guarded_source``'s: a
+    node that one statement alone reads is written into that statement's
+    expression.
 
     ``ev(x..., t, anchor, full)`` computes the rhs nodes, reading the
     delay record for the step that starts at ``anchor``, and reuses the
@@ -402,13 +415,13 @@ def _generate_stepper(m: OdeModel, method: str):
     anchored at t, with ``f`` the rhs and ``g`` the guard values at (x, t),
     appending each accepted node to the three lists, until tf or the first
     step across which a guard changes sign.  Each step is ``step``'s RK
-    formula with the stages written out: the stage inputs, the delay
-    lookup and ``ev``'s rhs statements, so only the accepted node calls
-    ``ev``.  The guard checks are written out too; a guard is not checked
-    on a step that ends inside its deadtime window, which closes at
-    ``until[i]``.  It returns None at tf, else ``(i, k, x, t, h, f, g_i,
-    y)``: guard i changed sign on the k-th step, from (x, t) over h to y."""
-    tape = _with_slot_slopes(m) if m.delays else m.tape
+    formula with the stages written out: the stage inputs that the rhs
+    reads, the delay lookup and ``ev``'s rhs statements, so only the
+    accepted node calls ``ev``.  The guard checks are written out too; a
+    guard is not checked on a step that ends inside its deadtime window,
+    which closes at ``until[i]``.  It returns None at tf, else ``(i, k, x,
+    t, h, f, g_i, y)``: guard i changed sign on the k-th step, from (x, t)
+    over h to y."""
     n, s, q = m.n, len(m.param_names), m.n_outputs
     nodes, outs = tape.nodes, tape.outputs
     place, opened = arm_contexts(tape, [(o, 0 if k < n else 1) for k, o in enumerate(outs)])
@@ -424,6 +437,12 @@ def _generate_stepper(m: OdeModel, method: str):
             hoist.append(nid)
             bound.add(nid)
     bound |= inputs
+    read = set(outs[:n])        # the nodes the rhs statements read
+    for nid in range(len(nodes) - 1, -1, -1):
+        if nid in read:
+            read.update(nodes[nid].children())
+    # stage inputs the rhs reads, and the time, which the delay lookup reads
+    stored = [j in arg and arg[j] in read or j == n and bool(m.delays) for j in range(n + 1)]
     arg = [f"_v{arg[j]}" if j in arg else f"_u{j}" for j in range(tape.num_inputs)]
     theta, dv, tt = arg[n + 1:n + 1 + s], arg[n + 1 + s:], arg[n]
 
@@ -443,19 +462,21 @@ def _generate_stepper(m: OdeModel, method: str):
                 f"ev({''.join(x + ', ' for x in xs)}{ts}, t, False)"]
 
     def inline_stage(k, xs, ts):        # ``march``: ``ev``'s statements, at the stage inputs
-        return [*(f"{a} = {e}" for a, e in zip(arg, [*xs, ts])), *lookup(tt, "t"),
+        ins = [*xs, ts]                 # ``_fail`` gets the inputs not stored as expressions
+        vals = [*(a if keep else e for a, e, keep in zip(arg, ins, stored)), *arg[n + 1:]]
+        return [*(f"{a} = {e}" for a, e, keep in zip(arg, ins, stored) if keep),
+                *lookup(tt, "t"),
                 *(["try:", *("    " + ln for ln in rhs), "except _ARITH_ERRORS:",
-                   f"    _fail(0, [{', '.join(arg)}])", "    raise"] if rhs else []),
+                   f"    _fail(0, [{', '.join(vals)}])", "    raise"] if rhs else []),
                 *(f"{k}{i} = {node_ref(tape, o)}" for i, o in enumerate(outs[:n]))]
 
-    # ``_fail(k, vals)`` re-runs tape k: 0 ev's, k >= 1 guard k - 1's, the last the model's
-    fails = (tape, *(e.guard for e in m.events), m.tape)
-    nums = numbers(tape, place)     # the model's numbers, bound once per ``_make`` call
+    # the model's numbers, bound once per ``_make`` call: name -> (tape, node id)
+    nums = {name: (0, i) for name, i in numbers(tape, place).items()}
     src, checks, late = [], [], []
     for k, e in enumerate(m.events, 1):         # guard k - 1, called g(x..., t)
         g, tag = e.guard, f"{k}_"
         g_place, g_opened = arm_contexts(g, [(g.outputs[0], 0)])
-        nums.update(numbers(g, g_place, tag))
+        nums.update((name, (k, i)) for name, i in numbers(g, g_place, tag).items())
         out, g_reads = node_ref(g, g.outputs[0], tag), readers(g, g_place)
         body = guarded_source(g, g_place, g_opened, set(), 0, g_reads, tag)
         src += [f"    def _g{k}(*x):", "        try:", *(" " * 12 + ln for ln in body),
@@ -475,11 +496,10 @@ def _generate_stepper(m: OdeModel, method: str):
         late += [f"if tn <= u{k}:", f"    p{k} = _g{k}(*y, tn)"]
     ps = ", ".join(f"p{k}" for k in range(1, len(m.events) + 1))
     us = ps.replace("p", "u")
-    consts = list(nums.values())        # then the delay record's, read as ``_k[i]``
     src = [f"def _make({', '.join(['_c', '_x', '_t0', '_env'] + theta)}):",
            f"    [{', '.join(nums)}] = _k[:{len(nums)}]", *src,
            "    _step, _tf = _c.step, _c.tf", "    _end = _tf - 1e-12 * max(1.0, abs(_tf))",
-           *(_record_source(m, dv, consts) if m.delays else []),
+           *(_record_source(m, dv, list(nums)) if m.delays else []),     # ``_k[len(nums):]``
            f"    def ev({', '.join(arg[:n + 1])}, anchor, full):",
            *(["        nonlocal _kt, _ka"] if m.delays else []),
            *("        " + ln for ln in lookup(tt, "anchor")),
@@ -516,23 +536,60 @@ def _generate_stepper(m: OdeModel, method: str):
     if lift:
         src += ["    try:", *("        " + ln for ln in lift), "    except _ARITH_ERRORS:",
                 *(["        _look(_t0, _t0)"] if m.delays else []),
-                f"        _fail({len(fails) - 1}, [*_x, _t0, {', '.join(theta + dv)}])",
+                f"        _fail({len(m.events) + 1}, [*_x, _t0, {', '.join(theta + dv)}])",
                 "        raise"]
-    guards = "".join(f"_g{k}, " for k in range(1, len(fails) - 1))
-    ns = {"_m": math, "inf": math.inf, "nan": math.nan, "_ARITH_ERRORS": _ARITH_ERRORS,
-          "_clamps": m.state_clamps, "_fail": lambda k, vals: tape_eval(fails[k], vals),
-          "_bisect": bisect, "_fv": fn_value, "_k": consts, "_param": param_value,
-          "DelayUnderflow": DelayUnderflow}
-    exec(_compiled("\n".join(src + [f"    return ev, step, ({guards}), march"])), ns)
+    guards = "".join(f"_g{k}, " for k in range(1, len(m.events) + 1))
+    return "\n".join(src + [f"    return ev, step, ({guards}), march"]), list(nums.values())
+
+
+def _shape(t: Tape) -> tuple:
+    """What code generated for ``t`` reads of it, but for its numbers
+    (``numbers``): a pow exponent is written into the source, in ``fn``."""
+    return t.num_inputs, t.outputs, tuple(
+        chain.from_iterable((n.op, n.a, n.b, n.cond, n.fn) for n in t.nodes))
+
+
+# structure -> (code, picks), least recently used first; threads binding at
+# once may both generate a structure's code, never use another's
+_CODE: dict = {}
+_CODE_SIZE = 32
+_GLOBALS = {"_m": math, "inf": math.inf, "nan": math.nan, "_ARITH_ERRORS": _ARITH_ERRORS,
+            "_bisect": bisect, "_fv": fn_value, "_param": param_value,
+            "DelayUnderflow": DelayUnderflow}
+
+
+def _bind_stepper(m: OdeModel, method: str):
+    """``m``'s ``_make`` (``_generate_stepper``).  The code is generated and
+    compiled once per structure, the key holding all that the source
+    reads of the model but its numbers; the ``_CODE_SIZE`` structures used
+    last keep theirs.  Each model runs it in a namespace of its own: the
+    table ``_k`` filled from its tapes by the picks, then the delay
+    record's constants; its clamps; and ``_fail(k, vals)``, which re-runs
+    tape k (0 the generated tape, k >= 1 guard k - 1's, the last
+    ``m.tape``) in the interpreter, which names the failing node."""
+    tape = _with_slot_slopes(m) if m.delays else m.tape
+    tapes = (tape, *(e.guard for e in m.events))
+    record, record_key = [], None       # the delay record's constants, in ``_record_exprs`` order
+    if m.delays:
+        delays, pre = _record_exprs(m)
+        record_key = (tuple(e.shape(record) for e in delays),
+                      tuple(delays.index(slot.delay) for slot in m.delays),
+                      tuple(es and tuple(e.shape(record) for e in es) for es in pre))
+    key = (method, m.n, len(m.param_names), m.n_outputs, bool(m.state_clamps),
+           tuple(map(_shape, tapes)), record_key)
+    code, picks = _CODE.pop(key, (None, None))
+    if code is None:
+        source, picks = _generate_stepper(m, method, tape)
+        code = compile(source, "<generated>", "exec")
+    _CODE[key] = code, picks
+    for old in list(_CODE)[:-_CODE_SIZE]:       # the least recently used, past the bound
+        _CODE.pop(old, None)
+    fails = (*tapes, m.tape)
+    ns = {**_GLOBALS, "_clamps": m.state_clamps,
+          "_fail": lambda k, vals: tape_eval(fails[k], vals),
+          "_k": [number(tapes[k].nodes[i]) for k, i in picks] + record}
+    exec(code, ns)
     return ns["_make"]
-
-
-@functools.lru_cache(maxsize=32)
-def _compiled(source: str):
-    """One code object per distinct generated source.  Each model's
-    numbers live in its own table ``_k``, not in the source, so models of
-    the same structure compile once."""
-    return compile(source, "<generated>", "exec")
 
 
 def integrate(m: OdeModel, c: SimConfig, theta=None) -> Trajectory:
@@ -606,9 +663,9 @@ def integrate(m: OdeModel, c: SimConfig, theta=None) -> Trajectory:
 
 def _stepper(m: OdeModel, c: SimConfig, x, t, env):
     """The generated ``(ev, step, guards, march)`` of ``m`` for one call;
-    the code is generated once per model and method."""
+    ``_make`` is bound once per model and method."""
     if c.method not in m._steppers:
-        m._steppers[c.method] = _generate_stepper(m, c.method)
+        m._steppers[c.method] = _bind_stepper(m, c.method)
     return m._steppers[c.method](c, x, t, env, *(env[p] for p in m.param_names))
 
 

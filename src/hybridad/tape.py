@@ -593,12 +593,18 @@ def node_source(t: Tape, i: int, r, tag: str = "") -> str:
     return f"abs({r(n.a)})" if n.fn.kind == "abs" else f"_m.{n.fn.kind}({r(n.a)})"
 
 
-def numbers(t: Tape, place, tag: str = "") -> dict[str, float]:
-    """The table of the code generated for the nodes of ``place``: each
-    constant's value and branch threshold by the name ``_k<tag><i>`` it is
-    bound to (``[names] = _k``), so the source holds the structure alone."""
-    return {f"_k{tag}{i}": t.nodes[i].value if t.nodes[i].op == "const" else t.nodes[i].threshold
-            for i in sorted(place) if t.nodes[i].op in ("const", "branch")}
+def numbers(t: Tape, place, tag: str = "") -> dict[str, int]:
+    """The table of the code generated for the nodes of ``place``: the id
+    of each constant and branch by the name ``_k<tag><i>`` its value or
+    threshold (``number``) is bound to (``[names] = _k``), so the source
+    holds the structure alone."""
+    return {f"_k{tag}{i}": i for i in sorted(place) if t.nodes[i].op in ("const", "branch")}
+
+
+def number(n: Node) -> float:
+    """What generated code reads from its table for node ``n``: a
+    constant's value or a branch's threshold."""
+    return n.value if n.op == "const" else n.threshold
 
 
 def compile_tape(t: Tape):
@@ -621,7 +627,7 @@ def compile_tape(t: Tape):
            "    return _f"]
     ns: dict = {"math": math, "inf": math.inf, "nan": math.nan}    # non-finite exponents
     exec("\n".join(src), ns)
-    return ns["_mk"](list(k.values()))
+    return ns["_mk"]([number(t.nodes[i]) for i in k.values()])
 
 
 def arm_contexts(t: Tape, roots):
@@ -762,6 +768,10 @@ def copy_into(b: TapeBuilder, t: Tape, input_nodes: list[int] | None = None) -> 
     fresh builder every node keeps its id."""
     if input_nodes is not None and len(input_nodes) != t.num_inputs:
         raise ValueError("need one replacement node per tape input")
+    if input_nodes is None and not b._nodes:        # the nodes themselves, ids kept
+        b._nodes.extend(t.nodes)
+        b._input_nodes.update((n.a, i) for i, n in enumerate(t.nodes) if n.op == "input")
+        return list(range(len(t.nodes)))
     m: list[int] = []
     for n in t.nodes:
         m.append(input_nodes[n.a] if input_nodes and n.op == "input" else _replay(b, n, m))

@@ -29,6 +29,27 @@ def first_order_doc(k=1.0, tau=0.5):
     }
 
 
+BAD_INTEGERS = {        # (kind, field, value): an integer block field of another shape
+    "product-n-string": ("Product", "n", "two"),
+    "product-n-float": ("Product", "n", 1.5),
+    "product-n-integral-float": ("Product", "n", 2.0),
+    "product-n-bool": ("Product", "n", True),
+    "product-n-zero": ("Product", "n", 0),
+    "mux-n-null": ("Mux", "n", None),
+    "demux-n-negative": ("Demux", "n", -2),
+    "inport-index-string": ("Inport", "index", "0"),
+    "inport-index-bool": ("Inport", "index", False),
+    "inport-index-negative": ("Inport", "index", -1),
+}
+
+
+def bad_integer_doc(case):
+    kind, field, value = BAD_INTEGERS[case]
+    doc = first_order_doc()
+    doc["blocks"].append({"id": "X", "kind": kind, field: value})
+    return doc, f"$.blocks[{len(doc['blocks']) - 1}].{field}"
+
+
 @pytest.fixture
 def first_order():
     return parse_diagram(json.dumps(first_order_doc()))

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import first_order_doc
+from conftest import BAD_INTEGERS, bad_integer_doc, first_order_doc
 from hybridad import SchemaError, cli, parse_diagram
 from hybridad.cli import main, optimize_scalar, step_map_derivatives
 from hybridad.diagram import load_diagram
@@ -55,6 +55,14 @@ def test_every_subcommand_reports_a_schema_error_as_validate_does(tmp_path, caps
     path.write_text(text)
     assert main([argv[0], str(path), *argv[1:]]) == 2
     assert capsys.readouterr().err.startswith("schema error: ")
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INTEGERS))
+def test_validate_reports_a_bad_integer_field_as_a_schema_error(tmp_path, capsys, case):
+    # no ValueError traceback, and no silent truncation of 1.5 or true to 1
+    doc, path = bad_integer_doc(case)
+    assert main(["validate", _write(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err.startswith(f"schema error: {path}: expected an integer")
 
 
 MALFORMED = {            # a list field given some other shape: the path it names

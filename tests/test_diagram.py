@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import first_order_doc
+from conftest import BAD_INTEGERS, bad_integer_doc, first_order_doc
 from hybridad import SchemaError, ValidationError, agdm_diff, flatten, parse_diagram, validate
 from hybridad import diagram
 from hybridad.diagram import _parse_dict, diagram_to_json, load_diagram, to_dict
@@ -297,3 +297,22 @@ def test_bad_expression_fails_on_every_parse():
         with pytest.raises(SchemaError) as exc:
             load_diagram(json.dumps(doc))
         assert exc.value.path == "$.blocks[1].gain"
+
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INTEGERS))
+def test_integer_block_field_of_another_shape_is_a_schema_error(case):
+    doc, path = bad_integer_doc(case)
+    with pytest.raises(SchemaError) as exc:
+        load_diagram(json.dumps(doc))
+    assert exc.value.path == path
+    assert "expected an integer" in str(exc.value)
+
+
+def test_integer_block_fields_keep_their_values():
+    doc = first_order_doc()
+    doc["blocks"] += [{"id": "P", "kind": "Product", "n": 1}, {"id": "M", "kind": "Mux", "n": 3},
+                      {"id": "D", "kind": "Demux"}, {"id": "In", "kind": "Inport", "index": 0}]
+    fields = {b.id: b.fields for b in load_diagram(json.dumps(doc)).blocks}
+    assert (fields["P"], fields["M"], fields["D"], fields["In"]) == (
+        {"n": 1}, {"n": 3}, {"n": 2}, {"index": 0})

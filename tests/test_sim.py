@@ -1,7 +1,11 @@
+import gc
 import json
 import math
 import os
+import sys
+import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -37,6 +41,7 @@ from hybridad import (
 from hybridad import sim
 from hybridad.ops import ATAN, COS, SIN, SQRT, Pow
 from hybridad.sim import make_ode_model
+from hybridad.tape import Node
 
 
 def _decay_model():
@@ -1190,10 +1195,10 @@ def test_node_lookup_reuses_the_last_stage_lookup(monkeypatch):
     # past t0 + h the step anchor cannot reach the prehistory, so the
     # lookup at an accepted node is the last RK stage's at the same time
     calls = []
-    generate = sim._generate_stepper
+    bind = sim._bind_stepper
 
-    def counting_generate(m, method):
-        make = generate(m, method)
+    def counting_bind(m, method):
+        make = bind(m, method)
 
         def counted_make(*args):
             made = make(*args)
@@ -1204,7 +1209,7 @@ def test_node_lookup_reuses_the_last_stage_lookup(monkeypatch):
             return made
         return counted_make
 
-    monkeypatch.setattr(sim, "_generate_stepper", counting_generate)
+    monkeypatch.setattr(sim, "_bind_stepper", counting_bind)
     counts = []
     for tf in (1.0, 1.1):
         calls.clear()
@@ -1224,7 +1229,7 @@ def test_models_of_one_structure_share_the_compiled_code():
         return make_ode_model(1, b.build([b.neg(b.input(2)), x, x]), (), {}, ("x",), ("y",),
                               init_exprs=(parse_expr(1.0),),
                               delays=(DelaySlot(parse_expr(c), parse_expr(c)),))
-    made = [sim._generate_stepper(model(c), "rk4") for c in (0.5, 0.25)]
+    made = [sim._bind_stepper(model(c), "rk4") for c in (0.5, 0.25)]
     assert made[0].__code__ is made[1].__code__
     cfg = SimConfig(step=0.25, tf=0.25)
     # x(0.25) = 1 - 0.25 c: each model reads its own prehistory constant
@@ -1261,22 +1266,56 @@ def _chain_model(hi, clk, pole, mid):
     return sensitivity_extend(flatten(parse_diagram(json.dumps(doc))), "k")
 
 
-def test_one_structure_compiles_once_and_runs_its_own_numbers():
+class _CodeCache:
+    """An empty code cache for one test: ``misses`` counts the models whose
+    code was generated, ``hits`` those bound to cached code, and
+    ``sources`` holds each generated source."""
+
+    def __init__(self, monkeypatch):
+        self.sources, self.binds = [], 0
+        generate, bind = sim._generate_stepper, sim._bind_stepper
+
+        def counted_generate(*args):
+            made = generate(*args)
+            self.sources.append(made[0])
+            return made
+
+        def counted_bind(*args):
+            self.binds += 1
+            return bind(*args)
+
+        monkeypatch.setattr(sim, "_CODE", {})
+        monkeypatch.setattr(sim, "_generate_stepper", counted_generate)
+        monkeypatch.setattr(sim, "_bind_stepper", counted_bind)
+
+    @property
+    def misses(self):
+        return len(self.sources)
+
+    @property
+    def hits(self):
+        return self.binds - self.misses
+
+
+@pytest.fixture
+def code_cache(monkeypatch):
+    return _CodeCache(monkeypatch)
+
+
+def test_one_structure_compiles_once_and_runs_its_own_numbers(code_cache):
     # every constant of B differs from A's; the generated source does not
     a = {"hi": 0.8, "clk": 0.7, "pole": 0.2, "mid": 0.5}
     b = {"hi": 0.6, "clk": 0.9, "pole": 0.3, "mid": 0.45}
     cfg = SimConfig(step=0.01, tf=1.5)
-    sim._compiled.cache_clear()
     shared = [integrate(_chain_model(**p), cfg).to_csv() for p in (a, b, a)]
-    info = sim._compiled.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
+    assert (code_cache.misses, code_cache.hits) == (1, 2)
     assert shared[0] == shared[2] != shared[1]
     for p, csv in zip((a, b), shared):
-        sim._compiled.cache_clear()
+        sim._CODE.clear()
         assert integrate(_chain_model(**p), cfg).to_csv() == csv
 
 
-def test_one_structure_names_the_failing_models_node():
+def test_one_structure_names_the_failing_models_node(code_cache):
     # x' = sqrt(c - t): c = 0.5 fails past t = 0.5, c = 2 runs to the end
     def model(c):
         b = TapeBuilder(2)          # [x, t]
@@ -1284,14 +1323,238 @@ def test_one_structure_names_the_failing_models_node():
         return make_ode_model(1, b.build([root, b.input(0)]), (), {}, ("x",), ("y",),
                               init_exprs=(parse_expr(0.0),)), root
     cfg = SimConfig(step=0.1, tf=1.0)
-    sim._compiled.cache_clear()
     clean = integrate(model(2.0)[0], cfg).to_csv()
     bad, root = model(0.5)
     with pytest.raises(EvalDomainError, match="sqrt of negative value") as exc:
         integrate(bad, cfg)
     assert exc.value.node_id == root
     assert integrate(model(2.0)[0], cfg).to_csv() == clean
-    assert sim._compiled.cache_info().misses == 1
+    assert code_cache.misses == 1
+
+
+def _switched_model(gain=2.0, time=0.3, threshold=0.5, lo=-0.4, hi=0.6):
+    """e' = gain * (sat(u) - e), u a Step at ``time`` through a Saturation
+    [lo, hi], and e' = -e instead while u is below the Switch's
+    ``threshold``."""
+    blocks = [{"id": "U", "kind": "Step", "time": time, "level": 1.0},
+              {"id": "Sat", "kind": "Saturation", "lo": lo, "hi": hi},
+              {"id": "E", "kind": "Sum", "signs": "+-"},
+              {"id": "G", "kind": "Gain", "gain": gain},
+              {"id": "N", "kind": "Gain", "gain": -1.0},
+              {"id": "W", "kind": "Switch", "threshold": threshold},
+              {"id": "I", "kind": "Integrator", "initial": 0.1}]
+    links = [{"from": "U.out", "to": "Sat.in"}, {"from": "Sat.out", "to": "E.in1"},
+             {"from": "I.out", "to": "E.in2"}, {"from": "E.out", "to": "G.in"},
+             {"from": "I.out", "to": "N.in"}, {"from": "G.out", "to": "W.in1"},
+             {"from": "U.out", "to": "W.in2"}, {"from": "N.out", "to": "W.in3"},
+             {"from": "W.out", "to": "I.in"}]
+    doc = {"schema": 1, "name": "switched", "params": {}, "blocks": blocks,
+           "links": links, "outputs": [{"name": "y", "from": "I.out"}]}
+    return flatten(parse_diagram(json.dumps(doc)))
+
+
+def _floor_model(height):
+    """q' = v, v' = -9.81 from q(0) = 0.3 onto a rebounding floor at q = height."""
+    b = TapeBuilder(3)          # [q, v, t]
+    q, v = b.input(0), b.input(1)
+    tape = b.build([v, b.const(-9.81), q, v])
+    gb = TapeBuilder(2)         # [q, t]
+    floor = ImpactSurface(1, lambda _q: np.eye(1), lambda _q: 100.0, lambda _q: 0.0,
+                          gb.build([gb.sub(gb.const(height), gb.input(0))]))
+    return make_ode_model(2, tape, (), {}, ("q", "v"), ("q", "v"),
+                          init_exprs=(parse_expr(0.3), parse_expr(0.0)),
+                          events=(impact_event(floor, 2),))
+
+
+def _const_delay_model(delay, prehistory, c=0.5):
+    """x'(t) = -c x(t - delay), x = prehistory before 0 (expressions of t)."""
+    b = TapeBuilder(4)          # [x, t, xdel, xdelslope]
+    x = b.input(0)
+    return make_ode_model(1, b.build([b.mul(b.const(c), b.neg(b.input(2))), x, x]), (), {},
+                          ("x",), ("y",), init_exprs=(parse_expr(1.0),),
+                          delays=(DelaySlot(parse_expr(delay), parse_expr(prehistory)),))
+
+
+SAME_STRUCTURE = {      # two models whose numbers differ, and a config
+    "constant": (lambda v: _switched_model(gain=v), (2.0, 3.5), SimConfig(step=0.05, tf=1.0)),
+    "step-time": (lambda v: _switched_model(time=v), (0.3, 0.55), SimConfig(step=0.05, tf=1.0)),
+    "switch-threshold": (lambda v: _switched_model(threshold=v), (0.5, 1.5),
+                         SimConfig(step=0.05, tf=1.0)),
+    "saturation-limits": (lambda v: _switched_model(lo=-v, hi=v), (0.6, 0.25),
+                          SimConfig(step=0.05, tf=1.0)),
+    "impact-floor": (_floor_model, (0.0, 0.1), SimConfig(step=0.01, tf=0.5)),
+    "delay-constant": (lambda v: _const_delay_model(v, "1 + 0.5*t"), (0.3, 0.45),
+                       SimConfig(step=0.05, tf=1.0)),
+    "prehistory-constant": (lambda v: _const_delay_model(0.3, f"{v} + 0.5*t*t"), (1.0, 2.5),
+                            SimConfig(step=0.05, tf=1.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAME_STRUCTURE))
+def test_models_differing_in_numbers_share_one_code_object(code_cache, case):
+    model, values, cfg = SAME_STRUCTURE[case]
+    csvs = [integrate(model(v), cfg).to_csv() for v in values]
+    assert (code_cache.misses, code_cache.hits) == (1, 1)
+    assert csvs[0] != csvs[1]
+    for v, csv in zip(values, csvs):        # each ran its own numbers
+        sim._CODE.clear()
+        assert integrate(model(v), cfg).to_csv() == csv
+    assert code_cache.misses == 3
+
+
+def _pow_model(p):
+    b = TapeBuilder(2)          # [x, t]
+    x = b.input(0)
+    return make_ode_model(1, b.build([b.neg(b.apply(Pow(p), x)), x]), (), {}, ("x",), ("y",),
+                          init_exprs=(parse_expr(1.5),))
+
+
+def _clamped_model(clamps):
+    b = TapeBuilder(2)          # [x, t]
+    return make_ode_model(1, b.build([b.const(1.0), b.input(0)]), (), {}, ("x",), ("y",),
+                          init_exprs=(parse_expr(0.0),), state_clamps=clamps)
+
+
+def _slots_model(*hs):
+    """x' = -x(t - h_1) - x(t - h_2) / 2 - x(t - h_3) / 3 ...: one slot per
+    delay, slots of equal delays sharing one."""
+    J = len(hs)
+    b = TapeBuilder(2 + 2 * J)      # [x, t, xdel_1.., xdelslope_1..]
+    x, rhs = b.input(0), b.const(0.0)
+    for j in range(J):
+        rhs = b.sub(rhs, b.mul(b.const(1.0 / (j + 1)), b.input(2 + j)))
+    return make_ode_model(1, b.build([rhs, x, *[x] * J]), (), {}, ("x",), ("y",),
+                          init_exprs=(parse_expr(1.0),),
+                          delays=tuple(DelaySlot(parse_expr(h), parse_expr(1.0)) for h in hs))
+
+
+def _unfolded_gain_delay_model(c):
+    """x'(t) = c * x(t - 0.3), whose slot carries the rhs, with the product
+    of c kept as a node even at c = 1.0, so only the slot-slope tape, where
+    the tangent of c * xdel folds at 1.0, tells the two apart."""
+    nodes = (Node("input", a=0), Node("input", a=1), Node("input", a=2), Node("input", a=3),
+             Node("const", value=c), Node("mul", a=4, b=2))
+    return make_ode_model(1, Tape(nodes, 4, (5, 0, 5)), (), {}, ("x",), ("y",),
+                          init_exprs=(parse_expr(1.0),),
+                          delays=(DelaySlot(parse_expr(0.3), parse_expr(1.0)),))
+
+
+DIFFERENT_STRUCTURE = {     # two models of different generated source, and their configs
+    "pow-exponent": ((lambda: _pow_model(2.0), lambda: _pow_model(3.0)),
+                     [SimConfig(step=0.05, tf=1.0)] * 2),
+    "clamps": ((lambda: _clamped_model(()), lambda: _clamped_model(((0, -0.5, 0.5),))),
+               [SimConfig(step=0.1, tf=1.0)] * 2),
+    "method": ((_decay_model, _decay_model),
+               [SimConfig(step=0.1, tf=1.0), SimConfig(step=0.1, tf=1.0, method="midpoint")]),
+    "shared-delay": ((lambda: _slots_model(0.3, 0.3), lambda: _slots_model(0.3, 0.45)),
+                     [SimConfig(step=0.05, tf=1.0)] * 2),
+    "delay-grouping": ((lambda: _slots_model(0.3, 0.3, 0.45),
+                        lambda: _slots_model(0.3, 0.45, 0.45)),
+                       [SimConfig(step=0.05, tf=1.0)] * 2),
+    "slot-slope-fold": ((lambda: _unfolded_gain_delay_model(1.0),
+                         lambda: _unfolded_gain_delay_model(0.7)),
+                        [SimConfig(step=0.05, tf=1.0)] * 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIFFERENT_STRUCTURE))
+def test_models_of_different_source_get_separate_entries(code_cache, case):
+    models, cfgs = DIFFERENT_STRUCTURE[case]
+    csvs = [integrate(model(), cfg).to_csv() for model, cfg in zip(models, cfgs)]
+    assert code_cache.misses == 2 and len(sim._CODE) == 2
+    assert code_cache.sources[0] != code_cache.sources[1]
+    assert csvs[0] != csvs[1]
+    sim._CODE.clear()
+    assert integrate(models[1](), cfgs[1]).to_csv() == csvs[1]
+
+
+def test_slot_slope_fold_is_the_only_difference():
+    one, other = _unfolded_gain_delay_model(1.0), _unfolded_gain_delay_model(0.7)
+    assert sim._shape(one.tape) == sim._shape(other.tape)
+    assert sim._shape(sim._with_slot_slopes(one)) != sim._shape(sim._with_slot_slopes(other))
+
+
+def test_code_cache_is_bounded_and_regenerates_bitwise(code_cache):
+    cfg = SimConfig(step=0.05, tf=0.5)
+
+    def run(k):                 # structure k: x' = -x ** (1 + k / 8)
+        return integrate(_pow_model(1.0 + k / 8), cfg).to_csv()
+    firsts = [run(k) for k in range(33)]
+    assert code_cache.misses == 33 and len(sim._CODE) == sim._CODE_SIZE == 32
+    # the least recently used structure, the first, was evicted; it is generated again
+    assert run(0) == firsts[0]
+    assert code_cache.misses == 34 and len(sim._CODE) == 32
+    assert code_cache.sources[-1] == code_cache.sources[0]
+    # a hit keeps structure 2, so structure 33 evicts 3, used longer ago
+    run(2)
+    run(33)
+    assert code_cache.misses == 35
+    run(2)
+    assert code_cache.misses == 35
+    assert run(3) == firsts[3] and code_cache.misses == 36
+
+
+def test_threads_sharing_the_code_cache_run_their_own_models(monkeypatch):
+    # more structures than the cache holds, so threads evict while others bind
+    monkeypatch.setattr(sim, "_CODE", {})
+    cfg = SimConfig(step=0.05, tf=0.2)
+    ks = list(range(40))
+    want = {k: integrate(_pow_model(1.0 + k / 8), cfg).to_csv() for k in ks}
+    got, errors = {}, []
+
+    def work(first):
+        try:
+            for k in ks[first:] + ks[:first]:
+                got[first, k] = integrate(_pow_model(1.0 + k / 8), cfg).to_csv()
+        except Exception as exc:        # reported by the assertion below
+            errors.append(exc)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(10 * i,)) for i in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads) and errors == []
+    assert len(got) == 160 and all(csv == want[k] for (_, k), csv in got.items())
+    assert len(sim._CODE) <= sim._CODE_SIZE
+
+
+def test_the_code_cache_retains_no_model(code_cache):
+    m = _switched_model()
+    integrate(m, SimConfig(step=0.05, tf=1.0))
+    gone = weakref.ref(m)
+    del m
+    gc.collect()
+    assert gone() is None and len(sim._CODE) == 1
+
+
+def test_stage_inputs_the_rhs_does_not_read_are_not_stored(code_cache, monkeypatch):
+    # x0' = sqrt(0.5 - t), x1' = 1: the rhs reads the time, no state; the
+    # second stage of the step from 0.5 fails, and the interpreter re-runs
+    # it at the stage inputs the march did not store
+    b = TapeBuilder(3)          # [x0, x1, t]
+    x0, x1, tn = b.input(0), b.input(1), b.input(2)
+    root = b.apply(SQRT, b.sub(b.const(0.5), tn))
+    m = make_ode_model(2, b.build([root, b.const(1.0), x0, x1]), (), {}, ("x0", "x1"),
+                       ("y0", "y1"), init_exprs=(parse_expr(0.0), parse_expr(0.0)))
+    cfg = SimConfig(step=0.1, tf=1.0)
+    before = integrate(m, SimConfig(step=0.1, tf=0.5))
+    march = code_cache.sources[0].split("    def march(")[1]
+    assert f"_v{x0} = " not in march and f"_v{x1} = " not in march
+    assert f"_v{tn} = t + hh" in march
+    seen = []
+    rerun = sim.tape_eval
+    monkeypatch.setattr(sim, "tape_eval", lambda t, vals: seen.append(vals) or rerun(t, vals))
+    with pytest.raises(EvalDomainError, match="sqrt of negative value") as exc:
+        integrate(m, cfg)
+    assert exc.value.node_id == root
+    t, (s0, s1) = before.times[-1], before.states[-1]
+    hh = 0.5 * (min(0.0 + 6 * 0.1, 1.0) - t)
+    assert seen == [[s0 + hh * 0.0, s1 + hh * 1.0, t + hh]]
 
 
 def test_special_constants_trajectory_matches_golden_file():
