@@ -212,14 +212,6 @@ class ParamExpr:
         a, b = (e.to_source(names, consts) for e in self.args)
         return f"({a} {_INFIX[op]} {b})"
 
-    def shape(self, consts: list) -> tuple:
-        """What ``to_source`` writes of this expression, as a tuple; the
-        constants and functions it reads from ``_k`` instead are appended
-        to ``consts`` in the same order."""
-        if self.op in ("const", "fn"):
-            consts.append(self.value if self.op == "const" else self.fn)
-        return (self.op, self.name, *(a.shape(consts) for a in self.args))
-
     def to_tape(self, builder, env: dict[str, int]) -> int:
         """Emit this expression into a tape; env maps parameter names to
         existing node ids."""

@@ -569,12 +569,14 @@ def _bind_stepper(m: OdeModel, method: str):
     ``m.tape``) in the interpreter, which names the failing node."""
     tape = _with_slot_slopes(m) if m.delays else m.tape
     tapes = (tape, *(e.guard for e in m.events))
-    record, record_key = [], None       # the delay record's constants, in ``_record_exprs`` order
+    record, record_key = [], None       # the delay record's constants, as ``_record_source`` reads them
     if m.delays:
         delays, pre = _record_exprs(m)
-        record_key = (tuple(e.shape(record) for e in delays),
-                      tuple(delays.index(slot.delay) for slot in m.delays),
-                      tuple(es and tuple(e.shape(record) for e in es) for es in pre))
+
+        def shape(e):       # its source, parameter names for variables
+            return e.to_source({p: repr(p) for p in e.params()}, record)
+        record_key = (tuple(map(shape, delays)), tuple(delays.index(slot.delay) for slot in m.delays),
+                      tuple(es and tuple(map(shape, es)) for es in pre))
     key = (method, m.n, len(m.param_names), m.n_outputs, bool(m.state_clamps),
            tuple(map(_shape, tapes)), record_key)
     code, picks = _CODE.pop(key, (None, None))

@@ -33,7 +33,7 @@ Modes provided here:
 Tapes are immutable after construction; every evaluation allocates its
 own workspace, so concurrent evaluations of a shared tape are safe.
 ``TapeBuilder`` folds exact identities and structural zeros as it builds,
-so a tangent sweep emits no nodes for zero tangents; ``copy_into`` replays
+so a tangent sweep emits no nodes for zero tangents; ``copy_into`` copies
 a tape as it is.
 """
 
@@ -763,26 +763,28 @@ def guarded_source(t: Tape, place, opened, skip, ctx: int, reads, tag: str = "")
 # ---------------------------------------------------------------------------
 
 def copy_into(b: TapeBuilder, t: Tape, input_nodes: list[int] | None = None) -> list[int]:
-    """Replay ``t``'s nodes into builder ``b``; returns old-id -> new-id map.
-    Without ``input_nodes`` the input nodes are replayed too, so into a
-    fresh builder every node keeps its id."""
-    if input_nodes is not None and len(input_nodes) != t.num_inputs:
-        raise ValueError("need one replacement node per tape input")
-    if input_nodes is None and not b._nodes:        # the nodes themselves, ids kept
+    """Copy ``t``'s nodes into builder ``b``; returns old-id -> new-id map.
+    With ``input_nodes``, the nodes of ``b`` that stand for ``t``'s inputs,
+    every other node is replayed after ``b``'s own as it is, unfolded.
+    Without, ``b`` must be fresh and takes ``t``'s nodes, ids kept."""
+    if input_nodes is None:
+        if b._nodes or b.num_inputs < t.num_inputs:
+            raise ValueError("copy_into without input_nodes needs a fresh builder "
+                             "with the tape's inputs")
         b._nodes.extend(t.nodes)
         b._input_nodes.update((n.a, i) for i, n in enumerate(t.nodes) if n.op == "input")
         return list(range(len(t.nodes)))
+    if len(input_nodes) != t.num_inputs:
+        raise ValueError("need one replacement node per tape input")
     m: list[int] = []
     for n in t.nodes:
-        m.append(input_nodes[n.a] if input_nodes and n.op == "input" else _replay(b, n, m))
+        m.append(input_nodes[n.a] if n.op == "input" else _replay(b, n, m))
     return m
 
 
 def _replay(b: TapeBuilder, n: Node, m: list[int]) -> int:
-    """Push node ``n`` into ``b`` as it is, unfolded, with its children
-    renamed through ``m``; returns the new id."""
-    if n.op == "input":
-        return b.input(n.a)
+    """Push node ``n``, not an input, into ``b`` as it is, unfolded, with
+    its children renamed through ``m``; returns the new id."""
     return b._push(replace(n, **{f: m[getattr(n, f)] for f in ("a", "b", "cond")
                                  if getattr(n, f) >= 0}))
 
@@ -988,5 +990,5 @@ def taylor_patch(t: Tape, branch_id: int, center: float = 0.0,
                 p = b.add(b.const(coeffs.c[k]), b.mul(e, p))
             m.append(b.branch(c, half_width, m[formula_arm], p))
         else:
-            m.append(_replay(b, n, m))
+            m.append(b.input(n.a) if n.op == "input" else _replay(b, n, m))
     return b.build([m[o] for o in t.outputs])

@@ -1451,6 +1451,9 @@ DIFFERENT_STRUCTURE = {     # two models of different generated source, and thei
     "delay-grouping": ((lambda: _slots_model(0.3, 0.3, 0.45),
                         lambda: _slots_model(0.3, 0.45, 0.45)),
                        [SimConfig(step=0.05, tf=1.0)] * 2),
+    "prehistory-shape": ((lambda: _const_delay_model(0.3, "1 + 0.5*t"),
+                          lambda: _const_delay_model(0.3, "1 + 0.5*t*t")),
+                         [SimConfig(step=0.05, tf=1.0)] * 2),
     "slot-slope-fold": ((lambda: _unfolded_gain_delay_model(1.0),
                          lambda: _unfolded_gain_delay_model(0.7)),
                         [SimConfig(step=0.05, tf=1.0)] * 2),

@@ -585,13 +585,28 @@ def test_negation_zero_over_x_scaling_and_true_branches_stay_nodes():
 
 def test_copy_into_a_fresh_builder_keeps_every_node_as_it_is():
     # x * 0.0, 1.0 * (x * 0.0) and a branch with one node in both arms:
-    # a replay pushes them unfolded, so every node keeps its id
+    # the copy keeps them unfolded, so every node keeps its id; with
+    # replacement inputs the other nodes are pushed unfolded too
     t = Tape((Node("input", a=0), Node("const", value=0.0), Node("mul", a=0, b=1),
               Node("const", value=1.0), Node("mul", a=3, b=2),
               Node("branch", a=2, b=2, cond=0, threshold=0.5)), 1, (4, 5))
     b = TapeBuilder(1)
     assert copy_into(b, t) == list(range(len(t)))
     assert b.build(t.outputs) == t
+    assert b.input(0) == 0
+    b = TapeBuilder(2)
+    m = copy_into(b, t, [b.input(1)])
+    assert b.build([m[o] for o in t.outputs]).nodes == (Node("input", a=1), *t.nodes[1:])
+
+
+def test_copy_into_without_replacement_inputs_needs_a_fresh_builder():
+    t = Tape((Node("input", a=0), Node("input", a=1), Node("add", a=0, b=1)), 2, (2,))
+    b = TapeBuilder(2)
+    b.const(1.0)
+    with pytest.raises(ValueError, match="fresh builder"):
+        copy_into(b, t)
+    with pytest.raises(ValueError, match="fresh builder"):
+        copy_into(TapeBuilder(1), t)
 
 
 def test_tangent_of_a_constant_subexpression_emits_no_node():
