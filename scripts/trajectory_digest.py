@@ -14,7 +14,10 @@ one line, and so does each document ``diagram_to_json`` returns:
 CLI input files go to a temporary directory, and no bytecode is written,
 so nothing is written under ``perfbench/``.  Two checkouts compute the same
 trajectories and documents bit for bit when this prints the same lines for
-both.  The exit status is 1 when a job raises or its check reports a problem.
+both.  A CSV cannot show an array's type or shape, so each trajectory's
+arrays are also checked against the layout (``layout_problems``), and a
+departure is a problem of the job.  The exit status is 1 when a job
+raises or its check reports a problem.
 
 Standard error gets one more line per workload and seed, whose jobs start
 from an empty code cache: how many models the simulator bound to generated
@@ -37,10 +40,25 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("smooth-sens", "impact-events", "delay-sens", "large-diagram")
 MARCH = re.compile(r"^    def march\(.*?(?=^ {0,4}\S)", re.M | re.S)
 NODE_STATEMENT = re.compile(r"^ *(if _c\d+: )?_v[\d_]+ = ", re.M)
+
+
+def layout_problems(tr) -> list[str]:
+    """How the arrays of trajectory ``tr`` depart from its layout: float64
+    and C-contiguous, with shapes (N,), (N, n) and (N, q) for the times,
+    states and outputs of N nodes."""
+    N = len(tr.times)
+    want = {"times": (N,), "states": (N, len(tr.state_names)),
+            "outputs": (N, len(tr.output_names))}
+    return [f"trajectory {name}: {a.dtype} {a.shape}, C-contiguous {a.flags.c_contiguous}; "
+            f"want float64 {shape}, C-contiguous"
+            for name, shape in want.items() for a in [getattr(tr, name)]
+            if not (a.dtype == np.float64 and a.shape == shape and a.flags.c_contiguous)]
 
 
 def _wrap(module: str, name: str, seen: list, text):
@@ -88,9 +106,14 @@ def main() -> int:
 
     seen: list[str] = []
     docs: list[str] = []
+    layout: list[str] = []
     models: list = []
     sources: list[str] = []
-    _wrap("hybridad.sim", "integrate", seen, lambda tr: tr.to_csv())
+
+    def csv(tr):
+        layout.extend(layout_problems(tr))
+        return tr.to_csv()
+    _wrap("hybridad.sim", "integrate", seen, csv)
     _wrap("hybridad.diagram", "diagram_to_json", docs, lambda text: text)
     _wrap_generation(models, sources)
     from hybridad import sim
@@ -107,10 +130,12 @@ def main() -> int:
                 for j, job in enumerate(wl.jobs):
                     seen.clear()
                     docs.clear()
+                    layout.clear()
                     try:
                         problems = job.check(job.run(tracer)).problems
                     except Exception as exc:      # reported, and the run goes on
                         problems = [f"{type(exc).__name__}: {exc}"]
+                    problems += layout
                     for k, digest in enumerate(seen):
                         print(f"{name} {seed} {j} {job.kind} {k} {digest}")
                     for k, digest in enumerate(docs):

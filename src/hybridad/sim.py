@@ -38,8 +38,10 @@ compute only the rhs, and a branch arm that can raise runs only when it is
 taken.  So an exception there is a real domain error; ``tape_eval`` re-runs
 the point and names the node (``EvalDomainError``).  Python code runs only
 at the start, at each event (location, action, record) and to assemble the
-trajectory.  Models are immutable and each ``integrate`` call owns its
-private workspace: parameter sweeps may run concurrently.
+trajectory, one conversion per array of the flat node records (the state
+and the output rows laid end to end), shaped by the model's widths.  Models
+are immutable and each ``integrate`` call owns its private workspace:
+parameter sweeps may run concurrently.
 """
 
 from __future__ import annotations
@@ -413,13 +415,15 @@ def _generate_stepper(m: OdeModel, method: str, tape: Tape):
 
     ``march(x, t, f, g, until, times, states, outputs)`` steps on the grid
     anchored at t, with ``f`` the rhs and ``g`` the guard values at (x, t),
-    appending each accepted node to the three lists, until tf or the first
+    recording each accepted node flat (its time appended to ``times``, its
+    states and outputs extending the other two), until tf or the first
     step across which a guard changes sign.  Each step is ``step``'s RK
     formula with the stages written out: the stage inputs that the rhs
     reads, the delay lookup and ``ev``'s rhs statements, so only the
-    accepted node calls ``ev``.  The guard checks are written out too; a
-    guard is not checked on a step that ends inside its deadtime window,
-    which closes at ``until[i]``.  It returns None at tf, else ``(i, k, x,
+    accepted node calls ``ev``; the delay lookup's anchor is worked out
+    once per step.  The guard checks are written out too; a guard is not
+    checked on a step that ends inside its deadtime window, which closes
+    at ``until[i]``.  It returns None at tf, else ``(i, k, x,
     t, h, f, g_i, y)``: guard i changed sign on the k-th step, from (x, t)
     over h to y."""
     n, s, q = m.n, len(m.param_names), m.n_outputs
@@ -449,9 +453,11 @@ def _generate_stepper(m: OdeModel, method: str, tape: Tape):
     def refs(ids):
         return ", ".join(node_ref(tape, o) for o in ids)
 
+    def anchored(anchor):       # ``a``: the anchor, or None where no lookup depends on it
+        return [f"a = {anchor} if {anchor} - _hmax < _left else None"] if m.delays else []
+
     def lookup(ts, anchor):     # the delay record read at ts for the step from anchor
-        return [f"a = {anchor} if {anchor} - _hmax < _left else None",
-                f"if {ts} != _kt or a != _ka:", f"    _look({ts}, {anchor})",
+        return [f"if {ts} != _kt or a != _ka:", f"    _look({ts}, {anchor})",
                 f"    _kt, _ka = {ts}, a"] if m.delays else []
 
     reads = readers(tape, place)
@@ -502,7 +508,7 @@ def _generate_stepper(m: OdeModel, method: str, tape: Tape):
            *(_record_source(m, dv, list(nums)) if m.delays else []),     # ``_k[len(nums):]``
            f"    def ev({', '.join(arg[:n + 1])}, anchor, full):",
            *(["        nonlocal _kt, _ka"] if m.delays else []),
-           *("        " + ln for ln in lookup(tt, "anchor")),
+           *("        " + ln for ln in anchored("anchor") + lookup(tt, "anchor")),
            "        try:", *(" " * 12 + ln for ln in rhs),
            "            if not full:",
            f"                return [{refs(outs[:n])}]",
@@ -524,12 +530,13 @@ def _generate_stepper(m: OdeModel, method: str, tape: Tape):
            "        while True:",
            "            tn = min(anchor + k * _step, _tf)",
            "            h = tn - t",
+           *(" " * 12 + ln for ln in anchored("t")),
            *(" " * 12 + ln for ln in _rk_source(m, method, inline_stage)),
            *(" " * 12 + ln for ln in checks),
            "            f, out = ev(*y, tn, tn, True)",
            *(" " * 12 + ln for ln in late),
-           "            times.append(tn)", "            states.append(y)",
-           "            outputs.append(out)",
+           "            times.append(tn)", "            states += y",
+           "            outputs += out",
            "            if not tn < _end:", "                return None",
            "            x, t = y, tn", "            k += 1"]
     lift = guarded_source(tape, dict.fromkeys(hoist, {0}), {}, set(), 0, reads)
@@ -602,7 +609,8 @@ def integrate(m: OdeModel, c: SimConfig, theta=None) -> Trajectory:
     step's k1, and the guard values at a step's end are the next step's
     old signs.  States are lists of floats, stepped with the same IEEE
     operations in the same order as array arithmetic, without numpy's cost
-    on tiny vectors."""
+    on tiny vectors.  Nodes are recorded flat, here and by ``march``, and
+    converted once per array (``_trajectory``)."""
     env = m.theta_env(theta)
     if m.has_sensitivity:
         bad = [i for i, ev in enumerate(m.events)
@@ -620,7 +628,7 @@ def integrate(m: OdeModel, c: SimConfig, theta=None) -> Trajectory:
         x[i] = min(hi, max(lo, x[i]))
     ev, step, guards, march = _stepper(m, c, x, t, env)
     f, y = ev(*x, t, t, True)      # f: rhs at (x, t), the next k1
-    times, states, outputs = [t], [x], [y]
+    times, states, outputs = [t], x[:], y
     events: list[EventRecord] = []
 
     g = [gk(*x, t) for gk in guards]
@@ -659,8 +667,7 @@ def integrate(m: OdeModel, c: SimConfig, theta=None) -> Trajectory:
             break
         hit = march(x, t, f, g, until, times, states, outputs)
 
-    return Trajectory(np.array(times), np.array(states), np.array(outputs),
-                      events, m.state_names, m.output_names)
+    return _trajectory(m, times, states, outputs, events)
 
 
 def _stepper(m: OdeModel, c: SimConfig, x, t, env):
@@ -717,11 +724,19 @@ def _integrate_discrete(m: OdeModel, c: SimConfig, env) -> Trajectory:
         t = t0 + k * ts                     # as the march does: no drift from summing ts
         x_next, y = ev(*x, t, t, True)      # the rhs of a discrete model is its next state
         times.append(t)
-        states.append(x)
-        outputs.append(y)
+        states += x
+        outputs += y
         x = x_next
-    return Trajectory(np.array(times), np.array(states), np.array(outputs),
-                      [], m.state_names, m.output_names)
+    return _trajectory(m, times, states, outputs, [])
+
+
+def _trajectory(m: OdeModel, times, states, outputs, events) -> Trajectory:
+    """The trajectory of flat node records (rows laid end to end), each list converted once."""
+    N = len(times)
+    return Trajectory(np.fromiter(times, float, N),
+                      np.fromiter(states, float, N * m.n).reshape(N, m.n),
+                      np.fromiter(outputs, float, N * m.n_outputs).reshape(N, m.n_outputs),
+                      events, m.state_names, m.output_names)
 
 
 # ---------------------------------------------------------------------------
@@ -744,13 +759,16 @@ def impact_update(s: ImpactSurface, q, v_pre, t) -> np.ndarray:
     A = np.asarray(s.metric(q), dtype=float)
     if A.shape != (d, d):
         raise ValueError(f"metric must be {d}x{d}")
-    if not np.allclose(A, A.T, atol=1e-12):
+    rows = A.tolist()       # np.allclose(A, A.T, atol=1e-12), entry by entry
+    if not all(a == b or (abs(a - b) <= 1e-12 + 1e-5 * abs(b) and math.isfinite(b))
+               for row, col in zip(rows, zip(*rows)) for a, b in zip(row, col)):
         raise ValueError("metric must be symmetric")
 
     grad = reverse_gradient(s.guard, list(q) + [t], 0)
     gq = grad[:d]
     gt = grad[d]
-    if np.linalg.norm(gq) == 0.0:
+    gg, gv = float(gq @ gq), float(gq @ v_pre)
+    if gg == 0.0:
         raise NonTransversal("guard gradient vanishes at the impact point")
 
     # normal direction: A-orthogonal to the tangent space ker(gq)
@@ -759,15 +777,15 @@ def impact_update(s: ImpactSurface, q, v_pre, t) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise SingularMetric(str(exc)) from exc
     gn = float(gq @ e_n)          # = e_n^T A e_n = a_nn * (normal scale)^2
-    if abs(gn) < 1e-14 * max(1.0, float(gq @ gq)):
+    if abs(gn) < 1e-14 * max(1.0, gg):
         raise SingularMetric("metric is singular along the guard normal")
 
     # normal coordinate of the velocity and of the surface speed
-    vn_pre = float(gq @ v_pre) / gn
+    vn_pre = gv / gn
     v_wall = -gt / gn
     a_nn = gn                      # e_n^T A e_n with this normalization
 
-    transversal = float(gq @ v_pre) + gt
+    transversal = gv + gt
     if transversal <= 0.0:
         raise NonTransversal(
             f"guard not increasing along the trajectory (rate {transversal:.3e})")

@@ -1,4 +1,6 @@
 import gc
+import importlib.util
+import itertools
 import json
 import math
 import os
@@ -134,6 +136,34 @@ def test_impact_singular_metric():
     s = _surface(2, A=[[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(SingularMetric):
         impact_update(s, [1.0, 0.0], [1.0, 0.0], 0.0)
+
+
+_ENTRIES = (0.0, 1.0, 1.0 + 1e-13, 1.0 + 1e-4, math.inf, -math.inf, math.nan, 1e300)
+
+
+def test_metric_symmetry_check_is_allclose_without_warnings():
+    for entries in itertools.product(_ENTRIES, repeat=4):
+        A = np.array(entries).reshape(2, 2)
+        symmetric = np.allclose(A, A.T, atol=1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                impact_update(_surface(2, A=A), [1.0, 0.0], [1.0, 0.0], 0.0)
+                refused = False
+            except (SingularMetric, NonTransversal):    # checks past the symmetry check
+                refused = False
+            except ValueError as exc:
+                assert str(exc) == "metric must be symmetric", entries
+                refused = True
+        assert refused == (not symmetric), entries
+
+
+def test_impact_guard_without_q_gradient_is_non_transversal():
+    b = TapeBuilder(2)          # [q, t]: the guard t - 1 does not read q
+    s = ImpactSurface(1, lambda q: np.eye(1), lambda q: 0.0, lambda q: 0.0,
+                      b.build([b.sub(b.input(1), b.const(1.0))]))
+    with pytest.raises(NonTransversal, match="guard gradient vanishes"):
+        impact_update(s, [1.0], [1.0], 1.0)
 
 
 def _random_spd(rng, d):
@@ -558,6 +588,64 @@ def test_csv_determinism():
     a = integrate(m, SimConfig(step=0.01, tf=1.0)).to_csv()
     b = integrate(m, SimConfig(step=0.01, tf=1.0)).to_csv()
     assert a == b
+
+
+def _model_file(name):
+    path = os.path.join(os.path.dirname(__file__), "..", "models", name)
+    with open(path, encoding="utf-8") as fh:
+        return flatten(parse_diagram(fh.read()))
+
+
+def _no_output_model():
+    b = TapeBuilder(2)          # [x, t]
+    return make_ode_model(1, b.build([b.neg(b.input(0))]), (), {}, ("x",), (),
+                          init_exprs=(parse_expr(1.0),))
+
+
+_LAYOUT_CASES = {
+    "continuous": (_decay_model, SimConfig(step=0.01, tf=1.0)),
+    "impact": (_free_particle_model, SimConfig(step=0.25, tf=2.0)),
+    "delay": (_dde_model, SimConfig(step=0.1, tf=1.0)),
+    "discrete": (lambda: _model_file("discrete_loop.json"), SimConfig(step=0.1, tf=1.0)),
+    "no outputs": (_no_output_model, SimConfig(step=0.1, tf=1.0)),
+    "single node": (_decay_model, SimConfig(step=0.1, tf=0.0)),
+    "discrete, no sample": (lambda: _model_file("discrete_loop.json"), SimConfig(step=0.1, tf=-1.0)),
+}
+_FIXED_ROWS = {"single node": 1, "discrete, no sample": 0}     # tf at t0, tf before t0
+
+
+@pytest.mark.parametrize("case", list(_LAYOUT_CASES))
+def test_trajectory_arrays_are_float64_rows_of_the_model_widths(case):
+    make, config = _LAYOUT_CASES[case]
+    m = make()
+    tr = integrate(m, config)
+    N = len(tr.times)
+    assert N == _FIXED_ROWS[case] if case in _FIXED_ROWS else N > 1
+    assert (tr.times.shape, tr.states.shape, tr.outputs.shape) == ((N,), (N, m.n), (N, m.n_outputs))
+    for a in (tr.times, tr.states, tr.outputs):
+        assert a.dtype == np.float64 and a.flags.c_contiguous
+    if case == "impact":
+        assert len(tr.events) == 1
+    for name in m.output_names:
+        assert tr.output(name).shape == (N,)
+    assert _digest_script().layout_problems(tr) == []
+
+
+def _digest_script():
+    path = os.path.join(os.path.dirname(__file__), "..", "scripts", "trajectory_digest.py")
+    spec = importlib.util.spec_from_file_location("trajectory_digest", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_digest_reports_a_trajectory_array_off_the_layout():
+    good = integrate(_decay_model(), SimConfig(step=0.1, tf=0.3))
+    bad = [("times", good.times.astype(np.float32)), ("states", np.array([])),
+           ("outputs", np.repeat(good.outputs, 2, axis=0)[::2])]
+    for name, arr in bad:
+        tr = sim.Trajectory(**{**vars(good), name: arr})
+        assert [p.split(":")[0] for p in _digest_script().layout_problems(tr)] == [f"trajectory {name}"]
 
 
 # ---------------------------------------------------------------------------
@@ -1218,6 +1306,14 @@ def test_node_lookup_reuses_the_last_stage_lookup(monkeypatch):
     # the step from 1.0 to 1.1: one lookup at the two midpoint stages and
     # one at the end, which the node at 1.1 reuses
     assert counts[1] - counts[0] == 2
+
+
+@pytest.mark.parametrize("method,stages", [("rk4", 3), ("midpoint", 1)])
+def test_march_works_out_the_lookup_anchor_once_per_step(method, stages):
+    m = _dde_model()
+    source = sim._generate_stepper(m, method, sim._with_slot_slopes(m))[0]
+    march = source[source.index("    def march("):]
+    assert (march.count("_hmax < _left"), march.count("_look(")) == (1, stages)
 
 
 def test_models_of_one_structure_share_the_compiled_code():
