@@ -9,6 +9,7 @@ finite-difference oracle.
 """
 
 from .errors import (
+    DelayOrderExceeded,
     DelayUnderflow,
     DivisionByZeroConstantTerm,
     DomainError,

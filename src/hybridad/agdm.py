@@ -3,25 +3,36 @@
 ``agdm_diff`` maps a diagram to a new diagram that contains the original
 unchanged plus a derivative flow with respect to one named parameter.
 The derivative flow propagates along the causality flow, block by block:
+each original block adds derivative-flow blocks fed by signals, its
+original input signals ``u`` and their derivatives ``du``
+(``_emit_block``).  The rules, each marked at its branch there:
 
-* sources independent of the parameter become zero constants and are
-  pruned away together with everything they alone feed (link rule:
-  unaffected blocks drop out of the derivative model);
-* every block traversed by the derivative flow contributes derivative
-  companions on all its outputs (link rule: widening, applied to Mux,
-  Demux and subsystem port lists);
-* linear blocks are duplicated onto the derivative signals, plus a
-  source term (dH/dtheta applied to the original input) when the block's
-  own coefficients depend on the parameter;
-* nonlinear blocks become chain-rule compositions built from inventory
+* copy -- Constant (value differentiated), Step (a zero constant),
+  Inport (a derivative input after the diagram's own), Sum, Mux, Demux,
+  UnitDelay and an unsaturated Integrator (initial value differentiated)
+  are duplicated onto ``du``; Mux, Demux and subsystem port lists widen;
+* copy plus source term -- Gain, TransferFnS and TransferFnZ: the copy
+  plus dH/dtheta applied to ``u`` when the block's own coefficients
+  depend on the parameter;
+* chain rule -- Product and Fn become compositions built from inventory
   blocks acting on the original signals;
-* conditional blocks (Switch, saturations, saturated integrators) are
-  duplicated with identical tests driven by the *original* signals; the
-  thresholds are never differentiated;
-* lookup tables contribute the interpolation slope between bracketing
-  breakpoints -- a forward difference with increment equal to the
-  breakpoint spacing -- and the transformed diagram carries an
-  ``lookup_fd_warning`` warning annotation listing those blocks.
+* conditional copy -- Switch, Saturation, SaturationDynamic and a
+  saturated Integrator are duplicated with identical tests driven by the
+  *original* signals; the thresholds are never differentiated;
+* lookup slope -- LookupTable1D contributes the interpolation slope
+  between bracketing breakpoints (a forward difference with increment
+  equal to the breakpoint spacing), and the transformed diagram carries a
+  ``lookup_fd_warning`` annotation listing those blocks;
+* delay sensitivity -- a TransportDelay whose delay depends on the
+  parameter becomes a ``DelaySensitivity`` block, which the simulator
+  feeds with the delayed slope (``dde_sensitivity`` annotation); such a
+  block cannot be differentiated again (:class:`DelayOrderExceeded`);
+* stacked copy -- StateSpaceC/D with parameter-dependent matrices
+  (:func:`ss_augment`) and Subsystem (its child differentiated) become one
+  block acting on (``u``, ``du``).
+
+Sources independent of the parameter give zero constants, pruned away
+together with everything they alone feed (:func:`prune_zero`).
 
 Derivative-flow blocks are named ``d(<id>)/d(<theta>)`` with ``[n]``
 suffixes for auxiliaries, so transformed diagrams diff cleanly in golden
@@ -33,9 +44,9 @@ from __future__ import annotations
 
 import re
 
-from .diagram import (Block, Diagram, Link, Output, PortRef, _e2j, _ss_json,
-                      _subsystem_ports, _tf_json, make_block)
-from .errors import UnknownParameter
+from .diagram import (_KINDS, Block, Diagram, Link, Output, PortRef, _e2j, _subsystem_ports,
+                      make_block)
+from .errors import DelayOrderExceeded, UnknownParameter
 from .ops import Pow
 from .paramexpr import ZERO
 
@@ -137,7 +148,13 @@ class _Namer:
 # ---------------------------------------------------------------------------
 
 class _Builder:
-    """Accumulates the derivative flow while leaving the original alone."""
+    """Accumulates the derivative flow while leaving the original alone.
+
+    The rules of one original block at a time (:meth:`begin`) add blocks
+    with :meth:`new` and wire them with :meth:`feed`, which links each
+    block's input ports in the registry's order; no rule names an input
+    port of a block it adds.
+    """
 
     def __init__(self, d: Diagram, theta: str):
         self.d = d
@@ -149,31 +166,55 @@ class _Builder:
         self.lookup_fd: list[str] = []
         self.dde: list[str] = []
         self.flow: dict[str, str] = {}    # derivative block id -> original id
+        self.dmap: dict[PortRef, PortRef] = {}    # original output -> its derivative
+        for b in d.blocks:
+            self.dmap.update(_dmap_entry(b, theta))
+
+    def begin(self, b: Block) -> str:
+        """Start the rules of the original block ``b``; returns the name of
+        the block that carries the derivative of its (first) output."""
+        self.of = b.id
+        self.namer = _Namer(self.taken, d_block_name(b.id, self.theta))
+        return self.namer.next()
+
+    def new(self, kind: str, name: str | None = None, **fields) -> Block:
+        """A derivative-flow block of the block in hand, named ``name`` or
+        the next auxiliary name."""
+        blk = make_block(name or self.namer.next(), kind, **fields)
+        self.blocks.append(blk)
+        self.flow[blk.id] = self.of
+        return blk
+
+    def feed(self, block: Block, *sources: PortRef) -> PortRef:
+        """Link ``sources`` to the input ports of ``block`` in order and
+        return its first output."""
+        bid = block.id
+        ins, outs = block.port_names()
+        if len(sources) != len(ins):
+            raise ValueError(f"block {bid} has {len(ins)} inputs, fed {len(sources)}")
+        for src, p in zip(sources, ins):
+            self.links.append(Link(src, PortRef(bid, p)))
+        return PortRef(bid, outs[0])
 
     def zero(self) -> PortRef:
+        """The shared zero constant, made on first use."""
         if self.zero_port is None:
             nm = _Namer(self.taken, f"d(#zero)/d({self.theta})").next()
-            self.add(make_block(nm, "Constant", value=0.0), origin="#zero")
+            self.blocks.append(make_block(nm, "Constant", value=0.0))
+            self.flow[nm] = "#zero"
             self.zero_port = PortRef(nm, "out")
         return self.zero_port
 
-    def add(self, b: Block, origin: str) -> Block:
-        self.blocks.append(b)
-        self.flow[b.id] = origin
-        return b
-
-    def link(self, src: PortRef, dst: PortRef):
-        self.links.append(Link(src, dst))
-
-    def u(self, bid: str, port: str) -> PortRef:
-        """Original signal driving an input port of an original block."""
-        drv = self.d.driver(PortRef(bid, port))
+    def u(self, port: str) -> PortRef:
+        """Original signal driving an input port of the block in hand."""
+        drv = self.d.driver(PortRef(self.of, port))
         if drv is None:
-            raise ValueError(f"input port {bid}.{port} has no driver")
+            raise ValueError(f"input port {self.of}.{port} has no driver")
         return drv
 
-    def du(self, dmap, bid: str, port: str) -> PortRef:
-        return dmap[self.u(bid, port)]
+    def du(self, port: str) -> PortRef:
+        """Derivative of the signal driving an input port of the block in hand."""
+        return self.dmap[self.u(port)]
 
 
 def _dmap_entry(b: Block, theta: str) -> dict[PortRef, PortRef]:
@@ -197,19 +238,15 @@ def agdm_diff(d: Diagram, theta: str) -> Diagram:
         raise UnknownParameter(theta, d.params.keys())
 
     bld = _Builder(d, theta)
-    dmap: dict[PortRef, PortRef] = {}
     for b in d.blocks:
-        dmap.update(_dmap_entry(b, theta))
-
-    for b in d.blocks:
-        _emit_block(bld, b, dmap)
+        _emit_block(bld, b)
 
     outputs = list(d.outputs)
     seen = {o.name for o in outputs}
     for o in d.outputs:
         name = d_output_name(o.name, theta)
         if name not in seen:    # mixed partials of one base output coincide
-            outputs.append(Output(name, dmap[o.src]))
+            outputs.append(Output(name, bld.dmap[o.src]))
             seen.add(name)
 
     ann = dict(d.annotations)
@@ -224,332 +261,157 @@ def agdm_diff(d: Diagram, theta: str) -> Diagram:
     d2 = Diagram(d.name, dict(d.params), d.blocks + bld.blocks,
                  d.links + bld.links, outputs, ann)
     # d's blocks read only each other, so their nonzero ports and links
-    # carry over, and only the added flow is walked
+    # carry over, and only the added flow is walked; a subsystem's child
+    # keeps its derivative Inports, read or not, as its ports count them
     head = len(d.blocks)
-    return _pruned(d2, _nonzero_ports(d2, _nonzero(d), head), d.block_ids(), head, _wiring(d))
+    protect = d.block_ids() | {b.id for b in bld.blocks if b.kind == "Inport"}
+    return _pruned(d2, _nonzero_ports(d2, _nonzero(d), head), protect, head, _wiring(d))
 
 
-def _emit_block(bld: _Builder, b: Block, dmap):
-    theta = bld.theta
-    namer = _Namer(bld.taken, d_block_name(b.id, theta))
-    main = namer.next()   # carries the derivative of b's (first) output
-    k = b.kind
-    f = b.fields
+def _emit_block(bld: _Builder, b: Block):
+    """Add the derivative flow of one original block.  ``u(p)`` is the
+    original signal at b's input port ``p`` and ``du(p)`` its derivative;
+    the branches follow the rules of the module docstring."""
+    theta, k, f = bld.theta, b.kind, b.fields
+    new, feed, u, du, zero = bld.new, bld.feed, bld.u, bld.du, bld.zero
+    main = bld.begin(b)
+    ins = b.port_names()[0]
+    to_json = _KINDS[k].to_json
 
-    def origin_add(block: Block) -> Block:
-        return bld.add(block, origin=b.id)
+    if k == "Constant":                             # copy
+        new(k, main, value=_e2j(f["value"].diff(theta)))
+    elif k == "Step":
+        new("Constant", main, value=0.0)
+    elif k == "Inport":     # derivative inputs follow the diagram's own inputs
+        new(k, main, index=f["index"] + len(_subsystem_ports({"diagram": bld.d})[0]))
+    elif k in ("Sum", "Mux", "Demux"):
+        feed(new(k, main, **to_json(f)), *map(du, ins))
+    elif k == "UnitDelay":
+        feed(new(k, main, initial=_e2j(f["initial"].diff(theta)),
+                 sample_time=f["sample_time"]), du("in"))
 
-    if k in ("Constant", "Step", "Inport"):
-        if k == "Constant":
-            dv = f["value"].diff(theta)
-            origin_add(make_block(main, "Constant", value=_e2j(dv)))
-        elif k == "Step":
-            origin_add(make_block(main, "Constant", value=0.0))
-        else:   # derivative inputs follow the diagram's own inputs
-            n_in = len(_subsystem_ports({"diagram": bld.d})[0])
-            origin_add(make_block(main, "Inport", index=f["index"] + n_in))
-        return
-
-    if k == "Gain":
-        g = f["gain"]
-        dg = g.diff(theta)
-        if dg.is_zero():
-            origin_add(make_block(main, "Gain", gain=_e2j(g)))
-            bld.link(bld.du(dmap, b.id, "in"), PortRef(main, "in"))
+    elif k in ("Gain", "TransferFnS", "TransferFnZ"):   # copy plus source term
+        if k == "Gain":
+            dg = f["gain"].diff(theta)
+            dH = None if dg.is_zero() else {"gain": dg}
+        elif any(e.depends_on(theta) for e in f["num"] + f["den"]):
+            nd, dd = tf_param_derivative(f["num"], f["den"], theta)
+            dH = {**f, "num": nd, "den": dd}
         else:
-            origin_add(make_block(main, "Sum", signs="++"))
-            copy = namer.next()
-            origin_add(make_block(copy, "Gain", gain=_e2j(g)))
-            src = namer.next()
-            origin_add(make_block(src, "Gain", gain=_e2j(dg)))
-            bld.link(bld.du(dmap, b.id, "in"), PortRef(copy, "in"))
-            bld.link(bld.u(b.id, "in"), PortRef(src, "in"))
-            bld.link(PortRef(copy, "out"), PortRef(main, "in1"))
-            bld.link(PortRef(src, "out"), PortRef(main, "in2"))
-        return
+            dH = None
+        if dH is None:
+            feed(new(k, main, **to_json(f)), du("in"))
+        else:
+            feed(new("Sum", main, signs="++"), feed(new(k, **to_json(f)), du("in")),
+                 feed(new(k, **to_json(dH)), u("in")))
 
-    if k in ("Sum", "Mux", "Demux"):
-        origin_add(Block(main, k, dict(f)))
-        ins, _ = b.port_names()
-        for p in ins:
-            bld.link(bld.du(dmap, b.id, p), PortRef(main, p))
-        return
-
-    if k == "Product":
+    elif k == "Product":                            # chain rule
         n = f["n"]
-        ins, _ = b.port_names()
-        origin_add(make_block(main, "Sum", signs="+" * n))
-        for i, p in enumerate(ins):
-            term = namer.next()
-            tb = origin_add(make_block(term, "Product", n=n))
-            tins, _ = tb.port_names()
-            for j, q in enumerate(ins):
-                src = bld.du(dmap, b.id, q) if j == i else bld.u(b.id, q)
-                bld.link(src, PortRef(term, tins[j]))
-            bld.link(PortRef(term, "out"), PortRef(main, ins[i]))
-        return
-
-    if k == "Integrator":
-        dinit = f["initial"].diff(theta)
-        origin_add(make_block(main, "Integrator", initial=_e2j(dinit)))
-        du = bld.du(dmap, b.id, "in")
-        if f["saturation"] is None:
-            bld.link(du, PortRef(main, "in"))
-        else:
-            lo, hi = f["saturation"]
-            x = PortRef(b.id, "out")
-            g_hi = namer.next()
-            origin_add(make_block(g_hi, "Switch", threshold=hi))
-            bld.link(bld.zero(), PortRef(g_hi, "in1"))
-            bld.link(x, PortRef(g_hi, "in2"))
-            bld.link(du, PortRef(g_hi, "in3"))
-            neg = namer.next()
-            origin_add(make_block(neg, "Gain", gain=-1.0))
-            bld.link(x, PortRef(neg, "in"))
-            g_lo = namer.next()
-            origin_add(make_block(g_lo, "Switch", threshold=-lo))
-            bld.link(bld.zero(), PortRef(g_lo, "in1"))
-            bld.link(PortRef(neg, "out"), PortRef(g_lo, "in2"))
-            bld.link(PortRef(g_hi, "out"), PortRef(g_lo, "in3"))
-            bld.link(PortRef(g_lo, "out"), PortRef(main, "in"))
-        return
-
-    if k in ("TransferFnS", "TransferFnZ"):
-        num, den = f["num"], f["den"]
-        dep = any(e.depends_on(theta) for e in num + den)
-        if not dep:
-            origin_add(make_block(main, k, **_tf_json(f)))
-            bld.link(bld.du(dmap, b.id, "in"), PortRef(main, "in"))
-        else:
-            origin_add(make_block(main, "Sum", signs="++"))
-            copy = namer.next()
-            origin_add(make_block(copy, k, **_tf_json(f)))
-            nd, dd = tf_param_derivative(num, den, theta)
-            src = namer.next()
-            origin_add(make_block(src, k, **_tf_json({**f, "num": nd, "den": dd})))
-            bld.link(bld.du(dmap, b.id, "in"), PortRef(copy, "in"))
-            bld.link(bld.u(b.id, "in"), PortRef(src, "in"))
-            bld.link(PortRef(copy, "out"), PortRef(main, "in1"))
-            bld.link(PortRef(src, "out"), PortRef(main, "in2"))
-        return
-
-    if k in ("StateSpaceC", "StateSpaceD"):
-        A, B, C, D = f["A"], f["B"], f["C"], f["D"]
-        dep = any(e.depends_on(theta) for M in (A, B, C, D) for row in M for e in row)
-        ins, outs = b.port_names()
-        if not dep:
-            origin_add(make_block(main, k, **_ss_json(f)))
-            for p in ins:
-                bld.link(bld.du(dmap, b.id, p), PortRef(main, p))
-            return
-        A2, B2, C2, D2 = ss_augment(A, B, C, D, theta)
-        n = len(A)
-        p_out = len(C)
-        # private stacked copy: inputs (u, du), outputs the derivative rows
-        Cd = tuple(C2[p_out + i] for i in range(p_out))
-        Dd = tuple(D2[p_out + i] for i in range(p_out))
-        mb = origin_add(make_block(main, k, **_ss_json({**f, "A": A2, "B": B2,
-                                                        "C": Cd, "D": Dd})))
-        dins, _ = mb.port_names()
-        m_in = len(ins)
-        for j, p in enumerate(ins):
-            bld.link(bld.u(b.id, p), PortRef(main, dins[j]))
-            bld.link(bld.du(dmap, b.id, p), PortRef(main, dins[m_in + j]))
-        return
-
-    if k == "Fn":
-        fn = f["fn"]
-        u = bld.u(b.id, "in")
-        du = bld.du(dmap, b.id, "in")
-        y = PortRef(b.id, "out")
-        origin_add(make_block(main, "Product", n=2))
-
-        def aux(kind, **kw) -> PortRef:
-            nm = namer.next()
-            origin_add(make_block(nm, kind, **kw))
-            return PortRef(nm, "out")
-
-        kind = fn.kind
-        if kind == "exp":
-            fp = y
-        elif kind == "log":
-            fp = aux("Fn", fn="pow[-1]")
-            bld.link(u, PortRef(fp.block, "in"))
+        feed(new("Sum", main, signs="+" * n),
+             *[feed(new(k, n=n), *[du(q) if j == i else u(q) for j, q in enumerate(ins)])
+               for i in range(n)])
+    elif k == "Fn":
+        kind, x, y = f["fn"].kind, u("in"), PortRef(b.id, "out")
+        m = new("Product", main, n=2)
+        if kind in ("exp", "log"):
+            fp = y if kind == "exp" else x          # log' = 1/u, below
         elif kind == "sin":
-            fp = aux("Fn", fn="cos")
-            bld.link(u, PortRef(fp.block, "in"))
+            fp = feed(new("Fn", fn="cos"), x)
         elif kind == "cos":
-            s = aux("Fn", fn="sin")
-            bld.link(u, PortRef(s.block, "in"))
-            fp = aux("Gain", gain=-1.0)
-            bld.link(s, PortRef(fp.block, "in"))
-        elif kind == "tan":
-            sq = aux("Product", n=2)
-            bld.link(y, PortRef(sq.block, "in1"))
-            bld.link(y, PortRef(sq.block, "in2"))
-            one = aux("Constant", value=1.0)
-            fp = aux("Sum", signs="++")
-            bld.link(one, PortRef(fp.block, "in1"))
-            bld.link(sq, PortRef(fp.block, "in2"))
-        elif kind == "atan":
-            sq = aux("Product", n=2)
-            bld.link(u, PortRef(sq.block, "in1"))
-            bld.link(u, PortRef(sq.block, "in2"))
-            one = aux("Constant", value=1.0)
-            den = aux("Sum", signs="++")
-            bld.link(one, PortRef(den.block, "in1"))
-            bld.link(sq, PortRef(den.block, "in2"))
-            fp = aux("Fn", fn="pow[-1]")
-            bld.link(den, PortRef(fp.block, "in"))
-        elif kind == "sqrt":
-            dbl = aux("Gain", gain=2.0)
-            bld.link(y, PortRef(dbl.block, "in"))
-            fp = aux("Fn", fn="pow[-1]")
-            bld.link(dbl, PortRef(fp.block, "in"))
+            s = feed(new("Fn", fn="sin"), x)
+            fp = feed(new("Gain", gain=-1.0), s)
+        elif kind in ("tan", "atan"):               # 1 + y^2; atan' = 1/(1 + u^2)
+            v = y if kind == "tan" else x
+            sq = feed(new("Product", n=2), v, v)
+            one = feed(new("Constant", value=1.0))
+            fp = feed(new("Sum", signs="++"), one, sq)
+        elif kind == "sqrt":                        # 1/(2y), below
+            fp = feed(new("Gain", gain=2.0), y)
         elif kind == "pow":
-            p = fn.exponent
-            pw = aux("Fn", fn=str(Pow(p - 1)))
-            bld.link(u, PortRef(pw.block, "in"))
-            fp = aux("Gain", gain=p)
-            bld.link(pw, PortRef(fp.block, "in"))
-        elif kind == "abs":
-            # sign(u) via a conditional on the original signal
-            one = aux("Constant", value=1.0)
-            mone = aux("Constant", value=-1.0)
-            fp = aux("Switch", threshold=0.0)
-            bld.link(one, PortRef(fp.block, "in1"))
-            bld.link(u, PortRef(fp.block, "in2"))
-            bld.link(mone, PortRef(fp.block, "in3"))
+            pw = feed(new("Fn", fn=str(Pow(f["fn"].exponent - 1))), x)
+            fp = feed(new("Gain", gain=f["fn"].exponent), pw)
+        elif kind == "abs":     # sign(u) via a conditional on the original signal
+            one = feed(new("Constant", value=1.0))
+            mone = feed(new("Constant", value=-1.0))
+            fp = feed(new("Switch", threshold=0.0), one, x, mone)
         else:
             raise AssertionError(kind)
-        bld.link(fp, PortRef(main, "in1"))
-        bld.link(du, PortRef(main, "in2"))
-        return
+        if kind in ("log", "atan", "sqrt"):
+            fp = feed(new("Fn", fn="pow[-1]"), fp)
+        feed(m, fp, du("in"))
 
-    if k == "Switch":
-        origin_add(make_block(main, "Switch", threshold=f["threshold"]))
-        bld.link(bld.du(dmap, b.id, "in1"), PortRef(main, "in1"))
-        bld.link(bld.u(b.id, "in2"), PortRef(main, "in2"))
-        bld.link(bld.du(dmap, b.id, "in3"), PortRef(main, "in3"))
-        return
+    elif k == "Switch":                             # conditional copy
+        feed(new(k, main, **to_json(f)), du("in1"), u("in2"), du("in3"))
+    elif k == "Saturation":     # du where lo < u < hi, else 0
+        x = u("in")
+        g_lo = new("Switch", main, threshold=-f["lo"])
+        g_hi = new("Switch", threshold=f["hi"])
+        neg = feed(new("Gain", gain=-1.0), x)
+        feed(g_lo, zero(), neg, feed(g_hi, zero(), x, du("in")))
+    elif k == "SaturationDynamic":  # d(up) where u >= up, d(lo) where u <= lo, else du
+        x = u("in")
+        m = new("Switch", main, threshold=0.0)
+        above = feed(new("Sum", signs="+-"), x, u("up"))
+        inner = new("Switch", threshold=0.0)
+        feed(m, du("up"), above,
+             feed(inner, du("lo"), feed(new("Sum", signs="+-"), u("lo"), x), du("in")))
+    elif k == "Integrator":     # a saturated one holds its derivative at 0 while clamped
+        m = new(k, main, initial=_e2j(f["initial"].diff(theta)))
+        if f["saturation"] is None:
+            feed(m, du("in"))
+        else:
+            lo, hi = f["saturation"]
+            xo = PortRef(b.id, "out")
+            g_hi = feed(new("Switch", threshold=hi), zero(), xo, du("in"))
+            neg = feed(new("Gain", gain=-1.0), xo)
+            feed(m, feed(new("Switch", threshold=-lo), zero(), neg, g_hi))
 
-    if k == "Saturation":
-        lo, hi = f["lo"], f["hi"]
-        u = bld.u(b.id, "in")
-        du = bld.du(dmap, b.id, "in")
-        g_lo = main
-        origin_add(make_block(g_lo, "Switch", threshold=-lo))
-        g_hi = namer.next()
-        origin_add(make_block(g_hi, "Switch", threshold=hi))
-        neg = namer.next()
-        origin_add(make_block(neg, "Gain", gain=-1.0))
-        bld.link(bld.zero(), PortRef(g_hi, "in1"))
-        bld.link(u, PortRef(g_hi, "in2"))
-        bld.link(du, PortRef(g_hi, "in3"))
-        bld.link(u, PortRef(neg, "in"))
-        bld.link(bld.zero(), PortRef(g_lo, "in1"))
-        bld.link(PortRef(neg, "out"), PortRef(g_lo, "in2"))
-        bld.link(PortRef(g_hi, "out"), PortRef(g_lo, "in3"))
-        return
-
-    if k == "SaturationDynamic":
-        up = bld.u(b.id, "up")
-        u = bld.u(b.id, "in")
-        lo = bld.u(b.id, "lo")
-        origin_add(make_block(main, "Switch", threshold=0.0))
-        d_hi = namer.next()
-        origin_add(make_block(d_hi, "Sum", signs="+-"))   # u - up
-        bld.link(u, PortRef(d_hi, "in1"))
-        bld.link(up, PortRef(d_hi, "in2"))
-        inner = namer.next()
-        origin_add(make_block(inner, "Switch", threshold=0.0))
-        d_lo = namer.next()
-        origin_add(make_block(d_lo, "Sum", signs="+-"))   # lo - u
-        bld.link(lo, PortRef(d_lo, "in1"))
-        bld.link(u, PortRef(d_lo, "in2"))
-        bld.link(bld.du(dmap, b.id, "up"), PortRef(main, "in1"))
-        bld.link(PortRef(d_hi, "out"), PortRef(main, "in2"))
-        bld.link(PortRef(inner, "out"), PortRef(main, "in3"))
-        bld.link(bld.du(dmap, b.id, "lo"), PortRef(inner, "in1"))
-        bld.link(PortRef(d_lo, "out"), PortRef(inner, "in2"))
-        bld.link(bld.du(dmap, b.id, "in"), PortRef(inner, "in3"))
-        return
-
-    if k == "LookupTable1D":
-        bp = f["breakpoints"]
-        vals = f["values"]
-        u = bld.u(b.id, "in")
-        du = bld.du(dmap, b.id, "in")
-        origin_add(make_block(main, "Product", n=2))
+    elif k == "LookupTable1D":                      # lookup slope
+        m = new("Product", main, n=2)
         if f["piecewise_constant"]:
-            slope_port = bld.zero()
-        else:
-            slopes = [(vals[i + 1] - vals[i]) / (bp[i + 1] - bp[i])
-                      for i in range(len(bp) - 1)]
-            stair = namer.next()
-            origin_add(make_block(stair, "LookupTable1D", breakpoints=list(bp[:-1]),
-                                  values=slopes, piecewise_constant=True))
-            bld.link(u, PortRef(stair, "in"))
-            g_in = namer.next()
-            origin_add(make_block(g_in, "Switch", threshold=bp[0]))
-            bld.link(PortRef(stair, "out"), PortRef(g_in, "in1"))
-            bld.link(u, PortRef(g_in, "in2"))
-            bld.link(bld.zero(), PortRef(g_in, "in3"))
-            g_out = namer.next()
-            origin_add(make_block(g_out, "Switch", threshold=bp[-1]))
-            bld.link(bld.zero(), PortRef(g_out, "in1"))
-            bld.link(u, PortRef(g_out, "in2"))
-            bld.link(PortRef(g_in, "out"), PortRef(g_out, "in3"))
-            slope_port = PortRef(g_out, "out")
-        bld.link(slope_port, PortRef(main, "in1"))
-        bld.link(du, PortRef(main, "in2"))
+            slope = zero()
+        else:   # the segment slopes as a stair, zero outside the table
+            bp, vals = f["breakpoints"], f["values"]
+            x = u("in")
+            stair = feed(new(k, breakpoints=list(bp[:-1]), piecewise_constant=True,
+                             values=[(vals[i + 1] - vals[i]) / (bp[i + 1] - bp[i])
+                                     for i in range(len(bp) - 1)]), x)
+            inside = feed(new("Switch", threshold=bp[0]), stair, x, zero())
+            slope = feed(new("Switch", threshold=bp[-1]), zero(), x, inside)
+        feed(m, slope, du("in"))
         bld.lookup_fd.append(main)
-        return
 
-    if k == "TransportDelay":
-        h = f["delay"]
+    elif k == "TransportDelay":                     # copy, or delay sensitivity
+        h, pre = f["delay"], f["prehistory"]
         dh = h.diff(theta)
-        pre = f["prehistory"]
         if dh.is_zero():
-            origin_add(make_block(main, "TransportDelay", delay=_e2j(h),
-                                  prehistory=_e2j(pre.diff(theta))))
-            bld.link(bld.du(dmap, b.id, "in"), PortRef(main, "in"))
+            feed(new(k, main, delay=_e2j(h), prehistory=_e2j(pre.diff(theta))), du("in"))
         else:
-            origin_add(make_block(main, "DelaySensitivity", delay=_e2j(h), ddelay=_e2j(dh),
-                                  prehistory=_e2j(pre), dprehistory=_e2j(pre.diff(theta))))
-            bld.link(bld.u(b.id, "in"), PortRef(main, "in"))
-            bld.link(bld.du(dmap, b.id, "in"), PortRef(main, "din"))
+            feed(new("DelaySensitivity", main, delay=_e2j(h), ddelay=_e2j(dh),
+                     prehistory=_e2j(pre), dprehistory=_e2j(pre.diff(theta))),
+                 u("in"), du("in"))
             bld.dde.append(main)
-        return
+    elif k == "DelaySensitivity":
+        raise DelayOrderExceeded(b.id, theta)
 
-    if k == "UnitDelay":
-        origin_add(make_block(main, "UnitDelay", initial=_e2j(f["initial"].diff(theta)),
-                              sample_time=f["sample_time"]))
-        bld.link(bld.du(dmap, b.id, "in"), PortRef(main, "in"))
-        return
-
-    if k == "DelaySensitivity":
-        raise NotImplementedError(
-            "second derivative through a parameter-dependent delay needs "
-            "second-order delayed slopes; not supported")
-
-    if k == "Subsystem":
+    elif k in ("StateSpaceC", "StateSpaceD"):       # copy, or stacked copy
+        A, B, C, D = f["A"], f["B"], f["C"], f["D"]
+        if not any(e.depends_on(theta) for M in (A, B, C, D) for row in M for e in row):
+            feed(new(k, main, **to_json(f)), *map(du, ins))
+        else:   # on (u, du), with the derivative rows as outputs
+            A2, B2, C2, D2 = ss_augment(A, B, C, D, theta)
+            p = len(C)
+            feed(new(k, main, **to_json({**f, "A": A2, "B": B2, "C": C2[p:], "D": D2[p:]})),
+                 *map(u, ins), *map(du, ins))
+    elif k == "Subsystem":      # stacked copy: the child differentiated, on (u, du)
         child: Diagram = f["diagram"]
-        child_params = dict(child.params)
-        child_params.setdefault(theta, bld.d.params[theta])
-        child2 = Diagram(child.name, child_params, child.blocks, child.links,
-                         child.outputs, dict(child.annotations))
-        aug = agdm_diff(child2, theta)
-        mb = origin_add(Block(main, "Subsystem", {"diagram": aug}))
-        ins, _ = b.port_names()
-        n_in = len(ins)
-        dins, _ = mb.port_names()
-        for j, p in enumerate(ins):
-            bld.link(bld.u(b.id, p), PortRef(main, dins[j]))
-            bld.link(bld.du(dmap, b.id, p), PortRef(main, dins[n_in + j]))
-        return
-
-    raise NotImplementedError(f"no differentiation rule for block kind {k!r}")
+        params = dict(child.params)
+        params.setdefault(theta, bld.d.params[theta])
+        aug = agdm_diff(Diagram(child.name, params, child.blocks, child.links,
+                                child.outputs, dict(child.annotations)), theta)
+        feed(new(k, main, diagram=aug), *map(u, ins), *map(du, ins))
+    else:
+        raise NotImplementedError(f"no differentiation rule for block kind {k!r}")
 
 
 # ---------------------------------------------------------------------------

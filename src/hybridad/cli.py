@@ -6,9 +6,10 @@ sensitivity-ODE route, or both with a discrepancy check), ``optimize``
 (scalar parameter tuning on an integral cost), and ``table``
 (regenerates the reference numeric tables from the live modules).
 
-Exit codes: 0 ok, 2 validation failure, 3 simulation failure,
-4 optimization failure.  Identical inputs and flags produce
-byte-identical CSV output.
+Exit codes: 0 ok, 2 validation failure (also a schema error, an unknown
+parameter, or a second derivative through a parameter-dependent delay,
+which ``diff`` refuses), 3 simulation failure, 4 optimization failure.
+Identical inputs and flags produce byte-identical CSV output.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import numpy as np
 from .agdm import agdm_diff, d_output_name
 from .analysis import sequence_probe
 from .diagram import Diagram, diagram_to_json, load_diagram, parse_diagram, validate
-from .errors import HybridAdError, SchemaError, UnknownParameter, ValidationError
+from .errors import (DelayOrderExceeded, HybridAdError, SchemaError, UnknownParameter,
+                     ValidationError)
 from .flatten import flatten
 from .jet import jet_derivative, jet_var
 from .sim import SimConfig, integrate, sensitivity_extend
@@ -449,7 +451,7 @@ def main(argv=None) -> int:
             args.sim_flags.error(str(exc))
     try:
         return args.fn(args)
-    except (ValidationError, UnknownParameter) as exc:
+    except (ValidationError, UnknownParameter, DelayOrderExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SchemaError as exc:

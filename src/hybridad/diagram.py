@@ -416,6 +416,8 @@ _register("Inport", lambda raw, p: {"index": _int(raw.get("index", 0), f"{p}.ind
 
 def _parse_subsystem(raw, p):
     child = raw.get("diagram")
+    if isinstance(child, Diagram):      # built in code
+        return {"diagram": child}
     if not isinstance(child, dict):
         raise SchemaError(f"{p}.diagram", "expected a nested diagram object")
     return {"diagram": _parse_dict(child, path=f"{p}.diagram")}

@@ -74,6 +74,19 @@ class UnknownParameter(HybridAdError):
         )
 
 
+class DelayOrderExceeded(HybridAdError):
+    """Graphic differentiation of a ``DelaySensitivity`` block: a second
+    derivative through a parameter-dependent delay needs second-order
+    delayed slopes, which no block carries."""
+
+    def __init__(self, block: str, theta: str):
+        self.block = block
+        super().__init__(
+            f"{block}: differentiating a delay sensitivity in {theta!r} (a second derivative "
+            f"through a parameter-dependent delay) needs second-order delayed slopes; "
+            f"not supported")
+
+
 # -- simulation --------------------------------------------------------------
 
 class FlattenError(HybridAdError):

@@ -29,6 +29,20 @@ def first_order_doc(k=1.0, tau=0.5):
     }
 
 
+def delay_chain_doc():
+    """Step -> TransportDelay (delay h) -> Integrator."""
+    return {
+        "schema": 1, "name": "dly", "params": {"h": 0.2},
+        "blocks": [
+            {"id": "U", "kind": "Step", "time": 0.0, "level": 1.0},
+            {"id": "D", "kind": "TransportDelay", "delay": "h"},
+            {"id": "I", "kind": "Integrator"},
+        ],
+        "links": [{"from": "U.out", "to": "D.in"}, {"from": "D.out", "to": "I.in"}],
+        "outputs": [{"name": "y", "from": "I.out"}],
+    }
+
+
 BAD_INTEGERS = {        # (kind, field, value): an integer block field of another shape
     "product-n-string": ("Product", "n", "two"),
     "product-n-float": ("Product", "n", 1.5),

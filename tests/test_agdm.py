@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from conftest import first_order_doc
+from conftest import delay_chain_doc, first_order_doc
 from hybridad import (
+    DelayOrderExceeded,
     SimConfig,
     UnknownParameter,
     agdm_diff,
@@ -19,8 +20,8 @@ from hybridad import (
     ss_augment,
     tf_param_derivative,
 )
-from hybridad.agdm import _nonzero_ports, d_block_name, d_output_name
-from hybridad.diagram import PortRef, load_diagram
+from hybridad.agdm import _Builder, _nonzero_ports, d_block_name, d_output_name
+from hybridad.diagram import PortRef, load_diagram, make_block, validate
 
 MODELS = os.path.join(os.path.dirname(__file__), "..", "models")
 
@@ -698,3 +699,69 @@ def test_every_rule_agrees_with_sensitivity_ode_route(case):
     if case == "Saturation":
         y = graphic.output("y")
         assert np.any(y == _HI) and np.any(y < _HI)
+
+
+# -- every model, every rule ----------------------------------------------------
+
+def _model_params():
+    for name in sorted(os.listdir(MODELS)):
+        if name.endswith(".json"):
+            with open(os.path.join(MODELS, name), encoding="utf-8") as fh:
+                text = fh.read()
+            for theta in json.loads(text)["params"]:
+                yield pytest.param(text, theta, id=f"{name[:-5]}-{theta}")
+
+
+@pytest.mark.parametrize("text,theta", _model_params())
+def test_every_model_differentiates_to_a_valid_diagram(text, theta):
+    d1 = agdm_diff(parse_diagram(text), theta)
+    assert validate(d1).ok
+    try:
+        d2 = agdm_diff(d1, theta)
+    except DelayOrderExceeded as exc:      # the one derivative agdm refuses
+        assert exc.block in d1.annotations["dde_sensitivity"]
+        return
+    assert validate(d2).ok
+
+
+def test_second_derivative_through_a_delay_names_the_block():
+    d1 = agdm_diff(_diag(delay_chain_doc()), "h")
+    with pytest.raises(DelayOrderExceeded) as exc:
+        agdm_diff(d1, "h")
+    assert exc.value.block == "d(D)/d(h)" and "d(D)/d(h)" in str(exc.value)
+
+
+def test_feed_refuses_a_source_count_that_leaves_a_port_unlinked():
+    d = _diag(first_order_doc())
+    bld = _Builder(d, "k")
+    bld.begin(d.block("E"))
+    with pytest.raises(ValueError, match="3 inputs, fed 2"):
+        bld.feed(bld.new("Switch", threshold=0.0), bld.u("in1"), bld.du("in1"))
+    assert bld.feed(make_block("Z", "Constant")) == PortRef("Z", "out")
+
+
+def test_subsystem_keeps_a_derivative_input_that_nothing_reads():
+    # In0 only steers the switch, so d(In0)/d(a) is read by no block; the
+    # child keeps it, and the stacked copy still has one port per Inport
+    child = {"schema": 1, "name": "sw", "params": {},
+             "blocks": [{"id": "In0", "kind": "Inport", "index": 0},
+                        {"id": "In1", "kind": "Inport", "index": 1},
+                        {"id": "W", "kind": "Switch", "threshold": 0.5}],
+             "links": [{"from": "In1.out", "to": "W.in1"}, {"from": "In0.out", "to": "W.in2"},
+                       {"from": "In1.out", "to": "W.in3"}],
+             "outputs": [{"name": "z", "from": "W.out"}]}
+    d = _diag({
+        "schema": 1, "name": "ctl", "params": {"a": 0.5},
+        "blocks": [{"id": "C", "kind": "Constant", "value": "a"},
+                   {"id": "T", "kind": "Step", "time": 0.3, "level": 1.0},
+                   {"id": "Sub", "kind": "Subsystem", "diagram": child},
+                   {"id": "I", "kind": "Integrator"}],
+        "links": [{"from": "T.out", "to": "Sub.in1"}, {"from": "C.out", "to": "Sub.in2"},
+                  {"from": "Sub.z", "to": "I.in"}],
+        "outputs": [{"name": "y", "from": "I.out"}],
+    })
+    d1 = agdm_diff(d, "a")
+    assert validate(d1).ok
+    assert d1.block("d(Sub)/d(a)").port_names()[0] == ["in1", "in2", "in3", "in4"]
+    tr = integrate(flatten(d1), SimConfig(step=0.01, tf=1.0))
+    assert tr.output("dy/da")[-1] == pytest.approx(1.0, abs=1e-12)     # y = a t

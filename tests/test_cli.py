@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import BAD_INTEGERS, bad_integer_doc, first_order_doc
+from conftest import BAD_INTEGERS, bad_integer_doc, delay_chain_doc, first_order_doc
 from hybridad import SchemaError, cli, parse_diagram
 from hybridad.cli import main, optimize_scalar, step_map_derivatives
 from hybridad.diagram import load_diagram
@@ -121,6 +121,10 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
     ("discrete_loop", "a", 2),
     ("second_order_cost", "zeta", 1),
     ("chain2", "k", 2),
+    ("every_rule", "k", 1),
+    ("every_rule", "k", 2),
+    ("every_rule_discrete", "k", 1),
+    ("every_rule_discrete", "k", 2),
 ])
 def test_diff_matches_golden_file(tmp_path, model, theta, order):
     out = tmp_path / "aug.json"
@@ -129,6 +133,35 @@ def test_diff_matches_golden_file(tmp_path, model, theta, order):
     assert rc == 0
     with open(os.path.join(GOLDEN, f"{model}.{theta}.order{order}.json"), "rb") as fh:
         assert out.read_bytes() == fh.read()
+
+
+def _every_rule_in_delay(tmp_path):
+    """``models/every_rule.json`` with its TransportDelay's delay made a
+    parameter ``h`` (kept out of ``models/``, where every file
+    differentiates twice in each of its parameters)."""
+    with open(model_path("every_rule.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["params"]["h"] = 0.1
+    next(b for b in doc["blocks"] if b["id"] == "D")["delay"] = "h"
+    return _write(tmp_path, doc, "every_rule.json")
+
+
+def test_diff_in_a_delay_matches_golden_file(tmp_path):
+    out = tmp_path / "aug.json"
+    assert main(["diff", _every_rule_in_delay(tmp_path), "--theta", "h", "--out", str(out)]) == 0
+    with open(os.path.join(GOLDEN, "every_rule.h.order1.json"), "rb") as fh:
+        assert out.read_bytes() == fh.read()
+
+
+@pytest.mark.parametrize("model", ["dly", "every_rule"])
+def test_diff_second_order_through_a_delay_is_an_error_line(tmp_path, capsys, model):
+    path = (_write(tmp_path, delay_chain_doc()) if model == "dly"
+            else _every_rule_in_delay(tmp_path))
+    out = tmp_path / "aug2.json"
+    assert main(["diff", path, "--theta", "h", "--order", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: d(D)/d(h): ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_diff_unknown_parameter_exit_2(capsys):
