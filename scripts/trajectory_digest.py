@@ -24,8 +24,8 @@ from an empty code cache: how many models the simulator bound to generated
 code, how many times it generated code (cache misses), how many distinct
 sources those generations wrote, how many lines they hold together, and
 how many of those lines are node statements, which assign a ``_v<i>``,
-outside ``march`` (whose RK stages and guard checks repeat the statements
-of ``ev`` and the guards):
+outside ``march`` (whose RK stages, accepted node and guard checks repeat
+the statements of ``ev`` and the guards):
 
     <workload> <seed>: <models> models, <misses> generations, <distinct> distinct sources, <lines> lines, <nodes> node statements
 

@@ -238,8 +238,13 @@ def agdm_diff(d: Diagram, theta: str) -> Diagram:
         raise UnknownParameter(theta, d.params.keys())
 
     bld = _Builder(d, theta)
+    # a block already differentiated in theta (order 2) needs no rule: its
+    # derivative is that block, so all the rule would add is unreachable;
+    # an Inport's rule runs, as a subsystem's child keeps its derivative Inports
+    done = d.annotations.get("derivative_flow", {})
     for b in d.blocks:
-        _emit_block(bld, b)
+        if b.kind == "Inport" or done.get(d_block_name(b.id, theta)) != {"of": b.id, "theta": theta}:
+            _emit_block(bld, b)
 
     outputs = list(d.outputs)
     seen = {o.name for o in outputs}

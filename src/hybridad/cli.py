@@ -28,7 +28,7 @@ from .errors import (DelayOrderExceeded, HybridAdError, SchemaError, UnknownPara
                      ValidationError)
 from .flatten import flatten
 from .jet import jet_derivative, jet_var
-from .sim import SimConfig, integrate, sensitivity_extend
+from .sim import SimConfig, csv_text, integrate, sensitivity_extend
 from .solvers import (
     ImplicitSystem,
     implicit_second_derivative,
@@ -64,13 +64,7 @@ def _write(path: str | None, text: str):
 
 
 def _csv(times, columns: dict[str, np.ndarray]) -> str:
-    head = ",".join(["t", *columns.keys()])
-    lines = [head]
-    mats = list(columns.values())
-    for i, t in enumerate(times):
-        row = [t] + [m[i] for m in mats]
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    return "\n".join(lines) + "\n"
+    return csv_text(["t", *columns], np.column_stack([times, *columns.values()]).tolist())
 
 
 # ---------------------------------------------------------------------------

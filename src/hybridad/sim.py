@@ -237,22 +237,24 @@ class Trajectory:
     def to_csv(self) -> str:
         """One row per accepted step plus one per event (pre and post);
         full double precision."""
-        cols = ["t", *self.state_names, *self.output_names]
-        rows = [(t, self.states[i], self.outputs[i], 0)
-                for i, t in enumerate(self.times)]
-        # event rows are interleaved by time, pre before post
-        nq = len(self.output_names)
-        for ev in self.events:
-            pre_y = ev.pre_outputs if ev.pre_outputs is not None else [math.nan] * nq
-            post_y = ev.post_outputs if ev.post_outputs is not None else [math.nan] * nq
-            rows.append((ev.time, ev.pre_state, pre_y, 1))
-            rows.append((ev.time, ev.post_state, post_y, 2))
-        rows.sort(key=lambda r: (r[0], r[3]))
-        out = [",".join(cols)]
-        for t, x, y, _ in rows:
-            vals = [t, *x, *y]
-            out.append(",".join(f"{v:.17g}" for v in vals))
-        return "\n".join(out) + "\n"
+        rows = np.column_stack([self.times, self.states, self.outputs]).tolist()
+        if self.events:         # interleaved by time, pre before post
+            nan = [math.nan] * len(self.output_names)
+            keyed = [(r[0], 0, r) for r in rows]
+            for ev in self.events:
+                for side, x, y in ((1, ev.pre_state, ev.pre_outputs),
+                                   (2, ev.post_state, ev.post_outputs)):
+                    keyed.append((ev.time, side, [ev.time, *x, *(nan if y is None else y)]))
+            keyed.sort(key=lambda r: r[:2])
+            rows = [r for _, _, r in keyed]
+        return csv_text(["t", *self.state_names, *self.output_names], rows)
+
+
+def csv_text(names, rows) -> str:
+    """A CSV table: the header ``names``, then one line per row of floats,
+    each in full double precision (``%.17g``)."""
+    line = ",".join(["%.17g"] * len(names))
+    return "\n".join([",".join(names), *(line % tuple(r) for r in rows)]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -419,13 +421,17 @@ def _generate_stepper(m: OdeModel, method: str, tape: Tape):
     states and outputs extending the other two), until tf or the first
     step across which a guard changes sign.  Each step is ``step``'s RK
     formula with the stages written out: the stage inputs that the rhs
-    reads, the delay lookup and ``ev``'s rhs statements, so only the
-    accepted node calls ``ev``; the delay lookup's anchor is worked out
-    once per step.  The guard checks are written out too; a guard is not
-    checked on a step that ends inside its deadtime window, which closes
-    at ``until[i]``.  It returns None at tf, else ``(i, k, x,
-    t, h, f, g_i, y)``: guard i changed sign on the k-th step, from (x, t)
-    over h to y."""
+    reads, the delay lookup and ``ev``'s rhs statements; the delay
+    lookup's anchor is worked out once per step.  The accepted node is
+    ``ev(*y, tn, tn, True)`` written out the same way: the rhs, which is
+    the next step's first stage, the outputs and the delay record's row,
+    with an input that no statement reads read in place, so ``march`` calls ``ev``
+    nowhere (``integrate``'s first node, its restarts after an event,
+    ``step`` and discrete models still do).  The guard checks are written
+    out too; a guard is not checked on a step that ends inside its
+    deadtime window, which closes at ``until[i]``.  It returns None at
+    tf, else ``(i, k, x, t, h, f, g_i, y)``: guard i changed sign on the
+    k-th step, from (x, t) over h to y."""
     n, s, q = m.n, len(m.param_names), m.n_outputs
     nodes, outs = tape.nodes, tape.outputs
     place, opened = arm_contexts(tape, [(o, 0 if k < n else 1) for k, o in enumerate(outs)])
@@ -447,6 +453,12 @@ def _generate_stepper(m: OdeModel, method: str, tape: Tape):
             read.update(nodes[nid].children())
     # stage inputs the rhs reads, and the time, which the delay lookup reads
     stored = [j in arg and arg[j] in read or j == n and bool(m.delays) for j in range(n + 1)]
+    reads = readers(tape, place)
+    # at the accepted node, the inputs that a statement reads are stored;
+    # the others, which only an output list reads, are read in place
+    at_node = [*(f"y[{i}]" for i in range(n)), "tn"]
+    named = [j in arg and reads[arg[j]] > outs.count(arg[j]) for j in range(n + 1)]
+    in_place = {arg[j]: at_node[j] for j in range(n + 1) if j in arg and not named[j]}
     arg = [f"_v{arg[j]}" if j in arg else f"_u{j}" for j in range(tape.num_inputs)]
     theta, dv, tt = arg[n + 1:n + 1 + s], arg[n + 1 + s:], arg[n]
 
@@ -460,22 +472,30 @@ def _generate_stepper(m: OdeModel, method: str, tape: Tape):
         return [f"if {ts} != _kt or a != _ka:", f"    _look({ts}, {anchor})",
                 f"    _kt, _ka = {ts}, a"] if m.delays else []
 
-    reads = readers(tape, place)
     rhs = guarded_source(tape, place, opened, bound, 0, reads)
+    rest = guarded_source(tape, place, opened, bound, 1, reads)       # the outputs and slot rows
 
     def call_stage(k, xs, ts):          # ``step``: the rhs by a call of ``ev``
         return [f"[{', '.join(f'{k}{i}' for i in range(n))}] = "
                 f"ev({''.join(x + ', ' for x in xs)}{ts}, t, False)"]
 
+    def at_inputs(ins, keep, look, body):   # ``body`` after ``look``, at the inputs ``ins``
+        vals = [*(a if k else e for a, e, k in zip(arg, ins, keep)), *arg[n + 1:]]    # ``_fail``'s
+        return [*(f"{a} = {e}" for a, e, k in zip(arg, ins, keep) if k), *look,
+                *(["try:", *("    " + ln for ln in body), "except _ARITH_ERRORS:",
+                   f"    _fail(0, [{', '.join(vals)}])", "    raise"] if body else [])]
+
     def inline_stage(k, xs, ts):        # ``march``: ``ev``'s statements, at the stage inputs
-        ins = [*xs, ts]                 # ``_fail`` gets the inputs not stored as expressions
-        vals = [*(a if keep else e for a, e, keep in zip(arg, ins, stored)), *arg[n + 1:]]
-        return [*(f"{a} = {e}" for a, e, keep in zip(arg, ins, stored) if keep),
-                *lookup(tt, "t"),
-                *(["try:", *("    " + ln for ln in rhs), "except _ARITH_ERRORS:",
-                   f"    _fail(0, [{', '.join(vals)}])", "    raise"] if rhs else []),
+        return [*at_inputs([*xs, ts], stored, lookup(tt, "t"), rhs),
                 *(f"{k}{i} = {node_ref(tape, o)}" for i, o in enumerate(outs[:n]))]
 
+    def at(ids):                        # the nodes' values at the accepted node
+        return ", ".join(in_place.get(o) or node_ref(tape, o) for o in ids)
+
+    # ``march``: ``ev(*y, tn, tn, True)``'s statements, at the accepted node
+    node = [*anchored("tn"), *at_inputs(at_node, named, lookup("tn", "tn"), rhs + rest),
+            *(["_T.append(tn)", f"_R.append([{at(outs[n + q:])}])", "_kt = None"] if m.delays else []),
+            f"f = [{at(outs[:n])}]", f"out = [{at(outs[n:n + q])}]"]
     # the model's numbers, bound once per ``_make`` call: name -> (tape, node id)
     nums = {name: (0, i) for name, i in numbers(tape, place).items()}
     src, checks, late = [], [], []
@@ -512,7 +532,7 @@ def _generate_stepper(m: OdeModel, method: str, tape: Tape):
            "        try:", *(" " * 12 + ln for ln in rhs),
            "            if not full:",
            f"                return [{refs(outs[:n])}]",
-           *(" " * 12 + ln for ln in guarded_source(tape, place, opened, bound, 1, reads)),
+           *(" " * 12 + ln for ln in rest),
            *([f"            _T.append({tt})", f"            _R.append([{refs(outs[n + q:])}])",
               "            _kt = None      # a lookup clamped to the old newest node may now interpolate"]
              if m.delays else []),
@@ -533,7 +553,7 @@ def _generate_stepper(m: OdeModel, method: str, tape: Tape):
            *(" " * 12 + ln for ln in anchored("t")),
            *(" " * 12 + ln for ln in _rk_source(m, method, inline_stage)),
            *(" " * 12 + ln for ln in checks),
-           "            f, out = ev(*y, tn, tn, True)",
+           *(" " * 12 + ln for ln in node),
            *(" " * 12 + ln for ln in late),
            "            times.append(tn)", "            states += y",
            "            outputs += out",

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -20,6 +21,7 @@ from hybridad import (
     ss_augment,
     tf_param_derivative,
 )
+import hybridad.agdm as agdm_module
 from hybridad.agdm import _Builder, _nonzero_ports, d_block_name, d_output_name
 from hybridad.diagram import PortRef, load_diagram, make_block, validate
 
@@ -541,6 +543,31 @@ def test_seeded_prune_equals_full_fixpoint_on_models(model, theta, order):
         d = agdm_diff(d, theta)
     carried, fresh = _carried_and_fresh(d, theta)
     assert carried == fresh
+
+
+@pytest.mark.parametrize("model,theta", [("first_order", "tau"), ("chain2", "k"),
+                                         ("every_rule", "k"), ("discrete_loop", "a")])
+def test_order_two_runs_no_rule_for_a_block_already_differentiated(monkeypatch, model, theta):
+    # at order 2, d(X)/d(theta) carries X's derivative as at order 1, so
+    # X's rule would add only unreachable blocks; Inports' rules still run
+    with open(os.path.join(MODELS, f"{model}.json"), encoding="utf-8") as fh:
+        d1 = agdm_diff(parse_diagram(fh.read()), theta)
+    flow = d1.annotations["derivative_flow"]
+    done = {b.id for b in d1.blocks if b.kind != "Inport"
+            and flow.get(d_block_name(b.id, theta)) == {"of": b.id, "theta": theta}}
+    ran, emit = [], agdm_module._emit_block
+    monkeypatch.setattr(agdm_module, "_emit_block", lambda bld, b: ran.append(b.id) or emit(bld, b))
+    d2 = agdm_diff(d1, theta)
+    assert done and ran and not done & set(ran)
+    # the same diagram as running every rule, which a d1 without its flow
+    # record does
+    ran.clear()
+    everything = agdm_diff(dataclasses.replace(d1, annotations={}), theta)
+    assert done <= set(ran)
+
+    def body(d):
+        return {k: v for k, v in json.loads(diagram_to_json(d)).items() if k != "annotations"}
+    assert body(d2) == body(everything)
 
 
 def test_diff_writes_original_links_in_block_order(first_order):

@@ -135,20 +135,12 @@ def test_diff_matches_golden_file(tmp_path, model, theta, order):
         assert out.read_bytes() == fh.read()
 
 
-def _every_rule_in_delay(tmp_path):
-    """``models/every_rule.json`` with its TransportDelay's delay made a
-    parameter ``h`` (kept out of ``models/``, where every file
-    differentiates twice in each of its parameters)."""
-    with open(model_path("every_rule.json"), encoding="utf-8") as fh:
-        doc = json.load(fh)
-    doc["params"]["h"] = 0.1
-    next(b for b in doc["blocks"] if b["id"] == "D")["delay"] = "h"
-    return _write(tmp_path, doc, "every_rule.json")
-
-
 def test_diff_in_a_delay_matches_golden_file(tmp_path):
+    # ``models/every_rule_delay.json`` is ``every_rule.json`` with its
+    # TransportDelay's delay made a parameter ``h``
     out = tmp_path / "aug.json"
-    assert main(["diff", _every_rule_in_delay(tmp_path), "--theta", "h", "--out", str(out)]) == 0
+    assert main(["diff", model_path("every_rule_delay.json"), "--theta", "h",
+                 "--out", str(out)]) == 0
     with open(os.path.join(GOLDEN, "every_rule.h.order1.json"), "rb") as fh:
         assert out.read_bytes() == fh.read()
 
@@ -156,7 +148,7 @@ def test_diff_in_a_delay_matches_golden_file(tmp_path):
 @pytest.mark.parametrize("model", ["dly", "every_rule"])
 def test_diff_second_order_through_a_delay_is_an_error_line(tmp_path, capsys, model):
     path = (_write(tmp_path, delay_chain_doc()) if model == "dly"
-            else _every_rule_in_delay(tmp_path))
+            else model_path("every_rule_delay.json"))
     out = tmp_path / "aug2.json"
     assert main(["diff", path, "--theta", "h", "--order", "2", "--out", str(out)]) == 2
     err = capsys.readouterr().err

@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from conftest import BAD_INTEGERS, bad_integer_doc, first_order_doc
-from hybridad import SchemaError, ValidationError, agdm_diff, flatten, parse_diagram, validate
+from hybridad import (DelayOrderExceeded, SchemaError, ValidationError, agdm_diff, flatten,
+                      parse_diagram, validate)
 from hybridad import diagram
 from hybridad.diagram import _parse_dict, diagram_to_json, load_diagram, to_dict
 
@@ -209,7 +210,12 @@ def test_writer_matches_json_on_models_and_their_diffs(path):
     for theta in d.params:
         d1 = agdm_diff(d, theta)
         _same_as_json(d1)
-        _same_as_json(agdm_diff(d1, theta))
+        try:
+            d2 = agdm_diff(d1, theta)
+        except DelayOrderExceeded as exc:      # the one derivative agdm refuses
+            assert exc.block in d1.annotations["dde_sensitivity"]
+            continue
+        _same_as_json(d2)
 
 
 @pytest.mark.parametrize("path", GOLDEN_FILES, ids=lambda p: p.stem)

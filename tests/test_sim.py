@@ -590,6 +590,26 @@ def test_csv_determinism():
     assert a == b
 
 
+def test_csv_rows_are_written_as_each_value_formats_at_17_digits():
+    # the one row writer of ``Trajectory.to_csv`` and the CLI's tables,
+    # on the values whose text is easiest to get wrong, and on an event
+    # row whose outputs are missing
+    vals = np.array([-0.0, 0.0, 5e-324, -2.2250738585072014e-308, math.inf, -math.inf,
+                     math.nan, 0.1, 1 / 3, 1e22, -1.5e-7, 123456789012345678.0])
+    rows = vals.reshape(-1, 3)
+    want = "a,b,c\n" + "".join(",".join(f"{v:.17g}" for v in r) + "\n" for r in rows)
+    assert sim.csv_text(["a", "b", "c"], rows.tolist()) == want
+    event = sim.EventRecord(0.25, 0, vals[9:11], vals[10:12], None, None)
+    tr = sim.Trajectory(np.array([0.0, 0.25, 0.5]), vals[:6].reshape(3, 2),
+                        vals[6:9].reshape(3, 1), [event], ("x0", "x1"), ("y",))
+    assert tr.to_csv().splitlines() == [
+        "t,x0,x1,y", "0,-0,0,nan",
+        "0.25,4.9406564584124654e-324,-2.2250738585072014e-308,0.10000000000000001",
+        "0.25,1e+22,-1.4999999999999999e-07,nan",
+        "0.25,-1.4999999999999999e-07,1.2345678901234568e+17,nan",
+        "0.5,inf,-inf,0.33333333333333331"]
+
+
 def _model_file(name):
     path = os.path.join(os.path.dirname(__file__), "..", "models", name)
     with open(path, encoding="utf-8") as fh:
@@ -1313,7 +1333,10 @@ def test_march_works_out_the_lookup_anchor_once_per_step(method, stages):
     m = _dde_model()
     source = sim._generate_stepper(m, method, sim._with_slot_slopes(m))[0]
     march = source[source.index("    def march("):]
-    assert (march.count("_hmax < _left"), march.count("_look(")) == (1, stages)
+    # one anchor per step for its stages, and the accepted node's own
+    # anchor and lookup at tn
+    assert (march.count("a = t if t - _hmax < _left"), march.count("_look(")) == (1, stages + 1)
+    assert (march.count("a = tn if tn - _hmax < _left"), march.count("_look(tn, tn)")) == (1, 1)
 
 
 def test_models_of_one_structure_share_the_compiled_code():
@@ -1654,6 +1677,50 @@ def test_stage_inputs_the_rhs_does_not_read_are_not_stored(code_cache, monkeypat
     t, (s0, s1) = before.times[-1], before.states[-1]
     hh = 0.5 * (min(0.0 + 6 * 0.1, 1.0) - t)
     assert seen == [[s0 + hh * 0.0, s1 + hh * 1.0, t + hh]]
+
+
+def test_the_march_calls_ev_nowhere(code_cache):
+    # the accepted node's rhs, outputs and delay record row are written into
+    # the march as well; the bounce's rhs and outputs are all inputs, so its
+    # node has no statement to guard
+    cfg = SimConfig(step=0.05, tf=1.0)
+    for m in (_chain_model(0.8, 0.7, 0.2, 0.5), _dde_model(), _bounce_model()):
+        integrate(m, cfg)
+    marches = [source.split("    def march(")[1] for source in code_cache.sources]
+    assert len(marches) == 3 and not any("ev(" in march for march in marches)
+    node = marches[2].split("            y = [")[1]
+    assert "try:" not in node.split("            if not tn <= u1:")[0]
+    assert "f = [y[1], _v" in node and "out = [y[0], y[1]]" in node
+
+
+@pytest.mark.parametrize("delay", [False, True])
+def test_output_failure_at_an_accepted_node_is_named(code_cache, monkeypatch, delay):
+    # x' = -1 from x(0) = 0.25 and y = sqrt(x): no stage reads x, and only
+    # the output fails, at the first node past x = 0; the interpreter
+    # re-runs the tape at that node's state and time, as ``ev`` at the node
+    # did.  With a delay slot carrying x, the node also reads and extends
+    # the delay record
+    def model(output):
+        b = TapeBuilder(4 if delay else 2)      # [x, t(, xdel, xdelslope)]
+        x = b.input(0)
+        y = b.apply(SQRT, x) if output else x
+        slots = dict(delays=(DelaySlot(parse_expr(0.5), parse_expr(0.25)),)) if delay else {}
+        outs = [b.const(-1.0), y, *([x] if delay else [])]
+        m = make_ode_model(1, b.build(outs), (), {}, ("x",), ("y",),
+                           init_exprs=(parse_expr(0.25),), **slots)
+        return m, y
+    cfg = SimConfig(step=0.1, tf=1.0)
+    clean = integrate(model(False)[0], cfg)
+    k = int(np.argmax(clean.states[:, 0] < 0.0))
+    m, root = model(True)
+    seen = []
+    rerun = sim.tape_eval
+    monkeypatch.setattr(sim, "tape_eval", lambda t, vals: seen.append(vals) or rerun(t, vals))
+    with pytest.raises(EvalDomainError, match="sqrt of negative value") as exc:
+        integrate(m, cfg)
+    assert exc.value.node_id == root
+    assert [vals[:2] for vals in seen] == [[clean.states[k, 0], clean.times[k]]]
+    assert ("_look(tn, tn)" in code_cache.sources[-1]) == delay
 
 
 def test_special_constants_trajectory_matches_golden_file():
