@@ -195,20 +195,21 @@ class ParamExpr:
         """A Python expression computing ``evaluate`` with the same
         operations.  ``names`` maps each parameter to a float variable;
         constants and elementary functions are appended to ``consts`` and
-        read as ``_k[i]``, so the source depends on the expression's shape
-        only, and a function becomes ``_fv(_k[i], ...)`` (``fn_value``), so
-        it fails as ``evaluate`` does."""
+        read as the name ``_kd<i>``, i their index there, which the caller
+        binds, so the source depends on the expression's shape only, and a
+        function becomes ``_fv(_kd<i>, ...)`` (``fn_value``), so it fails as
+        ``evaluate`` does."""
         op = self.op
         if op == "const":
             consts.append(self.value)
-            return f"_k[{len(consts) - 1}]"
+            return f"_kd{len(consts) - 1}"
         if op == "param":
             return names[self.name]
         if op == "neg":
             return f"(-{self.args[0].to_source(names, consts)})"
         if op == "fn":
             consts.append(self.fn)
-            return f"_fv(_k[{len(consts) - 1}], {self.args[0].to_source(names, consts)})"
+            return f"_fv(_kd{len(consts) - 1}, {self.args[0].to_source(names, consts)})"
         a, b = (e.to_source(names, consts) for e in self.args)
         return f"({a} {_INFIX[op]} {b})"
 

@@ -279,12 +279,11 @@ def _with_slot_slopes(m: OdeModel) -> Tape:
     return b.build([*m.tape.outputs, *(tg[o] for o in m.tape.outputs[-J:])])
 
 
-_HERMITE = (    # the cubic Hermite basis on [_T[i], _T[i + 1]] at tau, and its time derivative
-    "t0 = _T[i]", "dt = _T[i + 1] - t0", "w = (tau - t0) / dt",
-    "h00 = (1 + 2 * w) * (1 - w) ** 2", "h10 = w * (1 - w) ** 2 * dt",
-    "h01 = w * w * (3 - 2 * w)", "h11 = w * w * (w - 1) * dt", "dw = 1.0 / dt",
-    "d00 = 6 * w * (w - 1) * dw", "d10 = (3 * w * w - 4 * w + 1)",
-    "d01 = -6 * w * (w - 1) * dw", "d11 = (3 * w * w - 2 * w)", "r0, r1 = _R[i], _R[i + 1]")
+_HERMITE = (    # the cubic Hermite basis on [_T[i], _T[i + 1]] at tau, then its time derivative
+    ("h00 = (1 + 2 * w) * (1 - w) ** 2", "h10 = w * (1 - w) ** 2 * dt",
+     "h01 = w * w * (3 - 2 * w)", "h11 = w * w * (w - 1) * dt"),
+    ("dw = 1.0 / dt", "dh00 = 6 * w * (w - 1) * dw", "dh10 = (3 * w * w - 4 * w + 1)",
+     "dh01 = -6 * w * (w - 1) * dw", "dh11 = (3 * w * w - 2 * w)"))
 
 
 def _record_exprs(m: OdeModel):
@@ -296,24 +295,33 @@ def _record_exprs(m: OdeModel):
              for slot in m.delays])
 
 
-def _record_source(m: OdeModel, dv: list[str], consts: list) -> list[str]:
-    """The delay record of ``_make``: each distinct delay expression
-    evaluated once and checked against the step, the node times ``_T``
-    and per node the slot values, then their time-slopes (``_R``), and
-    ``_look(t, anchor)``, which sets the slot inputs ``dv`` to the values,
-    then the time-slopes, of each slot's carried signal at t minus its
-    delay, for the step started at ``anchor``.  Per delay it holds one
-    block: an interval cursor that walks forward with the march (bisection
-    when an event bisection reads behind it), one Hermite basis and the
-    slots unrolled, or the prehistory and its t-derivative, both
-    expressions of tau and theta whose constants are read from ``_k``.
+def _record_source(m: OdeModel, dv: list[str], consts: list):
+    """The delay record of ``_make``, ``look(t, anchor, want)``, the
+    statements of one lookup in it, and the names of the record's cells that
+    a lookup sets.  The record: the record's constants
+    (``_k[len(consts):]``) bound to names, each distinct delay expression
+    evaluated once and checked against the step, the node times ``_T`` and
+    per node the slot values, then their time-slopes (``_R``), and
+    ``_look(t, anchor)``, which is ``look``'s statements for every slot
+    input ``dv``.  ``look`` sets the slot inputs whose indices in ``dv`` are
+    in ``want`` (the value of slot j at j, its time-slope at J + j) to the
+    value, or time-slope, of the slot's carried signal at t minus its delay,
+    for the step started at ``anchor`` (source expressions).  Per delay it
+    holds one block: an interval cursor that walks forward with the march
+    (bisection when an event bisection reads behind it), the Hermite basis,
+    its derivative only where a slope is wanted, and the wanted slots
+    unrolled, or the prehistory and its t-derivative, both expressions of
+    tau and theta, where a slot with no prehistory raises
+    ``DelayUnderflow``.  A delay none of whose slots is wanted is skipped:
+    the first lookup, of ``integrate``'s start node, sets every slot and
+    reaches every prehistory, so it raises there.
 
     The carried signal may jump at the start time (prehistory on one
     side, dynamics on the other); a step that starts left of that boundary
     reads the left limit on it and one starting on it the right, so steps
     on either side of an aligned breakpoint both see a consistent
     one-sided right-hand side."""
-    J = len(m.delays)
+    J, base = len(m.delays), len(consts)
     delays, pre = _record_exprs(m)
     names = [p for e in delays for p in sorted(e.params())]
     names += [p for es in filter(None, pre) for e in es for p in sorted(e.params() - {"t"})]
@@ -321,43 +329,59 @@ def _record_source(m: OdeModel, dv: list[str], consts: list) -> list[str]:
     at_tau = {**q, "t": "tau"}
     hsrc = [e.to_source(q, consts) for e in delays]         # in ``_record_exprs`` order
     psrc = [es and [e.to_source(at_tau, consts) for e in es] for es in pre]
+    groups = [[j for j, slot in enumerate(m.delays) if slot.delay == e] for e in delays]
+
+    def look(t, anchor, want):
+        src = []
+        for g, js in enumerate(groups):
+            values, slopes = ([j for j in js if k + j in want] for k in (0, J))
+            if not (values or slopes):
+                continue
+            before = []
+            for j in js:
+                if pre[j] is None:
+                    before.append('raise DelayUnderflow(f"lookup at t={tau} precedes history '
+                                  'and no prehistory is defined")')
+                    break
+                before += [f"{dv[k + j]} = {psrc[j][k > 0]}" for k in (0, J) if k + j in want]
+            wanted = [k + j for j in js for k in (0, J) if k + j in want]
+            src += [f"tau = {t} - _h{g}",
+                    f"if tau < _left or ({anchor} - _h{g} < _left and tau <= _right) or not _T:",
+                    *("    " + ln for ln in before),
+                    "else:", "    if _T[0] > tau:", "        tau = _T[0]",
+                    "    if tau >= _T[-1]:       # clamp to the newest node (roundoff only)",
+                    "        r0 = _R[-1]",
+                    f"        {', '.join(dv[i] for i in wanted)} = {', '.join(f'r0[{i}]' for i in wanted)}",
+                    "    else:", f"        i = _i{g}", "        if _T[i] > tau:",
+                    "            i = _bisect.bisect_right(_T, tau) - 1",
+                    "        while _T[i + 1] <= tau:", "            i += 1", f"        _i{g} = i",
+                    "        t0 = _T[i]", "        dt = _T[i + 1] - t0", "        w = (tau - t0) / dt",
+                    *("        " + ln for ln in _HERMITE[0] if values),
+                    *("        " + ln for ln in _HERMITE[1] if slopes),
+                    "        r0, r1 = _R[i], _R[i + 1]"]
+            for j in js:
+                src += [f"        {dv[k + j]} = {b}00 * r0[{j}] + {b}10 * r0[{J + j}]"
+                        f" + {b}01 * r1[{j}] + {b}11 * r1[{J + j}]"
+                        for k, b in ((0, "h"), (J, "dh")) if k + j in want]
+        return src
+
     hs = ", ".join(f"_h{g}" for g in range(len(delays)))
-    src = [*(f"    {v} = _param(_env, {p!r})" for p, v in q.items()),
+    cursors = [f"_i{g}" for g in range(len(delays))]
+    src = [*([f"    [{', '.join(f'_kd{i}' for i in range(base, len(consts)))}] = _k[{base}:]"]
+             if len(consts) > base else []),
+           *(f"    {v} = _param(_env, {p!r})" for p, v in q.items()),
            *(f"    _h{g} = {h}" for g, h in enumerate(hsrc)),
            f"    for _h in ({hs},):", "        if not _h >= _step:",
            '            raise ValueError(f"delay {_h} smaller than the step {_step}")',
            f"    _hmax = max([{hs}])", "    _tol = 1e-9 * max(1.0, abs(_t0))",
            "    _left, _right = _t0 - _tol, _t0 + _tol",
            "    _T, _R = [], []", "    _kt = _ka = None",
-           f"    {' = '.join(f'_i{g}' for g in range(len(delays)))} = 0",
+           f"    {' = '.join(cursors)} = 0",
            f"    {' = '.join(dv)} = 0.0",
            "    def _look(t, anchor):",
-           f"        nonlocal {', '.join([*(f'_i{g}' for g in range(len(delays))), *dv])}"]
-    for g, e in enumerate(delays):
-        js = [j for j, slot in enumerate(m.delays) if slot.delay == e]
-        before = []
-        for j in js:
-            if pre[j] is None:
-                before.append('raise DelayUnderflow(f"lookup at t={tau} precedes history '
-                              'and no prehistory is defined")')
-                break
-            before += [f"{dv[j]} = {psrc[j][0]}", f"{dv[J + j]} = {psrc[j][1]}"]
-        body = [f"tau = t - _h{g}",
-                f"if tau < _left or (anchor - _h{g} < _left and tau <= _right) or not _T:",
-                *("    " + ln for ln in before),
-                "else:", "    if _T[0] > tau:", "        tau = _T[0]",
-                "    if tau >= _T[-1]:       # clamp to the newest node (roundoff only)",
-                "        r0 = _R[-1]",
-                *(f"        {dv[j]}, {dv[J + j]} = r0[{j}], r0[{J + j}]" for j in js),
-                "    else:", f"        i = _i{g}", "        if _T[i] > tau:",
-                "            i = _bisect.bisect_right(_T, tau) - 1",
-                "        while _T[i + 1] <= tau:", "            i += 1", f"        _i{g} = i",
-                *("        " + ln for ln in _HERMITE)]
-        for j in js:
-            body += [f"        {dv[j]} = h00 * r0[{j}] + h10 * r0[{J + j}] + h01 * r1[{j}] + h11 * r1[{J + j}]",
-                     f"        {dv[J + j]} = d00 * r0[{j}] + d10 * r0[{J + j}] + d01 * r1[{j}] + d11 * r1[{J + j}]"]
-        src += ["        " + ln for ln in body]
-    return src
+           f"        nonlocal {', '.join(cursors + dv)}",
+           *("        " + ln for ln in look("t", "anchor", range(2 * J)))]
+    return src, look, cursors + dv
 
 
 # per RK stage after the first (whose rhs is ``f``, read as a0, a1, ...): the
@@ -394,22 +418,23 @@ def _generate_stepper(m: OdeModel, method: str, tape: Tape):
     table ``_k`` holds, tape 0 being ``tape`` (``m.tape``, with the slot
     slopes for a model with delay slots) and tape k the guard of event
     k - 1; the delay record's constants follow them.  ``_make`` binds the
-    model's and the guards' ``numbers`` from ``_k``, builds the delay record
-    (``_record_source``), for a model with delay slots, and computes the
-    parameter-only nodes that cannot raise or that every call needs; the
-    interpreter names one that fails.  All code is ``guarded_source``'s: a
-    node that one statement alone reads is written into that statement's
-    expression.
+    model's and the guards' ``numbers``, and the delay record's constants,
+    from ``_k`` to names, builds the delay record (``_record_source``), for
+    a model with delay slots, and computes the parameter-only nodes that
+    cannot raise or that every call needs; the interpreter names one that
+    fails.  All code is ``guarded_source``'s: a node that one statement
+    alone reads is written into that statement's expression.
 
     ``ev(x..., t, anchor, full)`` computes the rhs nodes, reading the
-    delay record for the step that starts at ``anchor``, and reuses the
-    previous lookup when it was made at the same t and its anchor cannot
-    change the result either (an anchor the longest delay or more past the
-    start time reaches the prehistory of no slot, so the lookup at an
-    accepted node is the last RK stage's).  With ``full`` set, at a node of
-    the march, it also returns the outputs and records the node: the slot
-    values and their time-slopes (``_with_slot_slopes``).  A node in an arm
-    that can raise runs only when that arm is taken (``arm_contexts``).
+    delay record (``_look``) for the step that starts at ``anchor``, and
+    reuses the previous lookup when it was made at the same t and its
+    anchor cannot change the result either (an anchor the longest delay or
+    more past the start time reaches the prehistory of no slot, so the
+    lookup at an accepted node is the last RK stage's).  With ``full``
+    set, at a node of the march, it also returns the outputs and records
+    the node: the slot values and their time-slopes
+    (``_with_slot_slopes``).  A node in an arm that can raise runs only
+    when that arm is taken (``arm_contexts``).
     ``step(x, t, h, f)`` is one RK step (``_rk_source``) that calls ``ev``
     at its stages, anchored at ``t``; event location bisects with it.
     ``guards`` holds one ``g(x..., t) -> float`` per event, its guard
@@ -421,17 +446,24 @@ def _generate_stepper(m: OdeModel, method: str, tape: Tape):
     states and outputs extending the other two), until tf or the first
     step across which a guard changes sign.  Each step is ``step``'s RK
     formula with the stages written out: the stage inputs that the rhs
-    reads, the delay lookup and ``ev``'s rhs statements; the delay
-    lookup's anchor is worked out once per step.  The accepted node is
-    ``ev(*y, tn, tn, True)`` written out the same way: the rhs, which is
-    the next step's first stage, the outputs and the delay record's row,
-    with an input that no statement reads read in place, so ``march`` calls ``ev``
-    nowhere (``integrate``'s first node, its restarts after an event,
-    ``step`` and discrete models still do).  The guard checks are written
-    out too; a guard is not checked on a step that ends inside its
-    deadtime window, which closes at ``until[i]``.  It returns None at
-    tf, else ``(i, k, x, t, h, f, g_i, y)``: guard i changed sign on the
-    k-th step, from (x, t) over h to y."""
+    reads, the delay lookup and ``ev``'s rhs statements.  The lookup is
+    ``_record_source``'s, written in place under ``ev``'s reuse test, and
+    it sets only the slot inputs the rhs reads; its anchor is worked out
+    once per step, and a stage at the previous stage's time (RK4's third)
+    keeps that stage's lookup.  The accepted node is ``ev(*y, tn, tn,
+    True)`` written out the same way: the rhs, which is the next step's
+    first stage, the outputs and the delay record's row, with an input
+    that no statement reads read in place; its lookup sets the slot inputs
+    any of them reads or, when it keeps the last stage's, those the stage
+    did not set.  So ``march`` calls ``ev`` and ``_look`` nowhere
+    (``integrate``'s first node, its restarts after an event, ``step`` and
+    discrete models still do), but where a stage or the node fails: there
+    ``_look`` re-runs the lookup for every slot, and the interpreter the
+    tape at those inputs.  The guard checks are written out too; a guard
+    is not checked on a step that ends inside its deadtime window, which
+    closes at ``until[i]``.  It returns None at tf, else ``(i, k, x, t, h,
+    f, g_i, y)``: guard i changed sign on the k-th step, from (x, t) over h
+    to y, with the last lookup forgotten, as it set only some slots."""
     n, s, q = m.n, len(m.param_names), m.n_outputs
     nodes, outs = tape.nodes, tape.outputs
     place, opened = arm_contexts(tape, [(o, 0 if k < n else 1) for k, o in enumerate(outs)])
@@ -459,6 +491,10 @@ def _generate_stepper(m: OdeModel, method: str, tape: Tape):
     at_node = [*(f"y[{i}]" for i in range(n)), "tn"]
     named = [j in arg and reads[arg[j]] > outs.count(arg[j]) for j in range(n + 1)]
     in_place = {arg[j]: at_node[j] for j in range(n + 1) if j in arg and not named[j]}
+    # the slot inputs (indices into ``dv``) that the rhs reads, and that any statement reads
+    slots = [arg.get(j) for j in range(n + 1 + s, tape.num_inputs)]
+    rhs_slots = {i for i, nid in enumerate(slots) if nid in read}
+    node_slots = {i for i, nid in enumerate(slots) if nid in place}
     arg = [f"_v{arg[j]}" if j in arg else f"_u{j}" for j in range(tape.num_inputs)]
     theta, dv, tt = arg[n + 1:n + 1 + s], arg[n + 1 + s:], arg[n]
 
@@ -468,9 +504,10 @@ def _generate_stepper(m: OdeModel, method: str, tape: Tape):
     def anchored(anchor):       # ``a``: the anchor, or None where no lookup depends on it
         return [f"a = {anchor} if {anchor} - _hmax < _left else None"] if m.delays else []
 
-    def lookup(ts, anchor):     # the delay record read at ts for the step from anchor
-        return [f"if {ts} != _kt or a != _ka:", f"    _look({ts}, {anchor})",
-                f"    _kt, _ka = {ts}, a"] if m.delays else []
+    def unless_kept(ts, look, kept=()):
+        # ``look``, a lookup at ts, unless the last one was at ts for ``a``; then ``kept``
+        return [f"if {ts} != _kt or a != _ka:", *("    " + ln for ln in look), f"    _kt, _ka = {ts}, a",
+                *(["else:", *("    " + ln for ln in kept)] if kept else [])] if look else []
 
     rhs = guarded_source(tape, place, opened, bound, 0, reads)
     rest = guarded_source(tape, place, opened, bound, 1, reads)       # the outputs and slot rows
@@ -479,23 +516,26 @@ def _generate_stepper(m: OdeModel, method: str, tape: Tape):
         return [f"[{', '.join(f'{k}{i}' for i in range(n))}] = "
                 f"ev({''.join(x + ', ' for x in xs)}{ts}, t, False)"]
 
-    def at_inputs(ins, keep, look, body):   # ``body`` after ``look``, at the inputs ``ins``
+    def at_inputs(ins, keep, look, body, looked):   # ``body`` after ``look``, at the inputs ``ins``
         vals = [*(a if k else e for a, e, k in zip(arg, ins, keep)), *arg[n + 1:]]    # ``_fail``'s
+        # a failure re-runs the whole lookup (at ``looked``), which sets every slot input
         return [*(f"{a} = {e}" for a, e, k in zip(arg, ins, keep) if k), *look,
                 *(["try:", *("    " + ln for ln in body), "except _ARITH_ERRORS:",
+                   *([f"    _look({looked})"] if m.delays else []),
                    f"    _fail(0, [{', '.join(vals)}])", "    raise"] if body else [])]
 
+    stage_times = []        # of the stages written so far
+
     def inline_stage(k, xs, ts):        # ``march``: ``ev``'s statements, at the stage inputs
-        return [*at_inputs([*xs, ts], stored, lookup(tt, "t"), rhs),
+        # the lookup of the slot inputs the rhs reads, unless the previous stage's was at ts
+        look = look_at(tt, "t", rhs_slots) if m.delays and stage_times[-1:] != [ts] else []
+        stage_times.append(ts)
+        return [*at_inputs([*xs, ts], stored, unless_kept(tt, look), rhs, f"{tt}, t"),
                 *(f"{k}{i} = {node_ref(tape, o)}" for i, o in enumerate(outs[:n]))]
 
     def at(ids):                        # the nodes' values at the accepted node
         return ", ".join(in_place.get(o) or node_ref(tape, o) for o in ids)
 
-    # ``march``: ``ev(*y, tn, tn, True)``'s statements, at the accepted node
-    node = [*anchored("tn"), *at_inputs(at_node, named, lookup("tn", "tn"), rhs + rest),
-            *(["_T.append(tn)", f"_R.append([{at(outs[n + q:])}])", "_kt = None"] if m.delays else []),
-            f"f = [{at(outs[:n])}]", f"out = [{at(outs[n:n + q])}]"]
     # the model's numbers, bound once per ``_make`` call: name -> (tape, node id)
     nums = {name: (0, i) for name, i in numbers(tape, place).items()}
     src, checks, late = [], [], []
@@ -517,18 +557,29 @@ def _generate_stepper(m: OdeModel, method: str, tape: Tape):
                    "    except _ARITH_ERRORS:",
                    f"        _fail({k}, [*y, tn])", "        raise",
                    f"    if (p{k} >= 0.0) != ({out} >= 0.0):",
+                   *(["        _kt = None      # ``ev`` must not reuse a partial lookup"]
+                     if m.delays else []),
                    f"        return {k - 1}, k, x, t, h, f, p{k}, y",
                    f"    p{k} = {out}"]
         late += [f"if tn <= u{k}:", f"    p{k} = _g{k}(*y, tn)"]
+    record, look_at, cells = _record_source(m, dv, list(nums)) if m.delays else ([], None, [])
+    # ``march``: ``ev(*y, tn, tn, True)``'s statements, at the accepted node, whose lookup
+    # sets the slot inputs any statement reads, or, kept from the last stage, those it did not
+    look = unless_kept("tn", look_at("tn", "tn", node_slots),
+                       look_at("tn", "tn", node_slots - rhs_slots)) if m.delays else []
+    node = [*anchored("tn"), *at_inputs(at_node, named, look, rhs + rest, "tn, tn"),
+            *(["_T.append(tn)", f"_R.append([{at(outs[n + q:])}])", "_kt = None"] if m.delays else []),
+            f"f = [{at(outs[:n])}]", f"out = [{at(outs[n:n + q])}]"]
     ps = ", ".join(f"p{k}" for k in range(1, len(m.events) + 1))
     us = ps.replace("p", "u")
     src = [f"def _make({', '.join(['_c', '_x', '_t0', '_env'] + theta)}):",
            f"    [{', '.join(nums)}] = _k[:{len(nums)}]", *src,
            "    _step, _tf = _c.step, _c.tf", "    _end = _tf - 1e-12 * max(1.0, abs(_tf))",
-           *(_record_source(m, dv, list(nums)) if m.delays else []),     # ``_k[len(nums):]``
+           *record,
            f"    def ev({', '.join(arg[:n + 1])}, anchor, full):",
            *(["        nonlocal _kt, _ka"] if m.delays else []),
-           *("        " + ln for ln in anchored("anchor") + lookup(tt, "anchor")),
+           *("        " + ln for ln in anchored("anchor")
+             + (unless_kept(tt, [f"_look({tt}, anchor)"]) if m.delays else [])),
            "        try:", *(" " * 12 + ln for ln in rhs),
            "            if not full:",
            f"                return [{refs(outs[:n])}]",
@@ -544,7 +595,7 @@ def _generate_stepper(m: OdeModel, method: str, tape: Tape):
            *("        " + ln for ln in _rk_source(m, method, call_stage)),
            "        return y",
            "    def march(x, t, f, g, until, times, states, outputs):",
-           *(["        nonlocal _kt, _ka"] if m.delays else []),
+           *([f"        nonlocal {', '.join(['_kt', '_ka', *cells])}"] if m.delays else []),
            *([f"        [{ps}] = g", f"        [{us}] = until"] if m.events else []),
            "        anchor, k = t, 1",
            "        while True:",

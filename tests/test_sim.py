@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 import threading
 import warnings
@@ -895,6 +896,65 @@ def test_generated_step_matches_reference_march_bitwise(method):
     assert branchy >= 30 and ran >= 30
 
 
+def _stepped_with_ev(m, c):
+    """``integrate``'s nodes for a model without events, from the generated
+    ``step`` and ``ev(*y, tn, tn, True)``, which read the delay record
+    through ``_look``: node times ``t0 + k * step``, clamped to tf."""
+    env = m.theta_env()
+    t = m.start_time(env, c.t0)
+    x = m.initial_state(env).tolist()
+    ev, step, _, _ = sim._stepper(m, c, x, t, env)
+    f, y = ev(*x, t, t, True)
+    times, states, outputs = [t], [x], [y]
+    end, anchor, k = c.tf - 1e-12 * max(1.0, abs(c.tf)), t, 1
+    while t < end:
+        tn = min(anchor + k * c.step, c.tf)
+        x = step(x, t, tn - t, f)
+        f, y = ev(*x, tn, tn, True)
+        times.append(tn)
+        states.append(x)
+        outputs.append(y)
+        t, k = tn, k + 1
+    return times, states, outputs
+
+
+def _two_delay_model():
+    """x0' = 0.5 x1'(t - a) - x0(t - 0.3137), x1' = 0.3 x0 - x0(t - 0.3137) x1
+    from t0 = 0.2, with a = 0.25 on the step grid of 0.05 and 0.3137 off it.
+    The rhs reads the value of slot 0 and only the time-slope of slot 1;
+    slot 2, on slot 0's delay, carries x0 x1 and only the output y0 reads
+    it.  The prehistories are cos(t), 1 + t^2 and 1/2."""
+    b = TapeBuilder(10)         # [x0, x1, t, a, d0, d1, d2, s0, s1, s2]
+    x0, x1 = b.input(0), b.input(1)
+    d0, s1, d2 = b.input(4), b.input(8), b.input(6)
+    rhs0 = b.sub(b.mul(b.const(0.5), s1), d0)
+    rhs1 = b.sub(b.mul(b.const(0.3), x0), b.mul(d0, x1))
+    t = b.build([rhs0, rhs1, d2, x0, x0, x1, b.mul(x0, x1)])
+    return make_ode_model(
+        2, t, ("a",), {"a": 0.25}, ("x0", "x1"), ("y0", "y1"),
+        init_exprs=(parse_expr(1.0), parse_expr(0.5)), init_time=parse_expr(0.2),
+        delays=(DelaySlot(parse_expr(0.3137), parse_expr("cos(t)")),
+                DelaySlot(parse_expr("a"), parse_expr("1 + t*t")),
+                DelaySlot(parse_expr(0.3137), parse_expr(0.5))))
+
+
+@pytest.mark.parametrize("method", ["rk4", "midpoint"])
+def test_written_out_lookups_match_step_and_ev_bitwise(method):
+    # the march's lookups, written out and computing only what each stage
+    # and node reads, against ``step`` and ``ev``, whose lookups run
+    # ``_look`` and set every slot: two distinct delays, one off the grid,
+    # a start time off zero, a slot only an output reads and one whose
+    # slope alone the rhs reads, in the primal and the sensitivity model
+    models = [(_two_delay_model(), SimConfig(step=0.05, tf=1.5)),
+              (dde_extend(_two_delay_model(), "a"), SimConfig(step=0.05, tf=1.5)),
+              *((model(), c) for name, model, c in GOLDEN_DELAY if name != "delay_reset")]
+    for m, c in models:
+        c = SimConfig(step=c.step, tf=c.tf, t0=c.t0, method=method)
+        tr, want = integrate(m, c), _stepped_with_ev(m, c)
+        assert [float(v).hex() for v in tr.times] == [float(v).hex() for v in want[0]]
+        assert _hex(tr.states) == _hex(want[1]) and _hex(tr.outputs) == _hex(want[2])
+
+
 @pytest.mark.parametrize("method", ["rk4", "midpoint"])
 def test_long_single_use_chain_marches_bitwise(method):
     # x' = a chain of 1,000 add and mul nodes, each read by the next only:
@@ -1301,23 +1361,21 @@ def test_delay_trajectory_matches_golden_file(monkeypatch, name, model, config):
 
 def test_node_lookup_reuses_the_last_stage_lookup(monkeypatch):
     # past t0 + h the step anchor cannot reach the prehistory, so the
-    # lookup at an accepted node is the last RK stage's at the same time
+    # lookup at an accepted node is the last RK stage's at the same time.
+    # Every lookup of the one delay, written out in the march or run by
+    # ``_look``, starts with ``tau = <t> - _h0``: each such statement of the
+    # generated source also records its t
     calls = []
-    bind = sim._bind_stepper
+    generate = sim._generate_stepper
 
-    def counting_bind(m, method):
-        make = bind(m, method)
+    def counting_generate(*args):
+        source, picks = generate(*args)
+        return re.sub(r"^( *)tau = (.+) - _h0$", r"\1_calls.append(\2)\n\g<0>", source,
+                      flags=re.M), picks
 
-        def counted_make(*args):
-            made = make(*args)
-            ev = made[0]
-            cell = ev.__closure__[ev.__code__.co_freevars.index("_look")]
-            lookup = cell.cell_contents
-            cell.cell_contents = lambda *a: calls.append(a[0]) or lookup(*a)
-            return made
-        return counted_make
-
-    monkeypatch.setattr(sim, "_bind_stepper", counting_bind)
+    monkeypatch.setattr(sim, "_CODE", {})
+    monkeypatch.setattr(sim, "_generate_stepper", counting_generate)
+    monkeypatch.setitem(sim._GLOBALS, "_calls", calls)
     counts = []
     for tf in (1.0, 1.1):
         calls.clear()
@@ -1334,9 +1392,91 @@ def test_march_works_out_the_lookup_anchor_once_per_step(method, stages):
     source = sim._generate_stepper(m, method, sim._with_slot_slopes(m))[0]
     march = source[source.index("    def march("):]
     # one anchor per step for its stages, and the accepted node's own
-    # anchor and lookup at tn
-    assert (march.count("a = t if t - _hmax < _left"), march.count("_look(")) == (1, stages + 1)
-    assert (march.count("a = tn if tn - _hmax < _left"), march.count("_look(tn, tn)")) == (1, 1)
+    # anchor and lookup at tn, all written out (``tau = <t> - _h0`` starts
+    # each); RK4's third stage, at the second's time, keeps its lookup
+    at = re.findall(r"tau = (\S+) - _h0$", march, flags=re.M)
+    assert (march.count("a = t if t - _hmax < _left"), len(at) - at.count("tn")) == (
+        1, stages - (method == "rk4"))
+    assert (march.count("a = tn if tn - _hmax < _left"), at.count("tn")) == (1, 1)
+    # ``_look`` runs only where a stage or the node failed, for the slot
+    # values the interpreter re-runs it with
+    lines = march.split("\n")
+    failed = [lines[k - 1].strip() for k, ln in enumerate(lines) if "_look(" in ln]
+    assert failed == ["except _ARITH_ERRORS:"] * (stages + 1)
+    assert march.count("_look(tn, tn)") == 1
+
+
+def _pole_at_stage_model(undefined=None):
+    """x' = (x(t - 0.5) + 0.125) / (x(t - 0.5) + 0.125) from x(0) = 0, with
+    the prehistory t: before t = 0.5 the delayed x is t - 0.5, so the rhs
+    divides zero by zero at the stage time 0.375 of a step of 0.25, never at
+    a node.  A second slot on the same delay carries x with the prehistory
+    t^2, and the output reads it; ``undefined`` replaces that slot by one on
+    the delay ``undefined``, with no prehistory, that nothing reads."""
+    b = TapeBuilder(6)          # [x, t, d0, d1, s0, s1]
+    x = b.input(0)
+    d = b.add(b.input(2), b.const(0.125))
+    rhs = b.div(d, d)
+    second = (DelaySlot(parse_expr(0.5), parse_expr("t*t")) if undefined is None
+              else DelaySlot(parse_expr(undefined), None))
+    t = b.build([rhs, x if undefined else b.input(3), x, x])
+    return make_ode_model(1, t, (), {}, ("x",), ("y",), init_exprs=(parse_expr(0.0),),
+                          delays=(DelaySlot(parse_expr(0.5), parse_expr("t")), second)), rhs
+
+
+def test_stage_failure_of_a_delay_model_reruns_the_whole_lookup(monkeypatch):
+    # the stage reads slot 0 alone, and the node at 0.25 looked slot 1 up
+    # for the output: the interpreter gets every slot value and slope at
+    # the failing stage (tau = -0.125), none left from the node's lookup
+    m, rhs = _pole_at_stage_model()
+    seen = []
+    rerun = sim.tape_eval
+    monkeypatch.setattr(sim, "tape_eval", lambda t, vals: seen.append(vals) or rerun(t, vals))
+    with pytest.raises(EvalDomainError) as exc:
+        integrate(m, SimConfig(step=0.25, tf=1.0))
+    assert exc.value.node_id == rhs
+    at = {"t": 0.375 - 0.5}
+    pre = [slot.prehistory for slot in m.delays]
+    want = [0.375, 0.375, *(e.evaluate(at) for e in pre), *(e.diff("t").evaluate(at) for e in pre)]
+    assert seen == [want] and want[3] != (-0.25) ** 2
+
+
+@pytest.mark.parametrize("delay", [0.5, 0.3])
+def test_delay_underflow_for_a_slot_nothing_reads(delay):
+    # the march looks up no slot that nothing reads, and the start node's
+    # lookup, which sets every slot, raises
+    from hybridad import DelayUnderflow
+    m, _ = _pole_at_stage_model(undefined=delay)
+    with pytest.raises(DelayUnderflow, match=f"^lookup at t={-delay} precedes history "
+                                             "and no prehistory is defined$"):
+        integrate(m, SimConfig(step=0.1, tf=1.0))
+
+
+def test_a_guard_hit_leaves_no_partial_lookup_for_ev():
+    # x' = 1 - x(t - 0.3) / 2 with the output x(t - 0.3)^2, which the rhs
+    # does not read, and the guard x - 0.5.  The march's stages look up
+    # only the slot the rhs reads; after the guard hit, ``ev`` at the last
+    # stage's time and anchor must look the record up again
+    b = TapeBuilder(6)          # [x, t, d0, d1, s0, s1]
+    x = b.input(0)
+    t = b.build([b.sub(b.const(1.0), b.mul(b.const(0.5), b.input(2))), b.input(3), x, b.mul(x, x)])
+    gb = TapeBuilder(2)
+    guard = gb.build([gb.sub(gb.input(0), gb.const(0.5))])
+    m = make_ode_model(1, t, (), {}, ("x",), ("y",), init_exprs=(parse_expr(0.0),),
+                       events=(EventSpec(guard, lambda x, t: x),),
+                       delays=(DelaySlot(parse_expr(0.3), parse_expr(0.0)),
+                               DelaySlot(parse_expr(0.3), parse_expr("t"))))
+    c = SimConfig(step=0.1, tf=2.0)
+
+    def node_after_hit(elsewhere):      # ``elsewhere``: first look up at another time
+        x, env = [0.0], m.theta_env()
+        ev, step, guards, march = sim._stepper(m, c, x, 0.0, env)
+        f, y = ev(*x, 0.0, 0.0, True)
+        _, _, x, t, h, _, _, y = march(x, 0.0, f, [guards[0](*x, 0.0)], [-math.inf], [0.0], x, y)
+        if elsewhere:
+            ev(*x, t + 0.5 * h, t, False)
+        return ev(*y, t + h, t, True)[1]
+    assert _hex([node_after_hit(False)]) == _hex([node_after_hit(True)])
 
 
 def test_models_of_one_structure_share_the_compiled_code():
@@ -1720,7 +1860,12 @@ def test_output_failure_at_an_accepted_node_is_named(code_cache, monkeypatch, de
         integrate(m, cfg)
     assert exc.value.node_id == root
     assert [vals[:2] for vals in seen] == [[clean.states[k, 0], clean.times[k]]]
-    assert ("_look(tn, tn)" in code_cache.sources[-1]) == delay
+    # the node extends the delay record; no statement reads a slot input,
+    # so only the node's failure runs the lookup at tn, for the values the
+    # interpreter re-runs the tape with
+    march = code_cache.sources[-1].split("    def march(")[1]
+    assert ("_T.append(tn)" in march) == delay and "tau = " not in march
+    assert ("except _ARITH_ERRORS:\n                _look(tn, tn)" in march) == delay
 
 
 def test_special_constants_trajectory_matches_golden_file():
