@@ -22,12 +22,18 @@ raises or its check reports a problem.
 Standard error gets one more line per workload and seed, whose jobs start
 from an empty code cache: how many models the simulator bound to generated
 code, how many times it generated code (cache misses), how many distinct
-sources those generations wrote, how many lines they hold together, and
-how many of those lines are node statements, which assign a ``_v<i>``,
+sources those generations wrote, how many lines they hold together, how
+many of those lines are node statements, which assign a ``_v<i>``,
 outside ``march`` (whose RK stages, accepted node and guard checks repeat
-the statements of ``ev`` and the guards):
+the statements of ``ev`` and the guards), and how many guard crossings
+the simulator located, with the calls of the RK step and of the guards
+that took:
 
-    <workload> <seed>: <models> models, <misses> generations, <distinct> distinct sources, <lines> lines, <nodes> node statements
+    <workload> <seed>: <models> models, <misses> generations, <distinct> distinct sources, <lines> lines, <nodes> node statements, <events> events located, <steps> step and <guards> guard calls
+
+The ``ImpactSensitivityWarning`` that every impact job's sensitivity run
+raises by design is not printed, so standard error holds only problems and
+these lines.
 
     python scripts/trajectory_digest.py --seed 1 --seed 2
     python scripts/trajectory_digest.py --workload delay-sens --seed 1
@@ -38,6 +44,7 @@ import hashlib
 import re
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +98,28 @@ def _wrap_generation(models: list, sources: list):
     sim._generate_stepper = generated
 
 
+def _wrap_location(located: list):
+    """Count, per located event, the calls of the RK step and of the guard
+    that ``_locate_event`` makes: one [steps, guards] entry per event."""
+    import hybridad.sim as sim
+    locate = sim._locate_event
+
+    def counted(step, guard, *args):
+        n = [0, 0]
+        located.append(n)
+
+        def counted_step(*a):
+            n[0] += 1
+            return step(*a)
+
+        def counted_guard(*a):
+            n[1] += 1
+            return guard(*a)
+        return locate(counted_step, counted_guard, *args)
+
+    sim._locate_event = counted
+
+
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--workload", action="append", choices=WORKLOADS,
@@ -103,12 +132,15 @@ def main() -> int:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import workloads
     from tracing import Tracer
+    from hybridad import ImpactSensitivityWarning
+    warnings.simplefilter("ignore", ImpactSensitivityWarning)
 
     seen: list[str] = []
     docs: list[str] = []
     layout: list[str] = []
     models: list = []
     sources: list[str] = []
+    located: list[list[int]] = []
 
     def csv(tr):
         layout.extend(layout_problems(tr))
@@ -116,12 +148,14 @@ def main() -> int:
     _wrap("hybridad.sim", "integrate", seen, csv)
     _wrap("hybridad.diagram", "diagram_to_json", docs, lambda text: text)
     _wrap_generation(models, sources)
+    _wrap_location(located)
     from hybridad import sim
     tracer, failed = Tracer(False), 0
     for name in args.workload or WORKLOADS:
         for seed in args.seed:
             models.clear()
             sources.clear()
+            located.clear()
             sim._CODE.clear()
             with tempfile.TemporaryDirectory() as tmp:
                 wl = workloads.build(name, seed, Path(tmp))
@@ -145,8 +179,10 @@ def main() -> int:
                     failed += bool(problems)
             lines = sum(src.count("\n") + 1 for src in sources)
             nodes = sum(len(NODE_STATEMENT.findall(MARCH.sub("", src))) for src in sources)
+            steps, guards = (sum(n[k] for n in located) for k in (0, 1))
             print(f"{name} {seed}: {len(models)} models, {len(sources)} generations, "
-                  f"{len(set(sources))} distinct sources, {lines} lines, {nodes} node statements",
+                  f"{len(set(sources))} distinct sources, {lines} lines, {nodes} node statements, "
+                  f"{len(located)} events located, {steps} step and {guards} guard calls",
                   file=sys.stderr)
     return 1 if failed else 0
 

@@ -15,9 +15,9 @@ the start, all generated per model with the delays evaluated once per
 call.
 
 Event handling is sign-change detection on the guards between accepted
-steps, bisection localization to the configured tolerance, a two-phase
-state update, and a deadtime that suppresses re-triggering right after a
-discontinuity.  Impact events apply the energy-balance velocity update of
+steps, location by a bracketed secant to the configured tolerance, a
+two-phase state update, and a deadtime that suppresses re-triggering
+right after a discontinuity.  Impact events apply the energy-balance velocity update of
 :func:`impact_update` to the primal states only.  Sensitivity states pass
 through an impact unchanged, with no saltation jump, so sensitivities
 after an impact are wrong: ``integrate`` warns
@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from itertools import chain
@@ -280,10 +281,10 @@ def _with_slot_slopes(m: OdeModel) -> Tape:
 
 
 _HERMITE = (    # the cubic Hermite basis on [_T[i], _T[i + 1]] at tau, then its time derivative
-    ("h00 = (1 + 2 * w) * (1 - w) ** 2", "h10 = w * (1 - w) ** 2 * dt",
-     "h01 = w * w * (3 - 2 * w)", "h11 = w * w * (w - 1) * dt"),
+    ("uu = (1 - w) ** 2", "h00 = (1 + 2 * w) * uu", "h10 = w * uu * dt",
+     "ww = w * w", "h01 = ww * (3 - 2 * w)", "h11 = ww * (w - 1) * dt"),
     ("dw = 1.0 / dt", "dh00 = 6 * w * (w - 1) * dw", "dh10 = (3 * w * w - 4 * w + 1)",
-     "dh01 = -6 * w * (w - 1) * dw", "dh11 = (3 * w * w - 2 * w)"))
+     "dh01 = -dh00", "dh11 = (3 * w * w - 2 * w)"))
 
 
 def _record_exprs(m: OdeModel):
@@ -308,7 +309,7 @@ def _record_source(m: OdeModel, dv: list[str], consts: list):
     value, or time-slope, of the slot's carried signal at t minus its delay,
     for the step started at ``anchor`` (source expressions).  Per delay it
     holds one block: an interval cursor that walks forward with the march
-    (bisection when an event bisection reads behind it), the Hermite basis,
+    (a binary search when event location reads behind it), the Hermite basis,
     its derivative only where a slope is wanted, and the wanted slots
     unrolled, or the prehistory and its t-derivative, both expressions of
     tau and theta, where a slot with no prehistory raises
@@ -436,7 +437,8 @@ def _generate_stepper(m: OdeModel, method: str, tape: Tape):
     (``_with_slot_slopes``).  A node in an arm that can raise runs only
     when that arm is taken (``arm_contexts``).
     ``step(x, t, h, f)`` is one RK step (``_rk_source``) that calls ``ev``
-    at its stages, anchored at ``t``; event location bisects with it.
+    at its stages, anchored at ``t``; event location takes its sub-steps
+    with it.
     ``guards`` holds one ``g(x..., t) -> float`` per event, its guard
     tape's output computed the same taken-arm way.
 
@@ -750,36 +752,48 @@ def _stepper(m: OdeModel, c: SimConfig, x, t, env):
 
 
 def _locate_event(step, guard, x, t, h, k1, g0, x_hi, tol):
-    """Bisection from (t, x) over sub-steps of [t, t+h] taken by ``step``;
-    ``k1`` and ``g0`` are the rhs and guard at (x, t), ``x_hi`` the full
-    step's state."""
+    """The first guard crossing in [t, t+h], by the Anderson-Bjorck
+    bracketed secant (Anderson & Bjorck, BIT 1973) over sub-steps taken by
+    ``step`` from (t, x); ``k1`` and ``g0`` are the rhs and guard at (x, t),
+    ``x_hi`` the full step's state.  Each probe stays tol/2 inside the
+    bracket, so the bracket closes to tol as soon as the secant is that
+    close to the crossing; a bracket within tol is bisected until the guard
+    is small there.  Returns the time and state of the bracket's end past
+    the crossing."""
+    side = g0 >= 0.0
     lo, hi = 0.0, h
-    g_hi = None         # guard at (x_hi, t + hi), evaluated when first needed
+    g_hi = guard(*x_hi, t + h)
+    f_lo, f_hi = g0, g_hi       # the secant's guard values, a retained end's scaled down
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        x_mid = step(x, t, mid, k1) if mid > 0 else x
-        g_mid = guard(*x_mid, t + mid)
-        if (g0 >= 0.0) != (g_mid >= 0.0):
-            hi, x_hi, g_hi = mid, x_mid, g_mid
-        else:
-            lo = mid
-        if hi - lo <= tol:
-            if g_hi is None:
-                g_hi = guard(*x_hi, t + hi)
-            if abs(g_hi) <= 1e-8 * max(1.0, abs(g0)):
-                break
         if hi - lo <= 1e-15 * max(1.0, abs(t)):
             break
+        if hi - lo <= tol:
+            if abs(g_hi) <= 1e-8 * max(1.0, abs(g0)):
+                break
+            c = 0.5 * (lo + hi)
+        else:       # the secant's root, or the midpoint where the guard is not finite; tol/2 inside
+            d = f_lo - f_hi
+            c = lo + f_lo / d * (hi - lo) if d and math.isfinite(d) else 0.5 * (lo + hi)
+            c = min(max(c, lo + 0.5 * tol), hi - 0.5 * tol)
+        x_c = step(x, t, c, k1)
+        g_c = guard(*x_c, t + c)
+        if side != (g_c >= 0.0):        # c replaces hi, and lo is retained
+            m = 1.0 - g_c / f_hi if f_hi else 0.0
+            hi, x_hi, g_hi, f_hi = c, x_c, g_c, g_c
+            f_lo *= m if m > 0.0 else 0.5
+        else:                           # c replaces lo, and hi is retained
+            m = 1.0 - g_c / f_lo if f_lo else 0.0
+            lo, f_lo = c, g_c
+            f_hi *= m if m > 0.0 else 0.5
     return t + hi, x_hi
 
 
 def _apply_action(ev: EventSpec, x, t) -> list[float]:
-    x = np.array(x)
-    if isinstance(ev.action, ImpactSurface):
-        d = ev.action.dim
-        x[d:2 * d] = impact_update(ev.action, x[:d], x[d:2 * d], t)
-        return x.tolist()
-    return np.asarray(ev.action(x, t), dtype=float).tolist()
+    s = ev.action
+    if isinstance(s, ImpactSurface):
+        d = s.dim
+        return [*x[:d], *_impact_velocity(s, x[:d], x[d:2 * d], t), *x[2 * d:]]
+    return np.asarray(s(np.array(x), t), dtype=float).tolist()
 
 
 def _integrate_discrete(m: OdeModel, c: SimConfig, env) -> Trajectory:
@@ -824,10 +838,19 @@ def impact_update(s: ImpactSurface, q, v_pre, t) -> np.ndarray:
     jump; when the balance has no real solution the normal component
     reflects instead (rebound).
     """
-    q = np.asarray(q, dtype=float)
-    v_pre = np.asarray(v_pre, dtype=float)
+    return np.array(_impact_velocity(s, np.asarray(q, dtype=float).tolist(),
+                                     np.asarray(v_pre, dtype=float).tolist(), t))
+
+
+def _impact_velocity(s: ImpactSurface, q: list, v: list, t) -> list[float]:
+    """:func:`impact_update` on lists of floats.  The metric and the
+    potentials are called with q as an array; the rest is float arithmetic
+    but the solve for the normal direction of a metric of dimension 2 or
+    more.  For dimension 1 that solve is g / a, the bits ``np.linalg.solve``
+    gives too."""
     d = s.dim
-    A = np.asarray(s.metric(q), dtype=float)
+    qa = np.array(q)
+    A = np.asarray(s.metric(qa), dtype=float)
     if A.shape != (d, d):
         raise ValueError(f"metric must be {d}x{d}")
     rows = A.tolist()       # np.allclose(A, A.T, atol=1e-12), entry by entry
@@ -835,19 +858,23 @@ def impact_update(s: ImpactSurface, q, v_pre, t) -> np.ndarray:
                for row, col in zip(rows, zip(*rows)) for a, b in zip(row, col)):
         raise ValueError("metric must be symmetric")
 
-    grad = reverse_gradient(s.guard, list(q) + [t], 0)
-    gq = grad[:d]
-    gt = grad[d]
-    gg, gv = float(gq @ gq), float(gq @ v_pre)
+    grad = reverse_gradient(s.guard, [*q, t], 0).tolist()
+    gq, gt = grad[:d], grad[d]
+    gg, gv = sum(map(operator.mul, gq, gq)), sum(map(operator.mul, gq, v))
     if gg == 0.0:
         raise NonTransversal("guard gradient vanishes at the impact point")
 
     # normal direction: A-orthogonal to the tangent space ker(gq)
-    try:
-        e_n = np.linalg.solve(A, gq)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMetric(str(exc)) from exc
-    gn = float(gq @ e_n)          # = e_n^T A e_n = a_nn * (normal scale)^2
+    if d == 1:
+        if rows[0][0] == 0.0:
+            raise SingularMetric("Singular matrix")
+        e_n = [gq[0] / rows[0][0]]
+    else:
+        try:
+            e_n = np.linalg.solve(A, gq).tolist()
+        except np.linalg.LinAlgError as exc:
+            raise SingularMetric(str(exc)) from exc
+    gn = sum(map(operator.mul, gq, e_n))    # = e_n^T A e_n = a_nn * (normal scale)^2
     if abs(gn) < 1e-14 * max(1.0, gg):
         raise SingularMetric("metric is singular along the guard normal")
 
@@ -861,8 +888,8 @@ def impact_update(s: ImpactSurface, q, v_pre, t) -> np.ndarray:
         raise NonTransversal(
             f"guard not increasing along the trajectory (rate {transversal:.3e})")
 
-    e_pos = float(s.potential_pos(q))
-    e_neg = float(s.potential_neg(q))
+    e_pos = float(s.potential_pos(qa))
+    e_neg = float(s.potential_neg(qa))
     rel = vn_pre - v_wall
     rhs = a_nn * rel * rel + (e_neg - e_pos)
     if rhs >= 0.0:
@@ -870,7 +897,7 @@ def impact_update(s: ImpactSurface, q, v_pre, t) -> np.ndarray:
         vn_post = v_wall + math.copysign(mag, rel)
     else:
         vn_post = v_wall - rel
-    return v_pre + (vn_post - vn_pre) * e_n
+    return [u + (vn_post - vn_pre) * e for u, e in zip(v, e_n)]
 
 
 def impact_event(surface: ImpactSurface, n: int,

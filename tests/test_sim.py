@@ -89,13 +89,13 @@ def test_midpoint_second_order():
 # impact law
 # ---------------------------------------------------------------------------
 
-def _surface(dim, wall_speed=0.0, e_pos=0.0, e_neg=0.0, A=None, offset=1.0):
+def _surface(dim, wall_speed=0.0, e_pos=0.0, e_neg=0.0, A=None, offset=1.0, scale=None):
     b = TapeBuilder(dim + 1)
     q0 = b.input(0)
     tn = b.input(dim)
-    # f(q, t) = q_0 - offset - wall_speed * t
+    # f(q, t) = q_0 - offset - wall_speed * t, times scale when given
     expr = b.sub(q0, b.add(b.const(offset), b.mul(b.const(wall_speed), tn)))
-    guard = b.build([expr])
+    guard = b.build([expr if scale is None else b.mul(b.const(scale), expr)])
     Amat = np.eye(dim) if A is None else np.asarray(A)
     return ImpactSurface(dim, lambda q: Amat,
                          lambda q: e_pos, lambda q: e_neg, guard)
@@ -219,6 +219,82 @@ def test_impact_randomized_energy_and_tangential_invariants():
         impact_invariants(s, A, q, v_pre, v_post, e_pos, e_neg, w)
 
 
+def _numpy_impact_update(s, q, v_pre, t):
+    """The impact law in numpy arrays, as ``impact_update`` computed it
+    before it ran on floats: the reference its dimension-1 bits must
+    repeat."""
+    q, v_pre, d = np.asarray(q, dtype=float), np.asarray(v_pre, dtype=float), s.dim
+    A = np.asarray(s.metric(q), dtype=float)
+    if not np.allclose(A, A.T, atol=1e-12):
+        raise ValueError("metric must be symmetric")
+    grad = sim.reverse_gradient(s.guard, list(q) + [t], 0)
+    gq, gt = grad[:d], grad[d]
+    gg, gv = float(gq @ gq), float(gq @ v_pre)
+    if gg == 0.0:
+        raise NonTransversal("gradient")
+    try:
+        e_n = np.linalg.solve(A, gq)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMetric(str(exc)) from exc
+    gn = float(gq @ e_n)
+    if abs(gn) < 1e-14 * max(1.0, gg):
+        raise SingularMetric("normal")
+    vn_pre, v_wall = gv / gn, -gt / gn
+    if gv + gt <= 0.0:
+        raise NonTransversal("rate")
+    rel = vn_pre - v_wall
+    rhs = gn * rel * rel + (float(s.potential_neg(q)) - float(s.potential_pos(q)))
+    vn_post = v_wall + math.copysign(math.sqrt(rhs / gn), rel) if rhs >= 0.0 else v_wall - rel
+    return v_pre + (vn_post - vn_pre) * e_n
+
+
+def _impact_outcome(update, s, q, v, t):
+    """The hex digits of the update's result, or the type of what it raised."""
+    try:
+        return [float(u).hex() for u in update(s, q, v, t)]
+    except (SingularMetric, NonTransversal, ValueError) as exc:
+        return type(exc)
+
+
+def test_impact_update_of_dimension_1_repeats_the_numpy_formula_bit_for_bit():
+    rng = np.random.default_rng(77)
+    cases = [(float(rng.uniform(0.01, 10.0)), float(rng.uniform(-2.0, 2.0)),
+              float(rng.uniform(-3.0, 3.0)), float(rng.uniform(-1.0, 1.0)),
+              float(rng.uniform(-3.0, 3.0)), float(rng.uniform(-3.0, 3.0)),
+              float(rng.uniform(0.1, 10.0))) for _ in range(2000)]
+    cases += [(a, 1.0, 1.0, 0.3, 0.5, -0.25, 0.7) for a in _ENTRIES]
+    for mass, q, v, w, e_pos, e_neg, scale in cases:       # scale: the guard's q-gradient
+        s = _surface(1, wall_speed=w, e_pos=e_pos, e_neg=e_neg, A=[[mass]], offset=q, scale=scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)     # the reference on inf and nan
+            want = _impact_outcome(_numpy_impact_update, s, [q], [v], 0.0)
+        assert _impact_outcome(impact_update, s, [q], [v], 0.0) == want, (mass, q, v, w)
+
+
+def test_impact_update_of_dimension_2_agrees_with_the_numpy_formula():
+    rng = np.random.default_rng(78)
+    for _ in range(500):
+        A = _random_spd(rng, 2)
+        w = float(rng.uniform(-1.0, 1.0))
+        s = _surface(2, wall_speed=w, e_pos=float(rng.uniform(-2.0, 2.0)),
+                     e_neg=float(rng.uniform(-2.0, 2.0)), A=A)
+        q, v = [1.0, float(rng.uniform(-1.0, 1.0))], rng.uniform(-2.0, 2.0, 2)
+        v[0] = abs(v[0]) + max(0.0, w) + 0.5          # a transversal approach
+        got, want = impact_update(s, q, v, 0.0), _numpy_impact_update(s, q, v, 0.0)
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("a", [0.0, -0.0])
+def test_zero_metric_of_dimension_1_is_singular(a):
+    with pytest.raises(SingularMetric):
+        impact_update(_surface(1, A=[[a]]), [1.0], [1.0], 0.0)
+
+
+def test_impact_update_returns_an_array():
+    v = impact_update(_surface(1, e_pos=2.0), [1.0], [1.0], 0.0)
+    assert type(v) is np.ndarray and v.dtype == np.float64 and v.shape == (1,)
+
+
 # ---------------------------------------------------------------------------
 # event-driven simulation of a particle crossing a potential step
 # ---------------------------------------------------------------------------
@@ -315,6 +391,103 @@ def test_two_phase_impact_update_uses_pre_velocities():
     assert vn_post == pytest.approx(-vn_pre, rel=1e-12)
     # both components move (coupled normal direction), tangent part intact
     assert np.allclose(v_post, v_pre + (vn_post - vn_pre) * e_n, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# event location
+# ---------------------------------------------------------------------------
+
+def _perfbench_workloads(monkeypatch):
+    """``perfbench/workloads.py``, loaded without writing bytecode beside it."""
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    mod = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, mod)        # its dataclasses look it up
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _count_locator_calls(monkeypatch) -> list:
+    """Per located event, the [step, guard] calls ``_locate_event`` makes,
+    counted as ``scripts/trajectory_digest.py`` counts them."""
+    calls = []
+    monkeypatch.setattr(sim, "_locate_event", sim._locate_event)     # restored after the test
+    _digest_script()._wrap_location(calls)
+    return calls
+
+
+def test_bounces_are_located_in_a_handful_of_calls_within_tol_of_the_closed_form(monkeypatch):
+    wl = _perfbench_workloads(monkeypatch)
+    H, g = 0.05, 9.81
+    v1 = math.sqrt(2.0 * g * H)
+    model = wl._ballistic_model(H, g, 1.3, [(0.0, 0.0, 100.0)])
+    c = SimConfig(step=wl.IMPACT_STEP, tf=(1.0 + 2.0 * 5.5) * v1 / g)
+    calls = _count_locator_calls(monkeypatch)
+    tr = integrate(model, c)
+    assert len(tr.events) == len(calls) == 6
+    assert all(steps <= 4 and guards <= 5 for steps, guards in calls), calls
+    # RK4 is exact on the flight's parabola: each crossing of q = 0 is
+    # where the closed form puts it from the last event's post state, and
+    # bounce j where the free fall's puts it, (2 j + 1) sqrt(2 H / g)
+    tol, t, q, v = c.resolved_event_tol, 0.0, H, 0.0
+    for j, ev in enumerate(tr.events):
+        t_ref = t + (v + math.sqrt(v * v + 2.0 * g * q)) / g
+        assert t_ref <= ev.time <= t_ref + tol
+        assert abs(ev.time - (2 * j + 1) * math.sqrt(2.0 * H / g)) <= tol
+        assert ev.pre_state[0] <= 0.0           # the end past the crossing
+        t, (q, v) = ev.time, ev.post_state
+
+
+def _locate_on_a_line(rate, x0, guard, tol):
+    """``_locate_event`` from x0 at t = 1 along x' = rate, whose sub-steps
+    are exact, over a step of 0.25: the located time, the state there and
+    how many sub-steps it took."""
+    steps = []
+
+    def step(x, t, c, k1):
+        steps.append(c)
+        return [x[0] + c * k1[0]]
+    h = 0.25
+    t_star, x_star = sim._locate_event(step, guard, [x0], 1.0, h, [rate], guard(x0, 1.0),
+                                       [x0 + h * rate], tol)
+    return t_star, x_star, len(steps)
+
+
+@pytest.mark.parametrize("rate", [1.0, -1.0])
+@pytest.mark.parametrize("end", [0.0, 0.25])
+def test_a_root_within_tol_half_of_an_end_is_located_inside_tol(rate, end):
+    # the secant probe lands on the root, tol/4 from an end of the step,
+    # and is clamped tol/2 inside the bracket, which then closes
+    tol = 1e-9
+    s = end + (tol / 4 if end == 0.0 else -tol / 4)     # the root's offset into the step
+    t_star, x_star, steps = _locate_on_a_line(rate, -rate * s, lambda x, t: x, tol)
+    assert s <= t_star - 1.0 <= s + tol
+    assert (x_star[0] >= 0.0) != (rate < 0.0) and steps == 1
+
+
+@pytest.mark.parametrize("rate, guard, root", [
+    (-1.0, lambda x, t: x, 0.0),                    # leaves zero downwards
+    (1.0, lambda x, t: x - 8.0 * x * x, 0.125)])    # rises from zero, then falls through it
+def test_a_guard_that_starts_at_zero_is_located_inside_tol(rate, guard, root):
+    # g0 = 0.0 counts as the nonnegative side, so the crossing is to g < 0;
+    # a probe on the side of g0 scales nothing by 1 - g_c / 0.  Rising from
+    # zero, the probes creep tol/2 at a time while the retained end halves
+    # (44 sub-steps), until the secant reaches over to the crossing
+    tol = 1e-9
+    t_star, x_star, steps = _locate_on_a_line(rate, 0.0, guard, tol)
+    assert root < t_star - 1.0 <= root + tol and guard(*x_star, t_star) < 0.0
+    assert steps <= 60
+
+
+def test_a_cubic_guard_is_located_inside_tol_well_under_the_cap():
+    # (x - r)^3 is flat at its root: plain regula falsi keeps the same end
+    # on every probe and is still 7e-3 short of the root at the cap; the
+    # scaled retained end closes in linearly
+    tol, r = 1e-9, 0.1
+    t_star, x_star, steps = _locate_on_a_line(1.0, 0.0, lambda x, t: (x - r) ** 3, tol)
+    assert r <= t_star - 1.0 <= r + tol and x_star[0] >= r
+    assert steps <= 100
 
 
 # ---------------------------------------------------------------------------
@@ -1032,11 +1205,12 @@ def test_domain_error_at_inner_stage_names_the_node():
     assert exc.value.node_id == rhs
 
 
-def test_domain_error_inside_event_bisection_names_the_node():
-    # the guard x - 0.3 crosses in the step from 0.25 to 0.5; the first
-    # bisection sub-step of 0.125 has its midpoint stage at t = 0.3125,
-    # which the march itself never visits
-    m, rhs = _stage_only_pole_model(0.3125)
+def test_domain_error_inside_event_location_names_the_node():
+    # the guard x - 0.3 crosses in the step from 0.25 to 0.5; the locator's
+    # first secant probe, from the guard values -0.05 and 0.2 at the step's
+    # ends, is the sub-step of 0.05, whose midpoint stage at t = 0.275 the
+    # march itself never visits
+    m, rhs = _stage_only_pole_model(0.275)
     gb = TapeBuilder(2)
     guard = gb.build([gb.sub(gb.input(0), gb.const(0.3))])
     m = make_ode_model(1, m.tape, (), {}, m.state_names, m.output_names,
@@ -1245,8 +1419,8 @@ def test_deeply_nested_arms_switch_cascade():
 
 def _delay_reset_model():
     """x'(t) = 1 - x(t - h) / 2 with prehistory t / 4 and h = 0.37 off the
-    grid; x is reset to 0.1 whenever it rises through 0.6, so event
-    bisections read the history behind the latest lookups."""
+    grid; x is reset to 0.1 whenever it rises through 0.6, so the event
+    locator's sub-steps read the history behind the latest lookups."""
     b = TapeBuilder(5)          # [x, t, h, xdel, xdelslope]
     x = b.input(0)
     t = b.build([b.sub(b.const(1.0), b.mul(b.const(0.5), b.input(3))), x, x])
@@ -1351,13 +1525,33 @@ def test_delay_trajectory_matches_golden_file(monkeypatch, name, model, config):
                         lambda *a: reads_behind.append(a[1]) or bisect_right(*a))
     tr = integrate(model(), config)
     if name == "delay_reset":
-        # an event bisection reads behind the cursor, and both sides of
+        # the event locator's sub-steps read behind the cursor, and both sides of
         # each event time are recorded
         assert len(tr.events) >= 3 and reads_behind
     path = os.path.join(os.path.dirname(__file__), "golden", f"{name}.csv")
     with open(path, encoding="ascii", newline="") as fh:
         assert tr.to_csv() == fh.read()
 
+
+
+def test_hermite_basis_computes_shared_factors_once_with_the_same_bits():
+    # the basis as written before its shared factors, (1 - w) ** 2, w * w
+    # and dh00, were computed once
+    written = ("h00 = (1 + 2 * w) * (1 - w) ** 2", "h10 = w * (1 - w) ** 2 * dt",
+               "h01 = w * w * (3 - 2 * w)", "h11 = w * w * (w - 1) * dt", "dw = 1.0 / dt",
+               "dh00 = 6 * w * (w - 1) * dw", "dh10 = (3 * w * w - 4 * w + 1)",
+               "dh01 = -6 * w * (w - 1) * dw", "dh11 = (3 * w * w - 2 * w)")
+    names = ("h00", "h10", "h01", "h11", "dh00", "dh10", "dh01", "dh11")
+    rng = np.random.default_rng(5)
+    points = [(w, 0.01) for w in (0.0, -0.0, 0.5, 1.0)]
+    points += zip(rng.uniform(0.0, 1.0, 5000).tolist(), rng.uniform(1e-4, 1.0, 5000).tolist())
+    codes = [compile("\n".join(lines), "<basis>", "exec")
+             for lines in (written, sim._HERMITE[0] + sim._HERMITE[1])]
+    for w, dt in points:
+        old, new = ({"w": w, "dt": dt} for _ in codes)
+        exec(codes[0], {}, old)
+        exec(codes[1], {}, new)
+        assert [old[k].hex() for k in names] == [new[k].hex() for k in names], (w, dt)
 
 def test_node_lookup_reuses_the_last_stage_lookup(monkeypatch):
     # past t0 + h the step anchor cannot reach the prehistory, so the
