@@ -27,9 +27,11 @@ many of those lines are node statements, which assign a ``_v<i>``,
 outside ``march`` (whose RK stages, accepted node and guard checks repeat
 the statements of ``ev`` and the guards), and how many guard crossings
 the simulator located, with the calls of the RK step and of the guards
-that took:
+that took, and how many lines the ``while True:`` loop of ``march`` holds,
+summed over the distinct sources (what each step of the march runs
+through):
 
-    <workload> <seed>: <models> models, <misses> generations, <distinct> distinct sources, <lines> lines, <nodes> node statements, <events> events located, <steps> step and <guards> guard calls
+    <workload> <seed>: <models> models, <misses> generations, <distinct> distinct sources, <lines> lines, <nodes> node statements, <events> events located, <steps> step and <guards> guard calls, <loop> march loop lines
 
 The ``ImpactSensitivityWarning`` that every impact job's sensitivity run
 raises by design is not printed, so standard error holds only problems and
@@ -53,6 +55,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("smooth-sens", "impact-events", "delay-sens", "large-diagram")
 MARCH = re.compile(r"^    def march\(.*?(?=^ {0,4}\S)", re.M | re.S)
 NODE_STATEMENT = re.compile(r"^ *(if _c\d+: )?_v[\d_]+ = ", re.M)
+LOOP = re.compile(r"^        while True:\n(.*?)(?=^ {0,8}\S|\Z)", re.M | re.S)
 
 
 def layout_problems(tr) -> list[str]:
@@ -180,9 +183,12 @@ def main() -> int:
             lines = sum(src.count("\n") + 1 for src in sources)
             nodes = sum(len(NODE_STATEMENT.findall(MARCH.sub("", src))) for src in sources)
             steps, guards = (sum(n[k] for n in located) for k in (0, 1))
+            loop = sum(body.count("\n") for src in set(sources)
+                       for body in LOOP.findall(MARCH.search(src).group()))
             print(f"{name} {seed}: {len(models)} models, {len(sources)} generations, "
                   f"{len(set(sources))} distinct sources, {lines} lines, {nodes} node statements, "
-                  f"{len(located)} events located, {steps} step and {guards} guard calls",
+                  f"{len(located)} events located, {steps} step and {guards} guard calls, "
+                  f"{loop} march loop lines",
                   file=sys.stderr)
     return 1 if failed else 0
 

@@ -10,7 +10,7 @@ iterated-sequence precision probe.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -141,6 +141,12 @@ def identifiability_test(m: OdeModel, times=None, config: SimConfig = None,
     ``times=None`` picks just enough equispaced samples on (0, tf] to
     make the matrix square; pass explicit times when those happen to be
     unlucky (near roots of the determinant).
+
+    Each row reads the node nearest its sample time, so the run stops two
+    steps past the last sample, or at ``config.tf`` if that comes first:
+    the nodes up to there, and so the matrix, are those of the run to
+    ``config.tf`` bit for bit.  A model that fails only after that end
+    returns a report.
     """
     if config is None:
         raise ValueError("a SimConfig is required")
@@ -160,7 +166,9 @@ def identifiability_test(m: OdeModel, times=None, config: SimConfig = None,
         raise ShapeMismatch("need at least one sample time")
 
     M = np.empty((len(times) * q, len(columns)))
-    tr = integrate(sensitivity_extend(m, columns), config)
+    # the nodes nearest the samples are those of the run to tf; none past the end is read
+    end = min(config.tf, max(times) + 2 * config.step)
+    tr = integrate(sensitivity_extend(m, columns), replace(config, tf=end))
     for it, tq in enumerate(times):
         idx = int(np.argmin(np.abs(tr.times - tq)))
         M[it * q:(it + 1) * q] = tr.outputs[idx, q:].reshape(len(columns), q).T

@@ -315,7 +315,11 @@ def _record_source(m: OdeModel, dv: list[str], consts: list):
     tau and theta, where a slot with no prehistory raises
     ``DelayUnderflow``.  A delay none of whose slots is wanted is skipped:
     the first lookup, of ``integrate``'s start node, sets every slot and
-    reaches every prehistory, so it raises there.
+    reaches every prehistory, so it raises there.  Written into the march
+    (``march`` set), the prehistory test runs only while the step's ``a``
+    is not None: with the anchor the longest delay or more past the start,
+    tau is at least ``_left`` in floats too (rounding is monotonic), and
+    ``_T`` is never empty there.
 
     The carried signal may jump at the start time (prehistory on one
     side, dynamics on the other); a step that starts left of that boundary
@@ -332,7 +336,7 @@ def _record_source(m: OdeModel, dv: list[str], consts: list):
     psrc = [es and [e.to_source(at_tau, consts) for e in es] for es in pre]
     groups = [[j for j, slot in enumerate(m.delays) if slot.delay == e] for e in delays]
 
-    def look(t, anchor, want):
+    def look(t, anchor, want, march=False):
         src = []
         for g, js in enumerate(groups):
             values, slopes = ([j for j in js if k + j in want] for k in (0, J))
@@ -346,8 +350,9 @@ def _record_source(m: OdeModel, dv: list[str], consts: list):
                     break
                 before += [f"{dv[k + j]} = {psrc[j][k > 0]}" for k in (0, J) if k + j in want]
             wanted = [k + j for j in js for k in (0, J) if k + j in want]
+            test = f"tau < _left or ({anchor} - _h{g} < _left and tau <= _right) or not _T"
             src += [f"tau = {t} - _h{g}",
-                    f"if tau < _left or ({anchor} - _h{g} < _left and tau <= _right) or not _T:",
+                    f"if {test}:" if not march else f"if a is not None and ({test}):",
                     *("    " + ln for ln in before),
                     "else:", "    if _T[0] > tau:", "        tau = _T[0]",
                     "    if tau >= _T[-1]:       # clamp to the newest node (roundoff only)",
@@ -389,26 +394,35 @@ def _record_source(m: OdeModel, dv: list[str], consts: list):
 # name of its rhs, the stage whose rhs it steps along and the step, then y
 _RK_STAGES = {"midpoint": (("b", "a", "hh"),),
               "rk4": (("b", "a", "hh"), ("c", "b", "hh"), ("d", "c", "h"))}
-_RK_Y = {"midpoint": "x{0} + h * b{0}",
-         "rk4": "x{0} + h6 * (a{0} + 2.0 * b{0} + 2.0 * c{0} + d{0})"}
+_RK_Y = {"midpoint": "x{i} + h * {b}",
+         "rk4": "x{i} + h6 * ({a} + 2.0 * {b} + 2.0 * {c} + {d})"}
 
 
-def _rk_source(m: OdeModel, method: str, stage) -> list[str]:
+def _rk_source(m: OdeModel, method: str, stage, rate=None) -> list[str]:
     """Statements of one RK step of ``method`` from state ``x`` at ``t``
     over ``h``, whose first stage is the rhs ``f`` at (x, t): they set
     ``y``, clamped.  ``stage(k, xs, ts)`` gives the statements that set
     ``k0, k1, ...`` to the rhs at the states ``xs`` and time ``ts`` (source
-    expressions), for the step anchored at ``t``."""
+    expressions), for the step anchored at ``t``.  Given ``rate``, as the
+    march is, the step reads the state from ``x0, x1, ...`` and entry i of
+    stage k's rhs as ``rate(k, i)``, and sets ``y0, y1, ...``; a clamped
+    model clamps them through the list ``y``."""
     def row(fmt):               # one entry per state
         return ", ".join(fmt.format(i) for i in range(m.n))
 
-    src = [f"[{row('x{}')}] = x", f"[{row('a{}')}] = f", "hh = 0.5 * h"]
+    listed = rate is None       # ``step``'s form: from the lists ``x`` and ``f`` to ``y``
+    src = [f"[{row('x{}')}] = x", f"[{row('a{}')}] = f"] if listed else []
+    rate = "{}{}".format if listed else rate
+    src.append("hh = 0.5 * h")
     for k, k_in, hs in _RK_STAGES[method]:
-        src += stage(k, [f"x{i} + {hs} * {k_in}{i}" for i in range(m.n)], f"t + {hs}")
-    src += [*(["h6 = h / 6.0"] if method == "rk4" else []), f"y = [{row(_RK_Y[method])}]"]
-    if m.state_clamps:
-        src += ["for i, lo, hi in _clamps:", "    y[i] = min(hi, max(lo, y[i]))"]
-    return src
+        src += stage(k, [f"x{i} + {hs} * {rate(k_in, i)}" for i in range(m.n)], f"t + {hs}")
+    ys = [_RK_Y[method].format(i=i, **{k: rate(k, i) for k in "abcd"}) for i in range(m.n)]
+    src += ["h6 = h / 6.0"] if method == "rk4" else []
+    clamp = ["for i, lo, hi in _clamps:", "    y[i] = min(hi, max(lo, y[i]))"] if m.state_clamps else []
+    if listed:
+        return [*src, f"y = [{', '.join(ys)}]", *clamp]
+    return [*src, *(f"y{i} = {e}" for i, e in enumerate(ys)),
+            *([f"y = [{row('y{}')}]", *clamp, f"[{row('y{}')}] = y"] if clamp else [])]
 
 
 def _generate_stepper(m: OdeModel, method: str, tape: Tape):
@@ -463,9 +477,18 @@ def _generate_stepper(m: OdeModel, method: str, tape: Tape):
     ``_look`` re-runs the lookup for every slot, and the interpreter the
     tape at those inputs.  The guard checks are written out too; a guard
     is not checked on a step that ends inside its deadtime window, which
-    closes at ``until[i]``.  It returns None at tf, else ``(i, k, x, t, h,
-    f, g_i, y)``: guard i changed sign on the k-th step, from (x, t) over h
-    to y, with the last lookup forgotten, as it set only some slots."""
+    closes at ``until[i]``.  The loop keeps its state in scalar locals:
+    ``x`` and ``f`` are unpacked into ``x0, ...`` and ``a0, ...`` once per
+    call, a step sets ``y0, ...`` and the node's rhs ``a0, ...``, and a
+    node is recorded by extending with tuples, so a step builds a list only
+    for a clamped model's clamp and the delay record's row.  An rhs entry
+    that no step changes (a constant, a parameter or a hoisted node) is
+    read by its name wherever the step reads that rate: the same float
+    that ``ev`` returns.  It returns None at tf, else ``(i, k, x, t, h, f,
+    g_i, y, g_y)``: guard i changed sign on the k-th step, from (x, t) over
+    h to y, where it is g_y (None where t + h is not the node time, at
+    which it was computed), with the last lookup forgotten, as it set only
+    some slots; x, f and y are lists, as ``step`` and ``ev`` give them."""
     n, s, q = m.n, len(m.param_names), m.n_outputs
     nodes, outs = tape.nodes, tape.outputs
     place, opened = arm_contexts(tape, [(o, 0 if k < n else 1) for k, o in enumerate(outs)])
@@ -480,6 +503,8 @@ def _generate_stepper(m: OdeModel, method: str, tape: Tape):
                 nd.op not in ("div", "apply") or place[nid] == {0}):
             hoist.append(nid)
             bound.add(nid)
+    # rhs entries that no step changes (constants, parameters, hoisted nodes): read by name
+    fixed = {i for i, o in enumerate(outs[:n]) if o in bound}
     bound |= inputs
     read = set(outs[:n])        # the nodes the rhs statements read
     for nid in range(len(nodes) - 1, -1, -1):
@@ -490,7 +515,7 @@ def _generate_stepper(m: OdeModel, method: str, tape: Tape):
     reads = readers(tape, place)
     # at the accepted node, the inputs that a statement reads are stored;
     # the others, which only an output list reads, are read in place
-    at_node = [*(f"y[{i}]" for i in range(n)), "tn"]
+    at_node = [*(f"y{i}" for i in range(n)), "tn"]
     named = [j in arg and reads[arg[j]] > outs.count(arg[j]) for j in range(n + 1)]
     in_place = {arg[j]: at_node[j] for j in range(n + 1) if j in arg and not named[j]}
     # the slot inputs (indices into ``dv``) that the rhs reads, and that any statement reads
@@ -502,6 +527,12 @@ def _generate_stepper(m: OdeModel, method: str, tape: Tape):
 
     def refs(ids):
         return ", ".join(node_ref(tape, o) for o in ids)
+
+    def rate(k, i):             # how the march reads entry i of stage k's rhs
+        return node_ref(tape, outs[i]) if i in fixed else f"{k}{i}"
+
+    def tup(items):             # a tuple display of the expressions ``items``
+        return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
 
     def anchored(anchor):       # ``a``: the anchor, or None where no lookup depends on it
         return [f"a = {anchor} if {anchor} - _hmax < _left else None"] if m.delays else []
@@ -530,10 +561,10 @@ def _generate_stepper(m: OdeModel, method: str, tape: Tape):
 
     def inline_stage(k, xs, ts):        # ``march``: ``ev``'s statements, at the stage inputs
         # the lookup of the slot inputs the rhs reads, unless the previous stage's was at ts
-        look = look_at(tt, "t", rhs_slots) if m.delays and stage_times[-1:] != [ts] else []
+        look = look_at(tt, "t", rhs_slots, True) if m.delays and stage_times[-1:] != [ts] else []
         stage_times.append(ts)
         return [*at_inputs([*xs, ts], stored, unless_kept(tt, look), rhs, f"{tt}, t"),
-                *(f"{k}{i} = {node_ref(tape, o)}" for i, o in enumerate(outs[:n]))]
+                *(f"{k}{i} = {node_ref(tape, o)}" for i, o in enumerate(outs[:n]) if i not in fixed)]
 
     def at(ids):                        # the nodes' values at the accepted node
         return ", ".join(in_place.get(o) or node_ref(tape, o) for o in ids)
@@ -541,6 +572,8 @@ def _generate_stepper(m: OdeModel, method: str, tape: Tape):
     # the model's numbers, bound once per ``_make`` call: name -> (tape, node id)
     nums = {name: (0, i) for name, i in numbers(tape, place).items()}
     src, checks, late = [], [], []
+    xs, ys = [f"x{i}" for i in range(n)], [f"y{i}" for i in range(n)]
+    rates = ", ".join(rate("a", i) for i in range(n))      # the rhs at the step's start
     for k, e in enumerate(m.events, 1):         # guard k - 1, called g(x..., t)
         g, tag = e.guard, f"{k}_"
         g_place, g_opened = arm_contexts(g, [(g.outputs[0], 0)])
@@ -550,28 +583,29 @@ def _generate_stepper(m: OdeModel, method: str, tape: Tape):
         src += [f"    def _g{k}(*x):", "        try:", *(" " * 12 + ln for ln in body),
                 f"            return {out}",
                 "        except _ARITH_ERRORS:", f"            _fail({k}, list(x))", "            raise"]
-        ins = {nid: "tn" if nd.a == n else f"y[{nd.a}]"    # inline in march, at the step's end
+        ins = {nid: "tn" if nd.a == n else f"y{nd.a}"      # inline in march, at the step's end
                for nid, nd in enumerate(g.nodes) if nd.op == "input" and nid in g_place}
         checks += [f"if not tn <= u{k}:", "    try:",
                    *(f"        {node_ref(g, nid, tag)} = {v}" for nid, v in ins.items()),
                    *(" " * 8 + ln
                      for ln in guarded_source(g, g_place, g_opened, set(ins), 0, g_reads, tag)),
                    "    except _ARITH_ERRORS:",
-                   f"        _fail({k}, [*y, tn])", "        raise",
+                   f"        _fail({k}, [{', '.join([*ys, 'tn'])}])", "        raise",
                    f"    if (p{k} >= 0.0) != ({out} >= 0.0):",
                    *(["        _kt = None      # ``ev`` must not reuse a partial lookup"]
                      if m.delays else []),
-                   f"        return {k - 1}, k, x, t, h, f, p{k}, y",
+                   f"        return {k - 1}, k, [{', '.join(xs)}], t, h, [{rates}], p{k}, [{', '.join(ys)}], "
+                   f"{out} if t + h == tn else None",
                    f"    p{k} = {out}"]
-        late += [f"if tn <= u{k}:", f"    p{k} = _g{k}(*y, tn)"]
+        late += [f"if tn <= u{k}:", f"    p{k} = _g{k}({', '.join([*ys, 'tn'])})"]
     record, look_at, cells = _record_source(m, dv, list(nums)) if m.delays else ([], None, [])
     # ``march``: ``ev(*y, tn, tn, True)``'s statements, at the accepted node, whose lookup
     # sets the slot inputs any statement reads, or, kept from the last stage, those it did not
-    look = unless_kept("tn", look_at("tn", "tn", node_slots),
-                       look_at("tn", "tn", node_slots - rhs_slots)) if m.delays else []
+    look = unless_kept("tn", look_at("tn", "tn", node_slots, True),
+                       look_at("tn", "tn", node_slots - rhs_slots, True)) if m.delays else []
     node = [*anchored("tn"), *at_inputs(at_node, named, look, rhs + rest, "tn, tn"),
             *(["_T.append(tn)", f"_R.append([{at(outs[n + q:])}])", "_kt = None"] if m.delays else []),
-            f"f = [{at(outs[:n])}]", f"out = [{at(outs[n:n + q])}]"]
+            *(f"a{i} = {at([o])}" for i, o in enumerate(outs[:n]) if i not in fixed)]
     ps = ", ".join(f"p{k}" for k in range(1, len(m.events) + 1))
     us = ps.replace("p", "u")
     src = [f"def _make({', '.join(['_c', '_x', '_t0', '_env'] + theta)}):",
@@ -599,19 +633,22 @@ def _generate_stepper(m: OdeModel, method: str, tape: Tape):
            "    def march(x, t, f, g, until, times, states, outputs):",
            *([f"        nonlocal {', '.join(['_kt', '_ka', *cells])}"] if m.delays else []),
            *([f"        [{ps}] = g", f"        [{us}] = until"] if m.events else []),
+           f"        [{', '.join(xs)}] = x",
+           *([f"        [{', '.join('_' if i in fixed else f'a{i}' for i in range(n))}] = f"]
+             if len(fixed) < n else []),
            "        anchor, k = t, 1",
            "        while True:",
-           "            tn = min(anchor + k * _step, _tf)",
+           "            tn = anchor + k * _step", "            if _tf < tn:", "                tn = _tf",
            "            h = tn - t",
            *(" " * 12 + ln for ln in anchored("t")),
-           *(" " * 12 + ln for ln in _rk_source(m, method, inline_stage)),
+           *(" " * 12 + ln for ln in _rk_source(m, method, inline_stage, rate)),
            *(" " * 12 + ln for ln in checks),
            *(" " * 12 + ln for ln in node),
            *(" " * 12 + ln for ln in late),
-           "            times.append(tn)", "            states += y",
-           "            outputs += out",
+           "            times.append(tn)", f"            states += {tup(ys)}",
+           *([f"            outputs += {tup([at([o]) for o in outs[n:n + q]])}"] if q else []),
            "            if not tn < _end:", "                return None",
-           "            x, t = y, tn", "            k += 1"]
+           f"            {', '.join([*xs, 't'])} = {', '.join([*ys, 'tn'])}", "            k += 1"]
     lift = guarded_source(tape, dict.fromkeys(hoist, {0}), {}, set(), 0, reads)
     if lift:
         src += ["    try:", *("        " + ln for ln in lift), "    except _ARITH_ERRORS:",
@@ -712,11 +749,11 @@ def integrate(m: OdeModel, c: SimConfig, theta=None) -> Trajectory:
     storm = 0           # events since the last accepted node
     hit = march(x, t, f, g, until, times, states, outputs) if t < c.tf - eps else None
     while hit:
-        i, k, x, t, h, f, g0, x_new = hit
+        i, k, x, t, h, f, g0, x_new, g_new = hit
         storm = storm + 1 if k == 1 else 1
         if storm > c.max_events_per_step:
             raise EventStorm(f"more than {c.max_events_per_step} events near t={t}")
-        t_star, x_pre = _locate_event(step, guards[i], x, t, h, f, g0, x_new, tol)
+        t_star, x_pre = _locate_event(step, guards[i], x, t, h, f, g0, x_new, tol, g_new)
         y_pre = ev(*x_pre, t_star, t, True)[1]     # the pre-side node, still in the step from t
         if t_star < until[i]:
             # crossing still inside the deadtime: pass through silently;
@@ -736,7 +773,10 @@ def integrate(m: OdeModel, c: SimConfig, theta=None) -> Trajectory:
             until[i] = t_star + deadtimes[i]
         t = t_star
         g = [gk(*x, t) for gk in guards]
-        if min(t + c.step, c.tf) - t <= eps:
+        tn = t + c.step
+        if c.tf < tn:
+            tn = c.tf
+        if tn - t <= eps:
             break
         hit = march(x, t, f, g, until, times, states, outputs)
 
@@ -751,18 +791,20 @@ def _stepper(m: OdeModel, c: SimConfig, x, t, env):
     return m._steppers[c.method](c, x, t, env, *(env[p] for p in m.param_names))
 
 
-def _locate_event(step, guard, x, t, h, k1, g0, x_hi, tol):
+def _locate_event(step, guard, x, t, h, k1, g0, x_hi, tol, g_hi=None):
     """The first guard crossing in [t, t+h], by the Anderson-Bjorck
     bracketed secant (Anderson & Bjorck, BIT 1973) over sub-steps taken by
     ``step`` from (t, x); ``k1`` and ``g0`` are the rhs and guard at (x, t),
-    ``x_hi`` the full step's state.  Each probe stays tol/2 inside the
-    bracket, so the bracket closes to tol as soon as the secant is that
-    close to the crossing; a bracket within tol is bisected until the guard
-    is small there.  Returns the time and state of the bracket's end past
+    ``x_hi`` the full step's state and ``g_hi`` the guard there, or None
+    where the march did not compute it at t + h.  Each probe stays tol/2
+    inside the bracket, so the bracket closes to tol as soon as the secant
+    is that close to the crossing; a bracket within tol is bisected until
+    the guard is small there.  Returns the time and state of the bracket's end past
     the crossing."""
     side = g0 >= 0.0
     lo, hi = 0.0, h
-    g_hi = guard(*x_hi, t + h)
+    if g_hi is None:
+        g_hi = guard(*x_hi, t + h)
     f_lo, f_hi = g0, g_hi       # the secant's guard values, a retained end's scaled down
     for _ in range(200):
         if hi - lo <= 1e-15 * max(1.0, abs(t)):

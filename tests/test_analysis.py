@@ -16,8 +16,9 @@ from hybridad import (
     parse_expr,
     sequence_probe,
 )
-from hybridad import analysis
-from hybridad.sim import make_ode_model
+from hybridad import EvalDomainError, analysis
+from hybridad.ops import SIN, SQRT
+from hybridad.sim import make_ode_model, sensitivity_extend
 
 
 def test_fd_central_on_quadratic():
@@ -178,6 +179,62 @@ def test_identifiability_integrates_once(monkeypatch):
                                theta_params=["th1", "th2"])
     assert rep.matrix.shape == (3, 3)
     assert len(calls) == 1 and calls[0].n == 4
+
+
+def _random_linear_structure(rng):
+    """x0' = -a x0 + b x1, x1' = -c x1 + b sin(t), y = x0 + x1, with x(0) = (x0, 1)."""
+    bld = TapeBuilder(7)               # [x0, x1, t, a, b, c, x0]
+    x0, x1, t = bld.input(0), bld.input(1), bld.input(2)
+    a, b, c = bld.input(3), bld.input(4), bld.input(5)
+    rhs0 = bld.add(bld.neg(bld.mul(a, x0)), bld.mul(b, x1))
+    rhs1 = bld.add(bld.neg(bld.mul(c, x1)), bld.mul(b, bld.apply(SIN, t)))
+    tape = bld.build([rhs0, rhs1, bld.add(x0, x1), x1])
+    names = ("a", "b", "c", "x0")
+    return make_ode_model(2, tape, names, dict(zip(names, rng.uniform(0.2, 2.0, 4))),
+                          ("x0", "x1"), ("y", "z"),
+                          init_exprs=(parse_expr("x0"), parse_expr(1.0)))
+
+
+def test_identifiability_matrix_is_that_of_the_run_to_tf():
+    # the run stops two steps past the last sample; the nodes nearest the
+    # samples are those of the run to tf, bit for bit, with samples past
+    # tf, on a node, before the start and off the grid
+    rng = np.random.default_rng(23)
+    for trial in range(12):
+        m = _random_linear_structure(rng) if trial % 2 else _decay_structure()
+        cfg = SimConfig(step=float(rng.choice([1e-2, 0.037, 0.1])),
+                        tf=float(rng.uniform(0.5, 3.0)), t0=float(rng.uniform(-0.2, 0.2)))
+        times = [float(v) for v in rng.uniform(cfg.t0 - 0.1, cfg.tf + 0.2, 3)]
+        times += [cfg.t0 + 4 * cfg.step]
+        columns = list(m.param_names)
+        rep = identifiability_test(m, times, cfg, theta_params=columns)
+        full = integrate(sensitivity_extend(m, columns), cfg)
+        q = m.n_outputs
+        want = np.concatenate([full.outputs[int(np.argmin(np.abs(full.times - tq))), q:]
+                               .reshape(len(columns), q).T for tq in times])
+        assert rep.matrix.tobytes() == want.tobytes()
+
+
+def test_identifiability_runs_no_further_than_it_reads(monkeypatch):
+    # x' = sqrt(theta - t) fails past t = theta = 1.5; samples up to 1.0
+    # read nodes well before that, so the test reports where the run to tf
+    # raises
+    b = TapeBuilder(3)                 # [x, t, theta]
+    x = b.input(0)
+    tape = b.build([b.apply(SQRT, b.sub(b.input(2), b.input(1))), x])
+    m = make_ode_model(1, tape, ("theta",), {"theta": 1.5}, ("x",), ("y",),
+                       init_exprs=(parse_expr(0.0),))
+    cfg = SimConfig(step=1e-2, tf=2.0)
+    with pytest.raises(EvalDomainError):
+        integrate(sensitivity_extend(m, ["theta"]), cfg)
+    ends = []
+    monkeypatch.setattr(analysis, "integrate",
+                        lambda m, config: ends.append(config.tf) or integrate(m, config))
+    rep = identifiability_test(m, [0.5, 1.0], cfg, theta_params=["theta"])
+    assert ends == [1.0 + 2 * 1e-2] and rep.matrix.shape == (2, 1)
+    # y = 2/3 (theta^1.5 - (theta - t)^1.5), dy/dtheta = sqrt(theta) - sqrt(theta - t)
+    for i, tq in enumerate(rep.times):
+        assert rep.matrix[i, 0] == pytest.approx(math.sqrt(1.5) - math.sqrt(1.5 - tq), rel=1e-6)
 
 
 def test_report_renders_text_and_json():

@@ -1,3 +1,4 @@
+import ast
 import gc
 import importlib.util
 import itertools
@@ -1666,7 +1667,7 @@ def test_a_guard_hit_leaves_no_partial_lookup_for_ev():
         x, env = [0.0], m.theta_env()
         ev, step, guards, march = sim._stepper(m, c, x, 0.0, env)
         f, y = ev(*x, 0.0, 0.0, True)
-        _, _, x, t, h, _, _, y = march(x, 0.0, f, [guards[0](*x, 0.0)], [-math.inf], [0.0], x, y)
+        _, _, x, t, h, _, _, y, _ = march(x, 0.0, f, [guards[0](*x, 0.0)], [-math.inf], [0.0], x, y)
         if elsewhere:
             ev(*x, t + 0.5 * h, t, False)
         return ev(*y, t + h, t, True)[1]
@@ -2015,16 +2016,135 @@ def test_stage_inputs_the_rhs_does_not_read_are_not_stored(code_cache, monkeypat
 
 def test_the_march_calls_ev_nowhere(code_cache):
     # the accepted node's rhs, outputs and delay record row are written into
-    # the march as well; the bounce's rhs and outputs are all inputs, so its
-    # node has no statement to guard
+    # the march as well; the bounce's rhs and outputs are all inputs or
+    # parameter-only, so its node has no statement to guard: it sets a0 to
+    # v and reads -g, hoisted, by name
     cfg = SimConfig(step=0.05, tf=1.0)
     for m in (_chain_model(0.8, 0.7, 0.2, 0.5), _dde_model(), _bounce_model()):
         integrate(m, cfg)
     marches = [source.split("    def march(")[1] for source in code_cache.sources]
     assert len(marches) == 3 and not any("ev(" in march for march in marches)
-    node = marches[2].split("            y = [")[1]
-    assert "try:" not in node.split("            if not tn <= u1:")[0]
-    assert "f = [y[1], _v" in node and "out = [y[0], y[1]]" in node
+    node = marches[2].split("            y1 = ")[1].split("            if tn <= u1:")[0]
+    assert "try:" not in node.split("                p1 = _v")[1]
+    assert "            a0 = y1\n" in node and "a1" not in marches[2]
+    assert "outputs += (y0, y1)" in marches[2]
+
+
+def _march_problems(source: str) -> list[str]:
+    """The calls in the ``while`` body of the source's ``march`` but
+    ``times.append``, the delay record's appends, the cursor's
+    ``_bisect.bisect_right``, the deadtime guards ``_g<k>``, a clamped
+    model's ``min`` and ``max`` and the model's own elementary functions,
+    and the lists built or unpacked there but the hit's, the delay record
+    row's and a clamped model's ``y``; all outside ``except`` handlers,
+    which run only where a model fails."""
+    march = next(d for d in ast.walk(ast.parse(source))
+                 if isinstance(d, ast.FunctionDef) and d.name == "march")
+    loop = next(st for st in march.body if isinstance(st, ast.While))
+    clamped = "_clamps" in ast.unparse(loop)
+    calls = {"times.append", "_T.append", "_R.append", "_bisect.bisect_right",
+             *(("min", "max") if clamped else ())}
+    handled, listed = set(), set()      # nodes in handlers, and nodes where a list may be built
+    for nd in ast.walk(loop):
+        if isinstance(nd, ast.ExceptHandler):
+            handled.update(map(id, ast.walk(nd)))
+        elif (isinstance(nd, ast.Return)
+              or isinstance(nd, ast.Call) and ast.unparse(nd.func) == "_R.append"
+              or clamped and isinstance(nd, ast.Assign) and "y" in (
+                  ast.unparse(nd.targets[0]), ast.unparse(nd.value))):
+            listed.update(map(id, ast.walk(nd)))
+    problems = []
+    for nd in ast.walk(loop):
+        if id(nd) in handled:
+            continue
+        if isinstance(nd, ast.Call):
+            name = ast.unparse(nd.func)
+            if name not in calls and not re.fullmatch(r"_g\d+|_m\.\w+|abs|_fv", name):
+                problems.append(f"call {ast.unparse(nd)}")
+        elif isinstance(nd, ast.List) and id(nd) not in listed:
+            problems.append(f"list {ast.unparse(nd)}")
+    return problems
+
+
+def test_the_march_keeps_its_state_in_scalar_locals(code_cache):
+    # every step of every march: no call but the listed ones, and no list
+    # built or unpacked but the hit's, the delay row's and the clamp's
+    runs = [(_chain_model(0.8, 0.7, 0.2, 0.5), SimConfig(step=0.05, tf=1.0)),
+            (_bounce_model(), SimConfig(step=0.05, tf=1.0)),
+            (_floor_model(0.0), SimConfig(step=0.01, tf=0.5, method="midpoint")),
+            (_two_delay_model(), SimConfig(step=0.05, tf=1.5)),
+            (dde_extend(_two_delay_model(), "a"), SimConfig(step=0.05, tf=1.5)),
+            (_clamped_model(((0, -0.5, 0.5),)), SimConfig(step=0.1, tf=1.0)),
+            (_decay_model(), SimConfig(step=0.1, tf=1.0, method="midpoint"))]
+    for m, c in runs:
+        integrate(m, c)
+    assert code_cache.misses == len(runs)
+    for source in code_cache.sources:
+        assert _march_problems(source) == []
+    # the checker sees what it is meant to see
+    source = code_cache.sources[-1].replace("states += (y0,)", "states += [y0]")
+    assert _march_problems(source) == ["list [y0]"]
+    source = code_cache.sources[-1].replace("            if _tf < tn:\n                tn = _tf\n",
+                                            "            tn = min(tn, _tf)\n")
+    assert _march_problems(source) == ["call min(tn, _tf)"]
+
+
+def test_a_guard_hit_returns_the_lists_of_step_ev_and_the_guard():
+    # the hit: the step's start state and rhs, its end state and the guard
+    # at both ends, as ``step``, ``ev`` and the guard give them, in lists
+    gb = TapeBuilder(2)
+    guard = gb.build([gb.sub(gb.input(0), gb.const(0.5))])
+    b = TapeBuilder(6)          # [x, t, d0, d1, s0, s1]
+    x = b.input(0)
+    delayed = make_ode_model(
+        1, b.build([b.sub(b.const(1.0), b.mul(b.const(0.5), b.input(2))), b.input(3), x, b.mul(x, x)]),
+        (), {}, ("x",), ("y",), init_exprs=(parse_expr(0.0),),
+        events=(EventSpec(guard, lambda x, t: x),),
+        delays=(DelaySlot(parse_expr(0.3), parse_expr(0.0)), DelaySlot(parse_expr(0.3), parse_expr("t"))))
+    ends = []
+    # the floor's crossing in the step from about -0.04 to tf = 0.003, where
+    # t + h rounds off tf: the guard at the step's end is left to the locator
+    for m, c in ((_bounce_model(), SimConfig(step=0.01, tf=1.0)),
+                 (_floor_model(0.1), SimConfig(step=0.03, tf=1.0, t0=0.013)),
+                 (_floor_model(0.2686), SimConfig(step=0.06, tf=0.003, t0=-0.1)),
+                 (delayed, SimConfig(step=0.1, tf=2.0))):
+        env = m.theta_env()
+        t = m.start_time(env, c.t0)
+        x = m.initial_state(env).tolist()
+        ev, step, guards, march = sim._stepper(m, c, x, t, env)
+        f, y = ev(*x, t, t, True)
+        times, states = [t], x[:]
+        i, k, x0, t0, h, f0, g0, y1, g1 = march(x, t, f, [gk(*x, t) for gk in guards],
+                                               [-math.inf] * len(guards), times, states, y)
+        assert all(type(v) is list for v in (x0, f0, y1))
+        assert t0 == times[-1] and _hex([x0]) == _hex([states[-m.n:]]) and k == len(times)
+        assert _hex([f0]) == _hex([ev(*x0, t0, t0, False)])
+        assert _hex([y1]) == _hex([step(x0, t0, h, f0)])
+        assert g0 == guards[i](*x0, t0) and (g0 >= 0.0) != (guards[i](*y1, t0 + h) >= 0.0)
+        tn = min(t + k * c.step, c.tf)
+        assert g1 == (guards[i](*y1, t0 + h) if t0 + h == tn else None)
+        ends.append(g1 is None)
+    assert ends == [False, False, True, False]
+
+
+@pytest.mark.parametrize("method", ["rk4", "midpoint"])
+def test_rhs_entries_no_step_changes_march_bitwise(code_cache, method):
+    # x0' = p, x1' = 2.0, x2' = p * p and x3' = x0 t from t0 = 0.3: the
+    # first three are a parameter, a constant and a hoisted node, read by
+    # name and carried by no stage, against the reference march hex for hex
+    b = TapeBuilder(6)          # [x0, x1, x2, x3, t, p]
+    xs, p = [b.input(i) for i in range(4)], b.input(5)
+    tape = b.build([p, b.const(2.0), b.mul(p, p), b.mul(xs[0], b.input(4)), *xs])
+    m = make_ode_model(4, tape, ("p",), {"p": 0.7}, tuple(f"x{i}" for i in range(4)),
+                       tuple(f"y{i}" for i in range(4)),
+                       init_exprs=tuple(parse_expr(v) for v in (0.1, -0.3, 1.7, 0.9)))
+    c = SimConfig(step=0.07, tf=1.3, t0=0.3, method=method)
+    tr, want = integrate(m, c), _reference_march(m, c)
+    assert [float(v).hex() for v in tr.times] == [float(v).hex() for v in want[0]]
+    assert _hex(tr.states) == _hex(want[1]) and _hex(tr.outputs) == _hex(want[2])
+    march = code_cache.sources[0].split("    def march(")[1]
+    assert "[a0, _, _, _] = f" not in march and "[_, _, _, a3] = f" in march
+    assert not re.search(r"\b[a-d][0-2]\b", march)
 
 
 @pytest.mark.parametrize("delay", [False, True])
