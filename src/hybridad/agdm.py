@@ -180,7 +180,10 @@ class _Builder:
     def new(self, kind: str, name: str | None = None, **fields) -> Block:
         """A derivative-flow block of the block in hand, named ``name`` or
         the next auxiliary name."""
-        blk = make_block(name or self.namer.next(), kind, **fields)
+        return self.add(make_block(name or self.namer.next(), kind, **fields))
+
+    def add(self, blk: Block) -> Block:
+        """Add ``blk`` to the derivative flow of the block in hand."""
         self.blocks.append(blk)
         self.flow[blk.id] = self.of
         return blk
@@ -207,7 +210,7 @@ class _Builder:
 
     def u(self, port: str) -> PortRef:
         """Original signal driving an input port of the block in hand."""
-        drv = self.d.driver(PortRef(self.of, port))
+        drv = self.d.driver((self.of, port))
         if drv is None:
             raise ValueError(f"input port {self.of}.{port} has no driver")
         return drv
@@ -289,8 +292,8 @@ def _emit_block(bld: _Builder, b: Block):
         new("Constant", main, value=0.0)
     elif k == "Inport":     # derivative inputs follow the diagram's own inputs
         new(k, main, index=f["index"] + len(_subsystem_ports({"diagram": bld.d})[0]))
-    elif k in ("Sum", "Mux", "Demux"):
-        feed(new(k, main, **to_json(f)), *map(du, ins))
+    elif k in ("Sum", "Mux", "Demux"):    # fields are values, shared with the copy
+        feed(bld.add(Block(main, k, f)), *map(du, ins))
     elif k == "UnitDelay":
         feed(new(k, main, initial=_e2j(f["initial"].diff(theta)),
                  sample_time=f["sample_time"]), du("in"))
@@ -484,7 +487,7 @@ def _nonzero_ports(d: Diagram, known: set[PortRef] = frozenset(),
         source, need_all, ports = _zero_rule(b)
         waiting.append(len(ports) if need_all else 1)
         for p in ports:
-            drv = d.driver(PortRef(b.id, p))
+            drv = d.driver((b.id, p))
             if drv in nz:
                 waiting[i] -= 1
             elif drv is not None:
@@ -536,13 +539,13 @@ def _pruned(d: Diagram, nz: set[PortRef], protect: set[str] | frozenset[str],
     """:func:`prune_zero` with the nonzero ports ``nz`` of ``d``.  The
     first ``head`` blocks are protected, read only each other, and are
     linked by ``wiring``."""
-    def port_zero(p: PortRef) -> bool:
+    def port_zero(p: tuple[str, str]) -> bool:
         return p not in nz
 
     doomed = {b.id for b in d.blocks
               if b.id not in protect
               and b.port_names()[1]
-              and all(port_zero(PortRef(b.id, o)) for o in b.port_names()[1])}
+              and all(port_zero((b.id, o)) for o in b.port_names()[1])}
 
     # keep: protected, live (non-doomed) blocks that remain reachable from
     # outputs/protected blocks once doomed blocks are gone
@@ -552,7 +555,7 @@ def _pruned(d: Diagram, nz: set[PortRef], protect: set[str] | frozenset[str],
     while frontier:
         bid = frontier.pop()
         for p in d.block(bid).port_names()[0]:
-            drv = d.driver(PortRef(bid, p))
+            drv = d.driver((bid, p))
             if drv is not None and drv.block not in doomed and drv.block not in needed:
                 needed.add(drv.block)
                 frontier.append(drv.block)
@@ -579,7 +582,7 @@ def _pruned(d: Diagram, nz: set[PortRef], protect: set[str] | frozenset[str],
             ins, _ = b.port_names()
             kept = []
             for i, p in enumerate(ins):
-                drv = d.driver(PortRef(b.id, p))
+                drv = d.driver((b.id, p))
                 if drv is not None and (drv.block in doomed or port_zero(drv)):
                     continue
                 kept.append((b.fields["signs"][i], drv))
@@ -600,7 +603,7 @@ def _pruned(d: Diagram, nz: set[PortRef], protect: set[str] | frozenset[str],
         new_blocks.append(b)
         ins, _ = b.port_names()
         for p in ins:
-            drv = d.driver(PortRef(b.id, p))
+            drv = d.driver((b.id, p))
             if drv is None:
                 continue
             if drv.block in doomed:

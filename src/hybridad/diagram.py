@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 from .errors import SchemaError, ValidationError
@@ -44,23 +43,32 @@ class PortRef(NamedTuple):
         return f"{self.block}.{self.port}"
 
 
-@dataclass(frozen=True)
-class Link:
+class Link(NamedTuple):
     src: PortRef
     dst: PortRef
 
 
-@dataclass(frozen=True)
-class Output:
+class Output(NamedTuple):
     name: str
     src: PortRef
+
+
+class _once:
+    """An attribute computed on first read and kept in the instance's ``__dict__``; no lock."""
+
+    def __init__(self, fn):
+        self.fn, self.name = fn, fn.__name__
+
+    def __get__(self, obj, cls=None):
+        return self if obj is None else obj.__dict__.setdefault(self.name, self.fn(obj))
 
 
 @dataclass(frozen=True)
 class Block:
     """One block.  Blocks are values: no caller edits ``fields`` or the
     port lists, so the port names and feedthrough are derived from the
-    fields once, on first use."""
+    fields once, on first use.  A port of a block is looked up by a plain
+    ``(block, port)`` tuple, equal in hash and value to its ``PortRef``."""
 
     id: str
     kind: str
@@ -69,11 +77,11 @@ class Block:
     def port_names(self) -> tuple[list[str], list[str]]:
         return self._ports
 
-    @cached_property
+    @_once
     def _ports(self) -> tuple[list[str], list[str]]:
         return _KINDS[self.kind].ports(self.fields)
 
-    @cached_property
+    @_once
     def feedthrough(self) -> bool:
         """Whether an input reaches an output with no state in between."""
         ft = _KINDS[self.kind].feedthrough
@@ -86,7 +94,8 @@ class Diagram:
     place, so the block and driver indexes built here stay valid, and a
     pass that reads only the diagram may keep its result in ``_memo``
     (the ``validate`` report, agdm's nonzero ports).  Where ids or input
-    ports repeat (an invalid diagram), the first block or link wins."""
+    ports repeat (an invalid diagram), the first block or link wins.
+    ``driver`` takes a plain ``(block, port)`` tuple, returns a ``PortRef``."""
 
     name: str
     params: dict[str, float]
@@ -113,7 +122,7 @@ class Diagram:
         """A fresh set of the block ids; callers may extend it."""
         return set(self._by_id)
 
-    def driver(self, dst: PortRef) -> PortRef | None:
+    def driver(self, dst: tuple[str, str]) -> PortRef | None:
         return self._drivers.get(dst)
 
 
@@ -597,9 +606,14 @@ def _dumps(o, pad: str) -> str:
     sub = pad + " "
     if t is list and o:
         return f"[\n{sub}" + f",\n{sub}".join([_dumps(v, sub) for v in o]) + f"\n{pad}]"
-    if t is dict and o and all(type(k) is str for k in o):
-        return f"{{\n{sub}" + f",\n{sub}".join(
-            [f"{encode_basestring_ascii(k)}: {_dumps(v, sub)}" for k, v in o.items()]) + f"\n{pad}}}"
+    if t is dict and o:
+        try:        # a key that is not a str (TypeError) is left to ``json``
+            return f"{{\n{sub}" + f",\n{sub}".join([
+                f"{encode_basestring_ascii(k)}: "
+                f"{encode_basestring_ascii(v) if type(v) is str else _dumps(v, sub)}"
+                for k, v in o.items()]) + f"\n{pad}}}"
+        except TypeError:
+            pass
     return json.dumps(o, indent=1).replace("\n", "\n" + pad)
 
 
@@ -685,7 +699,7 @@ def _checks(d: Diagram, top_level: bool) -> Report:
     for b in d.blocks:
         ins, _ = b.port_names()
         for p in ins:
-            n = drivers.get(PortRef(b.id, p), 0)
+            n = drivers.get((b.id, p), 0)
             if n == 0:
                 v.append(Violation("unlinked-input", f"input port {b.id}.{p} has no driver"))
             elif n > 1:
@@ -707,7 +721,7 @@ def _checks(d: Diagram, top_level: bool) -> Report:
                 v.append(Violation("lookup-breakpoints",
                                    f"{b.id}: breakpoints must be strictly increasing"))
         elif b.kind == "Demux":
-            drv = d.driver(PortRef(b.id, "in"))
+            drv = d.driver((b.id, "in"))
             src = None if drv is None else d.block(drv.block)
             if src is not None and src.kind != "Mux":
                 v.append(Violation("demux-source", f"{b.id}: Demux must be fed by a Mux"))

@@ -41,7 +41,7 @@ def inline_subsystems(d: Diagram) -> Diagram:
         child: Diagram = inline_subsystems(b.fields["diagram"])
         prefix = f"{b.id}/"
         ins, _ = b.port_names()
-        inport_src = {j: d.driver(PortRef(b.id, p)) for j, p in enumerate(ins)}
+        inport_src = {j: d.driver((b.id, p)) for j, p in enumerate(ins)}
         for cb in child.blocks:
             if cb.kind == "Inport":
                 continue
@@ -69,12 +69,12 @@ def resolve_mux(d: Diagram) -> Diagram:
     for b in d.blocks:
         if b.kind != "Demux":
             continue
-        mux_out = d.driver(PortRef(b.id, "in"))
+        mux_out = d.driver((b.id, "in"))
         mux = d.block(mux_out.block)
         _, outs = b.port_names()
         mins, _ = mux.port_names()
         for k, o in enumerate(outs):
-            remap[PortRef(b.id, o)] = d.driver(PortRef(mux.id, mins[k]))
+            remap[PortRef(b.id, o)] = d.driver((mux.id, mins[k]))
 
     dead = {b.id for b in d.blocks if b.kind in ("Mux", "Demux")}
     return _rewired(d, [b for b in d.blocks if b.id not in dead], d.links, remap, dead)
@@ -132,7 +132,7 @@ def flatten(d: Diagram) -> OdeModel:
     init_exprs: list[ParamExpr] = []
     n = 0
     delay_slot_of: dict[tuple[str, str], int] = {}   # (block, role) -> slot index
-    slot_specs: list[tuple[PortRef, ParamExpr, ParamExpr | None]] = []
+    slot_specs: list[tuple[tuple[str, str], ParamExpr, ParamExpr | None]] = []
 
     for b in d.blocks:
         k = b.kind
@@ -157,14 +157,14 @@ def flatten(d: Diagram) -> OdeModel:
             n += nn
         elif k == "TransportDelay":
             delay_slot_of[(b.id, "in")] = len(slot_specs)
-            slot_specs.append((PortRef(b.id, "in"), b.fields["delay"],
+            slot_specs.append(((b.id, "in"), b.fields["delay"],
                                b.fields["prehistory"]))
         elif k == "DelaySensitivity":
             delay_slot_of[(b.id, "din")] = len(slot_specs)
-            slot_specs.append((PortRef(b.id, "din"), b.fields["delay"],
+            slot_specs.append(((b.id, "din"), b.fields["delay"],
                                b.fields["dprehistory"]))
             delay_slot_of[(b.id, "in")] = len(slot_specs)
-            slot_specs.append((PortRef(b.id, "in"), b.fields["delay"],
+            slot_specs.append(((b.id, "in"), b.fields["delay"],
                                b.fields["prehistory"]))
 
     J = len(slot_specs)
@@ -210,7 +210,7 @@ def flatten(d: Diagram) -> OdeModel:
         return memo[p] if p in memo else lower(_emit_output(d.block(p.block), p.port), p)
 
     def ask(bid: str, port: str) -> PortRef:
-        return d.driver(PortRef(bid, port))
+        return d.driver((bid, port))
 
     def in_node(bid: str, port: str) -> int:
         return port_node(ask(bid, port))

@@ -51,7 +51,6 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -661,9 +660,8 @@ def _generate_stepper(m: OdeModel, method: str, tape: Tape):
 
 def _shape(t: Tape) -> tuple:
     """What code generated for ``t`` reads of it, but for its numbers
-    (``numbers``): a pow exponent is written into the source, in ``fn``."""
-    return t.num_inputs, t.outputs, tuple(
-        chain.from_iterable((n.op, n.a, n.b, n.cond, n.fn) for n in t.nodes))
+    (``numbers``): each node's op, a, b, fn (a pow's exponent) and cond."""
+    return t.num_inputs, t.outputs, tuple(map(operator.itemgetter(0, 1, 2, 3, 5), t.nodes))
 
 
 # structure -> (code, picks), least recently used first; threads binding at

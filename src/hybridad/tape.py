@@ -43,7 +43,7 @@ import heapq
 import math
 import operator
 from collections import Counter, defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -63,8 +63,7 @@ from .ops import (
     parse_fn,
 )
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     op: str                      # input|const|add|sub|mul|div|apply|branch
     a: int = -1                  # first child; input index for op=input; then-arm for branch
     b: int = -1                  # second child; else-arm for branch
@@ -91,16 +90,17 @@ class Tape:
 
     def __post_init__(self):
         seen_inputs = set()
-        for i, n in enumerate(self.nodes):
-            for c in n.children():
-                if not (0 <= c < i):
-                    raise ValueError(f"node {i} references {c}, violating topological order")
-            if n.op == "input":
-                if not (0 <= n.a < self.num_inputs):
-                    raise ValueError(f"node {i}: input index {n.a} out of range")
-                if n.a in seen_inputs:
-                    raise ValueError(f"input {n.a} referenced by more than one node")
-                seen_inputs.add(n.a)
+        for i, (op, a, b, _, _, cond, _) in enumerate(self.nodes):
+            if op == "input":
+                if not (0 <= a < self.num_inputs):
+                    raise ValueError(f"node {i}: input index {a} out of range")
+                if a in seen_inputs:
+                    raise ValueError(f"input {a} referenced by more than one node")
+                seen_inputs.add(a)
+            elif op != "const" and not (0 <= a < i and (op == "apply" or 0 <= b < i and (
+                    op != "branch" or 0 <= cond < i))):   # children() in one test
+                c = next(c for c in self.nodes[i].children() if not 0 <= c < i)
+                raise ValueError(f"node {i} references {c}, violating topological order")
         for o in self.outputs:
             if not (0 <= o < len(self.nodes)):
                 raise ValueError(f"output id {o} does not exist")
@@ -328,11 +328,11 @@ def _run(tape: Tape, inputs, want, num: _Num, memo=None):
                 taken[nid] = arm
                 memo[nid] = memo[arm]
             else:
-                missing = [c for c in (node.a, node.b) if c not in memo]
-                if missing:
-                    stack.extend(missing)
+                a, b = node.a, node.b
+                if a not in memo or b not in memo:
+                    stack.extend([c for c in (a, b) if c not in memo])
                     continue
-                memo[nid] = arith[op](memo[node.a], memo[node.b])
+                memo[nid] = arith[op](memo[a], memo[b])
             stack.pop()
     except (EvalDomainError, NonDifferentiablePoint):
         raise
@@ -385,19 +385,20 @@ def _adjoint_pass(t: Tape, memo, taken, out_node: int, num: _Num, one):
                 raise _domain_error(nid, exc) from exc
             acc(node.a, a_bar * fp)
             continue
+        a, b = node.a, node.b
         if op == "add":
-            acc(node.a, a_bar)
-            acc(node.b, a_bar)
+            acc(a, a_bar)
+            acc(b, a_bar)
         elif op == "sub":
-            acc(node.a, a_bar)
-            acc(node.b, -a_bar)
+            acc(a, a_bar)
+            acc(b, -a_bar)
         elif op == "mul":
-            acc(node.a, a_bar * memo[node.b])
-            acc(node.b, a_bar * memo[node.a])
+            acc(a, a_bar * memo[b])
+            acc(b, a_bar * memo[a])
         else:  # div: node = a/b, d/da = 1/b, d/db = -q/b
-            w = a_bar / memo[node.b]
-            acc(node.a, w)
-            acc(node.b, -(w * memo[nid]))
+            w = a_bar / memo[b]
+            acc(a, w)
+            acc(b, -(w * memo[nid]))
     return adj
 
 
@@ -412,9 +413,9 @@ def reverse_gradient(t: Tape, x, out: int) -> np.ndarray:
     memo, taken = _run(t, [float(v) for v in x], (out_node,), _FLOATS)
     adj = _adjoint_pass(t, memo, taken, out_node, _FLOATS, 1.0)
     grad = np.zeros(t.num_inputs)
-    for nid, node in enumerate(t.nodes):
-        if node.op == "input" and nid in adj:
-            grad[node.a] = adj[nid]
+    for nid, a_bar in adj.items():
+        if t.nodes[nid].op == "input":
+            grad[t.nodes[nid].a] = a_bar
     return grad
 
 
@@ -435,9 +436,9 @@ def hessian(t: Tape, x, out: int) -> np.ndarray:
         memo, taken = _run(t, seeds, (out_node,), duals)
         adj = _adjoint_pass(t, memo, taken, out_node, duals, _D(1.0, 0.0))
         row = np.zeros(n)
-        for nid, node in enumerate(t.nodes):
-            if node.op == "input" and nid in adj:
-                row[node.a] = adj[nid].d
+        for nid, a_bar in adj.items():
+            if t.nodes[nid].op == "input":
+                row[t.nodes[nid].a] = a_bar.d
         for j in range(i, n):
             H[i, j] = row[j]
             H[j, i] = row[j]
@@ -785,7 +786,7 @@ def copy_into(b: TapeBuilder, t: Tape, input_nodes: list[int] | None = None) -> 
 def _replay(b: TapeBuilder, n: Node, m: list[int]) -> int:
     """Push node ``n``, not an input, into ``b`` as it is, unfolded, with
     its children renamed through ``m``; returns the new id."""
-    return b._push(replace(n, **{f: m[getattr(n, f)] for f in ("a", "b", "cond")
+    return b._push(n._replace(**{f: m[getattr(n, f)] for f in ("a", "b", "cond")
                                  if getattr(n, f) >= 0}))
 
 

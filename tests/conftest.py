@@ -1,4 +1,7 @@
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,6 +65,17 @@ def bad_integer_doc(case):
     doc = first_order_doc()
     doc["blocks"].append({"id": "X", "kind": kind, field: value})
     return doc, f"$.blocks[{len(doc['blocks']) - 1}].{field}"
+
+
+def perfbench_workloads(monkeypatch):
+    """``perfbench/workloads.py``, loaded without writing bytecode beside it."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    mod = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, mod)        # its dataclasses look it up
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 @pytest.fixture

@@ -23,7 +23,7 @@ from hybridad import (
 )
 import hybridad.agdm as agdm_module
 from hybridad.agdm import _Builder, _nonzero_ports, d_block_name, d_output_name
-from hybridad.diagram import PortRef, load_diagram, make_block, validate
+from hybridad.diagram import Link, PortRef, load_diagram, make_block, validate
 
 MODELS = os.path.join(os.path.dirname(__file__), "..", "models")
 
@@ -515,7 +515,12 @@ def _carried_and_fresh(d, theta):
     fresh = load_diagram(diagram_to_json(d1))
     assert "nonzero" not in fresh._memo
     assert d1._memo["nonzero"] == _nonzero_ports(fresh)
-    return diagram_to_json(agdm_diff(d1, theta)), diagram_to_json(agdm_diff(fresh, theta))
+    d2 = agdm_diff(d1, theta)
+    for dd in (d1, d2):     # stored ports stay PortRefs where lookups pass plain tuples
+        assert all(type(p) is PortRef for p in dd._memo["nonzero"])
+        assert all(type(ln) is Link and type(ln.src) is type(ln.dst) is PortRef
+                   for ln in dd._memo["wiring"])
+    return diagram_to_json(d2), diagram_to_json(agdm_diff(fresh, theta))
 
 
 @pytest.mark.parametrize("case", sorted(c for c in _ZERO_RULE_CASES

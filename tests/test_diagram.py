@@ -1,14 +1,18 @@
 import json
 import math
+import random
+import sys
+import threading
 from pathlib import Path
 
 import pytest
 
-from conftest import BAD_INTEGERS, bad_integer_doc, first_order_doc
+from conftest import BAD_INTEGERS, bad_integer_doc, first_order_doc, perfbench_workloads
 from hybridad import (DelayOrderExceeded, SchemaError, ValidationError, agdm_diff, flatten,
                       parse_diagram, validate)
 from hybridad import diagram
-from hybridad.diagram import _parse_dict, diagram_to_json, load_diagram, to_dict
+from hybridad.diagram import (Link, Output, PortRef, _parse_dict, diagram_to_json, load_diagram,
+                              make_block, to_dict)
 
 
 def test_parse_first_order(first_order):
@@ -203,9 +207,13 @@ def _same_as_json(d):
     assert diagram_to_json(d) == json.dumps(to_dict(d), indent=1)
 
 
-@pytest.mark.parametrize("path", MODEL_FILES, ids=lambda p: p.stem)
-def test_writer_matches_json_on_models_and_their_diffs(path):
-    d = load_diagram(path.read_text(encoding="utf-8"))
+@pytest.mark.parametrize("path", [*MODEL_FILES, 2, 3, 5],
+                         ids=lambda p: p.stem if isinstance(p, Path) else f"perfbench-chain{p}")
+def test_writer_matches_json_on_models_and_their_diffs(path, monkeypatch):
+    if isinstance(path, Path):
+        d = load_diagram(path.read_text(encoding="utf-8"))
+    else:       # a large-diagram workload chain of that many stages
+        d = load_diagram(perfbench_workloads(monkeypatch)._chain_doc(random.Random(path), path))
     _same_as_json(d)
     for theta in d.params:
         d1 = agdm_diff(d, theta)
@@ -227,12 +235,13 @@ def test_writer_matches_json_on_golden_files(path):
 
 
 def test_writer_matches_json_on_unusual_values():
+    odd = "q\"\\\x00\x1f\n é→😀"     # quote, backslash, control and non-ASCII characters
     child = {"schema": 1, "name": "inner", "params": {"a": 1.0},
              "blocks": [{"id": "In", "kind": "Inport", "index": 0},
                         {"id": "Gé→", "kind": "Gain", "gain": "2*a"}],
              "links": [{"from": "In.out", "to": "Gé→.in"}],
              "outputs": [{"name": "zü", "from": "Gé→.out"}],
-             "annotations": {"note": "été \"quoted\"\n\ttab"}}
+             "annotations": {"note": "été \"quoted\"\n\ttab", "": ""}}
     doc = {"schema": 1, "name": "unusual θ",
            "params": {"a": 1.0, "nan": math.nan, "inf": math.inf, "ninf": -math.inf,
                       "big": 1e300, "tiny": -5e-324, "whole": 3},
@@ -240,19 +249,98 @@ def test_writer_matches_json_on_unusual_values():
                       {"id": "Sé", "kind": "Subsystem", "diagram": child},
                       {"id": "P", "kind": "Product", "n": 2},
                       {"id": "L", "kind": "LookupTable1D", "breakpoints": [0, 1.5],
-                       "values": [-0.0, 1e-7], "piecewise_constant": True}],
+                       "values": [-0.0, 1e-7], "piecewise_constant": True},
+                      {"id": odd, "kind": "Gain", "gain": 1.0}],
            "links": [{"from": "U.out", "to": "Sé.in"},
                      {"from": "Sé.zü", "to": "P.in1"}, {"from": "U.out", "to": "P.in2"},
-                     {"from": "P.out", "to": "L.in"}],
-           "outputs": [{"name": "y", "from": "L.out"}],
+                     {"from": "P.out", "to": "L.in"}, {"from": "L.out", "to": f"{odd}.in"}],
+           "outputs": [{"name": "y", "from": "L.out"}, {"name": odd, "from": f"{odd}.out"}],
            "annotations": {"empty": {}, "none": [], "mixed": [1, 2.5, True, None, "x", [[]]],
+                           "derivative_flow": {odd: {"of": odd, "theta": ""}, "": {}},
+                           "strings": {"": "", odd: "\u2028\x7f\ud800", "q": "\\\""},
+                           "str and float": {"s": "x", "f": 2.5, "nan": math.nan, "e": ""},
                            "tuple": (1, [2.0, "t"]), "numeric keys": {1: "one", 2.5: [None]},
                            "deep": {"a": {"b": {"c": [math.nan, math.inf]}}}}}
     d = _parse_dict(doc)
     _same_as_json(d)
     _same_as_json(_parse_dict({**doc, "annotations": {}}))
     _same_as_json(_parse_dict(child))
+    for bad in ({"k": object()}, {"k": [1.5, {"x": {1, 2}}]}, {(1, 2): "tuple key"}):
+        d = _parse_dict({**doc, "annotations": {"bad": bad}})
+        with pytest.raises(TypeError):      # as json.dumps raises
+            json.dumps(to_dict(d), indent=1)
+        with pytest.raises(TypeError):
+            diagram_to_json(d)
 
+
+# -- records -----------------------------------------------------------------------
+
+def test_driver_takes_a_plain_tuple_and_returns_the_stored_portref():
+    d = _parse_dict({"schema": 1, "blocks": [{"id": "A", "kind": "Constant"},
+                                             {"id": "B", "kind": "Gain"}],
+                     "links": [{"from": "A.out", "to": "B.in"}],
+                     "outputs": [{"name": "y", "from": "B.out"}]})
+    drv = d.driver(("B", "in"))
+    assert type(drv) is PortRef and drv is d.links[0].src and str(drv) == "A.out"
+    assert d.driver(PortRef("B", "in")) is drv
+    assert d.driver(("A", "in")) is None
+
+
+def test_links_and_outputs_keep_their_value_semantics():
+    a, b = PortRef("A", "out"), PortRef("B", "in")
+    ln = Link(a, b)
+    assert repr(ln) == "Link(src=PortRef(block='A', port='out'), dst=PortRef(block='B', port='in'))"
+    assert ln == Link(PortRef("A", "out"), PortRef("B", "in")) != Link(b, a)
+    assert hash(ln) == hash(Link(PortRef("A", "out"), PortRef("B", "in")))
+    assert len({ln, Link(a, b), Link(b, a)}) == 2
+    assert (ln.src, ln.dst) == (a, b)
+    o = Output("y", a)
+    assert repr(o) == "Output(name='y', src=PortRef(block='A', port='out'))"
+    assert o == Output("y", PortRef("A", "out")) != Output("z", a)
+    assert hash(o) == hash(Output("y", PortRef("A", "out")))
+    assert (o.name, o.src) == ("y", a)
+
+
+def test_block_ports_are_computed_once(monkeypatch):
+    kind = diagram._KINDS["Sum"]
+    calls, ports = [], kind.ports
+    monkeypatch.setattr(kind, "ports", lambda f: calls.append(f) or ports(f))
+    b = make_block("S", "Sum", signs="+-")
+    assert [b.port_names() for _ in range(3)] == [(["in1", "in2"], ["out"])] * 3
+    assert b.feedthrough and b.feedthrough
+    d = _parse_dict({"schema": 1, "blocks": [{"id": "A", "kind": "Constant"},
+                                             {"id": "S", "kind": "Sum", "signs": "+-"}],
+                     "links": [{"from": "A.out", "to": "S.in1"}, {"from": "A.out", "to": "S.in2"}],
+                     "outputs": [{"name": "y", "from": "S.out"}]})
+    assert validate(d).ok
+    flatten(d)
+    assert len(calls) == 2      # one per Sum block, however often its ports are read
+
+
+def test_block_ports_read_from_threads_at_once_are_one_object():
+    blocks = [make_block(f"S{i}", "Sum", signs="+-+") for i in range(300)]
+    seen = [[] for _ in blocks]
+    start = threading.Barrier(8)
+
+    def read():
+        start.wait(timeout=10)
+        for got, b in zip(seen, blocks):
+            got.append((b.port_names(), b.feedthrough))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got, b in zip(seen, blocks):     # every reader holds the one cached list
+        assert len(got) == 8 and all(ports is b.port_names() and ft for ports, ft in got)
+        assert b.port_names() == (["in1", "in2", "in3"], ["out"])
 
 # -- one validation per diagram ----------------------------------------------------
 

@@ -14,7 +14,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import random_tape
+from conftest import perfbench_workloads, random_tape
 from hybridad import (
     DelaySlot,
     EvalDomainError,
@@ -398,17 +398,6 @@ def test_two_phase_impact_update_uses_pre_velocities():
 # event location
 # ---------------------------------------------------------------------------
 
-def _perfbench_workloads(monkeypatch):
-    """``perfbench/workloads.py``, loaded without writing bytecode beside it."""
-    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads.py")
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    mod = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, mod)        # its dataclasses look it up
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec.loader.exec_module(mod)
-    return mod
-
-
 def _count_locator_calls(monkeypatch) -> list:
     """Per located event, the [step, guard] calls ``_locate_event`` makes,
     counted as ``scripts/trajectory_digest.py`` counts them."""
@@ -419,7 +408,7 @@ def _count_locator_calls(monkeypatch) -> list:
 
 
 def test_bounces_are_located_in_a_handful_of_calls_within_tol_of_the_closed_form(monkeypatch):
-    wl = _perfbench_workloads(monkeypatch)
+    wl = perfbench_workloads(monkeypatch)
     H, g = 0.05, 9.81
     v1 = math.sqrt(2.0 * g * H)
     model = wl._ballistic_model(H, g, 1.3, [(0.0, 0.0, 100.0)])

@@ -321,6 +321,36 @@ def test_topological_and_input_invariants():
         Tape((Node("input", a=0), Node("input", a=0)), 1, (0,))
     with pytest.raises(ValueError):
         Tape((Node("const", value=1.0),), 0, (3,))
+    # each op's children, and only those, must come before it; the first
+    # one out of order, in ``children()`` order, is named
+    head = (Node("input", a=0), Node("const", a=9, b=9, cond=9, value=1.0))
+    for node, bad in [(Node("apply", a=2, fn=COS), 2), (Node("apply", a=-1, fn=COS), -1),
+                      (Node("add", a=0, b=3), 3), (Node("sub", a=-2, b=0), -2),
+                      (Node("div", a=2, b=4), 2), (Node("mul", a=1, b=2), 2),
+                      (Node("branch", a=0, b=1, cond=5), 5), (Node("branch", a=0, b=2, cond=0), 2),
+                      (Node("branch", a=3, b=4, cond=0), 3), (Node("branch", a=0, b=1, cond=-1), -1),
+                      (Node("apply", a=1, b=7, cond=8, fn=COS), None),
+                      (Node("branch", a=0, b=1, cond=1), None),
+                      (Node("const", a=-5, b=5, cond=5, value=2.0), None)]:
+        if bad is None:
+            assert len(Tape((*head, node), 1, (2,))) == 3
+        else:
+            with pytest.raises(ValueError, match=f"^node 2 references {bad}, violating"):
+                Tape((*head, node), 1, (2,))
+    with pytest.raises(ValueError, match="node 2: input index 1 out of range"):
+        Tape((*head, Node("input", a=1)), 1, (2,))
+
+
+def test_nodes_keep_their_value_semantics():
+    n = Node("add", a=0, b=1)
+    assert repr(n) == "Node(op='add', a=0, b=1, fn=None, value=0.0, cond=-1, threshold=0.0)"
+    assert n == Node("add", 0, 1) != Node("sub", a=0, b=1)
+    assert hash(n) == hash(Node("add", a=0, b=1))
+    assert len({n, Node("add", a=0, b=1), Node("const", value=1.0)}) == 2
+    br = Node("branch", a=2, b=3, cond=1, threshold=0.5)
+    assert (br.op, br.a, br.b, br.cond, br.threshold, br.children()) == ("branch", 2, 3, 1, 0.5,
+                                                                       (1, 2, 3))
+    assert Node("apply", a=4, fn=COS).fn is COS
 
 
 # -- boundary audit and Taylor patching --------------------------------------
