@@ -24,8 +24,9 @@ from an empty code cache: how many models the simulator bound to generated
 code, how many times it generated code (cache misses), how many distinct
 sources those generations wrote, how many lines they hold together, how
 many of those lines are node statements, which assign a ``_v<i>``,
-outside ``march`` (whose RK stages, accepted node and guard checks repeat
-the statements of ``ev`` and the guards), and how many guard crossings
+outside ``march`` and ``step`` (whose RK stages, and the march's accepted
+node and guard checks, repeat the statements of ``ev`` and the guards),
+and how many guard crossings
 the simulator located, with the calls of the RK step and of the guards
 that took, and how many lines the ``while True:`` loop of ``march`` holds,
 summed over the distinct sources (what each step of the march runs
@@ -54,6 +55,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("smooth-sens", "impact-events", "delay-sens", "large-diagram")
 MARCH = re.compile(r"^    def march\(.*?(?=^ {0,4}\S)", re.M | re.S)
+WRITTEN_OUT = re.compile(r"^    def (?:step|march)\(.*?(?=^ {0,4}\S)", re.M | re.S)
 NODE_STATEMENT = re.compile(r"^ *(if _c\d+: )?_v[\d_]+ = ", re.M)
 LOOP = re.compile(r"^        while True:\n(.*?)(?=^ {0,8}\S|\Z)", re.M | re.S)
 
@@ -181,7 +183,7 @@ def main() -> int:
                         print(f"{name} {seed} {j} {job.kind}: {problem}", file=sys.stderr)
                     failed += bool(problems)
             lines = sum(src.count("\n") + 1 for src in sources)
-            nodes = sum(len(NODE_STATEMENT.findall(MARCH.sub("", src))) for src in sources)
+            nodes = sum(len(NODE_STATEMENT.findall(WRITTEN_OUT.sub("", src))) for src in sources)
             steps, guards = (sum(n[k] for n in located) for k in (0, 1))
             loop = sum(body.count("\n") for src in set(sources)
                        for body in LOOP.findall(MARCH.search(src).group()))

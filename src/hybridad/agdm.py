@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import re
 
-from .diagram import (_KINDS, Block, Diagram, Link, Output, PortRef, _e2j, _subsystem_ports,
+from .diagram import (Block, Diagram, Link, Output, PortRef, _e2j, _subsystem_ports,
                       make_block)
 from .errors import DelayOrderExceeded, UnknownParameter
 from .ops import Pow
@@ -284,7 +284,9 @@ def _emit_block(bld: _Builder, b: Block):
     new, feed, u, du, zero = bld.new, bld.feed, bld.u, bld.du, bld.zero
     main = bld.begin(b)
     ins = b.port_names()[0]
-    to_json = _KINDS[k].to_json
+
+    def copy(fields, name=None):    # a block of b's kind, on fields as ``parse_diagram`` gives them
+        return bld.add(Block(name or bld.namer.next(), k, fields))
 
     if k == "Constant":                             # copy
         new(k, main, value=_e2j(f["value"].diff(theta)))
@@ -293,7 +295,7 @@ def _emit_block(bld: _Builder, b: Block):
     elif k == "Inport":     # derivative inputs follow the diagram's own inputs
         new(k, main, index=f["index"] + len(_subsystem_ports({"diagram": bld.d})[0]))
     elif k in ("Sum", "Mux", "Demux"):    # fields are values, shared with the copy
-        feed(bld.add(Block(main, k, f)), *map(du, ins))
+        feed(copy(f, main), *map(du, ins))
     elif k == "UnitDelay":
         feed(new(k, main, initial=_e2j(f["initial"].diff(theta)),
                  sample_time=f["sample_time"]), du("in"))
@@ -308,10 +310,9 @@ def _emit_block(bld: _Builder, b: Block):
         else:
             dH = None
         if dH is None:
-            feed(new(k, main, **to_json(f)), du("in"))
+            feed(copy(f, main), du("in"))
         else:
-            feed(new("Sum", main, signs="++"), feed(new(k, **to_json(f)), du("in")),
-                 feed(new(k, **to_json(dH)), u("in")))
+            feed(new("Sum", main, signs="++"), feed(copy(f), du("in")), feed(copy(dH), u("in")))
 
     elif k == "Product":                            # chain rule
         n = f["n"]
@@ -349,7 +350,7 @@ def _emit_block(bld: _Builder, b: Block):
         feed(m, fp, du("in"))
 
     elif k == "Switch":                             # conditional copy
-        feed(new(k, main, **to_json(f)), du("in1"), u("in2"), du("in3"))
+        feed(copy(f, main), du("in1"), u("in2"), du("in3"))
     elif k == "Saturation":     # du where lo < u < hi, else 0
         x = u("in")
         g_lo = new("Switch", main, threshold=-f["lo"])
@@ -405,11 +406,11 @@ def _emit_block(bld: _Builder, b: Block):
     elif k in ("StateSpaceC", "StateSpaceD"):       # copy, or stacked copy
         A, B, C, D = f["A"], f["B"], f["C"], f["D"]
         if not any(e.depends_on(theta) for M in (A, B, C, D) for row in M for e in row):
-            feed(new(k, main, **to_json(f)), *map(du, ins))
+            feed(copy(f, main), *map(du, ins))
         else:   # on (u, du), with the derivative rows as outputs
             A2, B2, C2, D2 = ss_augment(A, B, C, D, theta)
             p = len(C)
-            feed(new(k, main, **to_json({**f, "A": A2, "B": B2, "C": C2[p:], "D": D2[p:]})),
+            feed(copy({**f, "A": A2, "B": B2, "C": C2[p:], "D": D2[p:]}, main),
                  *map(u, ins), *map(du, ins))
     elif k == "Subsystem":      # stacked copy: the child differentiated, on (u, du)
         child: Diagram = f["diagram"]

@@ -232,9 +232,15 @@ class ParamExpr:
     # -- printing ----------------------------------------------------------------
 
     def to_str(self) -> str:
+        """Infix text that ``parse_expr`` reads back to this expression:
+        an operand is parenthesized where Python would otherwise group it
+        differently (the right operand of any binary operator at its own
+        level, a product under unary minus, a power used as a base)."""
         return self._str(0)
 
     def _str(self, prec: int) -> str:
+        # prec: 0 anywhere, 1 a sum's operand, 2 a product's or a sum's right
+        # one, 3 a product's right one or under unary minus, 4 a power's base
         op = self.op
         if op == "const":
             v = self.value
@@ -246,25 +252,17 @@ class ParamExpr:
         if op == "param":
             return self.name
         if op == "neg":
-            inner = self.args[0]._str(2)
+            inner = self.args[0]._str(3)
             return f"-{inner}" if prec <= 1 else f"(-{inner})"
         if op == "fn":
             if self.fn.kind == "pow":
-                return f"{self.args[0]._str(3)}**{self.fn.exponent!r}"
+                s = f"{self.args[0]._str(4)}**{self.fn.exponent!r}"
+                return f"({s})" if prec > 3 else s
             return f"{self.fn.kind}({self.args[0]._str(0)})"
         a, b = self.args
-        if op == "add":
-            s = f"{a._str(1)} + {b._str(1)}"
-            mine = 1
-        elif op == "sub":
-            s = f"{a._str(1)} - {b._str(2)}"
-            mine = 1
-        elif op == "mul":
-            s = f"{a._str(2)}*{b._str(2)}"
-            mine = 2
-        else:
-            s = f"{a._str(2)}/{b._str(3)}"
-            mine = 2
+        mine = 1 if op in ("add", "sub") else 2
+        sep = f" {_INFIX[op]} " if mine == 1 else _INFIX[op]
+        s = f"{a._str(mine)}{sep}{b._str(mine + 1)}"
         return f"({s})" if prec > mine else s
 
     def __str__(self) -> str:

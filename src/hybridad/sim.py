@@ -26,22 +26,26 @@ run.  Sensitivity propagation across any other event kind is refused
 (SensitivityAcrossEvent).
 
 Integrators are deliberately fixed-step (midpoint and classic RK4) so
-finite-difference oracles stay deterministic.  Each model runs, per
-method, generated code: the march over the step grid, with the RK stages,
-the guard checks and the delay lookups written out, and the RK step and
-one function per event guard for event location.  Tape constants, branch
-thresholds and delay constants are read from a per-model table, not
-written into the source, so the code is generated and compiled once per
-model structure, and a model of a cached structure only fills its table.
-Parameter-only nodes are computed once per ``integrate`` call, stages
-compute only the rhs, and a branch arm that can raise runs only when it is
-taken.  So an exception there is a real domain error; ``tape_eval`` re-runs
-the point and names the node (``EvalDomainError``).  Python code runs only
-at the start, at each event (location, action, record) and to assemble the
-trajectory, one conversion per array of the flat node records (the state
-and the output rows laid end to end), shaped by the model's widths.  Models
-are immutable and each ``integrate`` call owns its private workspace:
-parameter sweeps may run concurrently.
+finite-difference oracles stay deterministic.  Each model runs, per method,
+generated code: the march over the step grid, with the RK stages, the
+guard checks and the delay lookups written out, and, for a model with
+events, the RK step that event location takes, its stages written by the
+march's own stage writer, and one function per event guard.  A lookup is
+never kept across calls: the one reuse is the march's accepted node, which
+keeps its last stage's lookup when that stage was at the node's time for
+the same anchor.  Tape constants, branch thresholds and delay constants are
+read from a per-model table, not written into the source, so the code is
+generated and compiled once per model structure, and a model of a cached
+structure only fills its table.  Parameter-only nodes are computed once per
+``integrate`` call, stages compute only the rhs, and a branch arm that can
+raise runs only when it is taken.  So an exception there is a real domain
+error; ``tape_eval`` re-runs the point and names the node
+(``EvalDomainError``).  Python code runs only at the start, at each event
+(location, action, record) and to assemble the trajectory, one conversion
+per array of the flat node records (the state and the output rows laid end
+to end), shaped by the model's widths.  Models are immutable and each
+``integrate`` call owns its private workspace: parameter sweeps may run
+concurrently.
 """
 
 from __future__ import annotations
@@ -74,6 +78,7 @@ from .tape import (
     arm_contexts,
     copy_into,
     guarded_source,
+    hoisted,
     node_ref,
     number,
     numbers,
@@ -296,7 +301,7 @@ def _record_exprs(m: OdeModel):
 
 
 def _record_source(m: OdeModel, dv: list[str], consts: list):
-    """The delay record of ``_make``, ``look(t, anchor, want)``, the
+    """The delay record of ``_make``, ``look(t, anchor, want, known)``, the
     statements of one lookup in it, and the names of the record's cells that
     a lookup sets.  The record: the record's constants
     (``_k[len(consts):]``) bound to names, each distinct delay expression
@@ -315,10 +320,11 @@ def _record_source(m: OdeModel, dv: list[str], consts: list):
     ``DelayUnderflow``.  A delay none of whose slots is wanted is skipped:
     the first lookup, of ``integrate``'s start node, sets every slot and
     reaches every prehistory, so it raises there.  Written into the march
-    (``march`` set), the prehistory test runs only while the step's ``a``
-    is not None: with the anchor the longest delay or more past the start,
-    tau is at least ``_left`` in floats too (rounding is monotonic), and
-    ``_T`` is never empty there.
+    and ``step``, ``known`` names the variable that holds the anchor, or
+    None once the anchor is the longest delay or more past the start; the
+    prehistory test runs only while it is not None: then tau is at least
+    ``_left`` in floats too (rounding is monotonic), and ``_T`` is never
+    empty.
 
     The carried signal may jump at the start time (prehistory on one
     side, dynamics on the other); a step that starts left of that boundary
@@ -335,7 +341,7 @@ def _record_source(m: OdeModel, dv: list[str], consts: list):
     psrc = [es and [e.to_source(at_tau, consts) for e in es] for es in pre]
     groups = [[j for j, slot in enumerate(m.delays) if slot.delay == e] for e in delays]
 
-    def look(t, anchor, want, march=False):
+    def look(t, anchor, want, known=None):
         src = []
         for g, js in enumerate(groups):
             values, slopes = ([j for j in js if k + j in want] for k in (0, J))
@@ -351,7 +357,7 @@ def _record_source(m: OdeModel, dv: list[str], consts: list):
             wanted = [k + j for j in js for k in (0, J) if k + j in want]
             test = f"tau < _left or ({anchor} - _h{g} < _left and tau <= _right) or not _T"
             src += [f"tau = {t} - _h{g}",
-                    f"if {test}:" if not march else f"if a is not None and ({test}):",
+                    f"if {known} is not None and ({test}):" if known else f"if {test}:",
                     *("    " + ln for ln in before),
                     "else:", "    if _T[0] > tau:", "        tau = _T[0]",
                     "    if tau >= _T[-1]:       # clamp to the newest node (roundoff only)",
@@ -380,7 +386,7 @@ def _record_source(m: OdeModel, dv: list[str], consts: list):
            '            raise ValueError(f"delay {_h} smaller than the step {_step}")',
            f"    _hmax = max([{hs}])", "    _tol = 1e-9 * max(1.0, abs(_t0))",
            "    _left, _right = _t0 - _tol, _t0 + _tol",
-           "    _T, _R = [], []", "    _kt = _ka = None",
+           "    _T, _R = [], []",
            f"    {' = '.join(cursors)} = 0",
            f"    {' = '.join(dv)} = 0.0",
            "    def _look(t, anchor):",
@@ -397,31 +403,24 @@ _RK_Y = {"midpoint": "x{i} + h * {b}",
          "rk4": "x{i} + h6 * ({a} + 2.0 * {b} + 2.0 * {c} + {d})"}
 
 
-def _rk_source(m: OdeModel, method: str, stage, rate=None) -> list[str]:
-    """Statements of one RK step of ``method`` from state ``x`` at ``t``
-    over ``h``, whose first stage is the rhs ``f`` at (x, t): they set
-    ``y``, clamped.  ``stage(k, xs, ts)`` gives the statements that set
-    ``k0, k1, ...`` to the rhs at the states ``xs`` and time ``ts`` (source
-    expressions), for the step anchored at ``t``.  Given ``rate``, as the
-    march is, the step reads the state from ``x0, x1, ...`` and entry i of
-    stage k's rhs as ``rate(k, i)``, and sets ``y0, y1, ...``; a clamped
-    model clamps them through the list ``y``."""
-    def row(fmt):               # one entry per state
-        return ", ".join(fmt.format(i) for i in range(m.n))
-
-    listed = rate is None       # ``step``'s form: from the lists ``x`` and ``f`` to ``y``
-    src = [f"[{row('x{}')}] = x", f"[{row('a{}')}] = f"] if listed else []
-    rate = "{}{}".format if listed else rate
-    src.append("hh = 0.5 * h")
+def _rk_source(m: OdeModel, method: str, stage, rate) -> list[str]:
+    """Statements of one RK step of ``method`` from the state ``x0, x1,
+    ...`` at ``t`` over ``h``: they set ``y0, y1, ...``, which a clamped
+    model clamps through the list ``y``.  Entry i of stage k's rhs is read
+    as ``rate(k, i)``, stage a's being the rhs at (x, t), and ``stage(k, xs,
+    ts, again)`` gives the statements that set it for a later stage to the
+    rhs at the states ``xs`` and time ``ts`` (source expressions), for the
+    step anchored at ``t``; ``again`` is set where ts is the previous
+    stage's time."""
+    src, last = ["hh = 0.5 * h"], None
     for k, k_in, hs in _RK_STAGES[method]:
-        src += stage(k, [f"x{i} + {hs} * {rate(k_in, i)}" for i in range(m.n)], f"t + {hs}")
-    ys = [_RK_Y[method].format(i=i, **{k: rate(k, i) for k in "abcd"}) for i in range(m.n)]
+        src += stage(k, [f"x{i} + {hs} * {rate(k_in, i)}" for i in range(m.n)], f"t + {hs}", hs == last)
+        last = hs
     src += ["h6 = h / 6.0"] if method == "rk4" else []
-    clamp = ["for i, lo, hi in _clamps:", "    y[i] = min(hi, max(lo, y[i]))"] if m.state_clamps else []
-    if listed:
-        return [*src, f"y = [{', '.join(ys)}]", *clamp]
-    return [*src, *(f"y{i} = {e}" for i, e in enumerate(ys)),
-            *([f"y = [{row('y{}')}]", *clamp, f"[{row('y{}')}] = y"] if clamp else [])]
+    src += [f"y{i} = " + _RK_Y[method].format(i=i, **{k: rate(k, i) for k in "abcd"}) for i in range(m.n)]
+    ys = ", ".join(f"y{i}" for i in range(m.n))
+    return [*src, *([f"y = [{ys}]", "for i, lo, hi in _clamps:", "    y[i] = min(hi, max(lo, y[i]))",
+                     f"[{ys}] = y"] if m.state_clamps else [])]
 
 
 def _generate_stepper(m: OdeModel, method: str, tape: Tape):
@@ -434,74 +433,65 @@ def _generate_stepper(m: OdeModel, method: str, tape: Tape):
     k - 1; the delay record's constants follow them.  ``_make`` binds the
     model's and the guards' ``numbers``, and the delay record's constants,
     from ``_k`` to names, builds the delay record (``_record_source``), for
-    a model with delay slots, and computes the parameter-only nodes that
-    cannot raise or that every call needs; the interpreter names one that
-    fails.  All code is ``guarded_source``'s: a node that one statement
-    alone reads is written into that statement's expression.
+    a model with delay slots, and computes the parameter-only nodes
+    (``hoisted``); the interpreter names one that fails.  All code is
+    ``guarded_source``'s: a node that one statement alone reads is written
+    into that statement's expression.
 
-    ``ev(x..., t, anchor, full)`` computes the rhs nodes, reading the
-    delay record (``_look``) for the step that starts at ``anchor``, and
-    reuses the previous lookup when it was made at the same t and its
-    anchor cannot change the result either (an anchor the longest delay or
-    more past the start time reaches the prehistory of no slot, so the
-    lookup at an accepted node is the last RK stage's).  With ``full``
-    set, at a node of the march, it also returns the outputs and records
-    the node: the slot values and their time-slopes
-    (``_with_slot_slopes``).  A node in an arm that can raise runs only
-    when that arm is taken (``arm_contexts``).
-    ``step(x, t, h, f)`` is one RK step (``_rk_source``) that calls ``ev``
-    at its stages, anchored at ``t``; event location takes its sub-steps
-    with it.
-    ``guards`` holds one ``g(x..., t) -> float`` per event, its guard
-    tape's output computed the same taken-arm way.
+    ``ev(x..., t, anchor, full)`` computes the rhs nodes after a lookup of
+    every slot (``_look``) for the step that starts at ``anchor``.  With
+    ``full`` set, at a node, it also returns the outputs and records the
+    node: the slot values and their time-slopes (``_with_slot_slopes``).  A
+    node in an arm that can raise runs only when that arm is taken
+    (``arm_contexts``).  ``guards`` holds one ``g(x..., t) -> float`` per
+    event, its guard tape's output computed the same taken-arm way.
 
     ``march(x, t, f, g, until, times, states, outputs)`` steps on the grid
     anchored at t, with ``f`` the rhs and ``g`` the guard values at (x, t),
     recording each accepted node flat (its time appended to ``times``, its
     states and outputs extending the other two), until tf or the first
-    step across which a guard changes sign.  Each step is ``step``'s RK
-    formula with the stages written out: the stage inputs that the rhs
-    reads, the delay lookup and ``ev``'s rhs statements.  The lookup is
-    ``_record_source``'s, written in place under ``ev``'s reuse test, and
-    it sets only the slot inputs the rhs reads; its anchor is worked out
-    once per step, and a stage at the previous stage's time (RK4's third)
-    keeps that stage's lookup.  The accepted node is ``ev(*y, tn, tn,
-    True)`` written out the same way: the rhs, which is the next step's
-    first stage, the outputs and the delay record's row, with an input
-    that no statement reads read in place; its lookup sets the slot inputs
-    any of them reads or, when it keeps the last stage's, those the stage
-    did not set.  So ``march`` calls ``ev`` and ``_look`` nowhere
-    (``integrate``'s first node, its restarts after an event, ``step`` and
-    discrete models still do), but where a stage or the node fails: there
-    ``_look`` re-runs the lookup for every slot, and the interpreter the
-    tape at those inputs.  The guard checks are written out too; a guard
-    is not checked on a step that ends inside its deadtime window, which
-    closes at ``until[i]``.  The loop keeps its state in scalar locals:
-    ``x`` and ``f`` are unpacked into ``x0, ...`` and ``a0, ...`` once per
-    call, a step sets ``y0, ...`` and the node's rhs ``a0, ...``, and a
-    node is recorded by extending with tuples, so a step builds a list only
-    for a clamped model's clamp and the delay record's row.  An rhs entry
-    that no step changes (a constant, a parameter or a hoisted node) is
-    read by its name wherever the step reads that rate: the same float
-    that ``ev`` returns.  It returns None at tf, else ``(i, k, x, t, h, f,
-    g_i, y, g_y)``: guard i changed sign on the k-th step, from (x, t) over
-    h to y, where it is g_y (None where t + h is not the node time, at
-    which it was computed), with the last lookup forgotten, as it set only
-    some slots; x, f and y are lists, as ``step`` and ``ev`` give them."""
+    step across which a guard changes sign.  Each step is ``_rk_source``'s,
+    its stages written out by one stage writer: the stage inputs that the
+    rhs reads, the lookup of the slot inputs the rhs reads and ``ev``'s rhs
+    statements.  The lookup is ``_record_source``'s, written in place; its
+    anchor is worked out once per step, and a stage at the previous stage's
+    time (RK4's third) has none, as the previous stage's stands.  The
+    accepted node is ``ev(*y, tn, tn, True)`` written out the same way: the
+    rhs, which is the next step's first stage, the outputs and the delay
+    record's row, with an input that no statement reads read in place.  Its
+    lookup sets the slot inputs any of them reads, or, where tn is the last
+    stage's time and the node's anchor test gives the step's, keeps that
+    stage's lookup and sets those the stage did not.  So ``march`` calls
+    ``ev`` and ``_look`` nowhere (``integrate``'s first node, its restarts
+    after an event and discrete models still do), but where a stage or the
+    node fails: there ``_look`` re-runs the lookup for every slot, and the
+    interpreter the tape at those inputs.  Each guard is written out once
+    per step, at the step's end; its sign is not compared on a step that
+    ends inside its deadtime window, which closes at ``until[i]``.  The
+    loop keeps its state in scalar locals: ``x`` and ``f`` are unpacked
+    into ``x0, ...`` and ``a0, ...`` once per call, a step sets ``y0, ...``
+    and the node's rhs ``a0, ...``, and a node is recorded by extending
+    with tuples, so a step builds a list only for a clamped model's clamp
+    and the delay record's row.  An rhs entry that no step changes (a
+    constant, a parameter or a hoisted node) is read by its name wherever
+    the step reads that rate: the same float that ``ev`` returns.  It
+    returns None at tf, else ``(i, k, x, t, h, f, g_i, y, g_y)``: guard i
+    changed sign on the k-th step, from (x, t) over h to y, where it is g_y
+    (None where t + h is not the node time, at which it was computed); x, f
+    and y are lists, as ``step`` and ``ev`` give them.
+
+    ``step(x, t, h, f)``, for event location's sub-steps, is the march's
+    step from the list ``x`` at t over h, with ``f`` the rhs there, written
+    by the same stage writer, that returns the list y; a model without
+    events has none."""
     n, s, q = m.n, len(m.param_names), m.n_outputs
     nodes, outs = tape.nodes, tape.outputs
     place, opened = arm_contexts(tape, [(o, 0 if k < n else 1) for k, o in enumerate(outs)])
     arg = {nd.a: nid for nid, nd in enumerate(nodes) if nd.op == "input"}
     inputs = set(arg.values())
     bound = {arg[j] for j in range(n + 1, n + 1 + s) if j in arg}       # parameters
-    hoist = []      # parameter-only nodes that cannot raise or that every call needs
     # (context 0: the rhs, whose failure ``_make`` names through ``m.tape``)
-    for nid in sorted(set(place) - inputs):
-        nd = nodes[nid]
-        if all(c in bound for c in nd.children()) and (
-                nd.op not in ("div", "apply") or place[nid] == {0}):
-            hoist.append(nid)
-            bound.add(nid)
+    hoist = hoisted(tape, place, bound)
     # rhs entries that no step changes (constants, parameters, hoisted nodes): read by name
     fixed = {i for i, o in enumerate(outs[:n]) if o in bound}
     bound |= inputs
@@ -527,42 +517,33 @@ def _generate_stepper(m: OdeModel, method: str, tape: Tape):
     def refs(ids):
         return ", ".join(node_ref(tape, o) for o in ids)
 
-    def rate(k, i):             # how the march reads entry i of stage k's rhs
+    def rate(k, i):             # how a step reads entry i of stage k's rhs
         return node_ref(tape, outs[i]) if i in fixed else f"{k}{i}"
 
     def tup(items):             # a tuple display of the expressions ``items``
         return f"({', '.join(items)}{',' if len(items) == 1 else ''})"
 
-    def anchored(anchor):       # ``a``: the anchor, or None where no lookup depends on it
-        return [f"a = {anchor} if {anchor} - _hmax < _left else None"] if m.delays else []
+    def anchored(name, anchor):     # ``name``: the anchor, or None where no lookup depends on it
+        return [f"{name} = {anchor} if {anchor} - _hmax < _left else None"] if m.delays else []
 
-    def unless_kept(ts, look, kept=()):
-        # ``look``, a lookup at ts, unless the last one was at ts for ``a``; then ``kept``
-        return [f"if {ts} != _kt or a != _ka:", *("    " + ln for ln in look), f"    _kt, _ka = {ts}, a",
-                *(["else:", *("    " + ln for ln in kept)] if kept else [])] if look else []
+    def indent(lines, k=1):
+        return [" " * 4 * k + ln for ln in lines]
 
     rhs = guarded_source(tape, place, opened, bound, 0, reads)
     rest = guarded_source(tape, place, opened, bound, 1, reads)       # the outputs and slot rows
-
-    def call_stage(k, xs, ts):          # ``step``: the rhs by a call of ``ev``
-        return [f"[{', '.join(f'{k}{i}' for i in range(n))}] = "
-                f"ev({''.join(x + ', ' for x in xs)}{ts}, t, False)"]
 
     def at_inputs(ins, keep, look, body, looked):   # ``body`` after ``look``, at the inputs ``ins``
         vals = [*(a if k else e for a, e, k in zip(arg, ins, keep)), *arg[n + 1:]]    # ``_fail``'s
         # a failure re-runs the whole lookup (at ``looked``), which sets every slot input
         return [*(f"{a} = {e}" for a, e, k in zip(arg, ins, keep) if k), *look,
-                *(["try:", *("    " + ln for ln in body), "except _ARITH_ERRORS:",
+                *(["try:", *indent(body), "except _ARITH_ERRORS:",
                    *([f"    _look({looked})"] if m.delays else []),
                    f"    _fail(0, [{', '.join(vals)}])", "    raise"] if body else [])]
 
-    stage_times = []        # of the stages written so far
-
-    def inline_stage(k, xs, ts):        # ``march``: ``ev``'s statements, at the stage inputs
-        # the lookup of the slot inputs the rhs reads, unless the previous stage's was at ts
-        look = look_at(tt, "t", rhs_slots, True) if m.delays and stage_times[-1:] != [ts] else []
-        stage_times.append(ts)
-        return [*at_inputs([*xs, ts], stored, unless_kept(tt, look), rhs, f"{tt}, t"),
+    def stage(k, xs, ts, again):        # ``ev``'s rhs statements at the stage inputs
+        # the lookup of the slot inputs the rhs reads, but at the previous stage's time
+        look = look_at(tt, "t", rhs_slots, "a") if m.delays and not again else []
+        return [*at_inputs([*xs, ts], stored, look, rhs, f"{tt}, t"),
                 *(f"{k}{i} = {node_ref(tape, o)}" for i, o in enumerate(outs[:n]) if i not in fixed)]
 
     def at(ids):                        # the nodes' values at the accepted node
@@ -570,7 +551,7 @@ def _generate_stepper(m: OdeModel, method: str, tape: Tape):
 
     # the model's numbers, bound once per ``_make`` call: name -> (tape, node id)
     nums = {name: (0, i) for name, i in numbers(tape, place).items()}
-    src, checks, late = [], [], []
+    src, checks = [], []
     xs, ys = [f"x{i}" for i in range(n)], [f"y{i}" for i in range(n)]
     rates = ", ".join(rate("a", i) for i in range(n))      # the rhs at the step's start
     for k, e in enumerate(m.events, 1):         # guard k - 1, called g(x..., t)
@@ -579,32 +560,35 @@ def _generate_stepper(m: OdeModel, method: str, tape: Tape):
         nums.update((name, (k, i)) for name, i in numbers(g, g_place, tag).items())
         out, g_reads = node_ref(g, g.outputs[0], tag), readers(g, g_place)
         body = guarded_source(g, g_place, g_opened, set(), 0, g_reads, tag)
-        src += [f"    def _g{k}(*x):", "        try:", *(" " * 12 + ln for ln in body),
+        src += [f"    def _g{k}(*x):", "        try:", *indent(body, 3),
                 f"            return {out}",
                 "        except _ARITH_ERRORS:", f"            _fail({k}, list(x))", "            raise"]
         ins = {nid: "tn" if nd.a == n else f"y{nd.a}"      # inline in march, at the step's end
                for nid, nd in enumerate(g.nodes) if nd.op == "input" and nid in g_place}
-        checks += [f"if not tn <= u{k}:", "    try:",
-                   *(f"        {node_ref(g, nid, tag)} = {v}" for nid, v in ins.items()),
-                   *(" " * 8 + ln
-                     for ln in guarded_source(g, g_place, g_opened, set(ins), 0, g_reads, tag)),
-                   "    except _ARITH_ERRORS:",
-                   f"        _fail({k}, [{', '.join([*ys, 'tn'])}])", "        raise",
-                   f"    if (p{k} >= 0.0) != ({out} >= 0.0):",
-                   *(["        _kt = None      # ``ev`` must not reuse a partial lookup"]
-                     if m.delays else []),
-                   f"        return {k - 1}, k, [{', '.join(xs)}], t, h, [{rates}], p{k}, [{', '.join(ys)}], "
+        checks += ["try:", *(f"    {node_ref(g, nid, tag)} = {v}" for nid, v in ins.items()),
+                   *indent(guarded_source(g, g_place, g_opened, set(ins), 0, g_reads, tag)),
+                   "except _ARITH_ERRORS:", f"    _fail({k}, [{', '.join([*ys, 'tn'])}])", "    raise",
+                   f"if not tn <= u{k} and (p{k} >= 0.0) != ({out} >= 0.0):",
+                   f"    return {k - 1}, k, [{', '.join(xs)}], t, h, [{rates}], p{k}, [{', '.join(ys)}], "
                    f"{out} if t + h == tn else None",
-                   f"    p{k} = {out}"]
-        late += [f"if tn <= u{k}:", f"    p{k} = _g{k}({', '.join([*ys, 'tn'])})"]
+                   f"p{k} = {out}"]
     record, look_at, cells = _record_source(m, dv, list(nums)) if m.delays else ([], None, [])
     # ``march``: ``ev(*y, tn, tn, True)``'s statements, at the accepted node, whose lookup
     # sets the slot inputs any statement reads, or, kept from the last stage, those it did not
-    look = unless_kept("tn", look_at("tn", "tn", node_slots, True),
-                       look_at("tn", "tn", node_slots - rhs_slots, True)) if m.delays else []
-    node = [*anchored("tn"), *at_inputs(at_node, named, look, rhs + rest, "tn, tn"),
-            *(["_T.append(tn)", f"_R.append([{at(outs[n + q:])}])", "_kt = None"] if m.delays else []),
+    node_look, kept_look = ((look_at("tn", "tn", ss, "an") for ss in (node_slots, node_slots - rhs_slots))
+                            if m.delays else ([], []))
+    if node_look != kept_look:
+        node_look = [f"if tn != t + {_RK_STAGES[method][-1][2]} or an != a:", *indent(node_look),
+                     *(["else:", *indent(kept_look)] if kept_look else [])]
+    node = [*(anchored("an", "tn") if node_look else []),
+            *at_inputs(at_node, named, node_look, rhs + rest, "tn, tn"),
+            *(["_T.append(tn)", f"_R.append([{at(outs[n + q:])}])"] if m.delays else []),
             *(f"a{i} = {at([o])}" for i, o in enumerate(outs[:n]) if i not in fixed)]
+    # ``step`` and ``march``: the scalar locals, unpacked from the lists ``x`` and ``f``, and a step
+    rk = [*anchored("a", "t"), *_rk_source(m, method, stage, rate)]
+    unpack = [*([f"nonlocal {', '.join(cells)}"] if m.delays else []), f"[{', '.join(xs)}] = x",
+              *([f"[{', '.join('_' if i in fixed else f'a{i}' for i in range(n))}] = f"]
+                if len(fixed) < n else [])]
     ps = ", ".join(f"p{k}" for k in range(1, len(m.events) + 1))
     us = ps.replace("p", "u")
     src = [f"def _make({', '.join(['_c', '_x', '_t0', '_env'] + theta)}):",
@@ -612,50 +596,39 @@ def _generate_stepper(m: OdeModel, method: str, tape: Tape):
            "    _step, _tf = _c.step, _c.tf", "    _end = _tf - 1e-12 * max(1.0, abs(_tf))",
            *record,
            f"    def ev({', '.join(arg[:n + 1])}, anchor, full):",
-           *(["        nonlocal _kt, _ka"] if m.delays else []),
-           *("        " + ln for ln in anchored("anchor")
-             + (unless_kept(tt, [f"_look({tt}, anchor)"]) if m.delays else [])),
-           "        try:", *(" " * 12 + ln for ln in rhs),
+           *([f"        _look({tt}, anchor)"] if m.delays else []),
+           "        try:", *indent(rhs, 3),
            "            if not full:",
            f"                return [{refs(outs[:n])}]",
-           *(" " * 12 + ln for ln in rest),
-           *([f"            _T.append({tt})", f"            _R.append([{refs(outs[n + q:])}])",
-              "            _kt = None      # a lookup clamped to the old newest node may now interpolate"]
+           *indent(rest, 3),
+           *([f"            _T.append({tt})", f"            _R.append([{refs(outs[n + q:])}])"]
              if m.delays else []),
            f"            return [{refs(outs[:n])}], [{refs(outs[n:n + q])}]",
            "        except _ARITH_ERRORS:",
            f"            _fail(0, [{', '.join(arg)}])",
            "            raise",
-           "    def step(x, t, h, f):",
-           *("        " + ln for ln in _rk_source(m, method, call_stage)),
-           "        return y",
+           *(["    def step(x, t, h, f):",
+              *indent([*unpack, *rk, f"return [{', '.join(ys)}]"], 2)] if m.events else []),
            "    def march(x, t, f, g, until, times, states, outputs):",
-           *([f"        nonlocal {', '.join(['_kt', '_ka', *cells])}"] if m.delays else []),
-           *([f"        [{ps}] = g", f"        [{us}] = until"] if m.events else []),
-           f"        [{', '.join(xs)}] = x",
-           *([f"        [{', '.join('_' if i in fixed else f'a{i}' for i in range(n))}] = f"]
-             if len(fixed) < n else []),
+           *indent([*unpack, *([f"[{ps}] = g", f"[{us}] = until"] if m.events else [])], 2),
            "        anchor, k = t, 1",
            "        while True:",
            "            tn = anchor + k * _step", "            if _tf < tn:", "                tn = _tf",
            "            h = tn - t",
-           *(" " * 12 + ln for ln in anchored("t")),
-           *(" " * 12 + ln for ln in _rk_source(m, method, inline_stage, rate)),
-           *(" " * 12 + ln for ln in checks),
-           *(" " * 12 + ln for ln in node),
-           *(" " * 12 + ln for ln in late),
+           *indent([*rk, *checks, *node], 3),
            "            times.append(tn)", f"            states += {tup(ys)}",
            *([f"            outputs += {tup([at([o]) for o in outs[n:n + q]])}"] if q else []),
            "            if not tn < _end:", "                return None",
            f"            {', '.join([*xs, 't'])} = {', '.join([*ys, 'tn'])}", "            k += 1"]
     lift = guarded_source(tape, dict.fromkeys(hoist, {0}), {}, set(), 0, reads)
     if lift:
-        src += ["    try:", *("        " + ln for ln in lift), "    except _ARITH_ERRORS:",
+        src += ["    try:", *indent(lift, 2), "    except _ARITH_ERRORS:",
                 *(["        _look(_t0, _t0)"] if m.delays else []),
                 f"        _fail({len(m.events) + 1}, [*_x, _t0, {', '.join(theta + dv)}])",
                 "        raise"]
     guards = "".join(f"_g{k}, " for k in range(1, len(m.events) + 1))
-    return "\n".join(src + [f"    return ev, step, ({guards}), march"]), list(nums.values())
+    return "\n".join(src + [f"    return ev, {'step' if m.events else 'None'}, ({guards}), march"]), \
+        list(nums.values())
 
 
 def _shape(t: Tape) -> tuple:
@@ -782,8 +755,9 @@ def integrate(m: OdeModel, c: SimConfig, theta=None) -> Trajectory:
 
 
 def _stepper(m: OdeModel, c: SimConfig, x, t, env):
-    """The generated ``(ev, step, guards, march)`` of ``m`` for one call;
-    ``_make`` is bound once per model and method."""
+    """The generated ``(ev, step, guards, march)`` of ``m`` for one call,
+    ``step`` None for a model without events; ``_make`` is bound once per
+    model and method."""
     if c.method not in m._steppers:
         m._steppers[c.method] = _bind_stepper(m, c.method)
     return m._steppers[c.method](c, x, t, env, *(env[p] for p in m.param_names))

@@ -608,22 +608,43 @@ def number(n: Node) -> float:
     return n.value if n.op == "const" else n.threshold
 
 
+def hoisted(t: Tape, place, bound: set) -> list[int]:
+    """The nodes of ``place``, in id order, that code generated for it
+    computes once, ahead of its calls: each node but an input whose
+    children are all in ``bound`` (node ids whose values every call shares)
+    or hoisted, unless it can raise and runs outside context 0; one that
+    every call computes fails on every call anyway.  Adds them to
+    ``bound``."""
+    out = []
+    for nid in sorted(place):
+        nd = t.nodes[nid]
+        if nd.op != "input" and all(c in bound for c in nd.children()) and (
+                nd.op not in ("div", "apply") or place[nid] == {0}):
+            out.append(nid)
+            bound.add(nid)
+    return out
+
+
 def compile_tape(t: Tape):
     """Build a fast evaluator ``f(x) -> list[float]`` of the outputs.
 
     It computes only taken branch arms, as ``tape_eval`` does, with the same
     numbers.  Where ``tape_eval`` names a failing node it raises the plain
     ZeroDivisionError, ValueError or OverflowError.  ``_mk(_k)`` binds the
-    ``numbers`` once, as closure cells of ``f``, as ``sim._make`` does.  A
-    node that one statement alone reads is written into that statement's
+    ``numbers`` once, as closure cells of ``f``, as ``sim._make`` does, and
+    computes the nodes that read no input (``hoisted``) once: so a node that
+    every call would fail on fails here, when ``compile_tape`` builds ``f``.
+    A node that one statement alone reads is written into that statement's
     expression (``guarded_source``); the outputs keep their names.
     """
     place, opened = arm_contexts(t, [(o, 0) for o in t.outputs])
-    k = numbers(t, place)
-    src = ["def _mk(_k):", f"    [{', '.join(k)}] = _k",
+    k, reads = numbers(t, place), readers(t, place)
+    fixed = set()
+    lift = guarded_source(t, dict.fromkeys(hoisted(t, place, fixed), {0}), {}, set(), 0, reads)
+    src = ["def _mk(_k, _m=math):", f"    [{', '.join(k)}] = _k",
+           *("    " + line for line in lift),
            "    def _f(x, _m=math):",
-           *("        " + line for line in guarded_source(
-               t, place, opened, set(), 0, readers(t, place))),
+           *("        " + line for line in guarded_source(t, place, opened, fixed, 0, reads)),
            "        return [" + ", ".join(node_ref(t, o) for o in t.outputs) + "]",
            "    return _f"]
     ns: dict = {"math": math, "inf": math.inf, "nan": math.nan}    # non-finite exponents

@@ -226,6 +226,19 @@ def test_writer_matches_json_on_models_and_their_diffs(path, monkeypatch):
         _same_as_json(d2)
 
 
+def test_a_written_gain_parses_back_to_its_value():
+    # k**2.0**0.5 would read as k**(2.0**0.5): 4.7288 at k = 3
+    d = load_diagram(json.dumps({
+        "schema": 1, "name": "nested", "params": {"k": 3.0},
+        "blocks": [{"id": "C", "kind": "Constant", "value": 1.0},
+                   {"id": "G", "kind": "Gain", "gain": "(k**2)**0.5"}],
+        "links": [{"from": "C.out", "to": "G.in"}],
+        "outputs": [{"name": "y", "from": "G.out"}]}))
+    back = parse_diagram(diagram_to_json(d))
+    assert back.block("G").fields == d.block("G").fields
+    assert back.block("G").fields["gain"].evaluate(back.params) == 3.0
+
+
 @pytest.mark.parametrize("path", GOLDEN_FILES, ids=lambda p: p.stem)
 def test_writer_matches_json_on_golden_files(path):
     text = path.read_text(encoding="utf-8")

@@ -1,11 +1,14 @@
 import math
+import operator
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridad import SchemaError, TapeBuilder, parse_expr, tape_eval
-from hybridad.paramexpr import _parse_text
+from hybridad.ops import EXP, SIN, SQRT, Pow
+from hybridad.paramexpr import ParamExpr, _parse_text
 
 
 def test_parse_and_evaluate():
@@ -102,3 +105,38 @@ def test_nested_second_derivative():
 def test_strings_parse_once_into_a_bounded_cache():
     assert parse_expr("k/tau + 1") is parse_expr("k/tau + 1")
     assert _parse_text.cache_info().maxsize is not None
+
+
+@pytest.mark.parametrize("src,text", [
+    ("a*(b*k)", "a*(b*k)"), ("a + (b + k)", "a + (b + k)"), ("-(a*b)", "-(a*b)"),
+    ("-(a/b)", "-(a/b)"), ("(k**2)**0.5", "(k**2.0)**0.5"), ("(-k)**2", "(-k)**2.0"),
+    ("-k**2", "-k**2.0"), ("-a*b", "(-a)*b"), ("a - (b - k)", "a - (b - k)")])
+def test_to_str_keeps_the_grouping(src, text):
+    # the right operand of + and * at its operator's level, a product under
+    # unary minus and a power used as a base are parenthesized; Python would
+    # otherwise group them differently (** is right-associative)
+    e = parse_expr(src)
+    assert e.to_str() == text and parse_expr(text) == e
+
+
+def _random_tree(rng: random.Random, depth: int) -> ParamExpr:
+    """An expression built by ParamExpr's operators, folding as they do."""
+    if depth == 0 or rng.random() < 0.2:
+        if rng.random() < 0.6:
+            return ParamExpr.param(rng.choice("abk"))
+        return ParamExpr.const(rng.choice([0.5, 2.0, -3.0, 0.25, 1e-3, 7.0, 1e20]))
+    x, r = _random_tree(rng, depth - 1), rng.random()
+    if r < 0.15:
+        return -x
+    if r < 0.3:
+        return x if x.is_const() else x.applied(
+            rng.choice([Pow(2.0), Pow(0.5), Pow(-1.0), SIN, EXP, SQRT]))
+    op = rng.choice([operator.add, operator.sub, operator.mul, operator.truediv])
+    return op(x, _random_tree(rng, depth - 1))
+
+
+def test_to_str_parses_back_to_the_same_tree():
+    rng = random.Random(25)
+    trees = [_random_tree(rng, 5) for _ in range(3000)]
+    assert sum(e.op in ("add", "mul") and e.args[1].op == e.op for e in trees) > 50
+    assert [e for e in trees if parse_expr(e.to_str()) != e] == []

@@ -1060,19 +1060,30 @@ def test_generated_step_matches_reference_march_bitwise(method):
 
 
 def _stepped_with_ev(m, c):
-    """``integrate``'s nodes for a model without events, from the generated
-    ``step`` and ``ev(*y, tn, tn, True)``, which read the delay record
+    """``integrate``'s nodes for a model without events or clamps, from RK
+    steps written here whose stages call the generated ``ev(..., t, False)``
+    and nodes ``ev(*y, tn, tn, True)``, all of which read the delay record
     through ``_look``: node times ``t0 + k * step``, clamped to tf."""
     env = m.theta_env()
     t = m.start_time(env, c.t0)
     x = m.initial_state(env).tolist()
-    ev, step, _, _ = sim._stepper(m, c, x, t, env)
+    ev = sim._stepper(m, c, x, t, env)[0]
     f, y = ev(*x, t, t, True)
     times, states, outputs = [t], [x], [y]
     end, anchor, k = c.tf - 1e-12 * max(1.0, abs(c.tf)), t, 1
     while t < end:
         tn = min(anchor + k * c.step, c.tf)
-        x = step(x, t, tn - t, f)
+        h = tn - t
+        hh = 0.5 * h
+        b = ev(*(xi + hh * ai for xi, ai in zip(x, f)), t + hh, t, False)
+        if c.method == "midpoint":
+            x = [xi + h * bi for xi, bi in zip(x, b)]
+        else:
+            c2 = ev(*(xi + hh * bi for xi, bi in zip(x, b)), t + hh, t, False)
+            d = ev(*(xi + h * ci for xi, ci in zip(x, c2)), t + h, t, False)
+            h6 = h / 6.0
+            x = [xi + h6 * (ai + 2.0 * bi + 2.0 * ci + di)
+                 for xi, ai, bi, ci, di in zip(x, f, b, c2, d)]
         f, y = ev(*x, tn, tn, True)
         times.append(tn)
         states.append(x)
@@ -1581,7 +1592,10 @@ def test_march_works_out_the_lookup_anchor_once_per_step(method, stages):
     at = re.findall(r"tau = (\S+) - _h0$", march, flags=re.M)
     assert (march.count("a = t if t - _hmax < _left"), len(at) - at.count("tn")) == (
         1, stages - (method == "rk4"))
-    assert (march.count("a = tn if tn - _hmax < _left"), at.count("tn")) == (1, 1)
+    assert (march.count("an = tn if tn - _hmax < _left"), at.count("tn")) == (1, 1)
+    # the node keeps the last stage's lookup only at that stage's time, for the step's anchor
+    last = "t + h" if method == "rk4" else "t + hh"
+    assert march.count(f"if tn != {last} or an != a:") == 1
     # ``_look`` runs only where a stage or the node failed, for the slot
     # values the interpreter re-runs it with
     lines = march.split("\n")
@@ -2013,20 +2027,41 @@ def test_the_march_calls_ev_nowhere(code_cache):
         integrate(m, cfg)
     marches = [source.split("    def march(")[1] for source in code_cache.sources]
     assert len(marches) == 3 and not any("ev(" in march for march in marches)
-    node = marches[2].split("            y1 = ")[1].split("            if tn <= u1:")[0]
-    assert "try:" not in node.split("                p1 = _v")[1]
+    node = marches[2].split("            y1 = ")[1].split("            times.append(tn)")[0]
+    assert "try:" not in node.split("            p1 = _v")[1]
     assert "            a0 = y1\n" in node and "a1" not in marches[2]
     assert "outputs += (y0, y1)" in marches[2]
+
+
+@pytest.mark.parametrize("method", ["rk4", "midpoint"])
+def test_step_and_march_share_one_stage_writer_and_no_lookup_cache(code_cache, method):
+    # ``step`` exists for event location alone, and it is written like the
+    # march: its stages and lookups written out, so neither calls ``ev`` or
+    # a guard function ``_g<k>``; no lookup is kept in a cell across calls
+    cfg = SimConfig(step=0.05, tf=1.0, method=method)
+    models = {"chain": _chain_model(0.8, 0.7, 0.2, 0.5), "dde": _dde_model(),
+              "two delays": dde_extend(_two_delay_model(), "a"), "bounce": _bounce_model(),
+              "delay reset": _delay_reset_model()}
+    for m in models.values():
+        integrate(m, cfg)
+    assert code_cache.misses == len(models)
+    for (name, m), source in zip(models.items(), code_cache.sources):
+        assert not re.search(r"\b_k[at]\b", source), name
+        defs = {d.name: d for d in ast.walk(ast.parse(source)) if isinstance(d, ast.FunctionDef)}
+        assert ("step" in defs) == bool(m.events), name
+        for fn in ("step", "march"):
+            called = {ast.unparse(nd.func) for nd in ast.walk(defs.get(fn, ast.Pass()))
+                      if isinstance(nd, ast.Call)}
+            assert not {c for c in called if re.fullmatch(r"ev|_g\d+", c)}, (name, fn)
 
 
 def _march_problems(source: str) -> list[str]:
     """The calls in the ``while`` body of the source's ``march`` but
     ``times.append``, the delay record's appends, the cursor's
-    ``_bisect.bisect_right``, the deadtime guards ``_g<k>``, a clamped
-    model's ``min`` and ``max`` and the model's own elementary functions,
-    and the lists built or unpacked there but the hit's, the delay record
-    row's and a clamped model's ``y``; all outside ``except`` handlers,
-    which run only where a model fails."""
+    ``_bisect.bisect_right``, a clamped model's ``min`` and ``max`` and the
+    model's own elementary functions, and the lists built or unpacked there
+    but the hit's, the delay record row's and a clamped model's ``y``; all
+    outside ``except`` handlers, which run only where a model fails."""
     march = next(d for d in ast.walk(ast.parse(source))
                  if isinstance(d, ast.FunctionDef) and d.name == "march")
     loop = next(st for st in march.body if isinstance(st, ast.While))
@@ -2048,7 +2083,7 @@ def _march_problems(source: str) -> list[str]:
             continue
         if isinstance(nd, ast.Call):
             name = ast.unparse(nd.func)
-            if name not in calls and not re.fullmatch(r"_g\d+|_m\.\w+|abs|_fv", name):
+            if name not in calls and not re.fullmatch(r"_m\.\w+|abs|_fv", name):
                 problems.append(f"call {ast.unparse(nd)}")
         elif isinstance(nd, ast.List) and id(nd) not in listed:
             problems.append(f"list {ast.unparse(nd)}")

@@ -253,6 +253,30 @@ def test_compiled_matches_interpreted_bitwise():
         assert f(list(x0)) == tape_eval(t, x0)
 
 
+def test_compiled_constant_nodes_are_computed_once():
+    # a node that reads no input is computed when ``compile_tape`` builds
+    # the function, a closure cell of it; one that every call computes and
+    # that fails, fails there, while one in an arm that can raise still runs
+    # only when its arm is taken
+    b = TapeBuilder(1)
+    x = b.input(0)
+    k = b.sub(b.const(1.0), b.const(3.0))
+    t = b.build([b.mul(x, k)])
+    f = compile_tape(t)
+    assert f"_v{k}" in f.__code__.co_freevars and f([2.0]) == tape_eval(t, [2.0]) == [-4.0]
+    b = TapeBuilder(1)
+    with pytest.raises(ValueError):
+        compile_tape(b.build([b.add(b.input(0), b.apply(SQRT, b.const(-1.0)))]))
+    b = TapeBuilder(1)
+    x = b.input(0)
+    pole = b.div(b.const(1.0), b.const(0.0))
+    t = b.build([b.branch(x, 0.0, b.mul(b.const(2.0), b.const(3.0)), pole)])
+    f = compile_tape(t)
+    assert f([1.0]) == tape_eval(t, [1.0]) == [6.0]
+    with pytest.raises(ZeroDivisionError):
+        f([-1.0])
+
+
 def test_compiled_non_finite_constants():
     b = TapeBuilder(1)
     x = b.input(0)
