@@ -587,18 +587,12 @@ def _pruned(d: Diagram, nz: set[PortRef], protect: set[str] | frozenset[str],
                 if drv is not None and (drv.block in doomed or port_zero(drv)):
                     continue
                 kept.append((b.fields["signs"][i], drv))
-            if kept:
-                signs = "".join(sg for sg, _ in kept)
-                nb = make_block(b.id, "Sum", signs=signs)
-                new_blocks.append(nb)
-                nins, _ = nb.port_names()
-                for (sg, drv), np_ in zip(kept, nins):
-                    new_links.append(Link(drv, PortRef(b.id, np_)))
-                continue
-            # all inputs pruned but the block itself survives: feed zero
-            nb = make_block(b.id, "Sum", signs=b.fields["signs"][0])
+            # kept is not empty: a Sum whose inputs are all zero is zero, so doomed
+            nb = make_block(b.id, "Sum", signs="".join(sg for sg, _ in kept))
             new_blocks.append(nb)
-            new_links.append(Link(PortRef(zero_block_id(), "out"), PortRef(b.id, "in")))
+            nins, _ = nb.port_names()
+            for (sg, drv), np_ in zip(kept, nins):
+                new_links.append(Link(drv, PortRef(b.id, np_)))
             continue
         # other blocks keep their ports; a removed driver becomes the zero
         new_blocks.append(b)

@@ -93,8 +93,9 @@ class Diagram:
     """A block diagram.  Diagrams are values: no transform edits one in
     place, so the block and driver indexes built here stay valid, and a
     pass that reads only the diagram may keep its result in ``_memo``
-    (the ``validate`` report, agdm's nonzero ports).  Where ids or input
-    ports repeat (an invalid diagram), the first block or link wins.
+    (the ``validate`` report, the feedthrough order, agdm's nonzero
+    ports).  Where ids or input ports repeat (an invalid diagram), the
+    first block or link wins.
     ``driver`` takes a plain ``(block, port)`` tuple, returns a ``PortRef``."""
 
     name: str
@@ -440,32 +441,24 @@ def _subsystem_ports(f):
 
 def _subsystem_feedthrough(f):
     """Whether an output of the child is reachable from an Inport through
-    direct-feedthrough blocks."""
+    direct-feedthrough blocks: a walk back along drivers from the outputs."""
     child: Diagram = f["diagram"]
-    succ = _feedthrough_succ(child)
-    reach = {b.id for b in child.blocks if b.kind == "Inport"}
-    work = list(reach)
+    seen: set[str] = set()
+    work = [o.src.block for o in child.outputs]
     while work:
-        for v in succ[work.pop()]:
-            if v not in reach:
-                reach.add(v)
-                work.append(v)
-    return any(o.src.block in reach for o in child.outputs)
+        b = child.block(work.pop())
+        if b.kind == "Inport":
+            return True
+        if b.feedthrough and b.id not in seen:
+            seen.add(b.id)
+            work += [drv.block for p in b.port_names()[0]
+                     if (drv := child.driver((b.id, p))) is not None]
+    return False
 
 
 _register("Subsystem", _parse_subsystem, _subsystem_ports,
           lambda f: {"diagram": to_dict(f["diagram"])},
           feedthrough=_subsystem_feedthrough)
-
-
-def _feedthrough_succ(d: Diagram) -> dict[str, list[str]]:
-    """Each block's successors along links into direct-feedthrough blocks,
-    in link order."""
-    succ: dict[str, list[str]] = {b.id: [] for b in d.blocks}
-    for ln in d.links:
-        if d.block(ln.dst.block).feedthrough:
-            succ[ln.src.block].append(ln.dst.block)
-    return succ
 
 
 def make_block(bid: str, kind: str, path: str = "block", **raw) -> Block:
@@ -641,31 +634,49 @@ class Report:
         return "\n".join(f"[{v.code}] {v.message}" for v in self.violations)
 
 
-def _find_cycle(d: Diagram) -> list[str] | None:
-    """A cycle through direct-feedthrough blocks, if any (DFS, 3-color).
-    The search keeps its own stack of successor iterators, so long chains
-    cannot exhaust the interpreter's recursion limit."""
-    succ = _feedthrough_succ(d)
-    color: dict[str, int] = {}       # 1: on the path, 2: done
+def _feedthrough_order(d: Diagram) -> tuple[list[Block], list[str] | None]:
+    """``d``'s blocks in declaration order, except that each
+    direct-feedthrough block comes after the blocks driving it, and the
+    first algebraic loop found, in signal order, or None.  A depth-first
+    post-order along each feedthrough block's drivers, in link order; the
+    search keeps its own stack of driver iterators, so long chains cannot
+    exhaust the interpreter's recursion limit.  Kept with ``d``."""
+    if "order" in d._memo:
+        return d._memo["order"]
+    by_id = d._by_id
+    drivers: dict[str, list[str]] = {}
+    for ln in d.links:
+        if by_id[ln.dst.block].feedthrough:
+            drivers.setdefault(ln.dst.block, []).append(ln.src.block)
+    order: list[Block] = []
+    loop = None
+    color: dict[str, int] = {}       # 1: on the path, 2: placed
     for b in d.blocks:
         if b.id in color:
             continue
+        if b.id not in drivers:      # nothing to place before it
+            color[b.id] = 2
+            order.append(b)
+            continue
         color[b.id] = 1
-        path, todo = [b.id], [iter(succ[b.id])]
+        path, todo = [b.id], [iter(drivers[b.id])]
         while todo:
             for v in todo[-1]:
                 c = color.get(v, 0)
-                if c == 1:
-                    return path[path.index(v):] + [v]
                 if c == 0:
                     color[v] = 1
                     path.append(v)
-                    todo.append(iter(succ[v]))
+                    todo.append(iter(drivers.get(v, ())))
                     break
+                if c == 1 and loop is None:
+                    loop = [v, *reversed(path[path.index(v):])]
             else:
-                color[path.pop()] = 2
+                bid = path.pop()
+                color[bid] = 2
+                order.append(by_id[bid])
                 todo.pop()
-    return None
+    d._memo["order"] = order, loop
+    return order, loop
 
 
 def validate(d: Diagram) -> Report:
@@ -751,7 +762,7 @@ def _checks(d: Diagram, top_level: bool) -> Report:
             v.append(Violation("mux-consumer",
                                f"Mux {ln.src.block} feeds non-Demux block {ln.dst.block}"))
 
-    cyc = _find_cycle(d)
-    if cyc:
-        v.append(Violation("algebraic-loop", "algebraic loop: " + " -> ".join(cyc)))
+    _, loop = _feedthrough_order(d)
+    if loop:
+        v.append(Violation("algebraic-loop", "algebraic loop: " + " -> ".join(loop)))
     return Report(tuple(v))

@@ -3,9 +3,13 @@
 Integrators, transfer functions and state-space blocks become states
 (transfer functions in controllable canonical form); every algebraic
 path becomes tape expressions; Switch/Saturation/Step/lookup blocks
-become branch nodes; transport delays register history slots.  Blocks
-are processed in declaration order, so adding derivative-flow blocks
-after the originals leaves the original sub-tape bit-identical.
+become branch nodes; transport delays register history slots.  Block
+outputs are lowered in the diagram's feedthrough order: declaration
+order, except that each direct-feedthrough block follows the blocks
+driving it, so every input a block reads already has its node.  Graphic
+differentiation declares the derivative-flow blocks after the original
+blocks, which read only each other, so the original blocks' nodes come
+first and compute the source model's values.
 
 A diagram must be all-continuous or all-discrete (one shared sample
 time); mixing the two is rejected.
@@ -15,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import Block, Diagram, Link, Output, PortRef, _tf_degree, validate
+from .diagram import (Block, Diagram, Link, Output, PortRef, _feedthrough_order,
+                      _tf_degree, validate)
 from .errors import FlattenError, ValidationError
 from .paramexpr import ParamExpr
 from .sim import DelaySlot, OdeModel
@@ -178,54 +183,13 @@ def flatten(d: Diagram) -> OdeModel:
     dval_nodes = [bld.input(n + 1 + s + j) for j in range(J)]
     dslope_nodes = [bld.input(n + 1 + s + J + j) for j in range(J)]
 
-    memo: dict[PortRef, int] = {}
-
-    def lower(gen, port=None) -> int:
-        """Runs ``gen``, a generator that yields the output ports it reads
-        and returns a node (the node of ``port``, when given).  A port not
-        yet lowered is lowered first, by its own ``_emit_output``; pending
-        generators form an explicit stack, so chains of any length lower
-        without recursion, and each block emits its nodes in the same order
-        as a recursive descent would."""
-        stack, value = [(gen, port)], None
-        while True:
-            g, port = stack[-1]
-            try:
-                ref = g.send(value)
-            except StopIteration as done:
-                stack.pop()
-                value = done.value
-                if port is not None:
-                    memo[port] = value
-                if not stack:
-                    return value
-                continue
-            if ref in memo:
-                value = memo[ref]
-            else:
-                stack.append((_emit_output(d.block(ref.block), ref.port), ref))
-                value = None
-
-    def port_node(p: PortRef) -> int:
-        return memo[p] if p in memo else lower(_emit_output(d.block(p.block), p.port), p)
-
-    def ask(bid: str, port: str) -> PortRef:
-        return d.driver((bid, port))
-
-    def in_node(bid: str, port: str) -> int:
-        return port_node(ask(bid, port))
-
     def state_terms(info: _StateInfo, row):
         return [(c, x_nodes[info.index + jx]) for jx, c in enumerate(row)]
 
-    def ss_terms(b: Block, x_row, u_row):
-        """Terms of x_row . x + u_row . u for a state-space block."""
-        ins, _ = b.port_names()
-        return state_terms(states[b.id], x_row) + [(c, ask(b.id, p)) for c, p in zip(u_row, ins)]
-
-    def _emit_output(b: Block, port: str):
-        """Generator of the node of ``b``'s output ``port``; it yields each
-        input's driving port and is sent back that port's node."""
+    def _emit_output(b: Block, port: str, u: list[int]) -> int:
+        """The node of ``b``'s output ``port``, given the nodes ``u`` of
+        its inputs in port order, or none for a block without direct
+        feedthrough, whose outputs read no input."""
         k = b.kind
         f = b.fields
         if k == "Constant":
@@ -233,42 +197,31 @@ def flatten(d: Diagram) -> OdeModel:
         if k == "Step":
             return bld.branch(t_node, f["time"], bld.const(f["level"]), bld.const(0.0))
         if k == "Gain":
-            return bld.mul(f["gain"].to_tape(bld, env), (yield ask(b.id, "in")))
+            return bld.mul(f["gain"].to_tape(bld, env), u[0])
         if k == "Sum":
-            signs = f["signs"]
-            ins, _ = b.port_names()
             acc = bld.const(0.0)
-            for sg, p in zip(signs, ins):
-                nd = yield ask(b.id, p)
-                acc = bld.add(acc, nd) if sg == "+" else bld.sub(acc, nd)
+            for sg, x in zip(f["signs"], u):
+                acc = bld.add(acc, x) if sg == "+" else bld.sub(acc, x)
             return acc
         if k == "Product":
-            ins, _ = b.port_names()
             acc = bld.const(1.0)
-            for p in ins:
-                acc = bld.mul(acc, (yield ask(b.id, p)))
+            for x in u:
+                acc = bld.mul(acc, x)
             return acc
         if k == "Fn":
-            return bld.apply(f["fn"], (yield ask(b.id, "in")))
+            return bld.apply(f["fn"], u[0])
         if k == "Switch":
-            return bld.branch((yield ask(b.id, "in2")), f["threshold"],
-                              (yield ask(b.id, "in1")), (yield ask(b.id, "in3")))
+            return bld.branch(u[1], f["threshold"], u[0], u[2])
         if k == "Saturation":
-            u = yield ask(b.id, "in")
-            lo_arm = bld.branch(bld.neg(u), -f["lo"], bld.const(f["lo"]), u)
-            return bld.branch(u, f["hi"], bld.const(f["hi"]), lo_arm)
+            lo_arm = bld.branch(bld.neg(u[0]), -f["lo"], bld.const(f["lo"]), u[0])
+            return bld.branch(u[0], f["hi"], bld.const(f["hi"]), lo_arm)
         if k == "SaturationDynamic":
-            u = yield ask(b.id, "in")
-            up = yield ask(b.id, "up")
-            lo = yield ask(b.id, "lo")
-            inner = bld.branch(bld.sub(lo, u), 0.0, lo, u)
-            return bld.branch(bld.sub(u, up), 0.0, up, inner)
+            up, x, lo = u
+            inner = bld.branch(bld.sub(lo, x), 0.0, lo, x)
+            return bld.branch(bld.sub(x, up), 0.0, up, inner)
         if k == "LookupTable1D":
-            return _emit_lookup(bld, f, (yield ask(b.id, "in")))
-        if k == "Integrator":
-            x = x_nodes[states[b.id].index]
-            return x
-        if k == "UnitDelay":
+            return _emit_lookup(bld, f, u[0])
+        if k in ("Integrator", "UnitDelay"):
             return x_nodes[states[b.id].index]
         if k in ("TransferFnS", "TransferFnZ"):
             num, den = f["num"], f["den"]
@@ -278,11 +231,13 @@ def flatten(d: Diagram) -> OdeModel:
             an = den[deg]
             coeffs = [(num[i] if i < len(num) else zero) - bn * den[i] / an
                       for i in range(deg)]
-            return (yield from _lincomb(bld, env, state_terms(states[b.id], coeffs)
-                                        + [(bn / an, ask(b.id, "in"))]))
+            # u is empty only when the block is strictly proper, and then bn is 0
+            return _lincomb(bld, env, state_terms(states[b.id], coeffs)
+                            + list(zip([bn / an], u)))
         if k in ("StateSpaceC", "StateSpaceD"):
             i = int(port[3:]) - 1 if port != "out" else 0
-            return (yield from _lincomb(bld, env, ss_terms(b, f["C"][i], f["D"][i])))
+            return _lincomb(bld, env, state_terms(states[b.id], f["C"][i])
+                            + list(zip(f["D"][i], u)))
         if k == "TransportDelay":
             return dval_nodes[delay_slot_of[(b.id, "in")]]
         if k == "DelaySensitivity":
@@ -292,11 +247,13 @@ def flatten(d: Diagram) -> OdeModel:
             return bld.sub(sd, bld.mul(uslope, dd))
         raise FlattenError(f"cannot lower block kind {k!r}")
 
-    # outputs of every block, declaration order (fixes node numbering)
-    for b in d.blocks:
-        _, outs = b.port_names()
+    # outputs of every block, each feedthrough block after its drivers
+    node: dict[tuple[str, str], int] = {}      # output port -> its node
+    for b in _feedthrough_order(d)[0]:
+        ins, outs = b.port_names()
+        u = [node[d.driver((b.id, p))] for p in ins] if b.feedthrough else []
         for o in outs:
-            port_node(PortRef(b.id, o))
+            node[(b.id, o)] = _emit_output(b, o, u)
 
     # state derivative / update expressions
     rhs_nodes: list[int] = [0] * n
@@ -306,7 +263,7 @@ def flatten(d: Diagram) -> OdeModel:
         info = states[b.id]
         k = b.kind
         if k == "Integrator":
-            u = in_node(b.id, "in")
+            u = node[d.driver((b.id, "in"))]
             sat = b.fields["saturation"]
             if sat is None:
                 rhs_nodes[info.index] = u
@@ -318,11 +275,11 @@ def flatten(d: Diagram) -> OdeModel:
                 inner = bld.branch(bld.neg(x), -lo, at_lo, u)
                 rhs_nodes[info.index] = bld.branch(x, hi, at_hi, inner)
         elif k == "UnitDelay":
-            rhs_nodes[info.index] = in_node(b.id, "in")
+            rhs_nodes[info.index] = node[d.driver((b.id, "in"))]
         elif k in ("TransferFnS", "TransferFnZ"):
             den = b.fields["den"]
             deg = info.count
-            u = in_node(b.id, "in")
+            u = node[d.driver((b.id, "in"))]
             an = den[deg].to_tape(bld, env)
             acc = u
             for i in range(deg):
@@ -334,11 +291,13 @@ def flatten(d: Diagram) -> OdeModel:
             rhs_nodes[info.index + deg - 1] = top
         elif k in ("StateSpaceC", "StateSpaceD"):
             A, B = b.fields["A"], b.fields["B"]
+            u = [node[d.driver((b.id, p))] for p in b.port_names()[0]]
             for i in range(info.count):
-                rhs_nodes[info.index + i] = lower(_lincomb(bld, env, ss_terms(b, A[i], B[i])))
+                rhs_nodes[info.index + i] = _lincomb(bld, env, state_terms(info, A[i])
+                                                     + list(zip(B[i], u)))
 
-    out_nodes = [port_node(o.src) for o in d.outputs]
-    slot_nodes = [port_node(d.driver(spec[0])) for spec in slot_specs]
+    out_nodes = [node[o.src] for o in d.outputs]
+    slot_nodes = [node[d.driver(spec[0])] for spec in slot_specs]
     tape = bld.build(rhs_nodes + out_nodes + slot_nodes)
 
     delays = tuple(DelaySlot(delay=h, prehistory=pre) for (_, h, pre) in slot_specs)
@@ -356,17 +315,14 @@ def flatten(d: Diagram) -> OdeModel:
 
 
 def _lincomb(bld, env, terms):
-    """Generator of the sum of coeff * node over ``terms``, pairs of a
-    ParamExpr and a node id or the output port to ask for.  The sum starts
-    from the constant 0, which the builder's rule folds into the first
-    term; a zero coefficient skips its term, so its port is never asked
-    for.  Each term emits its coefficient, then its node, then the
-    product, in list order."""
+    """The sum of coeff * node over ``terms``, pairs of a ParamExpr and a
+    node id.  The sum starts from the constant 0, which the builder's rule
+    folds into the first term; a zero coefficient skips its term.  Each
+    term emits its coefficient, then the product, in list order."""
     acc = bld.const(0.0)
-    for coeff, node in terms:
+    for coeff, x in terms:
         if not coeff.is_zero():
-            acc = bld.add(acc, bld.mul(coeff.to_tape(bld, env),
-                                       node if isinstance(node, int) else (yield node)))
+            acc = bld.add(acc, bld.mul(coeff.to_tape(bld, env), x))
     return acc
 
 

@@ -200,7 +200,6 @@ class SimConfig:
     t0: float = 0.0
     method: str = "rk4"               # rk4 | midpoint
     event_tol: float | None = None    # None: step * 1e-6
-    max_events_per_step: int = 8
 
     def __post_init__(self):
         if not self.step > 0.0:
@@ -267,6 +266,7 @@ def csv_text(names, rows) -> str:
 # ---------------------------------------------------------------------------
 
 _ARITH_ERRORS = (ZeroDivisionError, ValueError, OverflowError)
+_MAX_EVENTS_PER_STEP = 8    # events one step may hold; one more raises EventStorm
 
 
 def _with_slot_slopes(m: OdeModel) -> Tape:
@@ -722,8 +722,8 @@ def integrate(m: OdeModel, c: SimConfig, theta=None) -> Trajectory:
     while hit:
         i, k, x, t, h, f, g0, x_new, g_new = hit
         storm = storm + 1 if k == 1 else 1
-        if storm > c.max_events_per_step:
-            raise EventStorm(f"more than {c.max_events_per_step} events near t={t}")
+        if storm > _MAX_EVENTS_PER_STEP:
+            raise EventStorm(f"more than {_MAX_EVENTS_PER_STEP} events near t={t}")
         t_star, x_pre = _locate_event(step, guards[i], x, t, h, f, g0, x_new, tol, g_new)
         y_pre = ev(*x_pre, t_star, t, True)[1]     # the pre-side node, still in the step from t
         if t_star < until[i]:

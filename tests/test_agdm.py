@@ -797,3 +797,31 @@ def test_subsystem_keeps_a_derivative_input_that_nothing_reads():
     assert d1.block("d(Sub)/d(a)").port_names()[0] == ["in1", "in2", "in3", "in4"]
     tr = integrate(flatten(d1), SimConfig(step=0.01, tf=1.0))
     assert tr.output("dy/da")[-1] == pytest.approx(1.0, abs=1e-12)     # y = a t
+
+
+@pytest.mark.xfail(strict=True, reason="the switch time depends on a, and neither route "
+                                       "jumps the sensitivity where x - a crosses 0")
+def test_state_dependent_switch_time_against_its_closed_form():
+    # x' = 2 if x - a >= 0 else 1, x(0) = 0: x reaches a at t = a, so
+    # y(1) = a + 2 (1 - a) = 2 - a and dy/da = -1.  Both routes give 0.0,
+    # and y(1) = 1.5001667, as the RK stages of the step across x = a mix
+    # the two slopes
+    d = _diag({
+        "schema": 1, "name": "switch_time", "params": {"a": 0.5},
+        "blocks": [{"id": "A", "kind": "Constant", "value": "a"},
+                   {"id": "Fast", "kind": "Constant", "value": 2.0},
+                   {"id": "Slow", "kind": "Constant", "value": 1.0},
+                   {"id": "E", "kind": "Sum", "signs": "+-"},
+                   {"id": "W", "kind": "Switch", "threshold": 0.0},
+                   {"id": "I", "kind": "Integrator", "initial": 0.0}],
+        "links": [{"from": "I.out", "to": "E.in1"}, {"from": "A.out", "to": "E.in2"},
+                  {"from": "Fast.out", "to": "W.in1"}, {"from": "E.out", "to": "W.in2"},
+                  {"from": "Slow.out", "to": "W.in3"}, {"from": "W.out", "to": "I.in"}],
+        "outputs": [{"name": "y", "from": "I.out"}],
+    })
+    c = SimConfig(step=1e-3, tf=1.0)
+    graphic = integrate(flatten(agdm_diff(d, "a")), c)
+    sensode = integrate(sensitivity_extend(flatten(d), "a"), c)
+    for tr in (graphic, sensode):
+        assert abs(tr.output("y")[-1] - 1.5) <= c.resolved_event_tol
+        assert abs(tr.output("dy/da")[-1] - (-1.0)) <= 1e-9

@@ -560,6 +560,21 @@ def test_sensitivity_matches_finite_differences():
     assert rel <= 1e-5
 
 
+def test_sensitivity_of_a_model_given_only_init_fn():
+    # x' = -x, x(0) = c**2 from a callable: the initial sensitivity is the
+    # central difference of init_fn, 2c = 4, and s(1) = 4/e
+    b = TapeBuilder(3)          # [x, t, c]
+    x = b.input(0)
+    t = b.build([b.neg(x), x])
+    m = make_ode_model(1, t, ("c",), {"c": 2.0}, ("x",), ("y",),
+                       init_fn=lambda env: np.array([env["c"] ** 2]))
+    ms = sensitivity_extend(m, "c")
+    assert ms.init_exprs is None
+    s = integrate(ms, SimConfig(step=0.01, tf=1.0)).output("dy/dc")
+    assert s[0] == pytest.approx(4.0, abs=1e-8)
+    assert s[-1] == pytest.approx(4.0 * math.exp(-1.0), abs=1e-8)
+
+
 def test_parameter_dependent_start_time():
     # x' = x, x(h(theta)) = 2 with h(theta) = theta:
     # sensitivity starts at -f(g, h, theta) = -2

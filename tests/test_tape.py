@@ -186,6 +186,15 @@ def test_op_count_empty_tape():
     assert op_count(t, "reverse") == 0
 
 
+def test_op_count_reverse_charging_on_the_worked_example():
+    # y*((x+y)*x + 2): forward charges add 2, mul 4, add 2, mul 4; reverse
+    # charges the four values, one multiplication per edge into each of the
+    # two muls and one accumulation each for x and y, read twice
+    t = worked_example_tape()
+    assert op_count(t, "forward") == 12
+    assert op_count(t, "reverse") == 10
+
+
 def test_branch_gradient_is_taken_arm_gradient():
     rng = np.random.default_rng(23)
     for _ in range(20):
@@ -243,6 +252,28 @@ def test_dump_golden_and_roundtrip():
     t2 = parse_dump(text)
     assert dump(t2) == text
     assert tape_eval(t2, [1.0, 2.0]) == [10.0]
+
+
+def test_dump_round_trips_apply_and_branch_nodes():
+    b = TapeBuilder(2)
+    x, y = b.input(0), b.input(1)
+    arm = b.apply(parse_fn("pow[2.5]"), y)
+    out = b.branch(b.sub(x, y), -0.125, b.apply(SIN, x), arm)
+    t = b.build([out, arm])
+    text = dump(t)
+    assert text == (
+        "0 input(0)\n"
+        "1 input(1)\n"
+        "2 apply(pow[2.5]) 1\n"
+        "3 sub 0 1\n"
+        "4 apply(sin) 0\n"
+        "5 branch(>=-0.125) 3 4 2\n"
+        "outputs 5 2\n"
+    )
+    t2 = parse_dump(text)
+    assert t2.nodes == t.nodes and t2.outputs == t.outputs
+    for v in ([1.0, 0.5], [0.25, 2.0]):
+        assert tape_eval(t2, v) == tape_eval(t, v)
 
 
 def test_compiled_matches_interpreted_bitwise():
