@@ -11,6 +11,18 @@ one line, and so does each document ``diagram_to_json`` returns:
     <workload> <seed> <job index> <job kind> <call index> <sha256 of to_csv()>
     <workload> <seed> <job index> <job kind> json <call index> <sha256 of the document>
 
+After the workloads, each shipped model under ``models/`` prints one
+line for its trajectory at CI's model-loop settings (step 1e-3, t0 0, tf
+1, rk4, as ``hybridad simulate MODEL --tf 1``), and one line per
+derivative document: the first derivative in each parameter ``p`` and
+every second partial ``d/dq`` of ``d/dp`` (``p`` and ``q`` may be the same),
+as ``hybridad diff`` writes them; a second derivative that agdm refuses
+(``DelayOrderExceeded``) prints nothing.  These reach every block kind and
+the discrete models, which the workloads' chains do not:
+
+    model <model> csv <sha256 of to_csv()>
+    model <model> diff <p>[,<q>] <sha256 of the document>
+
 CLI input files go to a temporary directory, and no bytecode is written,
 so nothing is written under ``perfbench/``.  Two checkouts compute the same
 trajectories and documents bit for bit when this prints the same lines for
@@ -73,6 +85,30 @@ def layout_problems(tr) -> list[str]:
             if not (a.dtype == np.float64 and a.shape == shape and a.flags.c_contiguous)]
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+def model_lines(path: Path) -> tuple[list[str], list[str]]:
+    """The digest lines of the model at ``path`` and the layout problems
+    of its trajectory."""
+    from hybridad import (DelayOrderExceeded, SimConfig, agdm_diff, diagram_to_json, flatten,
+                          integrate, parse_diagram)
+    d = parse_diagram(path.read_text(encoding="utf-8"))
+    tr = integrate(flatten(d), SimConfig(step=1e-3, tf=1.0))
+    lines = [f"model {path.stem} csv {_sha256(tr.to_csv())}"]
+    params = list(d.params)
+    for thetas in [(p,) for p in params] + [(p, q) for p in params for q in params]:
+        dd = d
+        try:
+            for th in thetas:
+                dd = agdm_diff(dd, th)
+        except DelayOrderExceeded:
+            continue
+        lines.append(f"model {path.stem} diff {','.join(thetas)} {_sha256(diagram_to_json(dd))}")
+    return lines, layout_problems(tr)
+
+
 def _wrap(module: str, name: str, seen: list, text):
     """Route every module-level ``name`` through one recorder of the
     digest of ``text(result)``."""
@@ -80,7 +116,7 @@ def _wrap(module: str, name: str, seen: list, text):
 
     def recorded(*args, **kwargs):
         out = original(*args, **kwargs)
-        seen.append(hashlib.sha256(text(out).encode("ascii")).hexdigest())
+        seen.append(_sha256(text(out)))
         return out
 
     for mod in list(sys.modules.values()):
@@ -192,6 +228,15 @@ def main() -> int:
                   f"{len(located)} events located, {steps} step and {guards} guard calls, "
                   f"{loop} march loop lines",
                   file=sys.stderr)
+    for path in sorted((ROOT / "models").glob("*.json")):
+        try:
+            lines, problems = model_lines(path)
+        except Exception as exc:      # reported, and the run goes on
+            lines, problems = [], [f"{type(exc).__name__}: {exc}"]
+        print(*lines, sep="\n")
+        for problem in problems:
+            print(f"model {path.stem}: {problem}", file=sys.stderr)
+        failed += bool(problems)
     return 1 if failed else 0
 
 

@@ -44,8 +44,7 @@ from __future__ import annotations
 
 import re
 
-from .diagram import (Block, Diagram, Link, Output, PortRef, _e2j, _subsystem_ports,
-                      make_block)
+from .diagram import Block, Diagram, Link, Output, PortRef, _subsystem_ports, make_block
 from .errors import DelayOrderExceeded, UnknownParameter
 from .ops import Pow
 from .paramexpr import ZERO
@@ -289,7 +288,7 @@ def _emit_block(bld: _Builder, b: Block):
         return bld.add(Block(name or bld.namer.next(), k, fields))
 
     if k == "Constant":                             # copy
-        new(k, main, value=_e2j(f["value"].diff(theta)))
+        new(k, main, value=f["value"].diff(theta))
     elif k == "Step":
         new("Constant", main, value=0.0)
     elif k == "Inport":     # derivative inputs follow the diagram's own inputs
@@ -297,7 +296,7 @@ def _emit_block(bld: _Builder, b: Block):
     elif k in ("Sum", "Mux", "Demux"):    # fields are values, shared with the copy
         feed(copy(f, main), *map(du, ins))
     elif k == "UnitDelay":
-        feed(new(k, main, initial=_e2j(f["initial"].diff(theta)),
+        feed(new(k, main, initial=f["initial"].diff(theta),
                  sample_time=f["sample_time"]), du("in"))
 
     elif k in ("Gain", "TransferFnS", "TransferFnZ"):   # copy plus source term
@@ -365,7 +364,7 @@ def _emit_block(bld: _Builder, b: Block):
         feed(m, du("up"), above,
              feed(inner, du("lo"), feed(new("Sum", signs="+-"), u("lo"), x), du("in")))
     elif k == "Integrator":     # a saturated one holds its derivative at 0 while clamped
-        m = new(k, main, initial=_e2j(f["initial"].diff(theta)))
+        m = new(k, main, initial=f["initial"].diff(theta))
         if f["saturation"] is None:
             feed(m, du("in"))
         else:
@@ -394,10 +393,10 @@ def _emit_block(bld: _Builder, b: Block):
         h, pre = f["delay"], f["prehistory"]
         dh = h.diff(theta)
         if dh.is_zero():
-            feed(new(k, main, delay=_e2j(h), prehistory=_e2j(pre.diff(theta))), du("in"))
+            feed(new(k, main, delay=h, prehistory=pre.diff(theta)), du("in"))
         else:
-            feed(new("DelaySensitivity", main, delay=_e2j(h), ddelay=_e2j(dh),
-                     prehistory=_e2j(pre), dprehistory=_e2j(pre.diff(theta))),
+            feed(new("DelaySensitivity", main, delay=h, ddelay=dh,
+                     prehistory=pre, dprehistory=pre.diff(theta)),
                  u("in"), du("in"))
             bld.dde.append(main)
     elif k == "DelaySensitivity":

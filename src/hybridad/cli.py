@@ -7,8 +7,9 @@ sensitivity-ODE route, or both with a discrepancy check), ``optimize``
 (regenerates the reference numeric tables from the live modules).
 
 Exit codes: 0 ok, 2 validation failure (also a schema error, an unknown
-parameter, or a second derivative through a parameter-dependent delay,
-which ``diff`` refuses), 3 simulation failure, 4 optimization failure.
+parameter, a second derivative through a parameter-dependent delay, which
+``diff`` refuses, or a diagram or ``--out`` file that cannot be read or
+written), 3 simulation failure, 4 optimization failure.
 Identical inputs and flags produce byte-identical CSV output.
 """
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from .agdm import agdm_diff, d_output_name
 from .analysis import sequence_probe
-from .diagram import Diagram, diagram_to_json, load_diagram, parse_diagram, validate
+from .diagram import Diagram, Violation, diagram_to_json, load_diagram, parse_diagram, validate
 from .errors import (DelayOrderExceeded, HybridAdError, SchemaError, UnknownParameter,
                      ValidationError)
 from .flatten import flatten
@@ -171,7 +172,7 @@ def _cost_evaluator(d: Diagram, theta: str, cost: str, config: SimConfig,
     """
     base = flatten(d)
     if cost not in base.output_names:
-        raise ValidationError([type("V", (), {"message": f"no output {cost!r}"})()])
+        raise ValidationError([Violation("no-output", f"no output {cost!r}")])
     dcost = d_output_name(cost, theta)
     maug = flatten(agdm_diff(d, theta)) if use_ad else None
     every = _decimation(decimate, config.step)
@@ -445,7 +446,7 @@ def main(argv=None) -> int:
             args.sim_flags.error(str(exc))
     try:
         return args.fn(args)
-    except (ValidationError, UnknownParameter, DelayOrderExceeded) as exc:
+    except (ValidationError, UnknownParameter, DelayOrderExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SchemaError as exc:

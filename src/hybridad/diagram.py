@@ -24,12 +24,14 @@ any purely algebraic loop with its cycle path.
 from __future__ import annotations
 
 import json
+import math
+from functools import partial
 from json.encoder import encode_basestring_ascii
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import SchemaError, ValidationError
-from .ops import parse_fn
+from .ops import ElementaryFn, parse_fn
 from .paramexpr import ParamExpr, parse_expr
 
 SCHEMA_VERSION = 1
@@ -166,11 +168,58 @@ def _num(raw, path) -> float:
     return float(raw)
 
 
-def _int(raw, path, lo: int) -> int:
+def _period(raw, path) -> float:
+    """A sample time: a positive finite number."""
+    t = _num(raw, path)
+    if not 0.0 < t < math.inf:
+        raise SchemaError(path, f"expected a positive finite sample time, got {raw!r}")
+    return t
+
+
+def _int(raw, path, lo: int = 1) -> int:
     """A JSON integer of at least ``lo``; a float, even 2.0, or a bool is not one."""
     if not isinstance(raw, int) or isinstance(raw, bool) or raw < lo:
         raise SchemaError(path, f"expected an integer >= {lo}, got {raw!r}")
     return raw
+
+
+def _signs(raw, path) -> str:
+    if not isinstance(raw, str) or not raw or set(raw) - {"+", "-"}:
+        raise SchemaError(path, "expected a string of + and -")
+    return raw
+
+
+def _bounds(raw, path) -> tuple[float, float] | None:
+    """An optional ``[lo, hi]`` pair with lo < hi."""
+    if raw is None:
+        return None
+    if not (isinstance(raw, list) and len(raw) == 2):
+        raise SchemaError(path, "expected [lo, hi]")
+    lo, hi = _num(raw[0], f"{path}[0]"), _num(raw[1], f"{path}[1]")
+    if not lo < hi:
+        raise SchemaError(path, "need lo < hi")
+    return lo, hi
+
+
+def _fn(raw, path) -> ElementaryFn:
+    try:
+        return parse_fn(str(raw))
+    except ValueError as exc:
+        raise SchemaError(path, str(exc)) from exc
+
+
+def _fields(**spec):
+    """The parser of a kind whose fields are checked one by one: each
+    ``name=(parse, default)`` gives ``fields[name] = parse(raw.get(name,
+    default), f"{path}.{name}")``, in that order.  A field parser takes the
+    JSON value, or from code a value already parsed, and raises a
+    SchemaError at the field's path; a required field's default is None,
+    which its parse rejects."""
+    triples = tuple((name, parse, default) for name, (parse, default) in spec.items())
+
+    def parse(raw, p):
+        return {name: f(raw.get(name, default), f"{p}.{name}") for name, f, default in triples}
+    return parse
 
 
 def _ins(n: int) -> list[str]:
@@ -181,79 +230,23 @@ def _outs(n: int) -> list[str]:
     return ["out"] if n == 1 else [f"out{i + 1}" for i in range(n)]
 
 
-class _Kind:
-    """One row of the block registry."""
+def _siso(f):
+    return ["in"], ["out"]
 
-    def __init__(self, parse, ports, to_json, feedthrough=True):
+
+def _source(f):
+    return [], ["out"]
+
+
+class _Kind:
+    """One row of the block-kind table: ``parse(raw, path) -> fields``,
+    ``ports(fields) -> (inputs, outputs)``, and whether an input reaches
+    an output with no state in between, a bool or a callable(fields)."""
+
+    def __init__(self, parse, ports, feedthrough=True):
         self.parse = parse
         self.ports = ports
-        self.to_json = to_json
-        # True/False, or a callable(fields) -> bool, or "matrix" handled by caller
         self.feedthrough = feedthrough
-
-
-def _e2j(e: ParamExpr):
-    if e.is_const():
-        return e.value
-    return e.to_str()
-
-
-_KINDS: dict[str, _Kind] = {}
-
-
-def _register(name, parse, ports, to_json, feedthrough=True):
-    _KINDS[name] = _Kind(parse, ports, to_json, feedthrough)
-
-
-_register(
-    "Gain",
-    lambda raw, p: {"gain": _expr(raw.get("gain", 1.0), f"{p}.gain")},
-    lambda f: (_ins(1), _outs(1)),
-    lambda f: {"gain": _e2j(f["gain"])},
-)
-
-
-def _parse_sum(raw, p):
-    signs = raw.get("signs", "++")
-    if not isinstance(signs, str) or not signs or set(signs) - {"+", "-"}:
-        raise SchemaError(f"{p}.signs", "expected a string of + and -")
-    return {"signs": signs}
-
-
-_register(
-    "Sum",
-    _parse_sum,
-    lambda f: (_ins(len(f["signs"])), _outs(1)),
-    lambda f: {"signs": f["signs"]},
-)
-
-_register(
-    "Product",
-    lambda raw, p: {"n": _int(raw.get("n", 2), f"{p}.n", 1)},
-    lambda f: (_ins(f["n"]), _outs(1)),
-    lambda f: {"n": f["n"]},
-)
-
-
-def _parse_integrator(raw, p):
-    sat = raw.get("saturation")
-    if sat is not None:
-        if not (isinstance(sat, list) and len(sat) == 2):
-            raise SchemaError(f"{p}.saturation", "expected [lo, hi]")
-        sat = (_num(sat[0], f"{p}.saturation[0]"), _num(sat[1], f"{p}.saturation[1]"))
-        if not sat[0] < sat[1]:
-            raise SchemaError(f"{p}.saturation", "need lo < hi")
-    return {"initial": _expr(raw.get("initial", 0.0), f"{p}.initial"), "saturation": sat}
-
-
-_register(
-    "Integrator",
-    _parse_integrator,
-    lambda f: (_ins(1), _outs(1)),
-    lambda f: {"initial": _e2j(f["initial"]),
-               **({"saturation": list(f["saturation"])} if f["saturation"] else {})},
-    feedthrough=False,
-)
 
 
 def _tf_degree(coeffs: tuple[ParamExpr, ...]) -> int:
@@ -263,29 +256,8 @@ def _tf_degree(coeffs: tuple[ParamExpr, ...]) -> int:
     return d
 
 
-def _parse_tf(raw, p, discrete):
-    f = {"num": _expr_list(raw.get("num"), f"{p}.num"),
-         "den": _expr_list(raw.get("den"), f"{p}.den")}
-    if discrete:
-        f["sample_time"] = _num(raw.get("sample_time"), f"{p}.sample_time")
-    return f
-
-
-def _tf_json(f):
-    out = {"num": [_e2j(e) for e in f["num"]], "den": [_e2j(e) for e in f["den"]]}
-    if "sample_time" in f:
-        out["sample_time"] = f["sample_time"]
-    return out
-
-
 def _tf_feedthrough(f):
     return _tf_degree(f["num"]) == _tf_degree(f["den"])
-
-
-_register("TransferFnS", lambda raw, p: _parse_tf(raw, p, False),
-          lambda f: (_ins(1), _outs(1)), _tf_json, feedthrough=_tf_feedthrough)
-_register("TransferFnZ", lambda raw, p: _parse_tf(raw, p, True),
-          lambda f: (_ins(1), _outs(1)), _tf_json, feedthrough=_tf_feedthrough)
 
 
 def _parse_ss(raw, p, discrete):
@@ -302,15 +274,8 @@ def _parse_ss(raw, p, discrete):
     if len(f["D"]) != p_out or any(len(r) != m_in for r in f["D"]):
         raise SchemaError(f"{p}.D", f"D must be {p_out}x{m_in}")
     if discrete:
-        f["sample_time"] = _num(raw.get("sample_time"), f"{p}.sample_time")
+        f["sample_time"] = _period(raw.get("sample_time"), f"{p}.sample_time")
     return f
-
-
-def _ss_json(f):
-    out = {m: [[_e2j(e) for e in row] for row in f[m]] for m in "ABCD"}
-    if "sample_time" in f:
-        out["sample_time"] = f["sample_time"]
-    return out
 
 
 def _ss_ports(f):
@@ -321,43 +286,12 @@ def _ss_feedthrough(f):
     return any(not e.is_zero() for row in f["D"] for e in row)
 
 
-_register("StateSpaceC", lambda raw, p: _parse_ss(raw, p, False),
-          _ss_ports, _ss_json, feedthrough=_ss_feedthrough)
-_register("StateSpaceD", lambda raw, p: _parse_ss(raw, p, True),
-          _ss_ports, _ss_json, feedthrough=_ss_feedthrough)
-
-
-def _parse_fn_block(raw, p):
-    try:
-        return {"fn": parse_fn(raw.get("fn", ""))}
-    except ValueError as exc:
-        raise SchemaError(f"{p}.fn", str(exc)) from exc
-
-
-_register("Fn", _parse_fn_block, lambda f: (_ins(1), _outs(1)),
-          lambda f: {"fn": str(f["fn"])})
-
-_register(
-    "Switch",
-    lambda raw, p: {"threshold": _num(raw.get("threshold", 0.0), f"{p}.threshold")},
-    lambda f: (["in1", "in2", "in3"], _outs(1)),
-    lambda f: {"threshold": f["threshold"]},
-)
-
-
 def _parse_saturation(raw, p):
     lo = _num(raw.get("lo"), f"{p}.lo")
     hi = _num(raw.get("hi"), f"{p}.hi")
     if not lo < hi:
         raise SchemaError(f"{p}.lo", "need lo < hi")
     return {"lo": lo, "hi": hi}
-
-
-_register("Saturation", _parse_saturation, lambda f: (_ins(1), _outs(1)),
-          lambda f: {"lo": f["lo"], "hi": f["hi"]})
-
-_register("SaturationDynamic", lambda raw, p: {},
-          lambda f: (["up", "in", "lo"], _outs(1)), lambda f: {})
 
 
 def _parse_lookup(raw, p):
@@ -370,58 +304,6 @@ def _parse_lookup(raw, p):
     return {"breakpoints": tuple(_num(v, f"{p}.breakpoints[{i}]") for i, v in enumerate(bp)),
             "values": tuple(_num(v, f"{p}.values[{i}]") for i, v in enumerate(vals)),
             "piecewise_constant": bool(raw.get("piecewise_constant", False))}
-
-
-_register("LookupTable1D", _parse_lookup, lambda f: (_ins(1), _outs(1)),
-          lambda f: {"breakpoints": list(f["breakpoints"]), "values": list(f["values"]),
-                     **({"piecewise_constant": True} if f["piecewise_constant"] else {})})
-
-_register("Constant",
-          lambda raw, p: {"value": _expr(raw.get("value", 0.0), f"{p}.value")},
-          lambda f: ([], _outs(1)), lambda f: {"value": _e2j(f["value"])})
-
-_register("Step",
-          lambda raw, p: {"time": _num(raw.get("time", 0.0), f"{p}.time"),
-                          "level": _num(raw.get("level", 1.0), f"{p}.level")},
-          lambda f: ([], _outs(1)),
-          lambda f: {"time": f["time"], "level": f["level"]})
-
-_register("TransportDelay",
-          lambda raw, p: {"delay": _expr(raw.get("delay"), f"{p}.delay"),
-                          "prehistory": _expr(raw.get("prehistory", 0.0), f"{p}.prehistory")},
-          lambda f: (_ins(1), _outs(1)),
-          lambda f: {"delay": _e2j(f["delay"]), "prehistory": _e2j(f["prehistory"])},
-          feedthrough=False)
-
-# Internal kind emitted when differentiating a TransportDelay with respect
-# to its own delay: the derivative needs the delayed slope of the carried
-# signal, which only the simulator's history machinery can provide.
-_register("DelaySensitivity",
-          lambda raw, p: {"delay": _expr(raw.get("delay"), f"{p}.delay"),
-                          "ddelay": _expr(raw.get("ddelay"), f"{p}.ddelay"),
-                          "prehistory": _expr(raw.get("prehistory", 0.0), f"{p}.prehistory"),
-                          "dprehistory": _expr(raw.get("dprehistory", 0.0), f"{p}.dprehistory")},
-          lambda f: (["in", "din"], _outs(1)),
-          lambda f: {"delay": _e2j(f["delay"]), "ddelay": _e2j(f["ddelay"]),
-                     "prehistory": _e2j(f["prehistory"]),
-                     "dprehistory": _e2j(f["dprehistory"])},
-          feedthrough=False)
-
-_register("Mux", lambda raw, p: {"n": _int(raw.get("n", 2), f"{p}.n", 1)},
-          lambda f: (_ins(f["n"]), _outs(1)), lambda f: {"n": f["n"]})
-_register("Demux", lambda raw, p: {"n": _int(raw.get("n", 2), f"{p}.n", 1)},
-          lambda f: (_ins(1), _outs(f["n"])), lambda f: {"n": f["n"]})
-
-_register("UnitDelay",
-          lambda raw, p: {"initial": _expr(raw.get("initial", 0.0), f"{p}.initial"),
-                          "sample_time": _num(raw.get("sample_time"), f"{p}.sample_time")},
-          lambda f: (_ins(1), _outs(1)),
-          lambda f: {"initial": _e2j(f["initial"]), "sample_time": f["sample_time"]},
-          feedthrough=False)
-
-# Subsystem input markers (sources inside the child diagram).
-_register("Inport", lambda raw, p: {"index": _int(raw.get("index", 0), f"{p}.index", 0)},
-          lambda f: ([], _outs(1)), lambda f: {"index": f["index"]})
 
 
 def _parse_subsystem(raw, p):
@@ -456,9 +338,43 @@ def _subsystem_feedthrough(f):
     return False
 
 
-_register("Subsystem", _parse_subsystem, _subsystem_ports,
-          lambda f: {"diagram": to_dict(f["diagram"])},
-          feedthrough=_subsystem_feedthrough)
+_TF = {"num": (_expr_list, None), "den": (_expr_list, None)}
+
+# Every block kind, declared once: ``to_dict`` writes each block's fields
+# back in the order its parser gives them (``_field_json``).
+_KINDS: dict[str, _Kind] = {
+    "Gain": _Kind(_fields(gain=(_expr, 1.0)), _siso),
+    "Sum": _Kind(_fields(signs=(_signs, "++")), lambda f: (_ins(len(f["signs"])), ["out"])),
+    "Product": _Kind(_fields(n=(_int, 2)), lambda f: (_ins(f["n"]), ["out"])),
+    "Integrator": _Kind(_fields(initial=(_expr, 0.0), saturation=(_bounds, None)), _siso,
+                        feedthrough=False),
+    "TransferFnS": _Kind(_fields(**_TF), _siso, _tf_feedthrough),
+    "TransferFnZ": _Kind(_fields(**_TF, sample_time=(_period, None)), _siso, _tf_feedthrough),
+    "StateSpaceC": _Kind(lambda raw, p: _parse_ss(raw, p, False), _ss_ports, _ss_feedthrough),
+    "StateSpaceD": _Kind(lambda raw, p: _parse_ss(raw, p, True), _ss_ports, _ss_feedthrough),
+    "Fn": _Kind(_fields(fn=(_fn, "")), _siso),
+    "Switch": _Kind(_fields(threshold=(_num, 0.0)), lambda f: (["in1", "in2", "in3"], ["out"])),
+    "Saturation": _Kind(_parse_saturation, _siso),
+    "SaturationDynamic": _Kind(_fields(), lambda f: (["up", "in", "lo"], ["out"])),
+    "LookupTable1D": _Kind(_parse_lookup, _siso),
+    "Constant": _Kind(_fields(value=(_expr, 0.0)), _source),
+    "Step": _Kind(_fields(time=(_num, 0.0), level=(_num, 1.0)), _source),
+    "TransportDelay": _Kind(_fields(delay=(_expr, None), prehistory=(_expr, 0.0)), _siso,
+                            feedthrough=False),
+    # Internal kind emitted when differentiating a TransportDelay with respect
+    # to its own delay: the derivative needs the delayed slope of the carried
+    # signal, which only the simulator's history machinery can provide.
+    "DelaySensitivity": _Kind(_fields(delay=(_expr, None), ddelay=(_expr, None),
+                                      prehistory=(_expr, 0.0), dprehistory=(_expr, 0.0)),
+                              lambda f: (["in", "din"], ["out"]), feedthrough=False),
+    "Mux": _Kind(_fields(n=(_int, 2)), lambda f: (_ins(f["n"]), ["out"])),
+    "Demux": _Kind(_fields(n=(_int, 2)), lambda f: (["in"], _outs(f["n"]))),
+    "UnitDelay": _Kind(_fields(initial=(_expr, 0.0), sample_time=(_period, None)), _siso,
+                       feedthrough=False),
+    # Subsystem input markers (sources inside the child diagram).
+    "Inport": _Kind(_fields(index=(partial(_int, lo=0), 0)), _source),
+    "Subsystem": _Kind(_parse_subsystem, _subsystem_ports, _subsystem_feedthrough),
+}
 
 
 def make_block(bid: str, kind: str, path: str = "block", **raw) -> Block:
@@ -516,8 +432,7 @@ def _parse_dict(doc: dict, path: str = "$") -> Diagram:
         ids.add(bid)
         if kind not in _KINDS:
             raise SchemaError(f"{bpath}.kind", f"unknown block kind {kind!r}")
-        fields = {k: v for k, v in braw.items() if k not in ("id", "kind")}
-        blocks.append(Block(bid, kind, _KINDS[kind].parse(fields, bpath)))
+        blocks.append(Block(bid, kind, _KINDS[kind].parse(braw, bpath)))
 
     bmap = {b.id: b for b in blocks}
     links = []
@@ -570,7 +485,9 @@ def to_dict(d: Diagram) -> dict:
         "schema": SCHEMA_VERSION,
         "name": d.name,
         "params": dict(d.params),
-        "blocks": [{"id": b.id, "kind": b.kind, **_KINDS[b.kind].to_json(b.fields)}
+        "blocks": [{"id": b.id, "kind": b.kind,
+                    **{k: _field_json(v) for k, v in b.fields.items()
+                       if v is not None and v is not False}}
                    for b in d.blocks],
         "links": [{"from": str(ln.src), "to": str(ln.dst)} for ln in d.links],
         "outputs": [{"name": o.name, "from": str(o.src)} for o in d.outputs],
@@ -578,6 +495,23 @@ def to_dict(d: Diagram) -> dict:
     if d.annotations:
         out["annotations"] = d.annotations
     return out
+
+
+def _field_json(v):
+    """A block field's JSON value: a ParamExpr as its number or infix
+    string, a tuple or list as a list, an elementary function by name and
+    a child diagram as its document; ``to_dict`` leaves out a field that
+    is None or False (no saturation, a lookup that interpolates)."""
+    t = type(v)
+    if t is ParamExpr:
+        return v.value if v.op == "const" else v.to_str()
+    if t is tuple or t is list:
+        return [_field_json(x) for x in v]
+    if t is ElementaryFn:
+        return str(v)
+    if t is Diagram:
+        return to_dict(v)
+    return v
 
 
 def diagram_to_json(d: Diagram) -> str:

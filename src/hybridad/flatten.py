@@ -123,9 +123,8 @@ def flatten(d: Diagram) -> OdeModel:
     if has_c and has_d:
         raise FlattenError(f"mixed continuous {sorted(has_c)} and discrete "
                            f"{sorted(has_d)} dynamics are not supported")
-    discrete = bool(has_d)
     sample_time = None
-    if discrete:
+    if has_d:
         times = {b.fields["sample_time"] for b in d.blocks if b.kind in _DISCRETE}
         if len(times) != 1:
             raise FlattenError(f"discrete blocks disagree on sample time: {sorted(times)}")
@@ -309,7 +308,7 @@ def flatten(d: Diagram) -> OdeModel:
         n, tape, param_names, dict(d.params), tuple(state_names),
         tuple(o.name for o in d.outputs),
         init_exprs=tuple(init_exprs), delays=delays,
-        discrete=discrete, sample_time=sample_time,
+        sample_time=sample_time,
         has_sensitivity=bool(d.annotations.get("derivative_flow")),
         state_clamps=clamps)
 

@@ -154,14 +154,17 @@ class OdeModel:
     init_time: ParamExpr | None = None
     events: tuple[EventSpec, ...] = ()
     delays: tuple[DelaySlot, ...] = ()
-    discrete: bool = False
-    sample_time: float | None = None
+    sample_time: float | None = None             # a discrete model's period
     has_sensitivity: bool = False
     # exact anti-windup pinning of saturated integrator states, applied
     # after each accepted step (the gated rhs handles the interior)
     state_clamps: tuple[tuple[int, float, float], ...] = ()
     # method -> generated ``_make`` (see ``_bind_stepper``)
     _steppers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def discrete(self) -> bool:     # a map: its tape's rhs is the next sample's state
+        return self.sample_time is not None
 
     @property
     def n_outputs(self) -> int:
@@ -188,9 +191,13 @@ class OdeModel:
 
 
 def make_ode_model(n, tape, param_names, params, state_names, output_names,
-                   **kw) -> OdeModel:
-    return OdeModel(n, tape, tuple(param_names), dict(params),
-                    tuple(state_names), tuple(output_names), **kw)
+                   discrete=None, **kw) -> OdeModel:
+    """An OdeModel; ``discrete``, where given, must agree with ``sample_time``."""
+    m = OdeModel(n, tape, tuple(param_names), dict(params),
+                 tuple(state_names), tuple(output_names), **kw)
+    if discrete is not None and discrete != m.discrete:
+        raise ValueError(f"discrete={discrete} disagrees with sample_time={m.sample_time}")
+    return m
 
 
 @dataclass(frozen=True)
@@ -1014,8 +1021,7 @@ def sensitivity_extend(m: OdeModel, theta: str | Sequence[str]) -> OdeModel:
         w * n, tape, m.param_names, dict(m.params),
         names(m.state_names), names(m.output_names),
         init_exprs=init_exprs, init_fn=init_fn, init_time=m.init_time,
-        events=events, delays=new_delays, discrete=m.discrete,
-        sample_time=m.sample_time, has_sensitivity=True,
+        events=events, delays=new_delays, sample_time=m.sample_time, has_sensitivity=True,
         state_clamps=m.state_clamps)
 
 

@@ -756,6 +756,34 @@ def test_every_model_differentiates_to_a_valid_diagram(text, theta):
     assert validate(d2).ok
 
 
+def _models():
+    for name in sorted(os.listdir(MODELS)):
+        if name.endswith(".json"):
+            with open(os.path.join(MODELS, name), encoding="utf-8") as fh:
+                yield pytest.param(fh.read(), id=name[:-5])
+
+
+@pytest.mark.parametrize("text", _models())
+def test_every_model_derivative_document_reads_back_to_itself(text):
+    # each first derivative and each second partial d/dq of d/dp: agdm's
+    # blocks hold the field values that parsing their document gives
+    d = parse_diagram(text)
+    params = list(d.params)
+    for thetas in [(p,) for p in params] + [(p, q) for p in params for q in params]:
+        dd = d
+        try:
+            for th in thetas:
+                dd = agdm_diff(dd, th)
+        except DelayOrderExceeded as exc:      # the one derivative agdm refuses
+            assert exc.block in dd.annotations["dde_sensitivity"]
+            continue
+        doc = diagram_to_json(dd)
+        back = parse_diagram(doc)
+        assert diagram_to_json(back) == doc, thetas
+        assert [(b.id, b.kind, b.fields) for b in back.blocks] == [
+            (b.id, b.kind, b.fields) for b in dd.blocks], thetas
+
+
 def test_second_derivative_through_a_delay_names_the_block():
     d1 = agdm_diff(_diag(delay_chain_doc()), "h")
     with pytest.raises(DelayOrderExceeded) as exc:

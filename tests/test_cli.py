@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import BAD_INTEGERS, bad_integer_doc, delay_chain_doc, first_order_doc
-from hybridad import SchemaError, cli, parse_diagram
+from hybridad import SchemaError, ValidationError, cli, parse_diagram
 from hybridad.cli import main, optimize_scalar, step_map_derivatives
 from hybridad.diagram import load_diagram
 from hybridad.sim import SimConfig, integrate
@@ -365,3 +365,43 @@ def test_bad_optimize_flags_are_usage_errors(capsys, flags):
     err = capsys.readouterr().err
     assert err.startswith("usage: hybridad optimize ")
     assert "hybridad optimize: error: " in err
+
+
+@pytest.mark.parametrize("value", ["0", "-0.5", "1e400"])
+def test_simulate_rejects_a_sample_time_that_is_not_positive_and_finite(tmp_path, capsys, value):
+    with open(model_path("discrete_loop.json"), encoding="utf-8") as fh:
+        text = fh.read().replace('"sample_time": 0.1', f'"sample_time": {value}')
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    assert main(["simulate", str(path), "--tf", "1"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "schema error: $.blocks[2].sample_time: expected a positive finite sample time")
+
+
+@pytest.mark.parametrize("command", [["validate"], ["simulate", "--tf", "1"],
+                                     ["diff", "--theta", "k"]])
+def test_a_diagram_that_cannot_be_read_is_one_error_line(tmp_path, capsys, command):
+    missing = str(tmp_path / "missing.json")
+    assert main([command[0], missing, *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and missing in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [["simulate", "--tf", "0.01"], ["diff", "--theta", "k"]])
+def test_an_out_file_that_cannot_be_written_is_one_error_line(tmp_path, capsys, command):
+    out = str(tmp_path / "no-such-dir" / "out")
+    assert main([command[0], model_path("first_order.json"), *command[1:], "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and out in err and err.count("\n") == 1
+
+
+def test_optimize_cost_that_is_no_output_is_a_violation(capsys):
+    with open(model_path("second_order_cost.json"), encoding="utf-8") as fh:
+        d = parse_diagram(fh.read())
+    with pytest.raises(ValidationError) as exc:
+        optimize_scalar(d, "zeta", "nosuch", SimConfig(step=0.01, tf=1.0), 0.5)
+    assert [(v.code, v.message) for v in exc.value.violations] == [
+        ("no-output", "no output 'nosuch'")]
+    assert main(["optimize", model_path("second_order_cost.json"), "--theta", "zeta",
+                 "--cost", "nosuch"]) == 2
+    assert capsys.readouterr().err == "error: no output 'nosuch'\n"

@@ -423,3 +423,34 @@ def test_integer_block_fields_keep_their_values():
     fields = {b.id: b.fields for b in load_diagram(json.dumps(doc)).blocks}
     assert (fields["P"], fields["M"], fields["D"], fields["In"]) == (
         {"n": 1}, {"n": 3}, {"n": 2}, {"index": 0})
+
+
+_SAMPLED = {"TransferFnZ": {"num": [1.0], "den": [-0.5, 1.0]},
+            "StateSpaceD": {"A": [[0.5]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]]},
+            "UnitDelay": {}}
+
+
+@pytest.mark.parametrize("kind", sorted(_SAMPLED))
+@pytest.mark.parametrize("value", ["0", "-0.5", "1e400"])
+def test_sample_time_must_be_positive_and_finite(kind, value):
+    # 0 divided by zero, -0.5 gave no samples and 1e400 (inf) a row at t = nan
+    doc = {"schema": 1, "blocks": [{"id": "U", "kind": "Step"},
+                                   {"id": "X", "kind": kind, **_SAMPLED[kind],
+                                    "sample_time": "SAMPLE"}],
+           "links": [{"from": "U.out", "to": "X.in"}],
+           "outputs": [{"name": "y", "from": "X.out"}]}
+    text = json.dumps(doc)
+    assert flatten(load_diagram(text.replace('"SAMPLE"', "0.25"))).sample_time == 0.25
+    with pytest.raises(SchemaError) as exc:
+        load_diagram(text.replace('"SAMPLE"', value))
+    assert exc.value.path == "$.blocks[1].sample_time"
+    assert "positive finite sample time" in str(exc.value)
+
+
+@pytest.mark.parametrize("fn", [3, None, "cosh"])
+def test_fn_name_that_is_not_an_elementary_function_is_a_schema_error(fn):
+    doc = first_order_doc()
+    doc["blocks"].append({"id": "F", "kind": "Fn", "fn": fn})
+    with pytest.raises(SchemaError) as exc:
+        load_diagram(json.dumps(doc))
+    assert exc.value.path == f"$.blocks[{len(doc['blocks']) - 1}].fn"

@@ -2270,3 +2270,20 @@ def test_non_finite_start_or_end_time_is_rejected(bad):
     # only the config is built: an infinite end would march until memory runs out
     with pytest.raises(ValueError, match="finite"):
         SimConfig(**{"step": 0.1, "tf": 1.0, **bad})
+
+
+def test_a_model_with_a_sample_time_is_discrete():
+    # x_{k+1} = x_k / 2 from 1, sampled every 0.5: a map, not x' = x/2,
+    # whatever the caller says or leaves unsaid
+    b = TapeBuilder(2)
+    x = b.input(0)
+    t = b.build([b.mul(b.const(0.5), x), x])
+    m = make_ode_model(1, t, (), {}, ("x",), ("y",), init_exprs=(parse_expr(1.0),),
+                       sample_time=0.5)
+    assert m.discrete
+    assert integrate(m, SimConfig(step=0.1, tf=1.0)).output("y").tolist() == [1.0, 0.5, 0.25]
+    with pytest.raises(AttributeError):
+        m.discrete = False
+    with pytest.raises(ValueError, match="disagrees with sample_time=None"):
+        make_ode_model(1, t, (), {}, ("x",), ("y",), init_exprs=(parse_expr(1.0),),
+                       discrete=True)
