@@ -46,7 +46,7 @@ import re
 
 from .diagram import Block, Diagram, Link, Output, PortRef, _subsystem_ports, make_block
 from .errors import DelayOrderExceeded, UnknownParameter
-from .ops import Pow
+from .ops import Pow, fn_rule
 from .paramexpr import ZERO
 
 
@@ -152,7 +152,8 @@ class _Builder:
     The rules of one original block at a time (:meth:`begin`) add blocks
     with :meth:`new` and wire them with :meth:`feed`, which links each
     block's input ports in the registry's order; no rule names an input
-    port of a block it adds.
+    port of a block it adds.  ``const`` ... ``sign`` are ``fn_rule``'s
+    operations, each a fed block returning its output.
     """
 
     def __init__(self, d: Diagram, theta: str):
@@ -179,9 +180,9 @@ class _Builder:
     def new(self, kind: str, name: str | None = None, **fields) -> Block:
         """A derivative-flow block of the block in hand, named ``name`` or
         the next auxiliary name."""
-        return self.add(make_block(name or self.namer.next(), kind, **fields))
+        return self.put(make_block(name or self.namer.next(), kind, **fields))
 
-    def add(self, blk: Block) -> Block:
+    def put(self, blk: Block) -> Block:
         """Add ``blk`` to the derivative flow of the block in hand."""
         self.blocks.append(blk)
         self.flow[blk.id] = self.of
@@ -197,6 +198,28 @@ class _Builder:
         for src, p in zip(sources, ins):
             self.links.append(Link(src, PortRef(bid, p)))
         return PortRef(bid, outs[0])
+
+    def const(self, v: float) -> PortRef:
+        return self.feed(self.new("Constant", value=v))
+
+    def add(self, a: PortRef, b: PortRef) -> PortRef:
+        return self.feed(self.new("Sum", signs="++"), a, b)
+
+    def mul(self, a: PortRef, b: PortRef) -> PortRef:
+        return self.feed(self.new("Product", n=2), a, b)
+
+    def scale(self, c: float, a: PortRef) -> PortRef:
+        return self.feed(self.new("Gain", gain=c), a)
+
+    def neg(self, a: PortRef) -> PortRef:
+        return self.scale(-1.0, a)
+
+    def apply(self, fn, a: PortRef) -> PortRef:
+        return self.feed(self.new("Fn", fn=str(fn)), a)
+
+    def sign(self, a: PortRef) -> PortRef:      # a conditional on the original signal
+        one, mone = self.const(1.0), self.const(-1.0)
+        return self.feed(self.new("Switch", threshold=0.0), one, a, mone)
 
     def zero(self) -> PortRef:
         """The shared zero constant, made on first use."""
@@ -285,7 +308,7 @@ def _emit_block(bld: _Builder, b: Block):
     ins = b.port_names()[0]
 
     def copy(fields, name=None):    # a block of b's kind, on fields as ``parse_diagram`` gives them
-        return bld.add(Block(name or bld.namer.next(), k, fields))
+        return bld.put(Block(name or bld.namer.next(), k, fields))
 
     if k == "Constant":                             # copy
         new(k, main, value=f["value"].diff(theta))
@@ -319,34 +342,9 @@ def _emit_block(bld: _Builder, b: Block):
              *[feed(new(k, n=n), *[du(q) if j == i else u(q) for j, q in enumerate(ins)])
                for i in range(n)])
     elif k == "Fn":
-        kind, x, y = f["fn"].kind, u("in"), PortRef(b.id, "out")
         m = new("Product", main, n=2)
-        if kind in ("exp", "log"):
-            fp = y if kind == "exp" else x          # log' = 1/u, below
-        elif kind == "sin":
-            fp = feed(new("Fn", fn="cos"), x)
-        elif kind == "cos":
-            s = feed(new("Fn", fn="sin"), x)
-            fp = feed(new("Gain", gain=-1.0), s)
-        elif kind in ("tan", "atan"):               # 1 + y^2; atan' = 1/(1 + u^2)
-            v = y if kind == "tan" else x
-            sq = feed(new("Product", n=2), v, v)
-            one = feed(new("Constant", value=1.0))
-            fp = feed(new("Sum", signs="++"), one, sq)
-        elif kind == "sqrt":                        # 1/(2y), below
-            fp = feed(new("Gain", gain=2.0), y)
-        elif kind == "pow":
-            pw = feed(new("Fn", fn=str(Pow(f["fn"].exponent - 1))), x)
-            fp = feed(new("Gain", gain=f["fn"].exponent), pw)
-        elif kind == "abs":     # sign(u) via a conditional on the original signal
-            one = feed(new("Constant", value=1.0))
-            mone = feed(new("Constant", value=-1.0))
-            fp = feed(new("Switch", threshold=0.0), one, x, mone)
-        else:
-            raise AssertionError(kind)
-        if kind in ("log", "atan", "sqrt"):
-            fp = feed(new("Fn", fn="pow[-1]"), fp)
-        feed(m, fp, du("in"))
+        fp, over = fn_rule(f["fn"], u("in"), PortRef(b.id, "out"), bld)
+        feed(m, bld.apply(Pow(-1), fp) if over else fp, du("in"))
 
     elif k == "Switch":                             # conditional copy
         feed(copy(f, main), du("in1"), u("in2"), du("in3"))

@@ -42,9 +42,14 @@ from .tape import TapeBuilder, tape_jet_eval
 SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
-def _read_diagram(path: str) -> Diagram:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_diagram(fh.read())
+def _read_diagram(path: str, parse=parse_diagram):
+    """``parse`` of the text of ``path``; a file that is not UTF-8 fails as
+    an unreadable one does (``OSError``)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh.read())
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _add_sim_flags(p: argparse.ArgumentParser):
@@ -73,8 +78,7 @@ def _csv(times, columns: dict[str, np.ndarray]) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args) -> int:
-    with open(args.diagram, "r", encoding="utf-8") as fh:
-        report = validate(load_diagram(fh.read()))
+    report = validate(_read_diagram(args.diagram, load_diagram))
     if report.ok:
         print("ok")
         return 0

@@ -1,14 +1,20 @@
-"""Elementary scalar functions with total derivative rules.
+"""Elementary scalar functions and their one first-derivative rule.
 
-These are the unary primitives the tape, jet and expression layers agree
-on.  ``abs`` is the one member without a total rule: it is flagged
-non-differentiable at zero and rejected by analytic (jet) composition.
+These are the unary primitives the tape, jet, expression and diagram
+layers agree on.  ``fn_rule`` writes each one's chain-rule factor once,
+over a handful of operations that each layer supplies: tape nodes
+(``append_tangent``), symbolic expressions (``ParamExpr.diff``), diagram
+blocks (agdm's ``Fn`` rule) and floats (``fn_derivative``).  ``abs`` is
+the one member without a total rule: it is flagged non-differentiable at
+zero and rejected by analytic (jet) composition.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .errors import DomainError, NonDifferentiablePoint
 
@@ -30,7 +36,8 @@ class ElementaryFn:
         return self.kind
 
 
-_KINDS = frozenset({"exp", "log", "sin", "cos", "tan", "atan", "sqrt", "pow", "abs"})
+FN_NAMES = frozenset({"exp", "log", "sin", "cos", "tan", "atan", "sqrt", "abs"})  # called by name
+_KINDS = FN_NAMES | {"pow"}
 
 EXP = ElementaryFn("exp")
 LOG = ElementaryFn("log")
@@ -85,38 +92,59 @@ def fn_value(fn: ElementaryFn, x: float) -> float:
     raise AssertionError(k)
 
 
-def fn_derivative(fn: ElementaryFn, x: float, node_id: int = -1) -> float:
-    """First derivative value at x.  abs raises at exactly zero."""
+def fn_rule(fn: ElementaryFn, x, y, ops):
+    """The chain-rule factor of ``fn`` at ``x``, where ``y`` is fn(x), as
+    ``(d, over)``: fn'(x) is d, or 1/d when ``over`` is set, so each caller
+    takes the reciprocal its own way.  d is built with the operations of
+    ``ops``: ``const(v)``, ``add(a, b)``, ``mul(a, b)``, ``scale(c, a)`` (the
+    float c times a), ``neg(a)``, ``apply(fn, a)`` and ``sign(a)`` (+1 where
+    a >= 0, else -1; abs' own rule at zero is the caller's).  A layer that
+    numbers what it builds (diagram blocks) numbers it in the order of the
+    calls below."""
     k = fn.kind
     if k == "exp":
-        return math.exp(x)
+        return y, False
     if k == "log":
-        if x <= 0.0:
-            raise DomainError(f"log of non-positive value {x!r}")
-        return 1.0 / x
+        return x, True
     if k == "sin":
-        return math.cos(x)
+        return ops.apply(COS, x), False
     if k == "cos":
-        return -math.sin(x)
-    if k == "tan":
-        c = math.cos(x)
-        return 1.0 / (c * c)
-    if k == "atan":
-        return 1.0 / (1.0 + x * x)
-    if k == "sqrt":
-        if x <= 0.0:
-            raise DomainError(f"sqrt derivative at non-positive value {x!r}")
-        return 0.5 / math.sqrt(x)
+        return ops.neg(ops.apply(SIN, x)), False
+    if k in ("tan", "atan"):        # 1 + y^2; atan' = 1/(1 + x^2)
+        v = y if k == "tan" else x
+        sq = ops.mul(v, v)
+        return ops.add(ops.const(1.0), sq), k == "atan"
+    if k == "sqrt":                 # 1/(2y)
+        return ops.scale(2.0, y), True
     if k == "pow":
         p = fn.exponent
         if p == 0:
-            return 0.0
-        return p * fn_value(Pow(p - 1), x)
+            return ops.const(0.0), False
+        return ops.scale(p, ops.apply(Pow(p - 1), x)), False
     if k == "abs":
-        if x == 0.0:
-            raise NonDifferentiablePoint(node_id)
-        return 1.0 if x > 0.0 else -1.0
+        return ops.sign(x), False
     raise AssertionError(k)
+
+
+def _float_sign(x: float) -> float:
+    if x == 0.0:
+        raise NonDifferentiablePoint(-1)
+    return 1.0 if x > 0.0 else -1.0
+
+
+_FLOAT_OPS = SimpleNamespace(const=float, add=operator.add, mul=operator.mul,
+                             scale=operator.mul, neg=operator.neg, apply=fn_value,
+                             sign=_float_sign)
+
+
+def fn_derivative(fn: ElementaryFn, x: float, node_id: int = -1) -> float:
+    """First derivative value at x, ``fn_rule`` on floats.  abs raises at
+    exactly zero; a rule's reciprocal of zero raises ZeroDivisionError."""
+    try:
+        d, over = fn_rule(fn, x, fn_value(fn, x), _FLOAT_OPS)
+    except NonDifferentiablePoint:
+        raise NonDifferentiablePoint(node_id) from None
+    return 1.0 / d if over else d
 
 
 def fn_second_derivative(fn: ElementaryFn, x: float, node_id: int = -1) -> float:

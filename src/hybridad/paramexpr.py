@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import ast
 import functools
+import operator
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .errors import SchemaError
-from .ops import ElementaryFn, Pow, fn_value, parse_fn
-
-_FN_NAMES = {"exp", "log", "sin", "cos", "tan", "atan", "sqrt", "abs"}
+from .ops import FN_NAMES, ElementaryFn, Pow, fn_rule, fn_value, parse_fn
 
 
 @dataclass(frozen=True)
@@ -143,31 +143,9 @@ class ParamExpr:
             du = u.diff(theta)
             if du.is_zero():
                 return du
-            return self._fn_prime(u) * du
+            d, over = fn_rule(self.fn, u, self, _RULE_OPS)
+            return (ParamExpr.const(1.0) / d if over else d) * du
         raise AssertionError(op)
-
-    def _fn_prime(self, u: "ParamExpr") -> "ParamExpr":
-        k = self.fn.kind
-        if k == "exp":
-            return self
-        if k == "log":
-            return ParamExpr.const(1.0) / u
-        if k == "sin":
-            return u.applied(ElementaryFn("cos"))
-        if k == "cos":
-            return -u.applied(ElementaryFn("sin"))
-        if k == "tan":
-            return ParamExpr.const(1.0) + self * self
-        if k == "atan":
-            return ParamExpr.const(1.0) / (ParamExpr.const(1.0) + u * u)
-        if k == "sqrt":
-            return ParamExpr.const(0.5) / self
-        if k == "pow":
-            p = self.fn.exponent
-            if p == 0:
-                return ParamExpr.const(0.0)
-            return ParamExpr.const(p) * u.applied(Pow(p - 1))
-        raise SchemaError("expr", f"{k} has no symbolic derivative rule")
 
     # -- evaluation ------------------------------------------------------------
 
@@ -273,6 +251,15 @@ ZERO = ParamExpr.const(0.0)
 _INFIX = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
 
 
+def _no_sign(a: ParamExpr):
+    raise SchemaError("expr", "abs has no symbolic derivative rule")
+
+
+_RULE_OPS = SimpleNamespace(       # ``fn_rule`` in expressions
+    const=ParamExpr.const, add=operator.add, mul=operator.mul, neg=operator.neg,
+    scale=lambda c, a: ParamExpr.const(c) * a, apply=lambda fn, a: a.applied(fn), sign=_no_sign)
+
+
 def param_value(env, name: str) -> float:
     """The float bound to a parameter name; KeyError when it is unbound."""
     try:
@@ -334,7 +321,7 @@ def _from_ast(node, src: str) -> ParamExpr:
             return a / b
         raise SchemaError("expr", f"unsupported operator in {src!r}")
     if isinstance(node, ast.Call):
-        if not isinstance(node.func, ast.Name) or node.func.id not in _FN_NAMES:
+        if not isinstance(node.func, ast.Name) or node.func.id not in FN_NAMES:
             raise SchemaError("expr", f"unsupported call in {src!r}")
         if len(node.args) != 1 or node.keywords:
             raise SchemaError("expr", f"{node.func.id} takes one argument in {src!r}")

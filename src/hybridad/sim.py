@@ -26,7 +26,9 @@ run.  Sensitivity propagation across any other event kind is refused
 (SensitivityAcrossEvent).
 
 Integrators are deliberately fixed-step (midpoint and classic RK4) so
-finite-difference oracles stay deterministic.  Each model runs, per method,
+finite-difference oracles stay deterministic; a discrete model is a map,
+its rhs the next sample's state, stepped with no RK stage on its sample
+grid.  Each model runs, per method,
 generated code: the march over the step grid, with the RK stages, the
 guard checks and the delay lookups written out, and, for a model with
 events, the RK step that event location takes, its stages written by the
@@ -403,11 +405,12 @@ def _record_source(m: OdeModel, dv: list[str], consts: list):
 
 
 # per RK stage after the first (whose rhs is ``f``, read as a0, a1, ...): the
-# name of its rhs, the stage whose rhs it steps along and the step, then y
+# name of its rhs, the stage whose rhs it steps along and the step, then y;
+# a discrete model's "map" has no stage, its rhs being the next state
 _RK_STAGES = {"midpoint": (("b", "a", "hh"),),
-              "rk4": (("b", "a", "hh"), ("c", "b", "hh"), ("d", "c", "h"))}
+              "rk4": (("b", "a", "hh"), ("c", "b", "hh"), ("d", "c", "h")), "map": ()}
 _RK_Y = {"midpoint": "x{i} + h * {b}",
-         "rk4": "x{i} + h6 * ({a} + 2.0 * {b} + 2.0 * {c} + {d})"}
+         "rk4": "x{i} + h6 * ({a} + 2.0 * {b} + 2.0 * {c} + {d})", "map": "{a}"}
 
 
 def _rk_source(m: OdeModel, method: str, stage, rate) -> list[str]:
@@ -419,7 +422,7 @@ def _rk_source(m: OdeModel, method: str, stage, rate) -> list[str]:
     rhs at the states ``xs`` and time ``ts`` (source expressions), for the
     step anchored at ``t``; ``again`` is set where ts is the previous
     stage's time."""
-    src, last = ["hh = 0.5 * h"], None
+    src, last = ["hh = 0.5 * h"] if _RK_STAGES[method] else [], None
     for k, k_in, hs in _RK_STAGES[method]:
         src += stage(k, [f"x{i} + {hs} * {rate(k_in, i)}" for i in range(m.n)], f"t + {hs}", hs == last)
         last = hs
@@ -469,8 +472,8 @@ def _generate_stepper(m: OdeModel, method: str, tape: Tape):
     lookup sets the slot inputs any of them reads, or, where tn is the last
     stage's time and the node's anchor test gives the step's, keeps that
     stage's lookup and sets those the stage did not.  So ``march`` calls
-    ``ev`` and ``_look`` nowhere (``integrate``'s first node, its restarts
-    after an event and discrete models still do), but where a stage or the
+    ``ev`` and ``_look`` nowhere (``integrate``'s first node and its restarts
+    after an event still do), but where a stage or the
     node fails: there ``_look`` re-runs the lookup for every slot, and the
     interpreter the tape at those inputs.  Each guard is written out once
     per step, at the step's end; its sign is not compared on a step that
@@ -707,10 +710,14 @@ def integrate(m: OdeModel, c: SimConfig, theta=None) -> Trajectory:
             raise SensitivityAcrossEvent(
                 f"events {bad} are not impact surfaces; sensitivity "
                 "propagation across general events is not supported")
-    if m.discrete:
-        return _integrate_discrete(m, c, env)
-
     t = m.start_time(env, c.t0)
+    if m.discrete:      # marched on its sample grid from t to the last sample by tf
+        if m.events or m.delays:
+            raise NotImplementedError("discrete models with events/delays")
+        k = math.floor((c.tf - t) / m.sample_time + 1e-9)
+        if k < 0:
+            return _trajectory(m, [], [], [], [])
+        c = SimConfig(m.sample_time, t + k * m.sample_time, c.t0)
     x = m.initial_state(env).tolist()
     for i, lo, hi in m.state_clamps:
         x[i] = min(hi, max(lo, x[i]))
@@ -764,10 +771,11 @@ def integrate(m: OdeModel, c: SimConfig, theta=None) -> Trajectory:
 def _stepper(m: OdeModel, c: SimConfig, x, t, env):
     """The generated ``(ev, step, guards, march)`` of ``m`` for one call,
     ``step`` None for a model without events; ``_make`` is bound once per
-    model and method."""
-    if c.method not in m._steppers:
-        m._steppers[c.method] = _bind_stepper(m, c.method)
-    return m._steppers[c.method](c, x, t, env, *(env[p] for p in m.param_names))
+    model and method, a discrete model's being its "map"."""
+    method = "map" if m.discrete else c.method
+    if method not in m._steppers:
+        m._steppers[method] = _bind_stepper(m, method)
+    return m._steppers[method](c, x, t, env, *(env[p] for p in m.param_names))
 
 
 def _locate_event(step, guard, x, t, h, k1, g0, x_hi, tol, g_hi=None):
@@ -815,25 +823,6 @@ def _apply_action(ev: EventSpec, x, t) -> list[float]:
         d = s.dim
         return [*x[:d], *_impact_velocity(s, x[:d], x[d:2 * d], t), *x[2 * d:]]
     return np.asarray(s(np.array(x), t), dtype=float).tolist()
-
-
-def _integrate_discrete(m: OdeModel, c: SimConfig, env) -> Trajectory:
-    if m.events or m.delays:
-        raise NotImplementedError("discrete models with events/delays")
-    ts = m.sample_time
-    t0 = m.start_time(env, c.t0)
-    x = m.initial_state(env).tolist()
-    ev = _stepper(m, c, x, t0, env)[0]
-    times, states, outputs = [], [], []
-    steps = int(math.floor((c.tf - t0) / ts + 1e-9))
-    for k in range(steps + 1):
-        t = t0 + k * ts                     # as the march does: no drift from summing ts
-        x_next, y = ev(*x, t, t, True)      # the rhs of a discrete model is its next state
-        times.append(t)
-        states += x
-        outputs += y
-        x = x_next
-    return _trajectory(m, times, states, outputs, [])
 
 
 def _trajectory(m: OdeModel, times, states, outputs, events) -> Trajectory:

@@ -197,10 +197,10 @@ class WarmStartReport:
 def warm_start_probe(s: ImplicitSystem, theta_grid, tol: float) -> WarmStartReport:
     """Warm-started Newton across a parameter grid.
 
-    Each solve starts from the previous root and stops as soon as the
-    proposed relative step is within ``tol`` -- with a loose tolerance
-    the first proposal is usually already "good enough", the output
-    repeats the previous value exactly, and the finite-difference
+    Each solve (``newton``) starts from the previous root and stops as
+    soon as the proposed relative step is within ``tol`` -- with a loose
+    tolerance the first proposal is usually already "good enough", the
+    output repeats the previous value exactly, and the finite-difference
     derivative is exactly zero: the hazard this probe quantifies.
     """
     if s.n_x != 1 or s.n_theta != 1:
@@ -211,15 +211,7 @@ def warm_start_probe(s: ImplicitSystem, theta_grid, tol: float) -> WarmStartRepo
     roots = []
     x = 1.0
     for th in grid:
-        while True:
-            r = s.residual([x], [th])[0]
-            J, _ = s.jacobians([x], [th])
-            if J[0, 0] == 0.0:
-                raise SingularJacobian(f"at x={x}, theta={th}")
-            step = -r / J[0, 0]
-            if abs(step) / max(abs(x), _REL_FLOOR) <= tol:
-                break
-            x = x + step
+        x = float(newton(s, [x], [th], tol).root[0])
         roots.append(x)
     same = sum(1 for a, b in zip(roots, roots[1:]) if a == b)
     frac = same / (len(roots) - 1) if len(roots) > 1 else 0.0

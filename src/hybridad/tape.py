@@ -51,17 +51,7 @@ import numpy as np
 from .errors import DomainError, EvalDomainError, NonDifferentiablePoint
 from .jet import _ARITH as _JET_ARITH, Jet, jet_const
 from . import jet as jetmod
-from .ops import (
-    ABS,
-    COS,
-    SIN,
-    ElementaryFn,
-    Pow,
-    fn_derivative,
-    fn_second_derivative,
-    fn_value,
-    parse_fn,
-)
+from .ops import ABS, ElementaryFn, fn_derivative, fn_rule, fn_second_derivative, fn_value, parse_fn
 
 class Node(NamedTuple):
     op: str                      # input|const|add|sub|mul|div|apply|branch
@@ -175,6 +165,12 @@ class TapeBuilder:
 
     def neg(self, a: int) -> int:
         return self.sub(self.const(0.0), a)
+
+    def scale(self, c: float, a: int) -> int:
+        return self.mul(self.const(c), a)
+
+    def sign(self, a: int) -> int:     # >= tie at zero, as in branches
+        return self.branch(a, 0.0, self.const(1.0), self.const(-1.0))
 
     def build(self, outputs) -> Tape:
         return Tape(tuple(self._nodes), self.num_inputs, tuple(outputs))
@@ -840,27 +836,9 @@ def append_tangent(b: TapeBuilder, t: Tape, node_map: list[int],
             tan.append(b.div(num, node_map[n.b]))
         elif n.op == "branch":
             tan.append(b.branch(node_map[n.cond], n.threshold, tan[n.a], tan[n.b]))
-        else:
-            x, y, dx, k = node_map[n.a], node_map[nid], tan[n.a], n.fn.kind
-            if k in ("log", "atan", "sqrt"):            # dx / (1 / f'(x))
-                tan.append(b.div(dx, x if k == "log" else b.mul(b.const(2.0), y) if k == "sqrt"
-                                 else b.add(b.const(1.0), b.mul(x, x))))
-                continue
-            if k == "exp":
-                d = y
-            elif k == "sin":
-                d = b.apply(COS, x)
-            elif k == "cos":
-                d = b.neg(b.apply(SIN, x))
-            elif k == "tan":
-                d = b.add(b.const(1.0), b.mul(y, y))
-            elif k == "pow":
-                d = b.mul(b.const(n.fn.exponent), b.apply(Pow(n.fn.exponent - 1), x))
-            elif k == "abs":    # sign(x)*dx, >= tie at zero as in branches
-                d = b.branch(x, 0.0, b.const(1.0), b.const(-1.0))
-            else:
-                raise AssertionError(k)
-            tan.append(b.mul(d, dx))
+        else:       # apply: ``fn_rule`` in nodes
+            d, over = fn_rule(n.fn, node_map[n.a], node_map[nid], b)
+            tan.append(b.div(tan[n.a], d) if over else b.mul(d, tan[n.a]))
     return tan
 
 

@@ -387,6 +387,16 @@ def test_a_diagram_that_cannot_be_read_is_one_error_line(tmp_path, capsys, comma
     assert err.startswith("error: ") and missing in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [["validate"], ["simulate", "--tf", "1"],
+                                     ["diff", "--theta", "k"]])
+def test_a_diagram_that_is_not_utf8_is_one_error_line(tmp_path, capsys, command):
+    path = tmp_path / "model.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(first_order_doc()).encode("utf-16-le"))
+    assert main([command[0], str(path), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", [["simulate", "--tf", "0.01"], ["diff", "--theta", "k"]])
 def test_an_out_file_that_cannot_be_written_is_one_error_line(tmp_path, capsys, command):
     out = str(tmp_path / "no-such-dir" / "out")

@@ -163,6 +163,53 @@ def test_lookup_breakpoints_must_increase():
     assert any(v.code == "lookup-breakpoints" for v in rep.violations)
 
 
+def _doc(blocks, links, outputs, params=None):
+    return {"schema": 1, "name": "v", "params": params or {}, "blocks": blocks,
+            "links": [{"from": a, "to": b} for a, b in links],
+            "outputs": [{"name": n, "from": s} for n, s in outputs]}
+
+
+_STEP, _GAIN = {"id": "U", "kind": "Step"}, {"id": "G", "kind": "Gain", "gain": 2.0}
+_MUX = {"id": "M", "kind": "Mux", "n": 2}
+
+
+def _sub(indices, child_params):     # a Subsystem S fed by U, its Inports at ``indices``
+    child = _doc([*({"id": f"In{i}", "kind": "Inport", "index": i} for i in indices),
+                  {"id": "G", "kind": "Gain", "gain": "k"}],
+                 [(f"In{indices[0]}.out", "G.in")], [("z", "G.out")], child_params)
+    return [_STEP, {"id": "S", "kind": "Subsystem", "diagram": child}], [("U.out", "S.in")]
+
+
+@pytest.mark.parametrize("doc, code, message", [
+    (_doc([_STEP, _GAIN], [("U.out", "G.in")], [("y", "G.in")]),
+     "bad-output", "output 'y' reads input port G.in"),
+    (_doc([_STEP, _GAIN, {**_GAIN, "id": "H"}], [("U.out", "G.in"), ("G.in", "H.in")], [("y", "H.out")]),
+     "bad-link", "link source G.in is not an output port"),
+    (_doc([_STEP, _GAIN], [("U.out", "G.in"), ("U.out", "G.out")], [("y", "G.out")]),
+     "bad-link", "link target G.out is not an input port"),
+    (_doc([_STEP, {"id": "H", "kind": "TransferFnS", "num": [1.0], "den": [1.0, 0.0]}],
+          [("U.out", "H.in")], [("y", "H.out")]),
+     "tf-leading-zero", "H: denominator leading coefficient is zero"),
+    (_doc([_STEP, {"id": "D", "kind": "Demux", "n": 2}], [("U.out", "D.in")], [("y", "D.out1")]),
+     "demux-source", "D: Demux must be fed by a Mux"),
+    (_doc([_STEP, _MUX, {"id": "D", "kind": "Demux", "n": 3}],
+          [("U.out", "M.in1"), ("U.out", "M.in2"), ("M.out", "D.in")], [("y", "D.out1")]),
+     "mux-width", "D: width 3 does not match Mux M width 2"),
+    (_doc([{"id": "In0", "kind": "Inport", "index": 0}], [], [("y", "In0.out")]),
+     "inport-toplevel", "In0: Inport outside a Subsystem"),
+    (_doc(*_sub([0], {"k": 1.0}), [("y", "S.z")]),
+     "subsystem-params", "S: child params ['k'] missing from parent"),
+    (_doc(*_sub([1], {"k": 1.0}), [("y", "S.z")], {"k": 1.0}),
+     "inport-indices", "S: Inport indices must be 0..n-1, got [1]"),
+    (_doc([_STEP, _MUX, _GAIN], [("U.out", "M.in1"), ("U.out", "M.in2"), ("M.out", "G.in")],
+          [("y", "G.out")]),
+     "mux-consumer", "Mux M feeds non-Demux block G"),
+])
+def test_each_structural_violation_from_a_minimal_document(doc, code, message):
+    rep = validate(_parse_dict(json.loads(json.dumps(doc))))
+    assert [(v.code, v.message) for v in rep.violations] == [(code, message)]
+
+
 def test_serialization_round_trip(first_order):
     text = diagram_to_json(first_order)
     d2 = parse_diagram(text)

@@ -55,7 +55,11 @@ def test_rejects_unsafe_syntax():
 @st.composite
 def exprs(draw, depth=0):
     if depth >= 3 or draw(st.booleans()):
-        leaf = draw(st.sampled_from(["a", "b", "1.5", "2", "0.25"]))
+        leaf = draw(st.sampled_from(["a", "b", "1.5", "2", "0.25",
+                                     # a call of every function kind, in its domain
+                                     "exp(0.5*a)", "log(2 + b*b)", "sin(a)", "cos(a*b)",
+                                     "tan(0.3*a)", "atan(a - b)", "sqrt(1 + a*a)",
+                                     "(1.5 + a*a)**1.5", "a**0", "abs(b)"]))
         return leaf
     op = draw(st.sampled_from(["+", "-", "*", "/"]))
     left = draw(exprs(depth=depth + 1))

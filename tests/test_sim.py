@@ -360,6 +360,35 @@ def test_deadtime_suppresses_retrigger():
     assert len(tr.events) == 1
 
 
+def test_crossing_inside_the_deadtime_passes_through(monkeypatch):
+    # x' = 1 from 0 crosses the guard (x - 0.5)(0.655 - x) at 0.5, which is
+    # recorded, and at 0.655, inside the 0.157 deadtime, which is located but
+    # passed through: no record, and the grid re-anchors at the crossing
+    located = []
+    locate = sim._locate_event
+
+    def spy(*args):
+        hit = locate(*args)
+        located.append(hit[0])
+        return hit
+    monkeypatch.setattr(sim, "_locate_event", spy)
+    b = TapeBuilder(2)
+    gb = TapeBuilder(2)
+    x = gb.input(0)
+    guard = gb.build([gb.mul(gb.sub(x, gb.const(0.5)), gb.sub(gb.const(0.655), x))])
+    m = make_ode_model(1, b.build([b.const(1.0), b.input(0)]), (), {}, ("x",), ("y",),
+                       init_exprs=(parse_expr(0.0),),
+                       events=(EventSpec(guard, lambda x, t: x, deadtime=0.157),))
+    tr = integrate(m, SimConfig(step=0.01, tf=1.0))
+    assert located == [0.5, pytest.approx(0.655, abs=1e-7)]
+    assert [(e.time, e.guard_index) for e in tr.events] == [(0.5, 0)]
+    i = int(np.searchsorted(tr.times, 0.655))
+    assert tr.times[i - 1] == pytest.approx(0.65)
+    assert tr.times[i:i + 3] - located[1] == pytest.approx([0.01, 0.02, 0.03], abs=1e-12)
+    assert tr.times[-1] == 1.0
+    assert tr.states[:, 0] == pytest.approx(tr.times, abs=1e-12)
+
+
 def test_event_storm_detected():
     b = TapeBuilder(2)
     x = b.input(0)
@@ -2287,3 +2316,15 @@ def test_a_model_with_a_sample_time_is_discrete():
     with pytest.raises(ValueError, match="disagrees with sample_time=None"):
         make_ode_model(1, t, (), {}, ("x",), ("y",), init_exprs=(parse_expr(1.0),),
                        discrete=True)
+
+
+def test_a_discrete_model_is_clamped_as_a_continuous_one_is():
+    # x_{k+1} = 3 x_k from 1, clamped to [0, 5]: the march steps the map
+    # and clamps each sample
+    b = TapeBuilder(2)
+    x = b.input(0)
+    m = make_ode_model(1, b.build([b.mul(b.const(3.0), x), x]), (), {}, ("x",), ("y",),
+                       init_exprs=(parse_expr(1.0),), sample_time=0.5, state_clamps=((0, 0.0, 5.0),))
+    tr = integrate(m, SimConfig(step=0.1, tf=2.0))
+    assert tr.times.tolist() == [0.0, 0.5, 1.0, 1.5, 2.0]
+    assert tr.output("y").tolist() == [1.0, 3.0, 5.0, 5.0, 5.0]

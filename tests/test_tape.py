@@ -195,6 +195,17 @@ def test_op_count_reverse_charging_on_the_worked_example():
     assert op_count(t, "reverse") == 10
 
 
+def test_op_count_reverse_charging_of_div_and_apply_edges():
+    # sin(x)/x: the div charges its value, 1 for the edge into sin(x) and 2
+    # into x (w = a_bar/x, then -(w*q)); sin charges its value, 2 for its
+    # edge (sin' then the multiplication) and 1 accumulation into x
+    b = TapeBuilder(1)
+    x = b.input(0)
+    t = b.build([b.div(b.apply(SIN, x), x)])
+    assert op_count(t, "forward") == 7
+    assert op_count(t, "reverse") == 8
+
+
 def test_branch_gradient_is_taken_arm_gradient():
     rng = np.random.default_rng(23)
     for _ in range(20):
@@ -355,6 +366,26 @@ def test_compiled_saturation_at_zero_keeps_its_bits():
         assert _same_bits(f(x), tape_eval(t, x)), a
 
 
+_RULE_POINTS = {"exp": (-5, 5), "log": (0.01, 10), "sin": (-10, 10), "cos": (-10, 10),
+                "tan": (-1.5, 1.5), "atan": (-10, 10), "sqrt": (0.01, 10),
+                "pow[2.5]": (0.01, 10), "pow[0.0]": (-3, 3), "abs": (-5, 5)}
+
+
+@pytest.mark.parametrize("fn", sorted(_RULE_POINTS))
+def test_each_kind_has_one_derivative_rule_on_every_layer(fn):
+    # the interpreter's fn' (forward and reverse) and the tangent nodes
+    # ``jvp_tape`` emits are one rule: equal bit for bit at seeded points
+    b = TapeBuilder(1)
+    t = b.build([b.apply(parse_fn(fn), b.input(0))])
+    jt = jvp_tape(t)
+    rng = np.random.default_rng(sorted(_RULE_POINTS).index(fn))
+    for x in rng.uniform(*_RULE_POINTS[fn], 200):
+        x = float(x)
+        d = tape_eval(jt, [x, 1.0])[1]
+        assert forward_gradient(t, [x])[0, 0] == d, x
+        assert reverse_gradient(t, [x], 0)[0] == d, x
+
+
 def test_jvp_tape_matches_forward():
     rng = np.random.default_rng(37)
     for _ in range(10):
@@ -443,6 +474,20 @@ def test_taylor_patch_removable_singularity():
     # third derivative at 0: the Taylor oracle gives -1/4
     out = tape_jet_eval(patched, [jet_var(0.0, 5)])[0]
     assert jet_derivative(out, 3) == pytest.approx(-0.25, rel=1e-12)
+
+
+def test_taylor_patch_series_sums_and_products():
+    # (x*x + sin x)/x has the removable value 1 at 0 and slope 1 there: its
+    # series runs through a product and a sum before the 0/0 division
+    b = TapeBuilder(1)
+    x = b.input(0)
+    expr = b.div(b.add(b.mul(x, x), b.apply(SIN, x)), x)
+    t = b.build([b.branch(b.apply(ABS, x), 5e-324, expr, b.const(0.0))])
+    patched = taylor_patch(t, t.outputs[0], center=0.0, half_width=0.1, order=10)
+    for x0 in (-0.5, -0.09, 0.0, 0.05, 0.3):
+        want = 1.0 if x0 == 0 else x0 + math.sin(x0) / x0
+        assert tape_eval(patched, [x0])[0] == pytest.approx(want, abs=1e-12)
+    assert forward_gradient(patched, [0.0])[0, 0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_taylor_patch_true_pole_rejected():
