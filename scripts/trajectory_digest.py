@@ -40,11 +40,13 @@ outside ``march`` and ``step`` (whose RK stages, and the march's accepted
 node and guard checks, repeat the statements of ``ev`` and the guards),
 and how many guard crossings
 the simulator located, with the calls of the RK step and of the guards
-that took, and how many lines the ``while True:`` loop of ``march`` holds,
+that took, how many lines the ``while True:`` loop of ``march`` holds,
 summed over the distinct sources (what each step of the march runs
-through):
+through), and how many times the tape interpreter ran (``tape._run``)
+while ``integrate`` was active, which generated code leaves to naming a
+failing node:
 
-    <workload> <seed>: <models> models, <misses> generations, <distinct> distinct sources, <lines> lines, <nodes> node statements, <events> events located, <steps> step and <guards> guard calls, <loop> march loop lines
+    <workload> <seed>: <models> models, <misses> generations, <distinct> distinct sources, <lines> lines, <nodes> node statements, <events> events located, <steps> step and <guards> guard calls, <loop> march loop lines, <runs> interpreter runs in integrate
 
 The ``ImpactSensitivityWarning`` that every impact job's sensitivity run
 raises by design is not printed, so standard error holds only problems and
@@ -161,6 +163,32 @@ def _wrap_location(located: list):
     sim._locate_event = counted
 
 
+def _wrap_interpreter(runs: list):
+    """Count in ``runs[0]`` the interpreter's runs (``tape._run``) made
+    while ``integrate`` is active; call it before ``integrate`` is wrapped
+    for the digests, which then wrap this one."""
+    import hybridad.sim as sim
+    import hybridad.tape as tape
+    run, integrate = tape._run, sim.integrate
+    active = [0]
+
+    def counted(*args, **kwargs):
+        runs[0] += active[0] > 0
+        return run(*args, **kwargs)
+
+    def integrating(*args, **kwargs):
+        active[0] += 1
+        try:
+            return integrate(*args, **kwargs)
+        finally:
+            active[0] -= 1
+
+    tape._run = counted
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "integrate", None) is integrate:
+            setattr(mod, "integrate", integrating)
+
+
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--workload", action="append", choices=WORKLOADS,
@@ -182,10 +210,12 @@ def main() -> int:
     models: list = []
     sources: list[str] = []
     located: list[list[int]] = []
+    runs = [0]
 
     def csv(tr):
         layout.extend(layout_problems(tr))
         return tr.to_csv()
+    _wrap_interpreter(runs)
     _wrap("hybridad.sim", "integrate", seen, csv)
     _wrap("hybridad.diagram", "diagram_to_json", docs, lambda text: text)
     _wrap_generation(models, sources)
@@ -197,6 +227,7 @@ def main() -> int:
             models.clear()
             sources.clear()
             located.clear()
+            runs[0] = 0
             sim._CODE.clear()
             with tempfile.TemporaryDirectory() as tmp:
                 wl = workloads.build(name, seed, Path(tmp))
@@ -226,7 +257,7 @@ def main() -> int:
             print(f"{name} {seed}: {len(models)} models, {len(sources)} generations, "
                   f"{len(set(sources))} distinct sources, {lines} lines, {nodes} node statements, "
                   f"{len(located)} events located, {steps} step and {guards} guard calls, "
-                  f"{loop} march loop lines",
+                  f"{loop} march loop lines, {runs[0]} interpreter runs in integrate",
                   file=sys.stderr)
     for path in sorted((ROOT / "models").glob("*.json")):
         try:

@@ -137,11 +137,18 @@ _FLOAT_OPS = SimpleNamespace(const=float, add=operator.add, mul=operator.mul,
                              sign=_float_sign)
 
 
-def fn_derivative(fn: ElementaryFn, x: float, node_id: int = -1) -> float:
-    """First derivative value at x, ``fn_rule`` on floats.  abs raises at
-    exactly zero; a rule's reciprocal of zero raises ZeroDivisionError."""
+_READS_Y = frozenset({"exp", "tan", "sqrt"})      # the kinds whose rule reads fn(x)
+
+
+def fn_derivative(fn: ElementaryFn, x: float, node_id: int = -1, y: float | None = None) -> float:
+    """First derivative value at x, ``fn_rule`` on floats, for x in fn's
+    domain; ``y`` is fn(x) where the caller has it, else it is computed
+    for the kinds whose rule reads it.  abs raises at exactly zero; a
+    rule's reciprocal of zero raises ZeroDivisionError."""
+    if y is None and fn.kind in _READS_Y:
+        y = fn_value(fn, x)
     try:
-        d, over = fn_rule(fn, x, fn_value(fn, x), _FLOAT_OPS)
+        d, over = fn_rule(fn, x, y, _FLOAT_OPS)
     except NonDifferentiablePoint:
         raise NonDifferentiablePoint(node_id) from None
     return 1.0 / d if over else d

@@ -18,7 +18,9 @@ Event handling is sign-change detection on the guards between accepted
 steps, location by a bracketed secant to the configured tolerance, a
 two-phase state update, and a deadtime that suppresses re-triggering
 right after a discontinuity.  Impact events apply the energy-balance velocity update of
-:func:`impact_update` to the primal states only.  Sensitivity states pass
+:func:`impact_update` to the primal states only, with the guard's gradient
+computed by generated code from the surface's gradient tape, which is
+differentiated once (``ImpactSurface.gradient``).  Sensitivity states pass
 through an impact unchanged, with no saltation jump, so sensitivities
 after an impact are wrong: ``integrate`` warns
 (:class:`ImpactSensitivityWarning`) at the first impact of a sensitivity
@@ -32,7 +34,8 @@ grid.  Each model runs, per method,
 generated code: the march over the step grid, with the RK stages, the
 guard checks and the delay lookups written out, and, for a model with
 events, the RK step that event location takes, its stages written by the
-march's own stage writer, and one function per event guard.  A lookup is
+march's own stage writer, one function per event guard and one per impact
+surface's guard gradient.  A lookup is
 never kept across calls: the one reuse is the march's accepted node, which
 keeps its last stage's lookup when that stage was at the node's time for
 the same anchor.  Tape constants, branch thresholds and delay constants are
@@ -42,7 +45,8 @@ structure only fills its table.  Parameter-only nodes are computed once per
 ``integrate`` call, stages compute only the rhs, and a branch arm that can
 raise runs only when it is taken.  So an exception there is a real domain
 error; ``tape_eval`` re-runs the point and names the node
-(``EvalDomainError``).  Python code runs only at the start, at each event
+(``EvalDomainError``), the one run of the tape interpreter inside
+``integrate``.  Python code runs only at the start, at each event
 (location, action, record) and to assemble the trajectory, one conversion
 per array of the flat node records (the state and the output rows laid end
 to end), shaped by the model's widths.  Models are immutable and each
@@ -62,12 +66,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .agdm import d_output_name
+from .diagram import _once
 from .errors import (
     DelayUnderflow,
     EventStorm,
     ImpactSensitivityWarning,
     NonTransversal,
     SensitivityAcrossEvent,
+    ShapeMismatch,
     SingularMetric,
     UnknownParameter,
 )
@@ -85,7 +91,7 @@ from .tape import (
     number,
     numbers,
     readers,
-    reverse_gradient,
+    reverse_gradient,  # noqa: F401  (no longer called here; kept importable as sim.reverse_gradient)
     tape_eval,
 )
 
@@ -118,7 +124,10 @@ class ImpactSurface:
 
     The state convention is [q (dim), v (dim)]: positions first, then
     velocities.  ``guard`` is a tape over [q..., t]; the potentials give
-    the energy on the f>=0 side and the f<0 side.
+    the energy on the f>=0 side and the f<0 side.  ``gradient`` is the
+    guard's gradient over [q..., t] as a tape, differentiated once, on
+    first use, and kept with the surface, so every model the surface is
+    an event of shares it.
     """
 
     dim: int
@@ -130,6 +139,20 @@ class ImpactSurface:
     def __post_init__(self):
         if self.guard.num_inputs != self.dim + 1:
             raise ValueError("impact guard must take [q..., t]")
+
+    @_once
+    def gradient(self) -> Tape:
+        """The guard's value nodes, ids kept, then one ``append_tangent``
+        sweep per input, the sweeps sharing the seeds 0 and 1; its outputs
+        are the partial derivatives in input order.  A tangent the builder
+        folds to a constant is that output, so the tape's structure depends
+        on the guard's constants (a coefficient 0.0 folds, 2.0 does not)."""
+        g, k = self.guard, self.dim + 1
+        b = TapeBuilder(k)
+        ids = copy_into(b, g)
+        zero, one = b.const(0.0), b.const(1.0)
+        return b.build([append_tangent(b, g, ids, [one if i == j else zero for i in range(k)])
+                        [g.outputs[0]] for j in range(k)])
 
 
 @dataclass(frozen=True)
@@ -161,7 +184,7 @@ class OdeModel:
     # exact anti-windup pinning of saturated integrator states, applied
     # after each accepted step (the gated rhs handles the interior)
     state_clamps: tuple[tuple[int, float, float], ...] = ()
-    # method -> generated ``_make`` (see ``_bind_stepper``)
+    # method -> generated ``_make`` and the guard gradients (see ``_bind_stepper``)
     _steppers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -456,6 +479,13 @@ def _generate_stepper(m: OdeModel, method: str, tape: Tape):
     (``arm_contexts``).  ``guards`` holds one ``g(x..., t) -> float`` per
     event, its guard tape's output computed the same taken-arm way.
 
+    Ahead of ``_make``, at the top level of the source, so bound once per
+    model, stand the guard gradients: ``_grads`` holds, per event, for an
+    impact event k - 1 ``_d<k>(q..., t)``, which returns the list of its
+    surface's ``gradient`` tape's outputs, tape E + k of E events, computed
+    the same taken-arm way, and None for any other event; their numbers
+    are bound from ``_k`` after the guards', ahead of the delay record's.
+
     ``march(x, t, f, g, until, times, states, outputs)`` steps on the grid
     anchored at t, with ``f`` the rhs and ``g`` the guard values at (x, t),
     recording each accepted node flat (its time appended to ``times``, its
@@ -559,30 +589,45 @@ def _generate_stepper(m: OdeModel, method: str, tape: Tape):
     def at(ids):                        # the nodes' values at the accepted node
         return ", ".join(in_place.get(o) or node_ref(tape, o) for o in ids)
 
-    # the model's numbers, bound once per ``_make`` call: name -> (tape, node id)
-    nums = {name: (0, i) for name, i in numbers(tape, place).items()}
+    def function(name, k, body, ret):   # ``name(*x)``: ``body``, tape k's statements, then ``ret``
+        if not body:                    # a gradient of constants, say
+            return [f"def {name}(*x):", f"    return {ret}"]
+        return [f"def {name}(*x):", "    try:", *indent(body, 2), f"        return {ret}",
+                "    except _ARITH_ERRORS:", f"        _fail({k}, list(x))", "        raise"]
+
+    # the numbers, name -> (tape, node id): the model's and the guards', bound once per
+    # ``_make`` call, then the guard gradients', bound once per model
+    nums, d_nums, top = {name: (0, i) for name, i in numbers(tape, place).items()}, {}, []
     src, checks = [], []
     xs, ys = [f"x{i}" for i in range(n)], [f"y{i}" for i in range(n)]
     rates = ", ".join(rate("a", i) for i in range(n))      # the rhs at the step's start
+    E, grads = len(m.events), _gradients(m)
     for k, e in enumerate(m.events, 1):         # guard k - 1, called g(x..., t)
         g, tag = e.guard, f"{k}_"
         g_place, g_opened = arm_contexts(g, [(g.outputs[0], 0)])
         nums.update((name, (k, i)) for name, i in numbers(g, g_place, tag).items())
         out, g_reads = node_ref(g, g.outputs[0], tag), readers(g, g_place)
-        body = guarded_source(g, g_place, g_opened, set(), 0, g_reads, tag)
-        src += [f"    def _g{k}(*x):", "        try:", *indent(body, 3),
-                f"            return {out}",
-                "        except _ARITH_ERRORS:", f"            _fail({k}, list(x))", "            raise"]
+        src += indent(function(f"_g{k}", k, guarded_source(g, g_place, g_opened, set(), 0, g_reads, tag),
+                               out))
+        d = grads[k - 1]
+        if d is not None:       # its impact surface's guard gradient, tape E + k
+            d_tag = f"{E + k}_"
+            d_place, d_opened = arm_contexts(d, [(o, 0) for o in d.outputs])
+            d_nums.update((name, (E + k, i)) for name, i in numbers(d, d_place, d_tag).items())
+            top += function(f"_d{k}", E + k,
+                            guarded_source(d, d_place, d_opened, set(), 0, readers(d, d_place), d_tag),
+                            f"[{', '.join(node_ref(d, o, d_tag) for o in d.outputs)}]")
         ins = {nid: "tn" if nd.a == n else f"y{nd.a}"      # inline in march, at the step's end
                for nid, nd in enumerate(g.nodes) if nd.op == "input" and nid in g_place}
-        checks += ["try:", *(f"    {node_ref(g, nid, tag)} = {v}" for nid, v in ins.items()),
-                   *indent(guarded_source(g, g_place, g_opened, set(ins), 0, g_reads, tag)),
-                   "except _ARITH_ERRORS:", f"    _fail({k}, [{', '.join([*ys, 'tn'])}])", "    raise",
+        body = [*(f"{node_ref(g, nid, tag)} = {v}" for nid, v in ins.items()),
+                *guarded_source(g, g_place, g_opened, set(ins), 0, g_reads, tag)]
+        checks += [*(["try:", *indent(body), "except _ARITH_ERRORS:",
+                      f"    _fail({k}, [{', '.join([*ys, 'tn'])}])", "    raise"] if body else []),
                    f"if not tn <= u{k} and (p{k} >= 0.0) != ({out} >= 0.0):",
                    f"    return {k - 1}, k, [{', '.join(xs)}], t, h, [{rates}], p{k}, [{', '.join(ys)}], "
                    f"{out} if t + h == tn else None",
                    f"p{k} = {out}"]
-    record, look_at, cells = _record_source(m, dv, list(nums)) if m.delays else ([], None, [])
+    record, look_at, cells = _record_source(m, dv, [*nums, *d_nums]) if m.delays else ([], None, [])
     # ``march``: ``ev(*y, tn, tn, True)``'s statements, at the accepted node, whose lookup
     # sets the slot inputs any statement reads, or, kept from the last stage, those it did not
     node_look, kept_look = ((look_at("tn", "tn", ss, "an") for ss in (node_slots, node_slots - rhs_slots))
@@ -601,7 +646,9 @@ def _generate_stepper(m: OdeModel, method: str, tape: Tape):
                 if len(fixed) < n else [])]
     ps = ", ".join(f"p{k}" for k in range(1, len(m.events) + 1))
     us = ps.replace("p", "u")
-    src = [f"def _make({', '.join(['_c', '_x', '_t0', '_env'] + theta)}):",
+    top = [*([f"[{', '.join(d_nums)}] = _k[{len(nums)}:{len(nums) + len(d_nums)}]"] if d_nums else []),
+           *top, f"_grads = {tup([f'_d{k}' if d else 'None' for k, d in enumerate(grads, 1)])}"]
+    src = [*top, f"def _make({', '.join(['_c', '_x', '_t0', '_env'] + theta)}):",
            f"    [{', '.join(nums)}] = _k[:{len(nums)}]", *src,
            "    _step, _tf = _c.step, _c.tf", "    _end = _tf - 1e-12 * max(1.0, abs(_tf))",
            *record,
@@ -634,11 +681,11 @@ def _generate_stepper(m: OdeModel, method: str, tape: Tape):
     if lift:
         src += ["    try:", *indent(lift, 2), "    except _ARITH_ERRORS:",
                 *(["        _look(_t0, _t0)"] if m.delays else []),
-                f"        _fail({len(m.events) + 1}, [*_x, _t0, {', '.join(theta + dv)}])",
+                f"        _fail({2 * E + 1}, [*_x, _t0, {', '.join(theta + dv)}])",
                 "        raise"]
     guards = "".join(f"_g{k}, " for k in range(1, len(m.events) + 1))
     return "\n".join(src + [f"    return ev, {'step' if m.events else 'None'}, ({guards}), march"]), \
-        list(nums.values())
+        [*nums.values(), *d_nums.values()]
 
 
 def _shape(t: Tape) -> tuple:
@@ -656,17 +703,24 @@ _GLOBALS = {"_m": math, "inf": math.inf, "nan": math.nan, "_ARITH_ERRORS": _ARIT
             "DelayUnderflow": DelayUnderflow}
 
 
+def _gradients(m: OdeModel) -> tuple:
+    """Per event of ``m``, its impact surface's guard gradient tape, or None."""
+    return tuple(e.action.gradient if isinstance(e.action, ImpactSurface) else None for e in m.events)
+
+
 def _bind_stepper(m: OdeModel, method: str):
-    """``m``'s ``_make`` (``_generate_stepper``).  The code is generated and
-    compiled once per structure, the key holding all that the source
+    """``m``'s ``_make`` (``_generate_stepper``), kept with the guard
+    gradient functions as ``m._steppers[method]``.  The code is generated
+    and compiled once per structure, the key holding all that the source
     reads of the model but its numbers; the ``_CODE_SIZE`` structures used
     last keep theirs.  Each model runs it in a namespace of its own: the
     table ``_k`` filled from its tapes by the picks, then the delay
     record's constants; its clamps; and ``_fail(k, vals)``, which re-runs
-    tape k (0 the generated tape, k >= 1 guard k - 1's, the last
-    ``m.tape``) in the interpreter, which names the failing node."""
+    tape k in the interpreter, which names the failing node: 0 the
+    generated tape, 1..E the guards of the E events, E + 1..2E their
+    guard gradients, and 2E + 1 ``m.tape``."""
     tape = _with_slot_slopes(m) if m.delays else m.tape
-    tapes = (tape, *(e.guard for e in m.events))
+    tapes = (tape, *(e.guard for e in m.events), *_gradients(m))
     record, record_key = [], None       # the delay record's constants, as ``_record_source`` reads them
     if m.delays:
         delays, pre = _record_exprs(m)
@@ -676,7 +730,7 @@ def _bind_stepper(m: OdeModel, method: str):
         record_key = (tuple(map(shape, delays)), tuple(delays.index(slot.delay) for slot in m.delays),
                       tuple(es and tuple(map(shape, es)) for es in pre))
     key = (method, m.n, len(m.param_names), m.n_outputs, bool(m.state_clamps),
-           tuple(map(_shape, tapes)), record_key)
+           tuple(None if t is None else _shape(t) for t in tapes), record_key)
     code, picks = _CODE.pop(key, (None, None))
     if code is None:
         source, picks = _generate_stepper(m, method, tape)
@@ -689,6 +743,7 @@ def _bind_stepper(m: OdeModel, method: str):
           "_fail": lambda k, vals: tape_eval(fails[k], vals),
           "_k": [number(tapes[k].nodes[i]) for k, i in picks] + record}
     exec(code, ns)
+    m._steppers[method] = ns["_make"], ns["_grads"]
     return ns["_make"]
 
 
@@ -722,6 +777,7 @@ def integrate(m: OdeModel, c: SimConfig, theta=None) -> Trajectory:
     for i, lo, hi in m.state_clamps:
         x[i] = min(hi, max(lo, x[i]))
     ev, step, guards, march = _stepper(m, c, x, t, env)
+    grads = m._steppers[c.method][1] if m.events else ()     # a discrete model has no event
     f, y = ev(*x, t, t, True)      # f: rhs at (x, t), the next k1
     times, states, outputs = [t], x[:], y
     events: list[EventRecord] = []
@@ -751,7 +807,7 @@ def integrate(m: OdeModel, c: SimConfig, theta=None) -> Trajectory:
                 warnings.warn(f"impact event {i} at t={t_star!r}: sensitivities "
                               "are wrong from here on (no saltation jump is applied)",
                               ImpactSensitivityWarning, stacklevel=2)
-            x = _apply_action(m.events[i], x_pre, t_star)
+            x = _apply_action(i, m.events[i], x_pre, t_star, grads[i])
             f, y_post = ev(*x, t_star, t_star, True)
             events.append(EventRecord(t_star, i, np.array(x_pre), np.array(x),
                                       np.asarray(y_pre), np.asarray(y_post)))
@@ -774,8 +830,8 @@ def _stepper(m: OdeModel, c: SimConfig, x, t, env):
     model and method, a discrete model's being its "map"."""
     method = "map" if m.discrete else c.method
     if method not in m._steppers:
-        m._steppers[method] = _bind_stepper(m, method)
-    return m._steppers[method](c, x, t, env, *(env[p] for p in m.param_names))
+        _bind_stepper(m, method)
+    return m._steppers[method][0](c, x, t, env, *(env[p] for p in m.param_names))
 
 
 def _locate_event(step, guard, x, t, h, k1, g0, x_hi, tol, g_hi=None):
@@ -817,12 +873,19 @@ def _locate_event(step, guard, x, t, h, k1, g0, x_hi, tol, g_hi=None):
     return t + hi, x_hi
 
 
-def _apply_action(ev: EventSpec, x, t) -> list[float]:
+def _apply_action(i: int, ev: EventSpec, x, t, grad) -> list[float]:
+    """The state after event i, ``ev``, at (x, t); ``grad`` is the generated
+    gradient of an impact surface's guard (``_d<k>``)."""
     s = ev.action
     if isinstance(s, ImpactSurface):
         d = s.dim
-        return [*x[:d], *_impact_velocity(s, x[:d], x[d:2 * d], t), *x[2 * d:]]
-    return np.asarray(s(np.array(x), t), dtype=float).tolist()
+        q = x[:d]
+        return [*q, *_impact_velocity(s, q, x[d:2 * d], t, grad(*q, t)), *x[2 * d:]]
+    y = np.asarray(s(np.array(x), t), dtype=float)
+    if y.shape != (len(x),):
+        raise ShapeMismatch(f"event {i}: the action returned shape {y.shape}, "
+                            f"not the ({len(x)},) of the model's n = {len(x)} states")
+    return y.tolist()
 
 
 def _trajectory(m: OdeModel, times, states, outputs, events) -> Trajectory:
@@ -846,18 +909,26 @@ def impact_update(s: ImpactSurface, q, v_pre, t) -> np.ndarray:
     tangential velocity is preserved and the normal component balances
     kinetic energy relative to the moving surface against the potential
     jump; when the balance has no real solution the normal component
-    reflects instead (rebound).
+    reflects instead (rebound).  The guard's gradient is ``tape_eval`` of
+    ``s.gradient``, the numbers the code ``integrate`` generates for it
+    computes.  q and v_pre of another shape than (s.dim,) raise
+    ``ShapeMismatch``.
     """
-    return np.array(_impact_velocity(s, np.asarray(q, dtype=float).tolist(),
-                                     np.asarray(v_pre, dtype=float).tolist(), t))
+    q, v = np.asarray(q, dtype=float), np.asarray(v_pre, dtype=float)
+    if q.shape != (s.dim,) or v.shape != (s.dim,):
+        raise ShapeMismatch(f"q and v_pre must have shape ({s.dim},) for a surface of dim "
+                            f"{s.dim}; got {q.shape} and {v.shape}")
+    q = q.tolist()
+    return np.array(_impact_velocity(s, q, v.tolist(), t, tape_eval(s.gradient, [*q, t])))
 
 
-def _impact_velocity(s: ImpactSurface, q: list, v: list, t) -> list[float]:
-    """:func:`impact_update` on lists of floats.  The metric and the
-    potentials are called with q as an array; the rest is float arithmetic
-    but the solve for the normal direction of a metric of dimension 2 or
-    more.  For dimension 1 that solve is g / a, the bits ``np.linalg.solve``
-    gives too."""
+def _impact_velocity(s: ImpactSurface, q: list, v: list, t, grad: list) -> list[float]:
+    """:func:`impact_update` on lists of floats, ``grad`` being the guard's
+    gradient over [q..., t] at (q, t).  The metric and the potentials are
+    called with q as an array; the rest is float arithmetic but the solve
+    for the normal direction of a metric of dimension 2 or more.  For
+    dimension 1 that solve is g / a, the bits ``np.linalg.solve`` gives
+    too."""
     d = s.dim
     qa = np.array(q)
     A = np.asarray(s.metric(qa), dtype=float)
@@ -868,7 +939,6 @@ def _impact_velocity(s: ImpactSurface, q: list, v: list, t) -> list[float]:
                for row, col in zip(rows, zip(*rows)) for a, b in zip(row, col)):
         raise ValueError("metric must be symmetric")
 
-    grad = reverse_gradient(s.guard, [*q, t], 0).tolist()
     gq, gt = grad[:d], grad[d]
     gg, gv = sum(map(operator.mul, gq, gq)), sum(map(operator.mul, gq, v))
     if gg == 0.0:

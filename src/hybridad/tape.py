@@ -243,7 +243,7 @@ class _D:
     def apply(fn, x, nid):
         v = fn_value(fn, x.v)
         try:
-            d = fn_derivative(fn, x.v, nid)
+            d = fn_derivative(fn, x.v, nid, v)
         except NonDifferentiablePoint as exc:
             return _D(v, exc)
         return _D(v, d * _use(x.d))

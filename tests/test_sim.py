@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import random
 import re
 import sys
 import threading
@@ -22,10 +23,12 @@ from hybridad import (
     EventStorm,
     ImpactSensitivityWarning,
     ImpactSurface,
+    NonDifferentiablePoint,
     NonTransversal,
     OdeModel,
     SensitivityAcrossEvent,
     SimConfig,
+    ShapeMismatch,
     SingularMetric,
     Tape,
     TapeBuilder,
@@ -38,12 +41,13 @@ from hybridad import (
     integrate,
     parse_diagram,
     parse_expr,
+    reverse_gradient,
     sensitivity_extend,
     smooth_heaviside,
     tape_eval,
 )
 from hybridad import sim
-from hybridad.ops import ATAN, COS, SIN, SQRT, Pow
+from hybridad.ops import ABS, ATAN, COS, SIN, SQRT, ElementaryFn, Pow, fn_value
 from hybridad.sim import make_ode_model
 from hybridad.tape import Node
 
@@ -294,6 +298,226 @@ def test_zero_metric_of_dimension_1_is_singular(a):
 def test_impact_update_returns_an_array():
     v = impact_update(_surface(1, e_pos=2.0), [1.0], [1.0], 0.0)
     assert type(v) is np.ndarray and v.dtype == np.float64 and v.shape == (1,)
+
+
+@pytest.mark.parametrize("q,v", [([1.0], [1.0, 3.0]), ([1.0, 0.0], [1.0]), ([[1.0]], [1.0]),
+                                 (1.0, 1.0)])
+def test_impact_update_refuses_states_of_another_dimension(q, v):
+    with pytest.raises(ShapeMismatch, match=r"shape \(1,\) for a surface of dim 1"):
+        impact_update(_surface(1), q, v, 0.0)
+
+
+@pytest.mark.parametrize("action,shape", [(lambda x, t: x[:1], "(1,)"),
+                                          (lambda x, t: np.stack([x, x]), "(2, 2)"),
+                                          (lambda x, t: x[None, :], "(1, 2)")])
+def test_an_event_action_of_another_shape_is_refused(action, shape):
+    # x' = 1 past the guard x - 0.5; event 1 resets x to the action's result
+    b = TapeBuilder(3)          # [x, y, t]
+    gb = TapeBuilder(3)
+    never, guard = (gb.build([gb.sub(gb.input(0), gb.const(c))]) for c in (9.0, 0.5))
+    m = make_ode_model(2, b.build([b.const(1.0), b.const(0.0), b.input(0)]), (), {},
+                       ("x", "y"), ("x",), init_exprs=(parse_expr(0.0), parse_expr(0.0)),
+                       events=(EventSpec(never, lambda x, t: x), EventSpec(guard, action)))
+    with pytest.raises(ShapeMismatch, match=rf"^event 1: the action returned shape {re.escape(shape)}, "
+                                            r"not the \(2,\) of the model's n = 2 states$"):
+        integrate(m, SimConfig(step=0.1, tf=1.0))
+
+
+# ---------------------------------------------------------------------------
+# the guard gradient, generated with the guards
+# ---------------------------------------------------------------------------
+
+_GUARD_FNS = (*(ElementaryFn(k) for k in ("exp", "log", "sin", "cos", "tan", "atan", "sqrt")),
+              ABS, *map(Pow, (0.0, 1.0, 2.0, 3.0, -1.0, 0.5, -1.5)))
+
+
+def _random_guard(rng, dim, size):
+    """A guard over [q (dim), t] of up to ``size`` nodes, of every op,
+    every elementary kind and branches, and a point [q..., t] at which each
+    node is inside its domain with a margin and no branch is near its
+    threshold."""
+    b = TapeBuilder(dim + 1)
+    x = [rng.uniform(-2.0, 2.0) for _ in range(dim + 1)]
+    ids = [b.input(j) for j in range(dim + 1)]
+    vals = dict(zip(ids, x))
+    for c in (rng.choice([0.0, 1.0, 2.0]), rng.uniform(-2.0, 2.0)):
+        ids.append(b.const(c))
+        vals[ids[-1]] = c
+    for _ in range(8 * size):
+        if len(ids) >= size:
+            break
+        op = rng.choice(("add", "sub", "mul", "div", "apply", "apply", "branch"))
+        i, j, k = (rng.choice(ids) for _ in range(3))
+        vi, vj = vals[i], vals[j]
+        if op == "branch":
+            thr = vi + rng.choice((-1.0, 1.0)) * rng.uniform(0.05, 0.5)
+            nid, v = b.branch(i, thr, j, k), vj if vi >= thr else vals[k]
+        elif op == "apply":
+            fn = rng.choice(_GUARD_FNS)
+            if (fn.kind in ("log", "sqrt", "pow") and vi < 0.2 or fn.kind == "exp" and abs(vi) > 4.0
+                    or fn.kind == "tan" and abs(math.cos(vi)) < 0.3 or fn.kind == "abs" and abs(vi) < 0.05):
+                continue
+            nid, v = b.apply(fn, i), fn_value(fn, vi)
+        elif op == "div":
+            if abs(vj) < 0.2:
+                continue
+            nid, v = b.div(i, j), vi / vj
+        else:
+            nid, v = getattr(b, op)(i, j), {"add": vi + vj, "sub": vi - vj, "mul": vi * vj}[op]
+        if abs(v) <= 1e3:
+            ids.append(nid)
+            vals[nid] = v
+    return b.build([ids[-1]]), x
+
+
+def _generated_gradients(surfaces):
+    """The generated guard gradients (``_d<k>``) of one model of six states
+    whose events are the impact ``surfaces``, each of dimension 3 or less."""
+    b = TapeBuilder(7)
+    m = make_ode_model(6, b.build([b.const(0.0)] * 6), (), {}, tuple("abcdef"), (),
+                       init_exprs=(parse_expr(0.0),) * 6,
+                       events=tuple(impact_event(s, 6) for s in surfaces))
+    sim._bind_stepper(m, "rk4")
+    return m._steppers["rk4"][1]
+
+
+def _outcome(grad, x):
+    """The hex digits of a gradient, or what it raised and the node it named."""
+    try:
+        return [v.hex() for v in grad(x)]
+    except Exception as exc:
+        return type(exc), getattr(exc, "node_id", None)
+
+
+def _eye(q):
+    return np.eye(len(q))
+
+
+def _no_potential(q):
+    return 0.0
+
+
+def test_generated_guard_gradient_is_the_gradient_tape_bit_for_bit(code_cache):
+    # at a point inside every domain, and at one anywhere, where a domain
+    # error names the same node of the gradient tape; against the adjoint
+    # sweep, tangents accumulate in another order: a few ulps apart
+    rng = random.Random(2029)
+    cases = [(d, *_random_guard(rng, d, rng.randint(3, 20))) for d in
+             (rng.randint(1, 3) for _ in range(3000))]
+    ulps = 0
+    for lo in range(0, len(cases), 100):
+        batch = cases[lo:lo + 100]
+        surfaces = [ImpactSurface(d, _eye, _no_potential, _no_potential, g) for d, g, _ in batch]
+        for s, (d, g, x), grad in zip(surfaces, batch, _generated_gradients(surfaces)):
+            anywhere = [rng.uniform(-3.0, 3.0) for _ in x]
+            for pt in (x, anywhere):
+                assert _outcome(lambda p: grad(*p), pt) == _outcome(
+                    lambda p: tape_eval(s.gradient, p), pt), (g, pt)
+            got, want = grad(*x), reverse_gradient(g, x, 0).tolist()
+            assert all(abs(u - w) <= 1e-13 * max(1.0, abs(w)) for u, w in zip(got, want)), (got, want)
+            ulps += got != want
+    assert 0 < ulps < 600
+    assert code_cache.misses == 30
+
+
+def test_linear_guard_gradient_is_the_adjoint_sweeps_bit_for_bit():
+    rng = random.Random(31)
+    surfaces, points = [], []
+    for _ in range(200):
+        d = rng.randint(1, 3)
+        b = TapeBuilder(d + 1)
+        terms = [b.mul(b.const(rng.uniform(-3.0, 3.0)), b.input(j)) for j in range(d + 1)]
+        rng.shuffle(terms)
+        f = b.const(rng.uniform(-3.0, 3.0))
+        for u in terms:
+            f = rng.choice((b.add, b.sub))(f, u)
+        surfaces.append(ImpactSurface(d, _eye, _no_potential, _no_potential, b.build([f])))
+        points.append([rng.uniform(-3.0, 3.0) for _ in range(d + 1)])
+    for s, x, grad in zip(surfaces, points, _generated_gradients(surfaces)):
+        assert _outcome(lambda p: grad(*p), x) == _outcome(
+            lambda p: reverse_gradient(s.guard, p, 0).tolist(), x)
+
+
+def test_guard_gradient_domain_error_names_a_node_of_the_gradient_tape():
+    # sqrt(q) - 1 at q = 0: the guard is defined, its derivative 1/(2 sqrt q) is not
+    b = TapeBuilder(2)
+    s = ImpactSurface(1, _eye, _no_potential, _no_potential,
+                      b.build([b.sub(b.apply(SQRT, b.input(0)), b.const(1.0))]))
+    [grad] = _generated_gradients([s])
+    with pytest.raises(EvalDomainError, match="division by zero") as exc:
+        grad(0.0, 0.0)
+    assert s.gradient.nodes[exc.value.node_id].op == "div"
+    with pytest.raises(EvalDomainError) as again:
+        impact_update(s, [0.0], [1.0], 0.0)
+    assert again.value.node_id == exc.value.node_id
+
+
+def test_abs_guard_at_its_kink_takes_the_one_sided_sign():
+    # abs(q) - 0 at q = 0: the gradient tape's sign is +1 there, as its branches tie
+    b = TapeBuilder(2)
+    s = ImpactSurface(1, _eye, lambda q: 5.0, _no_potential, b.build([b.apply(ABS, b.input(0))]))
+    with pytest.raises(NonDifferentiablePoint):
+        reverse_gradient(s.guard, [0.0, 0.0], 0)
+    [grad] = _generated_gradients([s])
+    assert grad(0.0, 0.0) == tape_eval(s.gradient, [0.0, 0.0]) == [1.0, 0.0]
+    assert impact_update(s, [0.0], [1.0], 0.0).tolist() == [-1.0]
+
+
+def _coefficient_surface(c, offset=1.0):
+    """The guard q - offset - c t, rebounding."""
+    b = TapeBuilder(2)
+    f = b.sub(b.input(0), b.add(b.const(offset), b.mul(b.const(c), b.input(1))))
+    return ImpactSurface(1, _eye, lambda q: 100.0, _no_potential, b.build([f]))
+
+
+def _one_surface_model(s):
+    b = TapeBuilder(3)          # [q, v, t]
+    return make_ode_model(2, b.build([b.input(1), b.const(0.0), b.input(0), b.input(1)]), (), {},
+                          ("q", "v"), ("q", "v"), init_exprs=(parse_expr(0.0), parse_expr(2.0)),
+                          events=(impact_event(s, 2),))
+
+
+def test_surfaces_differing_in_a_guard_constant_share_one_generation(code_cache):
+    cfg = SimConfig(step=0.01, tf=1.0)
+    trs = [integrate(_one_surface_model(_coefficient_surface(0.5, offset)), cfg)
+           for offset in (1.0, 0.7)]
+    assert code_cache.misses == 1
+    for tr, offset in zip(trs, (1.0, 0.7)):
+        # rebound off the wall moving at 0.5: v+ = 2 * 0.5 - v-
+        assert len(tr.events) == 1 and tr.events[0].post_state[1] == 2 * 0.5 - 2.0
+
+
+def test_a_zero_and_a_nonzero_guard_coefficient_each_generate_their_own_code(code_cache):
+    # the tangent of c t folds to the constant c for c = 0.0 and stays a node for 2.0
+    surfaces = [_coefficient_surface(c) for c in (0.0, 2.0)]
+    assert sim._shape(surfaces[0].gradient) != sim._shape(surfaces[1].gradient)
+    grads = [_generated_gradients([s])[0] for s in surfaces]
+    assert code_cache.misses == 2
+    for s, grad, c in zip(surfaces, grads, (0.0, 2.0)):
+        assert grad(0.3, 0.1) == tape_eval(s.gradient, [0.3, 0.1]) == [1.0, -c]
+    models = [_one_surface_model(s) for s in surfaces]
+    # q = 2 t meets q = 1 at t = 0.5, and never q = 1 + 2 t
+    assert [len(integrate(m, SimConfig(step=0.01, tf=1.0)).events) for m in models] == [1, 0]
+    assert code_cache.misses == 4
+
+
+def test_integrate_applies_impact_update_at_the_recorded_pre_state_bit_for_bit(monkeypatch):
+    wl = perfbench_workloads(monkeypatch)
+    bounce = wl._ballistic_model(0.05, 9.81, 1.3, [(0.0, 0.0, 100.0)])
+    ladder = wl._ballistic_model(0.9, 9.81, 0.7, [(0.6, 0.0, -0.4), (0.45, 0.0, 0.8),
+                                                  (0.3, 0.0, -0.2), (0.15, 0.0, 0.5)])
+    for m, tf, events in ((bounce, 1.0, 5), (ladder, 0.5, 4)):     # rebounds; refractions
+        for model in (m, sensitivity_extend(m, "g")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ImpactSensitivityWarning)
+                tr = integrate(model, SimConfig(step=wl.IMPACT_STEP, tf=tf))
+            assert len(tr.events) == events
+            for ev in tr.events:
+                s = model.events[ev.guard_index].action
+                want = impact_update(s, ev.pre_state[:1], ev.pre_state[1:2], ev.time)
+                assert _hex([ev.post_state[1:2]]) == _hex([want])
+                assert _hex([ev.post_state[[0, *range(2, model.n)]]]) == \
+                    _hex([ev.pre_state[[0, *range(2, model.n)]]])
 
 
 # ---------------------------------------------------------------------------
@@ -874,6 +1098,29 @@ def test_digest_reports_a_trajectory_array_off_the_layout():
     for name, arr in bad:
         tr = sim.Trajectory(**{**vars(good), name: arr})
         assert [p.split(":")[0] for p in _digest_script().layout_problems(tr)] == [f"trajectory {name}"]
+
+
+def test_digest_counts_the_interpreter_runs_inside_integrate(monkeypatch):
+    # an impact runs generated code alone; a failing node is named by one run
+    from hybridad import tape as tape_module
+    monkeypatch.setattr(tape_module, "_run", tape_module._run)         # all restored after the test
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "integrate", None) is sim.integrate:
+            monkeypatch.setattr(mod, "integrate", sim.integrate)
+    runs = [0]
+    _digest_script()._wrap_interpreter(runs)
+    tape_eval(_decay_model().tape, [1.0, 0.0])         # outside integrate
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ImpactSensitivityWarning)
+        trs = [sim.integrate(m, SimConfig(step=2e-3, tf=0.5))
+               for m in (_bounce_model(), sensitivity_extend(_bounce_model(), "g"))]
+    assert [len(tr.events) for tr in trs] == [2, 2] and runs == [0]
+    b = TapeBuilder(2)          # x' = sqrt(0.5 - t), undefined past t = 0.5
+    m = make_ode_model(1, b.build([b.apply(SQRT, b.sub(b.const(0.5), b.input(1))), b.input(0)]),
+                       (), {}, ("x",), ("y",), init_exprs=(parse_expr(0.0),))
+    with pytest.raises(EvalDomainError):
+        sim.integrate(m, SimConfig(step=0.1, tf=1.0))
+    assert runs == [1]
 
 
 # ---------------------------------------------------------------------------
