@@ -11,6 +11,13 @@ one line, and so does each document ``diagram_to_json`` returns:
     <workload> <seed> <job index> <job kind> <call index> <sha256 of to_csv()>
     <workload> <seed> <job index> <job kind> json <call index> <sha256 of the document>
 
+``optimize_scalar`` is wrapped too, and each result it returns prints one
+line; the optimizer integrates only its cost output's cone, so these
+lines pin its answers where its own trajectories differ from the whole
+diagram's:
+
+    <workload> <seed> <job index> <job kind> opt <call index> <sha256 of repr(result)>
+
 After the workloads, each shipped model under ``models/`` prints one
 line for its trajectory at CI's model-loop settings (step 1e-3, t0 0, tf
 1, rk4, as ``hybridad simulate MODEL --tf 1``), and one line per
@@ -206,6 +213,7 @@ def main() -> int:
 
     seen: list[str] = []
     docs: list[str] = []
+    opts: list[str] = []
     layout: list[str] = []
     models: list = []
     sources: list[str] = []
@@ -218,6 +226,7 @@ def main() -> int:
     _wrap_interpreter(runs)
     _wrap("hybridad.sim", "integrate", seen, csv)
     _wrap("hybridad.diagram", "diagram_to_json", docs, lambda text: text)
+    _wrap("hybridad.cli", "optimize_scalar", opts, repr)
     _wrap_generation(models, sources)
     _wrap_location(located)
     from hybridad import sim
@@ -236,6 +245,7 @@ def main() -> int:
                 for j, job in enumerate(wl.jobs):
                     seen.clear()
                     docs.clear()
+                    opts.clear()
                     layout.clear()
                     try:
                         problems = job.check(job.run(tracer)).problems
@@ -246,6 +256,8 @@ def main() -> int:
                         print(f"{name} {seed} {j} {job.kind} {k} {digest}")
                     for k, digest in enumerate(docs):
                         print(f"{name} {seed} {j} {job.kind} json {k} {digest}")
+                    for k, digest in enumerate(opts):
+                        print(f"{name} {seed} {j} {job.kind} opt {k} {digest}")
                     for problem in problems:
                         print(f"{name} {seed} {j} {job.kind}: {problem}", file=sys.stderr)
                     failed += bool(problems)

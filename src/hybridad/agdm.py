@@ -532,13 +532,24 @@ def prune_zero(d: Diagram, protect: set[str] | frozenset[str] = frozenset()) -> 
     return _pruned(d, _nonzero(d), protect)
 
 
-def _pruned(d: Diagram, nz: set[PortRef], protect: set[str] | frozenset[str],
+def cone(d: Diagram, output: str) -> Diagram:
+    """The part of ``d`` that its output ``output`` reads: that output
+    alone, and the blocks it reads directly or through other blocks, in
+    ``d``'s order.  No block is pruned as zero, so each kept block
+    computes what it computes in ``d``."""
+    keep = [o for o in d.outputs if o.name == output]
+    return _pruned(Diagram(d.name, d.params, d.blocks, d.links, keep, d.annotations), None,
+                   frozenset())
+
+
+def _pruned(d: Diagram, nz: set[PortRef] | None, protect: set[str] | frozenset[str],
             head: int = 0, wiring: list[Link] | tuple = ()) -> Diagram:
-    """:func:`prune_zero` with the nonzero ports ``nz`` of ``d``.  The
-    first ``head`` blocks are protected, read only each other, and are
-    linked by ``wiring``."""
+    """:func:`prune_zero` with the nonzero ports ``nz`` of ``d`` (None: no
+    port is zero, so only the blocks no output reads go).  The first
+    ``head`` blocks are protected, read only each other, and are linked
+    by ``wiring``."""
     def port_zero(p: tuple[str, str]) -> bool:
-        return p not in nz
+        return nz is not None and p not in nz
 
     doomed = {b.id for b in d.blocks
               if b.id not in protect
@@ -626,6 +637,7 @@ def _pruned(d: Diagram, nz: set[PortRef], protect: set[str] | frozenset[str],
             else:
                 del ann[key]
     out = Diagram(d.name, dict(d.params), new_blocks, new_links, new_outputs, ann)
-    out._memo["nonzero"] = {p for p in nz if p.block in kept_ids}
+    if nz is not None:
+        out._memo["nonzero"] = {p for p in nz if p.block in kept_ids}
     out._memo["wiring"] = new_links      # written in block and input-port order
     return out

@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .agdm import agdm_diff, d_output_name
+from .agdm import agdm_diff, cone, d_output_name
 from .analysis import sequence_probe
 from .diagram import Diagram, Violation, diagram_to_json, load_diagram, parse_diagram, validate
 from .errors import (DelayOrderExceeded, HybridAdError, SchemaError, UnknownParameter,
@@ -173,10 +173,15 @@ def _cost_evaluator(d: Diagram, theta: str, cost: str, config: SimConfig,
     accumulated in single precision, which is what makes finite
     differences of the observed cost collapse while the propagated
     sensitivity channel stays informative.
+
+    J and g integrate only the cost output's cone (:func:`agdm.cone`);
+    the whole diagram is flattened first, so its errors raise as before.
+    Each kept state runs the same operations, so no bit changes.
     """
-    base = flatten(d)
-    if cost not in base.output_names:
+    if cost not in flatten(d).output_names:
         raise ValidationError([Violation("no-output", f"no output {cost!r}")])
+    d = cone(d, cost)
+    base = flatten(d)
     dcost = d_output_name(cost, theta)
     maug = flatten(agdm_diff(d, theta)) if use_ad else None
     every = _decimation(decimate, config.step)
@@ -210,9 +215,16 @@ def optimize_scalar(d: Diagram, theta: str, cost: str, config: SimConfig,
                     decimate: float | None = None,
                     lo: float = 0.001, hi: float = 3.0,
                     max_iter: int = 60):
-    """Damped secant root-finding on dJ/dtheta with clamped iterates."""
+    """Damped secant root-finding on dJ/dtheta with iterates clamped to
+    [lo, hi]; ``jacobian`` is "ad" (the cost cone differentiated) or "fd"
+    (a forward difference of J).  ValueError on a non-finite theta0,
+    another jacobian, or unless lo < hi are finite."""
     if not math.isfinite(theta0):
         raise ValueError(f"theta0 must be finite, got {theta0!r}")
+    if jacobian not in ("ad", "fd"):
+        raise ValueError(f"jacobian must be 'ad' or 'fd', got {jacobian!r}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"need finite lo < hi, got lo={lo!r}, hi={hi!r}")
     J, g = _cost_evaluator(d, theta, cost, config, decimate, jacobian == "ad")
 
     def clamp(z):

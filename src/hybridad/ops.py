@@ -11,6 +11,7 @@ zero and rejected by analytic (jet) composition.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -92,6 +93,12 @@ def fn_value(fn: ElementaryFn, x: float) -> float:
     raise AssertionError(k)
 
 
+@functools.lru_cache(maxsize=256)
+def _pow_lowered(p: float) -> ElementaryFn:
+    """``Pow(p - 1)``, built once per exponent."""
+    return Pow(p - 1)
+
+
 def fn_rule(fn: ElementaryFn, x, y, ops):
     """The chain-rule factor of ``fn`` at ``x``, where ``y`` is fn(x), as
     ``(d, over)``: fn'(x) is d, or 1/d when ``over`` is set, so each caller
@@ -120,7 +127,7 @@ def fn_rule(fn: ElementaryFn, x, y, ops):
         p = fn.exponent
         if p == 0:
             return ops.const(0.0), False
-        return ops.scale(p, ops.apply(Pow(p - 1), x)), False
+        return ops.scale(p, ops.apply(_pow_lowered(p), x)), False
     if k == "abs":
         return ops.sign(x), False
     raise AssertionError(k)

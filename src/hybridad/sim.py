@@ -91,7 +91,6 @@ from .tape import (
     number,
     numbers,
     readers,
-    reverse_gradient,  # noqa: F401  (no longer called here; kept importable as sim.reverse_gradient)
     tape_eval,
 )
 

@@ -22,7 +22,7 @@ from hybridad import (
     tf_param_derivative,
 )
 import hybridad.agdm as agdm_module
-from hybridad.agdm import _Builder, _nonzero_ports, d_block_name, d_output_name
+from hybridad.agdm import _Builder, _nonzero_ports, cone, d_block_name, d_output_name
 from hybridad.diagram import Link, PortRef, load_diagram, make_block, validate
 
 MODELS = os.path.join(os.path.dirname(__file__), "..", "models")
@@ -375,6 +375,46 @@ def test_mux_demux_widened_in_derivative_flow():
     tr = integrate(flatten(d2), SimConfig(step=0.25, tf=0.5))
     # y = a + a^2, dy/da = 1 + 2a
     assert tr.output("dy/da")[-1] == pytest.approx(1 + 2 * 0.7, rel=1e-14)
+
+
+def _every_rule_doc():
+    with open(os.path.join(MODELS, "every_rule.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_cone_of_an_output_that_reads_the_whole_diagram_keeps_every_block():
+    d = _diag(_every_rule_doc())
+    c = cone(d, "y")
+    assert [b.id for b in c.blocks] == [b.id for b in d.blocks]
+    assert all(a is b for a, b in zip(c.blocks, d.blocks) if a.kind != "Sum")
+    assert {(ln.src, ln.dst) for ln in c.links} == {(ln.src, ln.dst) for ln in d.links}
+    assert [o.name for o in c.outputs] == ["y"]
+    assert c.annotations == d.annotations
+
+
+def test_cone_keeps_only_what_its_output_reads():
+    d = _diag(_every_rule_doc())
+    c = cone(d, "x")
+    assert [b.id for b in c.blocks] == ["U", "Gk", "E", "X"]      # in d's order
+    assert [o.name for o in c.outputs] == ["x"]
+    assert validate(c).ok
+
+
+def test_cone_keeps_a_subsystem_whole_and_a_mux_demux_pair_together():
+    doc = _every_rule_doc()
+    doc["outputs"] = [{"name": "z", "from": "Sub.z"}, {"name": "w", "from": "DM.out1"}]
+    d = _diag(doc)
+    held = {"U", "Gk", "E", "X", "D", "L", "M", "DM"}
+    for name, kept in (("z", held | {"Sub"}), ("w", held)):
+        c = cone(d, name)
+        assert {b.id for b in c.blocks} == kept
+        assert validate(c).ok
+        # the Demux reads one bundle, so the Mux and both of its inputs stay
+        assert c.driver(("DM", "in")) == PortRef("M", "out")
+        assert c.driver(("M", "in2")) == PortRef("L", "out")
+    assert cone(d, "z").block("Sub") is d.block("Sub")     # its child untouched
+    zc, zd = (integrate(flatten(x), SimConfig(step=0.01, tf=0.5)) for x in (cone(d, "z"), d))
+    assert np.array_equal(zc.output("z"), zd.output("z"))
 
 
 def test_multi_output_state_space_differentiated():

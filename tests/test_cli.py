@@ -5,8 +5,11 @@ import os
 import numpy as np
 import pytest
 
-from conftest import BAD_INTEGERS, bad_integer_doc, delay_chain_doc, first_order_doc
-from hybridad import SchemaError, ValidationError, cli, parse_diagram
+from conftest import (BAD_INTEGERS, bad_integer_doc, delay_chain_doc, first_order_doc,
+                      perfbench_workloads)
+from hybridad import (FlattenError, SchemaError, ValidationError, agdm_diff, cli, flatten,
+                      parse_diagram)
+from hybridad.agdm import cone
 from hybridad.cli import main, optimize_scalar, step_map_derivatives
 from hybridad.diagram import load_diagram
 from hybridad.sim import SimConfig, integrate
@@ -415,3 +418,132 @@ def test_optimize_cost_that_is_no_output_is_a_violation(capsys):
     assert main(["optimize", model_path("second_order_cost.json"), "--theta", "zeta",
                  "--cost", "nosuch"]) == 2
     assert capsys.readouterr().err == "error: no output 'nosuch'\n"
+
+
+# -- the cost output's cone -------------------------------------------------------
+
+def _second_order_text(source, monkeypatch):
+    if source == "model":
+        with open(model_path("second_order_cost.json"), encoding="utf-8") as fh:
+            return fh.read()
+    return perfbench_workloads(monkeypatch)._second_order_doc(0.1, 1.0, 1.0)
+
+
+def _columns(tr):
+    return {**{("state", nm): tr.states[:, i] for i, nm in enumerate(tr.state_names)},
+            **{("output", nm): tr.outputs[:, i] for i, nm in enumerate(tr.output_names)}}
+
+
+def _same_named_columns(part, whole):
+    """Every column of trajectory ``part`` equals the same-named column
+    of trajectory ``whole`` bit for bit."""
+    assert np.array_equal(part.times, whole.times)
+    cols = _columns(whole)
+    for key, col in _columns(part).items():
+        assert np.array_equal(col, cols[key]), key
+
+
+@pytest.mark.parametrize("source", ["model", "perfbench"])
+@pytest.mark.parametrize("theta, n_aug", [("zeta", 4), ("omega", 4), ("q", 2)])
+def test_cost_cone_runs_equal_the_whole_diagram_columns(monkeypatch, source, theta, n_aug):
+    d = parse_diagram(_second_order_text(source, monkeypatch))
+    c = cone(d, "integrand")
+    config = SimConfig(step=0.02, tf=10.0)
+    z = {theta: 0.37}
+    base, whole = flatten(c), flatten(d)
+    assert (base.n, whole.n) == (2, 3)        # the cost integrator IJ is not read
+    _same_named_columns(integrate(base, config, theta=z), integrate(whole, config, theta=z))
+    maug, waug = flatten(agdm_diff(c, theta)), flatten(agdm_diff(d, theta))
+    assert (maug.n, waug.n) == (n_aug, n_aug + 2)    # q reaches no state, only the cost
+    assert maug.output_names == ("integrand", f"dintegrand/d{theta}")
+    _same_named_columns(integrate(maug, config, theta=z), integrate(waug, config, theta=z))
+
+
+_OPT_PINS = {
+    ("ad", None): ("0x1.66ab1d3f9ad61p-1", 13, True, "0x1.699b52224504bp+0", [
+        ("0x1.999999999999ap-4", "-0x1.86387006038afp+3"),
+        ("0x1.3333333333334p-3", "-0x1.1a19ca3b04550p+3"),
+        ("0x1.1f3045dcdac2ap-2", "-0x1.f40226ea8f57cp+1"),
+        ("0x1.897be078ad7c3p-2", "-0x1.05e72afb9c984p+1"),
+        ("0x1.fe67295537b85p-2", "-0x1.dbd1a7f65b0c5p-1"),
+        ("0x1.2fd946d00ae42p-1", "-0x1.89c180d576f15p-2"),
+        ("0x1.522f27d9293f5p-1", "-0x1.f664cca136bfep-4"),
+        ("0x1.62441f2af5ad2p-1", "-0x1.92a10a3b9df8cp-6"),
+        ("0x1.664ba66981650p-1", "-0x1.0c307e24ec650p-9"),
+        ("0x1.66a95674803cfp-1", "-0x1.3eeb1bc101620p-15"),
+        ("0x1.66ab1c872f5b1p-1", "-0x1.02a3043db4000p-24"),
+        ("0x1.66ab1d3f99716p-1", "-0x1.f43e040000000p-40"),
+        ("0x1.66ab1d3f9ad61p-1", "0x1.f800000000000p-53"),
+    ]),
+    ("fd", None): ("0x1.66ab1cfee1907p-1", 14, True, "0x1.699b52224504bp+0", [
+        ("0x1.999999999999ap-4", "-0x1.86386d0000000p+3"),
+        ("0x1.3333333333334p-3", "-0x1.1a19c8eaaaaaap+3"),
+        ("0x1.1f30475a5627cp-2", "-0x1.f40222ff77da9p+1"),
+        ("0x1.897be28a5c3edp-2", "-0x1.05e72785cb22fp+1"),
+        ("0x1.fe672ab80cfbbp-2", "-0x1.dbd1a343adc44p-1"),
+        ("0x1.2fd94784e1cf3p-1", "-0x1.89c17d0793b2bp-2"),
+        ("0x1.522f28939849fp-1", "-0x1.f664b2a8006bbp-4"),
+        ("0x1.62441ee9e2194p-1", "-0x1.92a1133b6c4c9p-6"),
+        ("0x1.664ba648ef934p-1", "-0x1.0c3072216c66fp-9"),
+        ("0x1.66a956500584ep-1", "-0x1.3edfdf9ad1686p-15"),
+        ("0x1.66ab1c5269dc7p-1", "-0x1.6d70cbf5d48ccp-24"),
+        ("0x1.66ab1d5726e44p-1", "0x1.6d70caec2b32bp-25"),
+        ("0x1.66ab1d003d372p-1", "0x1.6d70cb44b8fb1p-26"),
+        ("0x1.66ab1cfee1907p-1", "0x0.0p+0"),
+    ]),
+    ("ad", 0.5): ("0x1.67ea0b4c3c74cp-1", 12, True, "0x1.299a520000000p+0", [
+        ("0x1.999999999999ap-4", "-0x1.a2e4a00000000p+3"),
+        ("0x1.3333333333334p-3", "-0x1.2aae0a0000000p+3"),
+        ("0x1.18cf89917229bp-2", "-0x1.0cb6be0000000p+2"),
+        ("0x1.80d2bc47904a9p-2", "-0x1.1b5af80000000p+1"),
+        ("0x1.f4d2d79e84724p-2", "-0x1.0590640000000p+0"),
+        ("0x1.2c20cc46b492fp-1", "-0x1.ba22ee0000000p-2"),
+        ("0x1.50839202d3db4p-1", "-0x1.2494de0000000p-3"),
+        ("0x1.628191e3e7e88p-1", "-0x1.f463380000000p-6"),
+        ("0x1.6765fd86849aep-1", "-0x1.7603b80000000p-9"),
+        ("0x1.67e710aa8491ep-1", "-0x1.0d65000000000p-14"),
+        ("0x1.67ea098cf3cd7p-1", "-0x1.3c00000000000p-23"),
+        ("0x1.67ea0b4c3c74cp-1", "0x0.0p+0"),
+    ]),
+}
+
+
+@pytest.mark.parametrize("jacobian, decimate", list(_OPT_PINS))
+def test_optimize_scalar_results_are_pinned(jacobian, decimate):
+    # recorded before the optimizer integrated only the cost output's cone
+    with open(model_path("second_order_cost.json"), encoding="utf-8") as fh:
+        d = parse_diagram(fh.read())
+    res = optimize_scalar(d, "zeta", "integrand", SimConfig(step=0.05, tf=5.0), 0.1,
+                          jacobian=jacobian, decimate=decimate)
+    theta_opt, iterations, converged, cost, history = _OPT_PINS[jacobian, decimate]
+    assert res["theta_opt"].hex() == theta_opt
+    assert res["iterations"] == iterations
+    assert res["converged"] is converged
+    assert res["cost"].hex() == cost
+    assert [(z.hex(), g.hex()) for z, g in res["history"]] == history
+
+
+def test_optimize_error_outside_the_cost_cone_raises_as_before():
+    with open(model_path("second_order_cost.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["blocks"].append({"id": "Z", "kind": "UnitDelay", "initial": 0.0, "sample_time": 0.1})
+    doc["links"].append({"from": "Ix.out", "to": "Z.in"})
+    doc["outputs"].append({"name": "z", "from": "Z.out"})
+    d = parse_diagram(json.dumps(doc))
+    assert flatten(cone(d, "integrand")).n == 2
+    with pytest.raises(FlattenError, match="mixed continuous"):
+        optimize_scalar(d, "zeta", "integrand", SimConfig(step=0.05, tf=1.0), 0.1)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"jacobian": "xx"}, "jacobian must be 'ad' or 'fd'"),
+    ({"lo": 1.0, "hi": 0.5}, "need finite lo < hi"),
+    ({"lo": 0.5, "hi": 0.5}, "need finite lo < hi"),
+    ({"lo": -math.inf}, "need finite lo < hi"),
+    ({"hi": math.nan}, "need finite lo < hi"),
+])
+def test_optimize_scalar_rejects_bad_arguments(kwargs, message):
+    with open(model_path("second_order_cost.json"), encoding="utf-8") as fh:
+        d = parse_diagram(fh.read())
+    with pytest.raises(ValueError, match=message):
+        optimize_scalar(d, "zeta", "integrand", SimConfig(step=0.05, tf=1.0), 0.1, **kwargs)

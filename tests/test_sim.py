@@ -232,7 +232,7 @@ def _numpy_impact_update(s, q, v_pre, t):
     A = np.asarray(s.metric(q), dtype=float)
     if not np.allclose(A, A.T, atol=1e-12):
         raise ValueError("metric must be symmetric")
-    grad = sim.reverse_gradient(s.guard, list(q) + [t], 0)
+    grad = reverse_gradient(s.guard, list(q) + [t], 0)
     gq, gt = grad[:d], grad[d]
     gg, gv = float(gq @ gq), float(gq @ v_pre)
     if gg == 0.0:
